@@ -5,16 +5,15 @@ satisfy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import (DirichletCharacter, ModPRealization, char_eval,
-                         char_invariants, enumerate_characters,
-                         gen_bernoulli_b1, is_primitive, kronecker,
-                         modp_realizations)
+                         char_exponents, char_invariants,
+                         enumerate_characters, gen_bernoulli_b1, is_primitive,
+                         kronecker, modp_realizations)
 from .errors import NarrowClassNotOne
-from .exact import CycloElement
+from .exact import CycloElement, cyclo_from_buckets
 from .linearity import FamilySpec, closed_form_chi, family_instance
 from .quadfield import class_numbers
 from .shintani import partial_hecke_L_zero
@@ -139,17 +138,19 @@ def yokoi_intro_ab(q: int, chi: DirichletCharacter, r: int
     """The two direct double sums over 0 <= C, D < q, and the single rational
     factor relating them to the closed-form pair when one exists.
     """
-    o = chi.order
-    A = CycloElement.zero(o)
-    B = CycloElement.zero(o)
+    exps = char_exponents(chi)
+    A_buckets = [0] * chi.order
+    B_buckets = [0] * chi.order
     for C in range(q):
         for D in range(q):
-            val = char_eval(chi, D * D - C * C - r * C * D)
-            if val.is_zero():
+            k = exps[(D * D - C * C - r * C * D) % q]
+            if k < 0:
                 continue
-            ceil_term = math.ceil(Fraction(r * C - D, q))
-            A = A + val * (ceil_term * (C - q))
-            B = B + val * (C * (C - q))
+            ceil_term = -((D - r * C) // q)        # ceil((rC - D) / q)
+            A_buckets[k] += ceil_term * (C - q)
+            B_buckets[k] += C * (C - q)
+    A = cyclo_from_buckets(chi.order, A_buckets)
+    B = cyclo_from_buckets(chi.order, B_buckets)
     from .linearity import BUILTIN_FAMILIES
     cf = closed_form_chi(BUILTIN_FAMILIES["yokoi"], q, chi, r)
     rho = _proportionality((A, B), (cf.A_chi, cf.B_chi))

@@ -11,7 +11,8 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import NotFundamental, ParseError
-from .exact import CycloElement, euler_phi, factorize, is_squarefree
+from .exact import (CycloElement, cyclo_from_buckets, euler_phi, factorize,
+                    is_squarefree)
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +121,8 @@ class DirichletCharacter:
                 if body else []
         except (ValueError, AttributeError) as exc:
             raise ParseError(f"bad character identifier {s!r}") from exc
+        if q < 1:
+            raise ParseError(f"character modulus must be >= 1, got q = {q}")
         gens, orders, _ = _unit_group(q)
         exps = [0] * len(gens)
         for g, e in pairs:
@@ -139,33 +142,42 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
             for exps in product(*(range(n) for n in orders))]
 
 
+@lru_cache(maxsize=None)
+def char_exponents(chi: DirichletCharacter) -> tuple[int, ...]:
+    """Entry a (0 <= a < q) is the k with chi(a) = zeta_o^k, o = chi.order,
+    or -1 when a is not a unit mod q."""
+    q, o = chi.modulus, chi.order
+    _, orders, table = _unit_group(q)
+    # chi(g_i) = zeta_{n_i}^{e_i} = zeta_o^{e_i o / n_i}; o is a multiple of
+    # the order of every zeta_{n_i}^{e_i}, so each weight is an integer
+    weights = []
+    for e, n in zip(chi.exponents, orders):
+        if e * o % n:
+            raise RuntimeError("character phase not compatible with its order")
+        weights.append(e * o // n)
+    out = [-1] * q
+    for a, logs in table.items():
+        out[a] = sum(w * t for w, t in zip(weights, logs)) % o
+    return tuple(out)
+
+
 def char_eval(chi: DirichletCharacter, a: int) -> CycloElement:
     """chi(a) as an exact cyclotomic number (0 off the units)."""
-    q = chi.modulus
-    o = chi.order
-    a %= q
-    if math.gcd(a, q) != 1:
-        return CycloElement.zero(o)
-    _, orders, table = _unit_group(q)
-    phase = Fraction(0)
-    for e, n, t in zip(chi.exponents, orders, table[a]):
-        phase += Fraction(e * t, n)
-    phase -= math.floor(phase)
-    k = phase * o
-    if k.denominator != 1:
-        raise RuntimeError("character phase not compatible with its order")
-    return CycloElement.zeta_power(o, int(k))
+    k = char_exponents(chi)[a % chi.modulus]
+    if k < 0:
+        return CycloElement.zero(chi.order)
+    return CycloElement.zeta_power(chi.order, k)
 
 
 def char_invariants(chi: DirichletCharacter) -> tuple[str, int]:
     """(parity, conductor): parity from chi(-1), conductor the smallest
     f | q through which chi factors."""
     q = chi.modulus
-    parity = "even" if char_eval(chi, q - 1) == 1 else "odd"
+    exps = char_exponents(chi)
+    parity = "even" if exps[(q - 1) % q] == 0 else "odd"
     for f in sorted(_divisors(q)):
-        if all(char_eval(chi, a) == 1
-               for a in range(1, q + 1)
-               if math.gcd(a, q) == 1 and a % f == 1 % f):
+        if all(exps[a] == 0 for a in range(q)
+               if exps[a] >= 0 and a % f == 1 % f):
             return parity, f
     raise RuntimeError("conductor search failed")  # pragma: no cover
 
@@ -236,18 +248,21 @@ def gen_bernoulli_b1(psi, modulus: int | None = None) -> CycloElement:
     """
     if isinstance(psi, DirichletCharacter):
         f = psi.modulus
-        values = lambda a: char_eval(psi, a)
-    else:
-        if modulus is None:
-            raise ValueError("a value function needs an explicit modulus")
-        f = modulus
-        values = psi
+        exps = char_exponents(psi)
+        buckets = [0] * psi.order
+        for a in range(1, f + 1):
+            k = exps[a % f]
+            if k >= 0:
+                buckets[k] += a
+        return cyclo_from_buckets(psi.order, buckets, Fraction(1, f))
+    if modulus is None:
+        raise ValueError("a value function needs an explicit modulus")
     acc = CycloElement.zero()
-    for a in range(1, f + 1):
-        v = values(a)
+    for a in range(1, modulus + 1):
+        v = psi(a)
         if not v.is_zero():
             acc = acc + v * a
-    return acc * Fraction(1, f)
+    return acc * Fraction(1, modulus)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,8 @@ def _parse_surd(text: str, d: int) -> QuadSurd:
         parts.append(1)
     if len(parts) != 3:
         raise ValidationError("surd must be a,b[,c] for (a+b*sqrt(d))/c")
+    if parts[2] == 0:
+        raise ValidationError("surd denominator c must be nonzero")
     return QuadSurd(parts[0], parts[1], parts[2], d)
 
 
@@ -275,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lvalue", parents=[common], help="partial Hecke L-value at s=0")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", required=True, help="a,b[,c]")
-    p.add_argument("--q", type=int, help="modulus (from --chi if omitted)")
     p.add_argument("--chi", required=True, help="character identifier")
     p.add_argument("--ideal", help="e,f,h,den (default: maximal order)")
     p.set_defaults(fn=cmd_lvalue)
@@ -317,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # HECKE_ZERO_THREADS caps parallelism; computation is deterministic and
-    # currently single-threaded, so the cap is recorded but has no effect
-    threads = int(os.environ.get("HECKE_ZERO_THREADS", "1") or "1")
     t0 = time.monotonic()
     payload = args.fn(args)
     envelope = {
@@ -329,7 +327,6 @@ def run_command(argv) -> int:
         "inputs": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("fn", "out", "format") and v is not None
                    and not callable(v)},
-        "threads": threads,
         "results": payload,
         "elapsed_s": round(time.monotonic() - t0, 6),
     }

@@ -14,8 +14,11 @@ class InternalInvariantError(HeckeZeroError):
 
 
 class NotSquarefree(ValidationError):
-    def __init__(self, n, prime):
-        super().__init__(f"{n} is divisible by {prime}^2")
+    """Not a radicand: n <= 1 (prime None) or divisible by prime^2."""
+
+    def __init__(self, n, prime=None):
+        super().__init__(f"{n} is divisible by {prime}^2" if prime
+                         else f"d = {n} must be > 1")
         self.n = n
         self.prime = prime
 

@@ -84,8 +84,22 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return d, s
 
 
+@lru_cache(maxsize=None)
+def square_prime(n: int) -> int:
+    """The least prime p with p^2 | n, or 0 when n is squarefree.  Needs
+    n >= 1.
+
+    Memoized: every surd re-validates its radicand, so each d is factored
+    once per process rather than once per arithmetic result.
+    """
+    for p, e in factorize(n).items():
+        if e > 1:
+            return p
+    return 0
+
+
 def is_squarefree(n: int) -> bool:
-    return n > 0 and squarefree_part(n)[0] == n
+    return n > 0 and square_prime(n) == 0
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,7 @@ class QuadSurd:
     d: int
 
     def __post_init__(self):
-        if self.d <= 1 or not is_squarefree(self.d):
+        if self.d <= 1 or square_prime(self.d):
             raise ValueError(f"d = {self.d} must be squarefree and > 1")
         if self.c == 0:
             raise ZeroDivisionError("zero denominator")
@@ -414,6 +428,21 @@ class CycloElement:
         terms = [f"{c}*z{self.order}^{i}" for i, c in enumerate(self.coeffs)
                  if c]
         return " + ".join(terms) or "0"
+
+
+def cyclo_from_buckets(order: int, buckets, scale: Rational | int = 1
+                       ) -> CycloElement:
+    """scale * sum_k buckets[k] * zeta_order^k as one CycloElement.
+
+    Reduction mod the cyclotomic polynomial is linear and canonical, so
+    summing the weights of each power of zeta first and reducing once gives
+    the same coefficients as adding the terms one element at a time.
+    Integer buckets reduce in integers; only the phi(order) results meet
+    the scale.
+    """
+    scale = Fraction(scale)
+    return CycloElement(order, tuple(c * scale for c in
+                                     _cyclo_reduce(order, buckets)))
 
 
 def _cyclo_reduce(order: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

@@ -11,14 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfrac import MinusCF, minus_expand, mu_factor, plus_expand, plus_to_minus
-from .characters import DirichletCharacter, char_eval
+from .characters import DirichletCharacter, char_exponents
 from .errors import (CFMismatch, DeltaOutOfRange, HypothesisFailed,
                      InsufficientSamples, InternalInvariantError,
                      NoAdmissibleN, NotSquarefree, ParseError)
-from .exact import (CycloElement, QuadSurd, bernoulli_poly, factorize,
-                    floor_strict, frac_pos, residue_1q)
-from .quadfield import (FieldData, IdealLattice, ideal_inverse,
-                        is_fractional_ideal, make_field, norm_residue)
+from .exact import (CycloElement, QuadSurd, bernoulli_poly,
+                    cyclo_from_buckets, floor_strict, frac_pos, residue_1q)
+from .quadfield import (FieldData, IdealLattice, check_radicand,
+                        ideal_inverse, is_fractional_ideal, make_field,
+                        norm_form)
 
 N_SEARCH_LIMIT = 10_000
 
@@ -118,11 +119,7 @@ def family_instance(spec: FamilySpec, n: int
                     ) -> tuple[FieldData, QuadSurd, IdealLattice]:
     """Instantiate K_n: the field, delta(n), and b with b^{-1} = [1, delta]."""
     f = spec.f(n)
-    if f <= 1:
-        raise NotSquarefree(f, 0)
-    for p, e in factorize(f).items():
-        if e >= 2:
-            raise NotSquarefree(f, p)
+    check_radicand(f)
     if not spec.n_constraints.admits(n):
         raise DeltaOutOfRange(f"n = {n} violates the family's n constraints")
     delta = QuadSurd(_poly(spec.u_coeffs, n), _poly(spec.v_coeffs, n),
@@ -267,7 +264,6 @@ class ClosedFormAB:
     chi: DirichletCharacter
     r: int
     cells: dict[tuple[int, int], tuple[Fraction, Fraction]]
-    F: dict[tuple[int, int], CycloElement]
     A_chi: CycloElement
     B_chi: CycloElement
 
@@ -281,8 +277,10 @@ def hypothesis_check_norm(spec: FamilySpec, q: int, r: int, k_list) -> bool:
             F, delta, b = family_instance(spec, n)
         except (NotSquarefree, DeltaOutOfRange, CFMismatch):
             continue
-        tables.append({(C, D): norm_residue(F, b, delta, C, D, q)
-                       for C in range(1, q + 1) for D in range(1, q + 1)})
+        # u C^2 + v CD + w D^2 mod q read at (1, q), (q, 1) and (1, 1)
+        # gives u, w and u + v + w mod q, so two tables over [1, q]^2 agree
+        # exactly when the coefficients agree mod q
+        tables.append(tuple(c % q for c in norm_form(F, b, delta)))
         if len(tables) > 1 and tables[-1] != tables[0]:
             return False
     if len(tables) < 2:
@@ -306,19 +304,21 @@ def closed_form_chi(spec: FamilySpec, q: int, chi: DirichletCharacter,
         raise HypothesisFailed(
             f"norm residues mod {q} vary with k at r = {r}")
     F, delta, b = family_instance(spec, n0)
+    u, v, w = norm_form(F, b, delta)
+    exps = char_exponents(chi)
     cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-    Fvals: dict[tuple[int, int], CycloElement] = {}
-    A_chi = CycloElement.zero(chi.order)
-    B_chi = CycloElement.zero(chi.order)
+    A_buckets = [0] * chi.order
+    B_buckets = [0] * chi.order
     for C in range(1, q + 1):
         for D in range(1, q + 1):
-            cells[(C, D)] = closed_form_cd(spec, q, r, C, D)
-            val = char_eval(chi, norm_residue(F, b, delta, C, D, q))
-            Fvals[(C, D)] = val
-            if not val.is_zero():
-                A_chi = A_chi + val * (q * q * cells[(C, D)][0])
-                B_chi = B_chi + val * (q * q * cells[(C, D)][1])
-    return ClosedFormAB(spec.name, q, chi, r, cells, Fvals, A_chi, B_chi)
+            A, B = cells[(C, D)] = closed_form_cd(spec, q, r, C, D)
+            k = exps[(u * C * C + v * C * D + w * D * D) % q]
+            if k >= 0:
+                A_buckets[k] += int(q * q * A)
+                B_buckets[k] += int(q * q * B)
+    return ClosedFormAB(spec.name, q, chi, r, cells,
+                        cyclo_from_buckets(chi.order, A_buckets),
+                        cyclo_from_buckets(chi.order, B_buckets))
 
 
 @dataclass(frozen=True)

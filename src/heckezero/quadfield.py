@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BoundExceeded, IncompatiblePair, InternalInvariantError,
-                     NotAnIdeal, NotSquarefree)
-from .exact import QuadSurd, Rational, factorize, residue_1q
+                     NotAnIdeal, NotSquarefree, ValidationError)
+from .exact import QuadSurd, Rational, residue_1q, square_prime
 
 CLASS_NUMBER_BOUND = 10 ** 6
 
@@ -31,13 +31,18 @@ class FieldData:
     tp_fund_unit: QuadSurd
 
 
+def check_radicand(d: int) -> None:
+    """Raise NotSquarefree unless d is a squarefree integer > 1."""
+    if d <= 1:
+        raise NotSquarefree(d)
+    p = square_prime(d)
+    if p:
+        raise NotSquarefree(d, p)
+
+
 def make_field(d: int) -> FieldData:
     """Construct FieldData for squarefree d > 1."""
-    if d <= 1:
-        raise NotSquarefree(d, 1)
-    for p, e in factorize(d).items():
-        if e > 1:
-            raise NotSquarefree(d, p)
+    check_radicand(d)
     if d % 4 == 1:
         disc = d
         omega = QuadSurd(1, 1, 2, d)
@@ -99,6 +104,12 @@ class IdealLattice:
     f: int
     h: int
     den: int
+
+    def __post_init__(self):
+        for name in ("e", "h", "den"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(
+                    f"ideal {name} must be positive, got {getattr(self, name)}")
 
     @staticmethod
     def from_rows(rows: list[tuple[Rational, Rational]]) -> IdealLattice:
@@ -221,7 +232,10 @@ def lattice_product(F: FieldData, L: IdealLattice, M: IdealLattice) -> IdealLatt
 
 def norm_residue(F: FieldData, b: IdealLattice, delta: QuadSurd,
                  C: int, D: int, q: int) -> int:
-    """N(b * (C + D*delta)) mod q, in [0, q)."""
+    """N(b * (C + D*delta)) mod q, in [0, q), through the lattice product.
+
+    The per-cell route that norm_form replaces; kept as its oracle.
+    """
     if lattice_product(F, b, IdealLattice.from_surds(
             QuadSurd.from_rational(1, F.d), delta, F)) != maximal_order(F):
         raise IncompatiblePair("b * [1, delta] is not the maximal order")
@@ -230,6 +244,25 @@ def norm_residue(F: FieldData, b: IdealLattice, delta: QuadSurd,
     if val.denominator != 1:
         raise InternalInvariantError("norm of an integral ideal not integral")
     return int(val) % q
+
+
+def norm_form(F: FieldData, b: IdealLattice, delta: QuadSurd
+              ) -> tuple[int, int, int]:
+    """Integers (u, v, w) with N(b * (C + D*delta)) = u C^2 + v CD + w D^2.
+
+    Validates the pair once: b * [1, delta] must be the maximal order, and
+    u = N(b), v = N(b) tr(delta), w = N(b) N(delta) must be integers, as
+    they are for an integral ideal b.  Cell residues mod q then need no
+    field arithmetic.
+    """
+    if lattice_product(F, b, IdealLattice.from_surds(
+            QuadSurd.from_rational(1, F.d), delta, F)) != maximal_order(F):
+        raise IncompatiblePair("b * [1, delta] is not the maximal order")
+    nb = ideal_norm(F, b)
+    form = (nb, nb * delta.trace(), nb * delta.norm())
+    if any(c.denominator != 1 for c in form):
+        raise InternalInvariantError("norm form of b * [1, delta] not integral")
+    return tuple(int(c) for c in form)
 
 
 def unit_order_mod_q(F: FieldData, q: int) -> int:

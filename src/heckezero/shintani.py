@@ -5,19 +5,18 @@ backing it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
-from .characters import DirichletCharacter, char_eval
+from .characters import DirichletCharacter, char_exponents
 from .errors import (DeltaOutOfRange, IdealNotCoprime, IncompatiblePair,
                      InternalInvariantError)
-from .exact import QuadSurd, bernoulli_poly, frac_pos, residue_1q
+from .exact import (QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos,
+                    residue_1q)
 from .kernels import zeta12_times
-from .quadfield import (FieldData, IdealLattice, ideal_norm, lattice_product,
-                        maximal_order, norm_residue)
-
-import math
+from .quadfield import FieldData, IdealLattice, norm_form
 
 
 @dataclass(frozen=True)
@@ -107,30 +106,31 @@ def partial_hecke_L_zero(F: FieldData, delta: QuadSurd, b: IdealLattice,
     """L(0, chi o N, b) for the ray class of b, as an exact cyclotomic number.
 
     Sums chi(N((C+D*delta)b)) * Z(C,D) over (C,D) in [1,q]^2; cells whose
-    norm residue shares a factor with q are annihilated by chi.
+    norm residue shares a factor with q are annihilated by chi.  The pair
+    (b, delta) is validated once; each cell then costs an integer norm
+    residue, a character-exponent lookup and the integer kernel, whose
+    12*q^2*Z(C,D) is summed per power of zeta into one CycloElement.
     """
     q = chi.modulus
     check_delta_hypotheses(delta)
     if b.den != 1:
         raise IncompatiblePair("b must be an integral ideal")
-    if lattice_product(F, b, IdealLattice.from_surds(
-            QuadSurd.from_rational(1, F.d), delta, F)) != maximal_order(F):
-        raise IncompatiblePair("b * [1, delta] is not the maximal order")
-    nb = ideal_norm(F, b)
-    if math.gcd(int(nb), q) != 1:
-        raise IdealNotCoprime(f"N(b) = {nb} shares a factor with q = {q}")
+    u, v, w = norm_form(F, b, delta)
+    if math.gcd(u, q) != 1:
+        raise IdealNotCoprime(f"N(b) = {u} shares a factor with q = {q}")
     mcf = minus_expand(delta)
     if not mcf.purely_periodic:
         raise InternalInvariantError(
             "reduced delta must have a purely periodic minus expansion")
-    from .exact import CycloElement
-    acc = CycloElement.zero(chi.order)
+    digits = list(mcf.period)
+    exps = char_exponents(chi)
+    buckets = [0] * chi.order
     for C in range(1, q + 1):
         for D in range(1, q + 1):
-            val = char_eval(chi, norm_residue(F, b, delta, C, D, q))
-            if not val.is_zero():
-                acc = acc + val * partial_zeta_zero(q, C, D, mcf)
-    return acc
+            k = exps[(u * C * C + v * C * D + w * D * D) % q]
+            if k >= 0:
+                buckets[k] += zeta12_times(q, C, D, digits)
+    return cyclo_from_buckets(chi.order, buckets, Fraction(1, 12 * q * q))
 
 
 def lattice_unit_order(F: FieldData, delta: QuadSurd, q: int) -> int:

@@ -1,15 +1,18 @@
 """Dirichlet characters, generalized Bernoulli numbers, mod-p realizations."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckezero.characters import (DirichletCharacter, char_eval,
-                                  char_invariants, enumerate_characters,
+from heckezero.characters import (DirichletCharacter, _unit_group, char_eval,
+                                  char_exponents, char_invariants,
+                                  enumerate_characters,
                                   gen_bernoulli_b1, is_primitive, kronecker,
                                   modp_realizations)
+from heckezero.errors import ParseError
 from heckezero.exact import CycloElement
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
@@ -47,6 +50,34 @@ class TestEnumeration:
                 s = s + char_eval(chi, a)
             expect = len(chars) if a % q == 1 else 0
             assert s == expect
+
+
+class TestExponents:
+    @pytest.mark.parametrize("q", range(1, 31))
+    def test_from_definition(self, q):
+        gens, orders, _ = _unit_group(q)
+        for chi in enumerate_characters(q):
+            o = chi.order
+            exps = char_exponents(chi)
+            assert len(exps) == q
+            for a in range(q):
+                assert (exps[a] == -1) == (math.gcd(a, q) != 1)
+                if exps[a] >= 0:
+                    assert 0 <= exps[a] < o
+                    assert char_eval(chi, a) == \
+                        CycloElement.zeta_power(o, exps[a])
+            # chi(g_i) = zeta_{n_i}^{e_i}, i.e. exps[g_i] / o = e_i / n_i mod 1
+            for g, n, e in zip(gens, orders, chi.exponents):
+                assert (exps[g] * n - e * o) % (o * n) == 0
+            for a in range(q):
+                for b in range(a, q):
+                    if exps[a] >= 0 and exps[b] >= 0:
+                        assert exps[a * b % q] == (exps[a] + exps[b]) % o
+
+    def test_rejects_nonpositive_modulus(self):
+        for ident in ("q=0;gens=", "q=-3;gens="):
+            with pytest.raises(ParseError):
+                DirichletCharacter.from_identifier(ident)
 
 
 class TestInvariants:

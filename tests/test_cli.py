@@ -39,6 +39,47 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestBoundary:
+    """Bad input exits 2 with one JSON error object on stderr."""
+
+    def run_error(self, args, capsys):
+        code = main(args)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(lines) == 1
+        doc = json.loads(lines[0])
+        assert set(doc) == {"error", "message"}
+        return doc["message"]
+
+    def test_chi_modulus_zero(self, capsys):
+        msg = self.run_error(["lvalue", "--d", "5", "--delta", "3,1,2",
+                              "--chi", "q=0;gens="], capsys)
+        assert "q = 0" in msg
+
+    def test_delta_zero_denominator(self, capsys):
+        msg = self.run_error(["lvalue", "--d", "5", "--delta", "3,1,0",
+                              "--chi", "q=3;gens=2:1"], capsys)
+        assert "denominator" in msg
+
+    @pytest.mark.parametrize("ideal,field", [("1,0,1,0", "den"),
+                                             ("1,0,1,-2", "den"),
+                                             ("0,0,1,1", "e"),
+                                             ("1,0,-1,1", "h")])
+    def test_ideal_nonpositive_entry(self, ideal, field, capsys):
+        msg = self.run_error(["lvalue", "--d", "5", "--delta", "3,1,2",
+                              "--ideal", ideal, "--chi", "q=3;gens=2:1"],
+                             capsys)
+        assert msg.startswith(f"ideal {field} must be positive")
+
+    def test_field_d_zero(self, capsys):
+        msg = self.run_error(["field", "--d", "0"], capsys)
+        assert "must be > 1" in msg and "divisible" not in msg
+
+    def test_lvalue_q_option_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(LVALUE_ARGS + ["--q", "7"])
+        capsys.readouterr()
+
+
 class TestEnvelope:
     def test_fields(self, capsys):
         code, doc = run_json(["field", "--d", "5"], capsys)
@@ -47,6 +88,7 @@ class TestEnvelope:
         assert doc["subcommand"] == "field"
         assert "elapsed_s" in doc
         assert doc["inputs"]["d"] == 5
+        assert "threads" not in doc
 
     def test_inputs_sorted(self, capsys):
         _, doc = run_json(LVALUE_ARGS, capsys)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckezero.exact import (CycloElement, QuadSurd, bernoulli_poly,
-                             cyclo_from_dict, cyclo_to_dict, euler_phi,
+                             cyclo_from_buckets, cyclo_from_dict,
+                             cyclo_to_dict, euler_phi,
                              factorize, floor_strict, frac_pos, is_squarefree,
                              quadsurd_from_dict, quadsurd_to_dict,
                              rational_from_str, rational_to_str, residue_1q,
@@ -177,6 +178,22 @@ class TestCycloElement:
 
     def test_numeric_comparison(self):
         assert CycloElement.from_rational(Fraction(2, 3), 4) == Fraction(2, 3)
+
+    @given(st.integers(1, 12).flatmap(
+        lambda o: st.tuples(st.just(o),
+                            st.lists(st.integers(-10**6, 10**6),
+                                     min_size=o, max_size=o))),
+           st.fractions(max_denominator=50))
+    @settings(max_examples=60)
+    def test_buckets_equal_termwise_sum(self, o_buckets, scale):
+        # one reduction of the summed weights equals adding each weighted
+        # power of zeta as its own canonical element
+        o, buckets = o_buckets
+        want = CycloElement.zero(o)
+        for k, wgt in enumerate(buckets):
+            want = want + CycloElement.zeta_power(o, k) * (wgt * scale)
+        got = cyclo_from_buckets(o, buckets, scale)
+        assert got.order == want.order and got.coeffs == want.coeffs
         assert CycloElement.zeta_power(4, 1) != 1
 
 

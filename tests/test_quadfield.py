@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from heckezero.errors import NotAnIdeal, NotSquarefree
+from heckezero.errors import (IncompatiblePair, NotAnIdeal, NotSquarefree,
+                              ValidationError)
 from heckezero.exact import QuadSurd
 from heckezero.quadfield import (FieldData, IdealLattice, class_numbers,
                                  ideal_inverse, ideal_norm,
                                  is_fractional_ideal, lattice_product,
-                                 make_field, maximal_order, norm_residue,
-                                 unit_order_mod_q)
+                                 make_field, maximal_order, norm_form,
+                                 norm_residue, unit_order_mod_q)
 
 FUND_UNITS = {
     2: QuadSurd(1, 1, 1, 2),
@@ -139,6 +140,36 @@ class TestNormResidue:
                 x = C + D * delta
                 want = int(x.norm()) % q
                 assert norm_residue(F, O, delta, C, D, q) == want
+
+
+class TestNormForm:
+    @pytest.mark.parametrize("d,delta,b", [
+        (5, QuadSurd(3, 1, 2, 5), IdealLattice(1, 0, 1, 1)),
+        (53, QuadSurd(9, 1, 2, 53), IdealLattice(1, 0, 1, 1)),
+        (10, QuadSurd(4, 1, 1, 10), IdealLattice(1, 0, 1, 1)),
+        (79, QuadSurd(11, 1, 3, 79), IdealLattice(3, 1, 1, 1)),
+    ])
+    def test_residues_match_element_norms(self, d, delta, b):
+        F = make_field(d)
+        u, v, w = norm_form(F, b, delta)
+        nb = ideal_norm(F, b)
+        for q in (2, 3, 4, 5, 7, 12):
+            for C in range(1, q + 1):
+                for D in range(1, q + 1):
+                    want = int(nb * (C + D * delta).norm()) % q
+                    assert (u * C * C + v * C * D + w * D * D) % q == want
+                    assert norm_residue(F, b, delta, C, D, q) == want
+
+    def test_rejects_incompatible_pair(self):
+        F = make_field(5)
+        with pytest.raises(IncompatiblePair):
+            norm_form(F, IdealLattice(3, 0, 3, 1), QuadSurd(3, 1, 2, 5))
+
+    @pytest.mark.parametrize("e,h,den,bad", [(0, 1, 1, "e"), (1, -1, 1, "h"),
+                                             (1, 1, 0, "den")])
+    def test_lattice_rejects_nonpositive(self, e, h, den, bad):
+        with pytest.raises(ValidationError, match=f"ideal {bad} "):
+            IdealLattice(e, 0, h, den)
 
 
 class TestUnitOrder:

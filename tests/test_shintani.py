@@ -1,16 +1,23 @@
 """The cone engine: digit orbits, per-cell zeta values, L-values at s=0."""
 
+import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from heckezero import exact, quadfield
 from heckezero.cfrac import MinusCF, minus_expand
-from heckezero.characters import DirichletCharacter, gen_bernoulli_b1
+from heckezero.characters import (DirichletCharacter, char_eval,
+                                  enumerate_characters, gen_bernoulli_b1)
 from heckezero.errors import (DeltaOutOfRange, IdealNotCoprime,
                               IncompatiblePair)
-from heckezero.exact import QuadSurd
-from heckezero.quadfield import (IdealLattice, ideal_inverse, make_field,
-                                 maximal_order)
+from heckezero.exact import CycloElement, QuadSurd
+from heckezero.linearity import BUILTIN_FAMILIES, family_instance
+from heckezero.quadfield import (IdealLattice, class_numbers, ideal_inverse,
+                                 ideal_norm, make_field, maximal_order,
+                                 norm_residue)
 from heckezero.shintani import (check_delta_hypotheses, lattice_unit_order,
                                 orbit_shift_check, partial_hecke_L_zero,
                                 partial_zeta_zero, partial_zeta_zero_reference,
@@ -154,3 +161,115 @@ class TestIdentity:
             for C in range(1, q + 1):
                 for D in range(1, q + 1):
                     assert orbit_shift_check(F, mcf, q, C, D)
+
+
+def _d2_case():
+    F = make_field(2)
+    delta = QuadSurd(2, 1, 1, 2)
+    b = ideal_inverse(F, IdealLattice.from_surds(
+        QuadSurd.from_rational(1, 2), delta, F))
+    return F, delta, b
+
+
+def _d79_case():
+    # b = [3, 1+sqrt79] of norm 3 with b * [1, (11+sqrt79)/3] = O
+    return make_field(79), QuadSurd(11, 1, 3, 79), IdealLattice(3, 1, 1, 1)
+
+
+# yokoi n = 11 (f = 125) and rd-n2p1 n = 7 (f = 50) are not squarefree, so
+# the next members stand in for them
+ENGINE_CASES = (
+    [("yokoi", n) for n in (1, 3, 5, 7, 9, 13)]
+    + [("rd-n2p1", n) for n in (1, 3, 5, 9)]
+    + [("d2", None), ("d79", None)])
+
+
+def _engine_case(name, n):
+    if name == "d2":
+        return _d2_case()
+    if name == "d79":
+        return _d79_case()
+    return family_instance(BUILTIN_FAMILIES[name], n)
+
+
+class TestBucketedEngine:
+    """The bucketed sum against the per-cell reference: the lattice norm
+    residue, char_eval and the Bernoulli-polynomial Z(C, D), one
+    CycloElement addition per cell.  q <= 12 takes in composite moduli with
+    annihilated cells and characters of order 4, 6 and 10."""
+
+    @pytest.mark.parametrize("name,n", ENGINE_CASES)
+    def test_every_character_mod_q_up_to_12(self, name, n):
+        F, delta, b = _engine_case(name, n)
+        mcf = minus_expand(delta)
+        nb = int(ideal_norm(F, b))
+        for q in range(1, 13):
+            chars = enumerate_characters(q)
+            if math.gcd(nb, q) != 1:
+                with pytest.raises(IdealNotCoprime):
+                    partial_hecke_L_zero(F, delta, b, chars[0])
+                continue
+            cells = [(norm_residue(F, b, delta, C, D, q),
+                      partial_zeta_zero_reference(q, C, D, mcf))
+                     for C in range(1, q + 1) for D in range(1, q + 1)]
+            for chi in chars:
+                want = CycloElement.zero(chi.order)
+                for res, z in cells:
+                    val = char_eval(chi, res)
+                    if not val.is_zero():
+                        want = want + val * z
+                got = partial_hecke_L_zero(F, delta, b, chi)
+                assert got.order == want.order
+                assert got.coeffs == want.coeffs, (q, chi.identifier())
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name, by first argument, from every heckezero
+    module that binds it."""
+    orig = getattr(module, name)
+    calls = Counter()
+
+    def wrapper(*args, **kwargs):
+        calls[args[0]] += 1
+        return orig(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("heckezero") and \
+                mod.__dict__.get(name) is orig:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+class TestHoist:
+    """Call counts, not timings: the pair (b, delta) is validated once per
+    L-value and each radicand is factored once."""
+
+    @pytest.mark.parametrize("fn", ["lattice_product", "ideal_norm"])
+    def test_ideal_work_independent_of_q(self, monkeypatch, fn):
+        F, delta, b = family_instance(BUILTIN_FAMILIES["yokoi"], 7)
+        calls = _count_calls(monkeypatch, quadfield, fn)
+        per_q = {}
+        for q, ident in ((3, "q=3;gens=2:1"), (11, "q=11;gens=2:1")):
+            calls.clear()
+            partial_hecke_L_zero(F, delta, b,
+                                 DirichletCharacter.from_identifier(ident))
+            per_q[q] = sum(calls.values())
+        assert per_q[11] == per_q[3] <= 2
+
+    def test_radicand_factored_once(self, monkeypatch):
+        exact.square_prime.cache_clear()
+        calls = _count_calls(monkeypatch, exact, "factorize")
+        spec = BUILTIN_FAMILIES["yokoi"]
+        F, delta, b = family_instance(spec, 7)
+        class_numbers(F.d)
+        partial_hecke_L_zero(F, delta, b,
+                             DirichletCharacter.from_identifier(
+                                 "q=11;gens=2:1"))
+        assert calls[53] == 1
+
+    def test_bad_radicand_still_raises(self):
+        make_field(5)
+        partial_hecke_L_zero(*_d2_case(), CHI3)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                QuadSurd(1, 1, 1, 12)
