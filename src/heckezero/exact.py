@@ -53,8 +53,23 @@ def bernoulli_poly(k: int, x: Rational | int) -> Fraction:
     raise ValueError("only k in {1, 2} supported")
 
 
+# Trial division removes every prime up to this bound, so a number below its
+# square is factored by trial division alone.
+_TRIAL_BOUND = 10_000
+# Miller-Rabin to these bases proves primality below _MR_BOUND
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+_RHO_BATCH = 128
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at desk scale."""
+    """Prime factorization.
+
+    Trial division removes the primes up to _TRIAL_BOUND.  A composite
+    cofactor below _MR_BOUND is split by Pollard-Brent rho into factors that
+    Miller-Rabin proves prime; a larger one is trial-divided to the end.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     out: dict[int, int] = {}
@@ -62,16 +77,86 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n:
+    n, f = _trial_divide(n, 5, _TRIAL_BOUND, out)
+    if n >= _MR_BOUND:
+        n, f = _trial_divide(n, f, math.inf, out)
+    if f * f <= n:
+        _rho_factorize(n, out)
+    elif n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _trial_divide(n: int, f: int, stop: float,
+                  out: dict[int, int]) -> tuple[int, int]:
+    """Divide the candidates f, f + 2, f + 6, f + 8, ... out of n while
+    f*f <= n and f <= stop; returns the cofactor and the next f."""
+    while f * f <= n and f <= stop:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
-    if n > 1:
+    return n, f
+
+
+def _rho_factorize(n: int, out: dict[int, int]) -> None:
+    """Add the factorization of n < _MR_BOUND, which has no prime factor up
+    to _TRIAL_BOUND, to out."""
+    if _is_prime(n):
         out[n] = out.get(n, 0) + 1
-    return out
+        return
+    d = _brent_factor(n)
+    _rho_factorize(d, out)
+    _rho_factorize(n // d, out)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES; exact for odd 41 < n < _MR_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's
+    cycle search, taking one gcd per _RHO_BATCH steps."""
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:   # the batch passed the collision: replay it step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def squarefree_part(n: int) -> tuple[int, int]:

@@ -83,7 +83,7 @@ def partial_zeta_zero(q: int, C: int, D: int, mcf: MinusCF) -> Fraction:
 def partial_zeta_zero_reference(q: int, C: int, D: int, mcf: MinusCF) -> Fraction:
     """Kernel-free evaluation straight from the Bernoulli polynomials.
 
-    Kept as the independent route against the compiled kernel.
+    Kept as the independent route against the integer kernel.
     """
     seq = yamamoto_sequence(q, C, D, mcf)
     m = mcf.m

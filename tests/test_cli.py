@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, envelopes, output formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from heckezero import cli
+from heckezero.acceptance import CriterionResult
 from heckezero.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 LVALUE_ARGS = ["lvalue", "--d", "5", "--delta", "3,1,2",
                "--ideal", "1,0,1,1", "--chi", "q=3;gens=2:1"]
@@ -31,6 +37,13 @@ class TestExitCodes:
     def test_validation_error(self, capsys):
         code, _ = run_cli(["field", "--d", "12"], capsys)
         assert code == 2
+
+    def test_selftest_failure_is_invariant_error(self, monkeypatch, capsys):
+        failing = CriterionResult(1, "stub", False, "forced failure", 0.0)
+        monkeypatch.setattr(cli, "run_all", lambda: [failing])
+        code, doc = run_json(["selftest"], capsys)
+        assert code == 3
+        assert doc["results"]["all_passed"] is False
 
     def test_bad_ideal(self, capsys):
         code, _ = run_cli(["lvalue", "--d", "5", "--delta", "3,1,2",
@@ -220,3 +233,19 @@ def test_console_script_selftest():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert "criterion 1" in proc.stderr
+
+
+def test_cli_import_stays_pure_python():
+    # a fresh `import heckezero.cli` is the benchmark's setup cost: it must
+    # load no NumPy and no compiled heckezero module
+    probe = (
+        "import sys, heckezero.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name, mod in sys.modules.items():\n"
+        "    if name.startswith('heckezero.'):\n"
+        "        assert mod.__file__.endswith('.py'), mod.__file__\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

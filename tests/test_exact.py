@@ -1,5 +1,7 @@
 """Scalar arithmetic: rationals on (0,1], surds, cyclotomic integers."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -68,6 +70,26 @@ class TestFactorization:
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
         assert factorize(1) == {}
         assert factorize(97) == {97: 1}
+
+    def test_large_repeated_prime(self):
+        # a cfrac round-trip discriminant; trial division alone took seconds
+        assert factorize(22291846172619859445381409012500) == \
+            {2: 2, 5: 5, 61: 2, 3001: 2, 230686501: 2}
+
+    def test_random_below_1e10(self):
+        def is_prime(p):
+            return p > 1 and all(p % k for k in range(2, math.isqrt(p) + 1))
+
+        rng = random.Random(406)
+        # plain random n, then products of two primes past trial division's
+        # bound, whose cofactor only rho can split
+        cases = [rng.randrange(1, 10**10) for _ in range(300)]
+        big = [p for p in range(10**4, 10**5) if is_prime(p)]
+        cases += [rng.choice(big) * rng.choice(big) for _ in range(100)]
+        for n in cases:
+            fac = factorize(n)
+            assert math.prod(p**e for p, e in fac.items()) == n
+            assert all(is_prime(p) for p in fac)
 
     def test_squarefree_part(self):
         assert squarefree_part(12) == (3, 2)
