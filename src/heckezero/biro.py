@@ -8,12 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import (DirichletCharacter, ModPRealization, char_eval,
-                         char_exponents, char_invariants,
-                         enumerate_characters, gen_bernoulli_b1, is_primitive,
-                         kronecker, modp_realizations)
+from .characters import (DirichletCharacter, ModPRealization, char_exponents,
+                         char_invariants, enumerate_characters,
+                         gen_bernoulli_b1, modp_realizations)
 from .errors import NarrowClassNotOne
-from .exact import CycloElement, cyclo_from_buckets
+from .exact import CycloElement, cyclo_from_buckets, factorize
 from .linearity import FamilySpec, closed_form_chi, family_instance
 from .quadfield import class_numbers
 from .shintani import partial_hecke_L_zero
@@ -50,6 +49,7 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     """
     if q_max < 3 or p_max < 3:
         raise ValueError("bounds must be at least 3")
+    primes = [p for p in range(3, p_max + 1, 2) if factorize(p) == {p: 1}]
     out: list[ConditionStarPair] = []
     for q in range(3, q_max + 1, 2):
         for chi in enumerate_characters(q):
@@ -57,25 +57,12 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
             if parity != "odd" or cond != q:
                 continue
             S = char_sum_a(chi)
-            for p in range(3, p_max + 1, 2):
-                if not _is_prime(p):
-                    continue
+            for p in primes:
                 for real in modp_realizations(chi, p):
                     if real.apply(S) == 0:
                         out.append(ConditionStarPair(q, p, chi, real, 0))
     out.sort(key=ConditionStarPair.sort_key)
     return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -115,7 +102,7 @@ def residue_mod_p(spec: FamilySpec, pair: ConditionStarPair,
                          r, "determined", residue, a_img, b_img)
 
 
-def factorization_oracle_check(spec: FamilySpec, n: int, q: int,
+def factorization_oracle_check(spec: FamilySpec, n: int,
                                chi: DirichletCharacter
                                ) -> tuple[CycloElement, CycloElement, bool]:
     """Compare the cone-engine value against the Bernoulli-number product
@@ -127,9 +114,7 @@ def factorization_oracle_check(spec: FamilySpec, n: int, q: int,
         raise NarrowClassNotOne(
             f"h+({F.d}) = {h_plus}; the single-class oracle does not apply")
     lhs = partial_hecke_L_zero(F, delta, b, chi) * SIGN_CONVENTION
-    Dn = F.discriminant
-    psi = lambda a: char_eval(chi, a) * kronecker(Dn, a)
-    rhs = gen_bernoulli_b1(chi) * gen_bernoulli_b1(psi, q * Dn)
+    rhs = gen_bernoulli_b1(chi) * gen_bernoulli_b1(chi, F.discriminant)
     return lhs, rhs, lhs == rhs
 
 

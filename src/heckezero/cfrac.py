@@ -4,13 +4,17 @@ conversion, exact periodic evaluation, and the cone ratio sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (DegenerateWord, InternalInvariantError, NotPurelyPeriodic,
                      RationalInput, UnitMismatch)
 from .exact import QuadSurd, squarefree_part
-from .quadfield import FieldData
+
+if TYPE_CHECKING:
+    from .quadfield import FieldData
 
 
 @dataclass(frozen=True)
@@ -80,34 +84,47 @@ class MinusCF:
         return MinusCF((), self.period[k:] + self.period[:k])
 
 
-def plus_expand(x: QuadSurd) -> PlusCF:
-    """Plus continued fraction digits with exact periodicity detection."""
+def surd_walk(x: QuadSurd, minus: bool
+              ) -> tuple[tuple[int, ...], tuple[int, ...], QuadSurd]:
+    """(preperiod, period, tail) of the plus or minus expansion of x.
+
+    Runs on integer states x_k = (P + sqrt(D))/Q with Q | D - P^2 (Cohen,
+    ch. 5); the period closes at the first repeated (P, Q), and tail is the
+    complete quotient where it starts.  Plus digits are floor(x_k) with
+    x_{k+1} = 1/(x_k - a_k), minus digits ceil(x_k) with
+    x_{k+1} = 1/(b_k - x_k).
+    """
     if x.is_rational():
         raise RationalInput(f"{x} is rational")
-    seen: dict[QuadSurd, int] = {}
+    a, b, c = x.a, abs(x.b), x.c
+    P, Q, D = a * c, c * c, b * b * c * c * x.d
+    if x.b < 0:
+        P, Q = -P, -Q
+    s = math.isqrt(D)
+    seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    while x not in seen:
-        seen[x] = len(digits)
-        a = x.floor()
-        digits.append(a)
-        x = (x - a).inverse()
-    j = seen[x]
-    return PlusCF(tuple(digits[:j]), tuple(digits[j:]))
+    while (P, Q) not in seen:
+        seen[P, Q] = len(digits)
+        k = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        if minus:
+            k += 1
+        digits.append(k)
+        P = k * Q - P
+        Q = (P * P - D) // Q if minus else (D - P * P) // Q
+    j = seen[P, Q]
+    return tuple(digits[:j]), tuple(digits[j:]), QuadSurd(P, b * c, Q, x.d)
+
+
+def plus_expand(x: QuadSurd) -> PlusCF:
+    """Plus continued fraction digits with exact periodicity detection."""
+    preperiod, period, _ = surd_walk(x, minus=False)
+    return PlusCF(preperiod, period)
 
 
 def minus_expand(x: QuadSurd) -> MinusCF:
     """Minus continued fraction digits b_k = ceil(x_k), x_{k+1} = 1/(b_k - x_k)."""
-    if x.is_rational():
-        raise RationalInput(f"{x} is rational")
-    seen: dict[QuadSurd, int] = {}
-    digits: list[int] = []
-    while x not in seen:
-        seen[x] = len(digits)
-        b = x.ceil()
-        digits.append(b)
-        x = (b - x).inverse()
-    j = seen[x]
-    return MinusCF(tuple(digits[:j]), tuple(digits[j:]))
+    preperiod, period, _ = surd_walk(x, minus=True)
+    return MinusCF(preperiod, period)
 
 
 def plus_to_minus(p: PlusCF) -> MinusCF:
@@ -148,7 +165,10 @@ def plus_to_minus(p: PlusCF) -> MinusCF:
     return out
 
 
-def _fold_moebius(word, plus: bool) -> tuple[int, int, int, int]:
+def fold_moebius(word, plus: bool) -> tuple[int, int, int, int]:
+    """(m00, m01, m10, m11) with the word read from y equal to
+    (m00 y + m01)/(m10 y + m11): the maps y -> a + 1/y (plus) or
+    y -> a - 1/y (minus) composed over the digits a."""
     m00, m01, m10, m11 = 1, 0, 0, 1
     sign = 1 if plus else -1
     for a in word:
@@ -160,7 +180,7 @@ def _fold_moebius(word, plus: bool) -> tuple[int, int, int, int]:
 def evaluate_periodic(word: PlusCF | MinusCF) -> QuadSurd:
     """The exact quadratic surd fixed by an eventually periodic word."""
     plus = isinstance(word, PlusCF)
-    m00, m01, m10, m11 = _fold_moebius(word.period, plus)
+    m00, m01, m10, m11 = fold_moebius(word.period, plus)
     # fixed point of y = (m00 y + m01)/(m10 y + m11)
     A, B, C = m10, m11 - m00, -m01
     disc = B * B - 4 * A * C

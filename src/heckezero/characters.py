@@ -239,30 +239,27 @@ def _kronecker_raw(a: int, n: int) -> int:
     return out if n == 1 else 0
 
 
-def gen_bernoulli_b1(psi, modulus: int | None = None) -> CycloElement:
-    """B_{1,psi} = (1/f) * sum_{a=1}^{f} a*psi(a), exact.
+def gen_bernoulli_b1(chi: DirichletCharacter, disc: int = 1) -> CycloElement:
+    """B_{1,psi} = (1/f) * sum_{a=1}^{f} a*psi(a), exact, for
+    psi = chi * (disc/.) of modulus f = q*disc.
 
-    psi may be a DirichletCharacter (modulus taken from it) or any value
-    function a -> CycloElement together with an explicit modulus; the latter
-    form serves products like chi * chi_D evaluated mod q*D.
+    disc is a positive fundamental discriminant; the default 1 gives
+    B_{1,chi}.  Each a*(disc/a) is added to the bucket of chi(a)'s power of
+    zeta; (disc/.) is a character mod disc, read from a table of one period.
     """
-    if isinstance(psi, DirichletCharacter):
-        f = psi.modulus
-        exps = char_exponents(psi)
-        buckets = [0] * psi.order
-        for a in range(1, f + 1):
-            k = exps[a % f]
-            if k >= 0:
-                buckets[k] += a
-        return cyclo_from_buckets(psi.order, buckets, Fraction(1, f))
-    if modulus is None:
-        raise ValueError("a value function needs an explicit modulus")
-    acc = CycloElement.zero()
-    for a in range(1, modulus + 1):
-        v = psi(a)
-        if not v.is_zero():
-            acc = acc + v * a
-    return acc * Fraction(1, modulus)
+    if disc < 1 or not _is_fundamental(disc):
+        raise NotFundamental(
+            f"{disc} is not a positive fundamental discriminant")
+    q = chi.modulus
+    f = q * disc
+    exps = char_exponents(chi)
+    kron = [_kronecker_raw(disc, a) for a in range(disc)]
+    buckets = [0] * chi.order
+    for a in range(1, f + 1):
+        k = exps[a % q]
+        if k >= 0:
+            buckets[k] += a * kron[a % disc]
+    return cyclo_from_buckets(chi.order, buckets, Fraction(1, f))
 
 
 @dataclass(frozen=True)

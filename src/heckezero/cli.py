@@ -201,8 +201,7 @@ def cmd_biro(args) -> dict:
     # oracle
     spec = load_family_config(args.family)
     chi = DirichletCharacter.from_identifier(args.chi)
-    lhs, rhs, equal = factorization_oracle_check(spec, args.n,
-                                                 chi.modulus, chi)
+    lhs, rhs, equal = factorization_oracle_check(spec, args.n, chi)
     out = {"family": spec.name, "n": args.n, "q": chi.modulus,
            "chi": chi.identifier(), "lhs": _cyclo_payload(lhs),
            "rhs": _cyclo_payload(rhs), "equal": equal}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalInvariantError
+from .errors import BoundExceeded, InternalInvariantError
 
 Rational = Fraction
 
@@ -66,9 +66,11 @@ _RHO_BATCH = 128
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization.
 
-    Trial division removes the primes up to _TRIAL_BOUND.  A composite
-    cofactor below _MR_BOUND is split by Pollard-Brent rho into factors that
-    Miller-Rabin proves prime; a larger one is trial-divided to the end.
+    Trial division removes the primes up to _TRIAL_BOUND.  A larger
+    cofactor is split by Pollard-Brent rho whenever Miller-Rabin finds a
+    witness, which proves it composite at any size.  A factor with no
+    witness is prime below _MR_BOUND; above it nothing proves it prime, so
+    BoundExceeded is raised.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -77,9 +79,13 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    n, f = _trial_divide(n, 5, _TRIAL_BOUND, out)
-    if n >= _MR_BOUND:
-        n, f = _trial_divide(n, f, math.inf, out)
+    f = 5
+    while f * f <= n and f <= _TRIAL_BOUND:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
     if f * f <= n:
         _rho_factorize(n, out)
     elif n > 1:
@@ -87,23 +93,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _trial_divide(n: int, f: int, stop: float,
-                  out: dict[int, int]) -> tuple[int, int]:
-    """Divide the candidates f, f + 2, f + 6, f + 8, ... out of n while
-    f*f <= n and f <= stop; returns the cofactor and the next f."""
-    while f * f <= n and f <= stop:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    return n, f
-
-
 def _rho_factorize(n: int, out: dict[int, int]) -> None:
-    """Add the factorization of n < _MR_BOUND, which has no prime factor up
-    to _TRIAL_BOUND, to out."""
+    """Add the factorization of n, which has no prime factor up to
+    _TRIAL_BOUND, to out."""
     if _is_prime(n):
+        if n >= _MR_BOUND:
+            raise BoundExceeded(
+                f"{n} is a probable prime above {_MR_BOUND}, where "
+                "Miller-Rabin to the bases 2..41 proves nothing")
         out[n] = out.get(n, 0) + 1
         return
     d = _brent_factor(n)
@@ -112,7 +109,8 @@ def _rho_factorize(n: int, out: dict[int, int]) -> None:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _MR_BASES; exact for odd 41 < n < _MR_BOUND."""
+    """Miller-Rabin to the bases _MR_BASES for odd n > 41: False proves n
+    composite; True proves it prime only below _MR_BOUND."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

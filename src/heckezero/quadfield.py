@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cfrac import fold_moebius, surd_walk
 from .errors import (BoundExceeded, IncompatiblePair, InternalInvariantError,
                      NotAnIdeal, NotSquarefree, ValidationError)
 from .exact import QuadSurd, Rational, residue_1q, square_prime
@@ -59,25 +60,13 @@ def make_field(d: int) -> FieldData:
 def _fundamental_unit(omega: QuadSurd) -> tuple[QuadSurd, int]:
     """Fundamental unit > 1 via the continued fraction of omega.
 
-    Expands omega until a complete quotient repeats; the periodic part gives
-    the fundamental automorph of the maximal order.
+    The plus period of omega, folded at the complete quotient y where it
+    starts, gives the fundamental automorph of the maximal order.
     """
-    seen: dict[QuadSurd, int] = {}
-    digits: list[int] = []
-    x = omega
-    while x not in seen:
-        seen[x] = len(digits)
-        a = x.floor()
-        digits.append(a)
-        x = (x - a).inverse()
-    j = seen[x]
-    y = x
-    period = digits[j:]
+    _, period, y = surd_walk(omega, minus=False)
     # fixed point y = (m00*y + m01)/(m10*y + m11) for the period word;
     # eps = m10*y + m11 is a unit of norm det = (-1)^len(period)
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in period:
-        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+    _, _, m10, m11 = fold_moebius(period, plus=True)
     eps = y * m10 + m11
     norm = (-1) ** len(period)
     if eps < 0:
@@ -263,26 +252,6 @@ def norm_form(F: FieldData, b: IdealLattice, delta: QuadSurd
     if any(c.denominator != 1 for c in form):
         raise InternalInvariantError("norm form of b * [1, delta] not integral")
     return tuple(int(c) for c in form)
-
-
-def unit_order_mod_q(F: FieldData, q: int) -> int:
-    """Smallest lam >= 1 with eps^lam = 1 in O/qO (eps totally positive)."""
-    if q == 1:
-        return 1
-    u, v = F.tp_fund_unit.coords(F.omega)
-    if u.denominator != 1 or v.denominator != 1:
-        raise InternalInvariantError("unit not integral over [1, omega]")
-    eu, ev = int(u) % q, int(v) % q
-    # omega^2 = t*omega - n with t = trace(omega), n = norm(omega)
-    t, n = int(F.omega.trace()), int(F.omega.norm())
-    cu, cv = eu, ev
-    lam = 1
-    while not (cu == 1 % q and cv == 0):
-        cu, cv = (cu * eu - cv * ev * n) % q, (cu * ev + cv * eu + cv * ev * t) % q
-        lam += 1
-        if lam > q * q * q:
-            raise InternalInvariantError("unit order search did not terminate")
-    return lam
 
 
 def class_numbers(d: int) -> tuple[int, int]:

@@ -84,16 +84,16 @@ class TestResidue:
 
 class TestOracle:
     def test_yokoi_n1(self):
-        lhs, rhs, ok = factorization_oracle_check(YOKOI, 1, 3, CHI3)
+        lhs, rhs, ok = factorization_oracle_check(YOKOI, 1, CHI3)
         assert ok and lhs == Fraction(2, 3) and rhs == Fraction(2, 3)
 
     def test_rd_n1(self):
-        lhs, rhs, ok = factorization_oracle_check(RDN, 1, 3, CHI3)
+        lhs, rhs, ok = factorization_oracle_check(RDN, 1, CHI3)
         assert ok and lhs == Fraction(2, 3)
 
     def test_trivial_character(self):
         triv = DirichletCharacter.from_identifier("q=1;gens=")
-        lhs, rhs, ok = factorization_oracle_check(YOKOI, 1, 1, triv)
+        lhs, rhs, ok = factorization_oracle_check(YOKOI, 1, triv)
         assert ok and lhs == 0 and rhs == 0
 
     def test_rejects_narrow_class(self):
@@ -108,7 +108,7 @@ class TestOracle:
                 continue
             if class_numbers(F.d)[1] != 1:
                 with pytest.raises(NarrowClassNotOne):
-                    factorization_oracle_check(YOKOI, n, 3, CHI3)
+                    factorization_oracle_check(YOKOI, n, CHI3)
                 return
         pytest.skip("no small yokoi member with h+ > 1")
 

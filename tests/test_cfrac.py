@@ -8,11 +8,82 @@ from hypothesis import strategies as st
 
 from heckezero.cfrac import (MinusCF, PlusCF, delta_sequence,
                              evaluate_periodic, minus_expand, mu_factor,
-                             plus_expand, plus_to_minus)
+                             plus_expand, plus_to_minus, surd_walk)
 from heckezero.errors import (DegenerateWord, NotPurelyPeriodic,
                               RationalInput)
-from heckezero.exact import QuadSurd
+from heckezero.exact import QuadSurd, is_squarefree
 from heckezero.quadfield import make_field
+
+
+def reference_walk(x, minus):
+    """The walk over complete quotients in QuadSurd arithmetic: digits by
+    QuadSurd.floor/ceil, the period closed at the first repeated quotient."""
+    seen, digits = {}, []
+    while x not in seen:
+        seen[x] = len(digits)
+        k = x.ceil() if minus else x.floor()
+        digits.append(k)
+        x = (k - x).inverse() if minus else (x - k).inverse()
+    j = seen[x]
+    return tuple(digits[:j]), tuple(digits[j:]), x
+
+
+class TestSurdWalk:
+    # the reference runs QuadSurd arithmetic over periods of up to a few
+    # hundred digits, which can take longer than Hypothesis's deadline
+    @given(st.integers(-40, 40), st.integers(-9, 9).filter(bool),
+           st.integers(-12, 12).filter(bool),
+           st.sampled_from([2, 3, 5, 6, 7, 13, 15, 29, 53, 229]),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadsurd_reference(self, a, b, c, d, minus):
+        x = QuadSurd(a, b, c, d)
+        assert surd_walk(x, minus) == reference_walk(x, minus)
+
+    def test_fundamental_unit_matches_reference(self):
+        # eps = m10*y + m11 from the plus period of omega folded at its
+        # start y, normalized to the unit > 1
+        for d in range(2, 500):
+            if not is_squarefree(d):
+                continue
+            F = make_field(d)
+            _, period, y = reference_walk(F.omega, minus=False)
+            m00, m01, m10, m11 = 1, 0, 0, 1
+            for a in period:
+                m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+            eps = y * m10 + m11
+            if eps < 0:
+                eps = -eps
+            if eps < 1:
+                eps = eps.inverse() * (-1) ** len(period)
+            assert F.fund_unit == eps, d
+            assert F.fund_unit_norm == (-1) ** len(period), d
+
+    def test_minus_expand_builds_constant_surds(self, monkeypatch):
+        # Yokoi delta(n) = (n + 2 + sqrt(n^2 + 4))/2 has a minus word of n
+        # digits; the integer walk builds only the tail, whatever n is
+        built = []
+        post_init = QuadSurd.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        counts = []
+        for n in (7, 701):
+            delta = QuadSurd(n + 2, 1, 2, n * n + 4)
+            built.clear()
+            monkeypatch.setattr(QuadSurd, "__post_init__", counted)
+            mcf = minus_expand(delta)
+            monkeypatch.undo()
+            assert mcf.m == n and not mcf.preperiod
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 2
+
+    def test_rejects_rational(self):
+        for minus in (False, True):
+            with pytest.raises(RationalInput):
+                surd_walk(QuadSurd(3, 0, 2, 5), minus)
 
 
 class TestPlusExpand:

@@ -12,7 +12,7 @@ from heckezero.characters import (DirichletCharacter, _unit_group, char_eval,
                                   enumerate_characters,
                                   gen_bernoulli_b1, is_primitive, kronecker,
                                   modp_realizations)
-from heckezero.errors import ParseError
+from heckezero.errors import NotFundamental, ParseError
 from heckezero.exact import CycloElement
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
@@ -119,9 +119,13 @@ class TestBernoulli:
 
     def test_odd_product_character(self):
         # chi3 * kronecker(5, .) mod 15 has B1 = -2
-        from heckezero.characters import char_eval
-        psi = lambda a: char_eval(CHI3, a) * kronecker(5, a)
-        assert gen_bernoulli_b1(psi, 15) == Fraction(-2)
+        assert gen_bernoulli_b1(CHI3, 5) == Fraction(-2)
+
+    def test_rejects_non_fundamental(self):
+        with pytest.raises(NotFundamental):
+            gen_bernoulli_b1(CHI3, 9)        # not squarefree
+        with pytest.raises(NotFundamental):
+            gen_bernoulli_b1(CHI3, -3)       # imaginary quadratic
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_even_characters_vanish(self, q):

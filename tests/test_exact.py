@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckezero.errors import BoundExceeded
 from heckezero.exact import (CycloElement, QuadSurd, bernoulli_poly,
                              cyclo_from_buckets, cyclo_from_dict,
                              cyclo_to_dict, euler_phi,
@@ -75,6 +76,19 @@ class TestFactorization:
         # a cfrac round-trip discriminant; trial division alone took seconds
         assert factorize(22291846172619859445381409012500) == \
             {2: 2, 5: 5, 61: 2, 3001: 2, 230686501: 2}
+
+    def test_large_composite_splits(self):
+        # past the Miller-Rabin proof bound: a witness still proves the
+        # product composite, so rho splits it instead of trial division
+        m61, m31 = 2**61 - 1, 2**31 - 1
+        assert factorize(m61 * m31) == {m31: 1, m61: 1}
+        assert QuadSurd(1, 1, 1, m61 * m31).d == m61 * m31
+
+    def test_large_probable_prime_refused(self):
+        # the Mersenne prime 2^89 - 1 has no witness and no proof above the
+        # bound: refused, not trial-divided for hours
+        with pytest.raises(BoundExceeded):
+            factorize(2**89 - 1)
 
     def test_random_below_1e10(self):
         def is_prime(p):

@@ -12,7 +12,8 @@ from heckezero.quadfield import (FieldData, IdealLattice, class_numbers,
                                  ideal_inverse, ideal_norm,
                                  is_fractional_ideal, lattice_product,
                                  make_field, maximal_order, norm_form,
-                                 norm_residue, unit_order_mod_q)
+                                 norm_residue)
+from heckezero.shintani import lattice_unit_order
 
 FUND_UNITS = {
     2: QuadSurd(1, 1, 1, 2),
@@ -173,18 +174,21 @@ class TestNormForm:
 
 
 class TestUnitOrder:
+    # [1, omega] is the maximal order O itself, so the lattice order of the
+    # unit is its order in O/qO
     def test_known_orders(self):
         # the totally positive unit of Q(sqrt5) is (3+sqrt5)/2, the square of
         # the golden ratio; its reduction mod 4 has order 3, mod 3 order 4.
-        assert unit_order_mod_q(make_field(5), 4) == 3
-        assert unit_order_mod_q(make_field(5), 3) == 4
-        assert unit_order_mod_q(make_field(5), 1) == 1
+        F = make_field(5)
+        assert lattice_unit_order(F, F.omega, 4) == 3
+        assert lattice_unit_order(F, F.omega, 3) == 4
+        assert lattice_unit_order(F, F.omega, 1) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 5, 13, 15, 29])
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_order_annihilates(self, d, q):
         F = make_field(d)
-        lam = unit_order_mod_q(F, q)
+        lam = lattice_unit_order(F, F.omega, q)
         eps = F.tp_fund_unit ** lam
         c = eps.coords(F.omega)
         assert c[0].denominator == 1 and c[1].denominator == 1

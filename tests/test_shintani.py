@@ -112,11 +112,15 @@ class TestHeckeL:
         assert val == Fraction(2, 3)
 
     def test_matches_bernoulli_product(self):
-        # 2/3 = (-1/3) * (-2) with the two first Bernoulli numbers
-        from heckezero.characters import char_eval, kronecker
+        # 2/3 = (-1/3) * (-2) with the two first Bernoulli numbers; the
+        # second is B_{1, chi*chi_5}, summed here term by term mod 15
+        from heckezero.characters import kronecker
         assert gen_bernoulli_b1(CHI3) == Fraction(-1, 3)
-        psi = lambda a: char_eval(CHI3, a) * kronecker(5, a)
-        assert gen_bernoulli_b1(psi, 15) == Fraction(-2)
+        acc = CycloElement.zero()
+        for a in range(1, 16):
+            acc = acc + char_eval(CHI3, a) * (a * kronecker(5, a))
+        assert gen_bernoulli_b1(CHI3, 5) == acc * Fraction(1, 15)
+        assert gen_bernoulli_b1(CHI3, 5) == Fraction(-2)
 
     def test_rejects_incompatible_pair(self):
         F = make_field(5)
@@ -149,8 +153,7 @@ class TestIdentity:
         # unit acts trivially on O/2O but swaps the basis of the sublattice
         F = make_field(2)
         delta = QuadSurd(3, 2, 1, 2)       # 3 + 2*sqrt2, the tp unit itself
-        from heckezero.quadfield import unit_order_mod_q
-        assert unit_order_mod_q(F, 2) == 1
+        assert lattice_unit_order(F, F.omega, 2) == 1
         assert lattice_unit_order(F, delta, 2) == 2
 
     @pytest.mark.parametrize("d", [2, 3, 5, 13, 15])
