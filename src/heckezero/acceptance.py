@@ -18,7 +18,7 @@ from .exact import QuadSurd
 from .linearity import (BUILTIN_FAMILIES, closed_form_cd, closed_form_chi,
                         family_instance, family_minus_cf, gamma_tau,
                         nu_sequence, verify_linearity)
-from .quadfield import class_numbers, make_field, maximal_order
+from .quadfield import class_numbers, make_field
 from .shintani import (partial_hecke_L_zero, partial_zeta_zero,
                        yamamoto_identity_residual, yamamoto_sequence)
 
@@ -65,9 +65,7 @@ def criterion_1() -> CriterionResult:
         results = []
         for d, delta in ((5, QuadSurd(3, 1, 2, 5)), (2, QuadSurd(2, 1, 1, 2))):
             t0 = time.monotonic()
-            F = make_field(d)
-            val = partial_hecke_L_zero(F, delta, maximal_order(F),
-                                       _quadratic_chi3())
+            val = partial_hecke_L_zero(delta, _quadratic_chi3())
             dt = time.monotonic() - t0
             results.append((d, val, dt))
         product = gen_bernoulli_b1(_quadratic_chi3())

@@ -14,7 +14,7 @@ from .characters import (DirichletCharacter, ModPRealization, char_exponents,
 from .errors import NarrowClassNotOne
 from .exact import CycloElement, cyclo_from_buckets, factorize
 from .linearity import FamilySpec, closed_form_chi, family_instance
-from .quadfield import class_numbers
+from .quadfield import class_numbers, field_discriminant
 from .shintani import partial_hecke_L_zero
 
 # Sign relating the cone-engine value to the Bernoulli-number product; fixed
@@ -108,13 +108,14 @@ def factorization_oracle_check(spec: FamilySpec, n: int,
     """Compare the cone-engine value against the Bernoulli-number product
     B_{1,chi} * B_{1,chi*chi_D} for a narrow-class-number-one member.
     """
-    F, delta, b = family_instance(spec, n)
-    _, h_plus = class_numbers(F.d)
+    delta = family_instance(spec, n)
+    _, h_plus = class_numbers(delta.d)
     if h_plus != 1:
         raise NarrowClassNotOne(
-            f"h+({F.d}) = {h_plus}; the single-class oracle does not apply")
-    lhs = partial_hecke_L_zero(F, delta, b, chi) * SIGN_CONVENTION
-    rhs = gen_bernoulli_b1(chi) * gen_bernoulli_b1(chi, F.discriminant)
+            f"h+({delta.d}) = {h_plus}; the single-class oracle does not apply")
+    lhs = partial_hecke_L_zero(delta, chi) * SIGN_CONVENTION
+    rhs = gen_bernoulli_b1(chi) * gen_bernoulli_b1(
+        chi, field_discriminant(delta.d))
     return lhs, rhs, lhs == rhs
 
 

@@ -31,7 +31,7 @@ from .exact import (QuadSurd, cyclo_to_dict, quadsurd_to_dict,
 from .linearity import (BUILTIN_FAMILIES, FamilySpec, closed_form_chi,
                         family_spec_from_dict, hypothesis_check_norm,
                         smallest_admissible_n, verify_linearity)
-from .quadfield import IdealLattice, class_numbers, make_field, maximal_order
+from .quadfield import check_radicand, class_numbers, make_field
 from .shintani import partial_hecke_L_zero
 
 DISPLAY_DIGITS = 30
@@ -85,13 +85,6 @@ def _parse_surd(text: str, d: int) -> QuadSurd:
     return QuadSurd(parts[0], parts[1], parts[2], d)
 
 
-def _parse_ideal(text: str) -> IdealLattice:
-    parts = [int(t) for t in text.split(",")]
-    if len(parts) != 4:
-        raise ValidationError("ideal must be e,f,h,den")
-    return IdealLattice(*parts)
-
-
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
@@ -133,11 +126,10 @@ def cmd_cf(args) -> dict:
 
 
 def cmd_lvalue(args) -> dict:
-    F = make_field(args.d)
+    check_radicand(args.d)
     delta = _parse_surd(args.delta, args.d)
-    b = _parse_ideal(args.ideal) if args.ideal else maximal_order(F)
     chi = DirichletCharacter.from_identifier(args.chi)
-    val = partial_hecke_L_zero(F, delta, b, chi)
+    val = partial_hecke_L_zero(delta, chi)
     return {"d": args.d, "delta": quadsurd_to_dict(delta),
             "q": chi.modulus, "chi": chi.identifier(),
             "value": _cyclo_payload(val)}
@@ -275,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", required=True, help="a,b[,c]")
     p.add_argument("--chi", required=True, help="character identifier")
-    p.add_argument("--ideal", help="e,f,h,den (default: maximal order)")
     p.set_defaults(fn=cmd_lvalue)
 
     p = sub.add_parser("linearity", help="family linearity machinery")

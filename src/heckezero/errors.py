@@ -44,7 +44,8 @@ class NotAnIdeal(ValidationError):
 
 
 class IncompatiblePair(ValidationError):
-    """The ideal and the surd do not satisfy b*[1,delta] = O."""
+    """[1, delta] is not an ideal of the maximal order O, so no ideal b
+    satisfies b*[1, delta] = O (or a given b does not)."""
 
 
 class BoundExceeded(ValidationError):

@@ -61,6 +61,10 @@ _TRIAL_BOUND = 10_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _RHO_BATCH = 128
+# Rho finds a prime factor p in about sqrt(p) steps, so this budget splits
+# any cofactor whose least prime factor is below about 10^9 and refuses the
+# rest with BoundExceeded in well under a second.
+_RHO_STEPS = 1 << 18
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -70,7 +74,8 @@ def factorize(n: int) -> dict[int, int]:
     cofactor is split by Pollard-Brent rho whenever Miller-Rabin finds a
     witness, which proves it composite at any size.  A factor with no
     witness is prime below _MR_BOUND; above it nothing proves it prime, so
-    BoundExceeded is raised.
+    BoundExceeded is raised, as it is when rho finds no factor within
+    _RHO_STEPS steps.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -130,12 +135,17 @@ def _is_prime(n: int) -> bool:
 
 def _brent_factor(n: int) -> int:
     """A proper factor of the odd composite n: Pollard's rho with Brent's
-    cycle search, taking one gcd per _RHO_BATCH steps."""
-    c = 0
+    cycle search, taking one gcd per _RHO_BATCH steps.  BoundExceeded once
+    _RHO_STEPS steps, over every restart, have found none."""
+    c, steps = 0, 0
     while True:
         c += 1
         y, r, prod, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise BoundExceeded(
+                    f"rho found no factor of {n} in {_RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -6,20 +6,17 @@ pits the closed forms against the direct engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import MinusCF, minus_expand, mu_factor, plus_expand, plus_to_minus
+from .cfrac import MinusCF, mu_factor, plus_expand, plus_to_minus
 from .characters import DirichletCharacter, char_exponents
 from .errors import (CFMismatch, DeltaOutOfRange, HypothesisFailed,
                      InsufficientSamples, InternalInvariantError,
                      NoAdmissibleN, NotSquarefree, ParseError)
 from .exact import (CycloElement, QuadSurd, bernoulli_poly,
                     cyclo_from_buckets, floor_strict, frac_pos, residue_1q)
-from .quadfield import (FieldData, IdealLattice, check_radicand,
-                        ideal_inverse, is_fractional_ideal, make_field,
-                        norm_form)
+from .quadfield import check_radicand, norm_form
 
 N_SEARCH_LIMIT = 10_000
 
@@ -115,9 +112,13 @@ def family_spec_from_dict(obj: dict) -> FamilySpec:
         raise ParseError(f"bad family description: {exc}") from exc
 
 
-def family_instance(spec: FamilySpec, n: int
-                    ) -> tuple[FieldData, QuadSurd, IdealLattice]:
-    """Instantiate K_n: the field, delta(n), and b with b^{-1} = [1, delta]."""
+def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
+    """Instantiate K_n as delta(n), checked against the family's declared
+    radicand, n constraints, reducedness and plus digits.
+
+    delta(n) is all the L-value needs: the field is Q(sqrt(delta.d)) and
+    b_n = [1, delta(n)]^{-1}, whose norm form norm_form(delta) gives.
+    """
     f = spec.f(n)
     check_radicand(f)
     if not spec.n_constraints.admits(n):
@@ -131,11 +132,7 @@ def family_instance(spec: FamilySpec, n: int
     if pcf.preperiod or pcf.period != expect:
         raise CFMismatch(
             f"delta({n})-1 expands to {pcf}, family digits say {expect}")
-    F = make_field(f)
-    L = IdealLattice.from_surds(QuadSurd.from_rational(1, f), delta, F)
-    if not is_fractional_ideal(F, L):
-        raise InternalInvariantError("[1, delta] is not a fractional ideal")
-    return F, delta, ideal_inverse(F, L)
+    return delta
 
 
 def family_minus_cf(spec: FamilySpec, n: int) -> MinusCF:
@@ -274,13 +271,13 @@ def hypothesis_check_norm(spec: FamilySpec, q: int, r: int, k_list) -> bool:
     for k in k_list:
         n = q * k + r
         try:
-            F, delta, b = family_instance(spec, n)
+            delta = family_instance(spec, n)
         except (NotSquarefree, DeltaOutOfRange, CFMismatch):
             continue
         # u C^2 + v CD + w D^2 mod q read at (1, q), (q, 1) and (1, 1)
         # gives u, w and u + v + w mod q, so two tables over [1, q]^2 agree
         # exactly when the coefficients agree mod q
-        tables.append(tuple(c % q for c in norm_form(F, b, delta)))
+        tables.append(tuple(c % q for c in norm_form(delta)))
         if len(tables) > 1 and tables[-1] != tables[0]:
             return False
     if len(tables) < 2:
@@ -303,8 +300,7 @@ def closed_form_chi(spec: FamilySpec, q: int, chi: DirichletCharacter,
     if not hypothesis_check_norm(spec, q, r, range(k0, k0 + 2 * q + 2)):
         raise HypothesisFailed(
             f"norm residues mod {q} vary with k at r = {r}")
-    F, delta, b = family_instance(spec, n0)
-    u, v, w = norm_form(F, b, delta)
+    u, v, w = norm_form(family_instance(spec, n0))
     exps = char_exponents(chi)
     cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     A_buckets = [0] * chi.order
@@ -359,7 +355,7 @@ def verify_linearity(spec: FamilySpec, q: int, chi: DirichletCharacter,
             skipped.append(k)
             continue
         try:
-            F, delta, b = family_instance(spec, n)
+            delta = family_instance(spec, n)
         except (NotSquarefree, DeltaOutOfRange, CFMismatch):
             skipped.append(k)
             continue
@@ -367,7 +363,7 @@ def verify_linearity(spec: FamilySpec, q: int, chi: DirichletCharacter,
             skipped.append(k)
             continue
         used.append(k)
-        L = partial_hecke_L_zero(F, delta, b, chi)
+        L = partial_hecke_L_zero(delta, chi)
         vals.append(L * (12 * q * q))
     if len(used) < 3:
         raise InsufficientSamples(

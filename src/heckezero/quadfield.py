@@ -1,5 +1,6 @@
-"""Real quadratic field data: integral basis, units, ideal lattices, class
-numbers by reduced-form enumeration.
+"""Real quadratic field data: integral basis, units, the norm form of
+b = [1, delta]^{-1}, class numbers by reduced-form enumeration, and ideal
+lattices kept as the test oracle of the norm form.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from fractions import Fraction
 from .cfrac import fold_moebius, surd_walk
 from .errors import (BoundExceeded, IncompatiblePair, InternalInvariantError,
                      NotAnIdeal, NotSquarefree, ValidationError)
-from .exact import QuadSurd, Rational, residue_1q, square_prime
+from .exact import QuadSurd, Rational, square_prime
 
 CLASS_NUMBER_BOUND = 10 ** 6
 
@@ -41,20 +42,20 @@ def check_radicand(d: int) -> None:
         raise NotSquarefree(d, p)
 
 
+def field_discriminant(d: int) -> int:
+    """The discriminant of Q(sqrt(d)) for squarefree d > 1: d or 4d."""
+    return d if d % 4 == 1 else 4 * d
+
+
 def make_field(d: int) -> FieldData:
     """Construct FieldData for squarefree d > 1."""
     check_radicand(d)
-    if d % 4 == 1:
-        disc = d
-        omega = QuadSurd(1, 1, 2, d)
-    else:
-        disc = 4 * d
-        omega = QuadSurd.sqrt(d)
+    omega = QuadSurd(1, 1, 2, d) if d % 4 == 1 else QuadSurd.sqrt(d)
     eps0, norm = _fundamental_unit(omega)
     eps = eps0 if norm == 1 else eps0 * eps0
     if not (eps > 1 and eps.conj() > 0 and eps.norm() == 1):
         raise InternalInvariantError("totally positive unit contract broken")
-    return FieldData(d, disc, omega, eps0, norm, eps)
+    return FieldData(d, field_discriminant(d), omega, eps0, norm, eps)
 
 
 def _fundamental_unit(omega: QuadSurd) -> tuple[QuadSurd, int]:
@@ -235,23 +236,25 @@ def norm_residue(F: FieldData, b: IdealLattice, delta: QuadSurd,
     return int(val) % q
 
 
-def norm_form(F: FieldData, b: IdealLattice, delta: QuadSurd
-              ) -> tuple[int, int, int]:
-    """Integers (u, v, w) with N(b * (C + D*delta)) = u C^2 + v CD + w D^2.
+def norm_form(delta: QuadSurd) -> tuple[int, int, int]:
+    """Integers (u, v, w) with N(b * (C + D*delta)) = u C^2 + v CD + w D^2,
+    where b = [1, delta]^{-1}.
 
-    Validates the pair once: b * [1, delta] must be the maximal order, and
-    u = N(b), v = N(b) tr(delta), w = N(b) N(delta) must be integers, as
-    they are for an integral ideal b.  Cell residues mod q then need no
-    field arithmetic.
+    For delta = (a + b*sqrt(d))/c this is the primitive minimal polynomial
+    of delta, (c^2, 2ac, a^2 - b^2 d)/g with g the gcd of the three.  Its
+    discriminant v^2 - 4uw equals the field discriminant exactly when
+    [1, delta] is an ideal of the maximal order; then b is an integral
+    ideal with N(b) = u.  Any other delta raises IncompatiblePair.
     """
-    if lattice_product(F, b, IdealLattice.from_surds(
-            QuadSurd.from_rational(1, F.d), delta, F)) != maximal_order(F):
-        raise IncompatiblePair("b * [1, delta] is not the maximal order")
-    nb = ideal_norm(F, b)
-    form = (nb, nb * delta.trace(), nb * delta.norm())
-    if any(c.denominator != 1 for c in form):
-        raise InternalInvariantError("norm form of b * [1, delta] not integral")
-    return tuple(int(c) for c in form)
+    a, b, c, d = delta.a, delta.b, delta.c, delta.d
+    u, v, w = c * c, 2 * a * c, a * a - b * b * d
+    g = math.gcd(u, v, w)
+    u, v, w = u // g, v // g, w // g
+    if v * v - 4 * u * w != field_discriminant(d):
+        raise IncompatiblePair(
+            f"[1, {delta}] is not an ideal of the maximal order of "
+            f"Q(sqrt({d}))")
+    return u, v, w
 
 
 def class_numbers(d: int) -> tuple[int, int]:

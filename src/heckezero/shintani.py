@@ -11,12 +11,11 @@ from fractions import Fraction
 
 from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
 from .characters import DirichletCharacter, char_exponents
-from .errors import (DeltaOutOfRange, IdealNotCoprime, IncompatiblePair,
-                     InternalInvariantError)
+from .errors import DeltaOutOfRange, IdealNotCoprime, InternalInvariantError
 from .exact import (QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos,
                     residue_1q)
 from .kernels import zeta12_times
-from .quadfield import FieldData, IdealLattice, norm_form
+from .quadfield import FieldData, norm_form
 
 
 @dataclass(frozen=True)
@@ -101,21 +100,20 @@ def check_delta_hypotheses(delta: QuadSurd) -> None:
             f"delta = {delta} must satisfy delta > 2 and 0 < delta' < 1")
 
 
-def partial_hecke_L_zero(F: FieldData, delta: QuadSurd, b: IdealLattice,
-                         chi: DirichletCharacter):
-    """L(0, chi o N, b) for the ray class of b, as an exact cyclotomic number.
+def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
+    """L(0, chi o N, b) for b = [1, delta]^{-1} in Q(sqrt(delta.d)), as an
+    exact cyclotomic number.
 
     Sums chi(N((C+D*delta)b)) * Z(C,D) over (C,D) in [1,q]^2; cells whose
-    norm residue shares a factor with q are annihilated by chi.  The pair
-    (b, delta) is validated once; each cell then costs an integer norm
-    residue, a character-exponent lookup and the integer kernel, whose
-    12*q^2*Z(C,D) is summed per power of zeta into one CycloElement.
+    norm residue shares a factor with q are annihilated by chi.  delta is
+    validated once: reduced, and [1, delta] an ideal of the maximal order
+    (norm_form).  Each cell then costs an integer norm residue, a
+    character-exponent lookup and the integer kernel, whose 12*q^2*Z(C,D)
+    is summed per power of zeta into one CycloElement.
     """
     q = chi.modulus
     check_delta_hypotheses(delta)
-    if b.den != 1:
-        raise IncompatiblePair("b must be an integral ideal")
-    u, v, w = norm_form(F, b, delta)
+    u, v, w = norm_form(delta)
     if math.gcd(u, q) != 1:
         raise IdealNotCoprime(f"N(b) = {u} shares a factor with q = {q}")
     mcf = minus_expand(delta)

@@ -4,8 +4,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from heckezero.characters import (DirichletCharacter, _unit_group, char_eval,
                                   char_exponents, char_invariants,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from heckezero.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 LVALUE_ARGS = ["lvalue", "--d", "5", "--delta", "3,1,2",
-               "--ideal", "1,0,1,1", "--chi", "q=3;gens=2:1"]
+               "--chi", "q=3;gens=2:1"]
 
 
 def run_cli(args, capsys):
@@ -45,22 +46,17 @@ class TestExitCodes:
         assert code == 3
         assert doc["results"]["all_passed"] is False
 
-    def test_bad_ideal(self, capsys):
-        code, _ = run_cli(["lvalue", "--d", "5", "--delta", "3,1,2",
-                           "--ideal", "3,0,3,1", "--chi", "q=3;gens=2:1"],
-                          capsys)
-        assert code == 2
-
 
 class TestBoundary:
     """Bad input exits 2 with one JSON error object on stderr."""
 
-    def run_error(self, args, capsys):
+    def run_error(self, args, capsys, error=None):
         code = main(args)
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 2 and len(lines) == 1
         doc = json.loads(lines[0])
         assert set(doc) == {"error", "message"}
+        assert error is None or doc["error"] == error
         return doc["message"]
 
     def test_chi_modulus_zero(self, capsys):
@@ -73,15 +69,19 @@ class TestBoundary:
                               "--chi", "q=3;gens=2:1"], capsys)
         assert "denominator" in msg
 
-    @pytest.mark.parametrize("ideal,field", [("1,0,1,0", "den"),
-                                             ("1,0,1,-2", "den"),
-                                             ("0,0,1,1", "e"),
-                                             ("1,0,-1,1", "h")])
-    def test_ideal_nonpositive_entry(self, ideal, field, capsys):
-        msg = self.run_error(["lvalue", "--d", "5", "--delta", "3,1,2",
-                              "--ideal", ideal, "--chi", "q=3;gens=2:1"],
-                             capsys)
-        assert msg.startswith(f"ideal {field} must be positive")
+    @pytest.mark.parametrize("d,delta", [("5", "3,1,1"), ("13", "4,1,1")])
+    def test_non_ideal_delta(self, d, delta, capsys):
+        # [1, delta] is an order of index 2, not an ideal of the maximal
+        # order, so b = [1, delta]^{-1} does not exist
+        self.run_error(["lvalue", "--d", d, "--delta", delta,
+                        "--chi", "q=3;gens=2:1"], capsys, "IncompatiblePair")
+
+    def test_huge_radicand_refused(self, capsys):
+        # rho would need about 2^30 steps for the factor 2^61 - 1
+        t0 = time.monotonic()
+        self.run_error(["field", "--d", str((2**61 - 1) * (2**89 - 1))],
+                       capsys, "BoundExceeded")
+        assert time.monotonic() - t0 < 1.0
 
     def test_field_d_zero(self, capsys):
         msg = self.run_error(["field", "--d", "0"], capsys)
@@ -90,6 +90,11 @@ class TestBoundary:
     def test_lvalue_q_option_removed(self, capsys):
         with pytest.raises(SystemExit):
             main(LVALUE_ARGS + ["--q", "7"])
+        capsys.readouterr()
+
+    def test_lvalue_ideal_option_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(LVALUE_ARGS + ["--ideal", "1,0,1,1"])
         capsys.readouterr()
 
 

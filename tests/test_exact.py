@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,14 @@ class TestFactorization:
         # bound: refused, not trial-divided for hours
         with pytest.raises(BoundExceeded):
             factorize(2**89 - 1)
+
+    def test_rho_step_budget(self):
+        # both factors are past trial division and rho would need about
+        # 2^30 steps for 2^61 - 1: refused within the step budget
+        t0 = time.monotonic()
+        with pytest.raises(BoundExceeded, match="steps"):
+            factorize((2**61 - 1) * (2**89 - 1))
+        assert time.monotonic() - t0 < 1.0
 
     def test_random_below_1e10(self):
         def is_prime(p):

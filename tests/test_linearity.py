@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from heckezero.characters import DirichletCharacter, enumerate_characters
-from heckezero.errors import (CFMismatch, DeltaOutOfRange, HypothesisFailed,
-                              InsufficientSamples, NotSquarefree, ParseError)
+from heckezero.characters import DirichletCharacter
+from heckezero.errors import (DeltaOutOfRange, InsufficientSamples,
+                              NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd
-from heckezero.linearity import (BUILTIN_FAMILIES, FamilySpec, closed_form_cd,
+from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_cd,
                                  closed_form_chi, family_instance,
                                  family_minus_cf, family_spec_from_dict,
                                  gamma_tau, hypothesis_check_norm, nu_sequence,
@@ -34,10 +34,8 @@ class TestFamilySpecs:
         assert RDN.alpha(0) == 2
 
     def test_instances(self):
-        F, delta, b = family_instance(YOKOI, 1)
-        assert F.d == 5 and delta == QuadSurd(3, 1, 2, 5)
-        F, delta, b = family_instance(RDN, 1)
-        assert F.d == 2 and delta == QuadSurd(2, 1, 1, 2)
+        assert family_instance(YOKOI, 1) == QuadSurd(3, 1, 2, 5)
+        assert family_instance(RDN, 1) == QuadSurd(2, 1, 1, 2)
 
     def test_rejects_non_squarefree_before_constraints(self):
         # n = 2 violates both squarefreeness (f = 8) and the parity rule;
@@ -55,7 +53,7 @@ class TestFamilySpecs:
         for spec, n in ((YOKOI, 1), (YOKOI, 3), (YOKOI, 5),
                         (RDN, 1), (RDN, 3)):
             m = family_minus_cf(spec, n)
-            _, delta, _ = family_instance(spec, n)
+            delta = family_instance(spec, n)
             from heckezero.cfrac import minus_expand
             assert m.period == minus_expand(delta).period
 
@@ -71,8 +69,7 @@ class TestFamilyJSON:
         }
         spec = family_spec_from_dict(obj)
         assert spec.s == 1 and spec.f(1) == 5
-        F, delta, _ = family_instance(spec, 1)
-        assert F.d == 5
+        assert family_instance(spec, 1).d == 5
 
     def test_malformed(self):
         with pytest.raises(ParseError):
@@ -168,9 +165,9 @@ class TestClosedFormChi:
         # the closed form must reproduce the direct L-values
         for k in (0, 2, 4):
             n = 3 * k + 1
-            F, delta, b = family_instance(YOKOI, n)
             from heckezero.shintani import partial_hecke_L_zero
-            lhs = partial_hecke_L_zero(F, delta, b, CHI3) * (12 * 9)
+            lhs = partial_hecke_L_zero(family_instance(YOKOI, n),
+                                       CHI3) * (12 * 9)
             rhs = cf.A_chi + cf.B_chi * k
             assert lhs == rhs
 

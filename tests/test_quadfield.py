@@ -1,18 +1,16 @@
 """Field data, ideal lattices, class numbers, and unit orders."""
 
-from fractions import Fraction
+import math
 import random
 
 import pytest
 
-from heckezero.errors import (IncompatiblePair, NotAnIdeal, NotSquarefree,
-                              ValidationError)
-from heckezero.exact import QuadSurd
-from heckezero.quadfield import (FieldData, IdealLattice, class_numbers,
-                                 ideal_inverse, ideal_norm,
-                                 is_fractional_ideal, lattice_product,
-                                 make_field, maximal_order, norm_form,
-                                 norm_residue)
+from heckezero.errors import IncompatiblePair, NotSquarefree, ValidationError
+from heckezero.exact import QuadSurd, is_squarefree
+from heckezero.quadfield import (IdealLattice, class_numbers, ideal_inverse,
+                                 ideal_norm, is_fractional_ideal,
+                                 lattice_product, make_field, maximal_order,
+                                 norm_form, norm_residue)
 from heckezero.shintani import lattice_unit_order
 
 FUND_UNITS = {
@@ -152,7 +150,7 @@ class TestNormForm:
     ])
     def test_residues_match_element_norms(self, d, delta, b):
         F = make_field(d)
-        u, v, w = norm_form(F, b, delta)
+        u, v, w = norm_form(delta)
         nb = ideal_norm(F, b)
         for q in (2, 3, 4, 5, 7, 12):
             for C in range(1, q + 1):
@@ -162,9 +160,41 @@ class TestNormForm:
                     assert norm_residue(F, b, delta, C, D, q) == want
 
     def test_rejects_incompatible_pair(self):
-        F = make_field(5)
-        with pytest.raises(IncompatiblePair):
-            norm_form(F, IdealLattice(3, 0, 3, 1), QuadSurd(3, 1, 2, 5))
+        # [1, 3+sqrt5] = Z[sqrt5] and [1, 4+sqrt13] = Z[sqrt13] are orders of
+        # index 2, not ideals of the maximal order
+        for delta in (QuadSurd(3, 1, 1, 5), QuadSurd(4, 1, 1, 13)):
+            F = make_field(delta.d)
+            assert not is_fractional_ideal(F, IdealLattice.from_surds(
+                QuadSurd.from_rational(1, delta.d), delta, F))
+            with pytest.raises(IncompatiblePair):
+                norm_form(delta)
+
+    @pytest.mark.parametrize("d", [d for d in range(2, 60) if is_squarefree(d)])
+    def test_matches_lattice_route(self, d):
+        # every reduced delta = (a + b sqrt d)/c, b in {1, 2}: delta > 2 and
+        # 0 < delta' < 1 bound c < 2b sqrt(d) and b sqrt(d) < a < c + b sqrt(d)
+        F = make_field(d)
+        one = QuadSurd.from_rational(1, d)
+        deltas = set()
+        for b in (1, 2):
+            for c in range(1, math.isqrt(4 * b * b * d) + 1):
+                for a in range(math.isqrt(b * b * d) + 1,
+                               c + math.isqrt(b * b * d) + 1):
+                    delta = QuadSurd(a, b, c, d)
+                    if delta > 2 and 0 < delta.conj() < 1:
+                        deltas.add(delta)
+        ideals = 0
+        for delta in deltas:
+            L = IdealLattice.from_surds(one, delta, F)
+            if not is_fractional_ideal(F, L):
+                with pytest.raises(IncompatiblePair):
+                    norm_form(delta)
+                continue
+            ideals += 1
+            nb = ideal_norm(F, ideal_inverse(F, L))
+            want = (nb, nb * delta.trace(), nb * delta.norm())
+            assert norm_form(delta) == want
+        assert ideals > 0
 
     @pytest.mark.parametrize("e,h,den,bad", [(0, 1, 1, "e"), (1, -1, 1, "h"),
                                              (1, 1, 0, "den")])

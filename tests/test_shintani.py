@@ -8,16 +8,17 @@ from fractions import Fraction
 import pytest
 
 from heckezero import exact, quadfield
+from heckezero.biro import factorization_oracle_check
 from heckezero.cfrac import MinusCF, minus_expand
 from heckezero.characters import (DirichletCharacter, char_eval,
                                   enumerate_characters, gen_bernoulli_b1)
 from heckezero.errors import (DeltaOutOfRange, IdealNotCoprime,
                               IncompatiblePair)
 from heckezero.exact import CycloElement, QuadSurd
-from heckezero.linearity import BUILTIN_FAMILIES, family_instance
+from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_chi,
+                                 family_instance, verify_linearity)
 from heckezero.quadfield import (IdealLattice, class_numbers, ideal_inverse,
-                                 ideal_norm, make_field, maximal_order,
-                                 norm_residue)
+                                 ideal_norm, make_field, norm_residue)
 from heckezero.shintani import (check_delta_hypotheses, lattice_unit_order,
                                 orbit_shift_check, partial_hecke_L_zero,
                                 partial_zeta_zero, partial_zeta_zero_reference,
@@ -97,18 +98,11 @@ class TestDeltaHypotheses:
 
 class TestHeckeL:
     def test_oracle_d5(self):
-        F = make_field(5)
-        delta = QuadSurd(3, 1, 2, 5)
-        b = maximal_order(F)
-        val = partial_hecke_L_zero(F, delta, b, CHI3)
+        val = partial_hecke_L_zero(QuadSurd(3, 1, 2, 5), CHI3)
         assert val == Fraction(2, 3)
 
     def test_oracle_d2(self):
-        F = make_field(2)
-        delta = QuadSurd(2, 1, 1, 2)
-        b = ideal_inverse(F, IdealLattice.from_surds(
-            QuadSurd.from_rational(1, 2), delta, F))
-        val = partial_hecke_L_zero(F, delta, b, CHI3)
+        val = partial_hecke_L_zero(QuadSurd(2, 1, 1, 2), CHI3)
         assert val == Fraction(2, 3)
 
     def test_matches_bernoulli_product(self):
@@ -123,19 +117,17 @@ class TestHeckeL:
         assert gen_bernoulli_b1(CHI3, 5) == Fraction(-2)
 
     def test_rejects_incompatible_pair(self):
-        F = make_field(5)
-        delta = QuadSurd(3, 1, 2, 5)
-        bad = IdealLattice(3, 0, 3, 1)      # 3O: product is 3O, not O
-        with pytest.raises(IncompatiblePair):
-            partial_hecke_L_zero(F, delta, bad, CHI3)
+        # [1, 3+sqrt5] = Z[sqrt5] and [1, 4+sqrt13] = Z[sqrt13] are reduced
+        # but are orders of index 2, not ideals of the maximal order, so no
+        # b = [1, delta]^{-1} exists
+        for delta in (QuadSurd(3, 1, 1, 5), QuadSurd(4, 1, 1, 13)):
+            with pytest.raises(IncompatiblePair):
+                partial_hecke_L_zero(delta, CHI3)
 
     def test_rejects_non_coprime(self):
         # [1, (11+sqrt79)/3] is the inverse of the norm-3 prime [3, 1+sqrt79]
-        F = make_field(79)
-        delta = QuadSurd(11, 1, 3, 79)
-        b = IdealLattice(3, 1, 1, 1)
         with pytest.raises(IdealNotCoprime):
-            partial_hecke_L_zero(F, delta, b, CHI3)
+            partial_hecke_L_zero(QuadSurd(11, 1, 3, 79), CHI3)
 
 
 class TestIdentity:
@@ -166,17 +158,11 @@ class TestIdentity:
                     assert orbit_shift_check(F, mcf, q, C, D)
 
 
-def _d2_case():
-    F = make_field(2)
-    delta = QuadSurd(2, 1, 1, 2)
-    b = ideal_inverse(F, IdealLattice.from_surds(
-        QuadSurd.from_rational(1, 2), delta, F))
-    return F, delta, b
-
-
-def _d79_case():
-    # b = [3, 1+sqrt79] of norm 3 with b * [1, (11+sqrt79)/3] = O
-    return make_field(79), QuadSurd(11, 1, 3, 79), IdealLattice(3, 1, 1, 1)
+def _lattice_case(delta):
+    """(F, delta, b) with b = [1, delta]^{-1} built by the lattice oracle."""
+    F = make_field(delta.d)
+    return F, delta, ideal_inverse(F, IdealLattice.from_surds(
+        QuadSurd.from_rational(1, delta.d), delta, F))
 
 
 # yokoi n = 11 (f = 125) and rd-n2p1 n = 7 (f = 50) are not squarefree, so
@@ -189,10 +175,12 @@ ENGINE_CASES = (
 
 def _engine_case(name, n):
     if name == "d2":
-        return _d2_case()
+        return _lattice_case(QuadSurd(2, 1, 1, 2))
     if name == "d79":
-        return _d79_case()
-    return family_instance(BUILTIN_FAMILIES[name], n)
+        # b = [3, 1+sqrt79] of norm 3 with b * [1, (11+sqrt79)/3] = O
+        return (make_field(79), QuadSurd(11, 1, 3, 79),
+                IdealLattice(3, 1, 1, 1))
+    return _lattice_case(family_instance(BUILTIN_FAMILIES[name], n))
 
 
 class TestBucketedEngine:
@@ -210,7 +198,7 @@ class TestBucketedEngine:
             chars = enumerate_characters(q)
             if math.gcd(nb, q) != 1:
                 with pytest.raises(IdealNotCoprime):
-                    partial_hecke_L_zero(F, delta, b, chars[0])
+                    partial_hecke_L_zero(delta, chars[0])
                 continue
             cells = [(norm_residue(F, b, delta, C, D, q),
                       partial_zeta_zero_reference(q, C, D, mcf))
@@ -221,7 +209,7 @@ class TestBucketedEngine:
                     val = char_eval(chi, res)
                     if not val.is_zero():
                         want = want + val * z
-                got = partial_hecke_L_zero(F, delta, b, chi)
+                got = partial_hecke_L_zero(delta, chi)
                 assert got.order == want.order
                 assert got.coeffs == want.coeffs, (q, chi.identifier())
 
@@ -244,35 +232,35 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestHoist:
-    """Call counts, not timings: the pair (b, delta) is validated once per
-    L-value and each radicand is factored once."""
+    """Call counts, not timings: no L-value path touches the lattice
+    oracle, and each radicand is factored once."""
 
-    @pytest.mark.parametrize("fn", ["lattice_product", "ideal_norm"])
+    @pytest.mark.parametrize("fn", ["lattice_product", "ideal_norm",
+                                    "ideal_inverse", "is_fractional_ideal"])
     def test_ideal_work_independent_of_q(self, monkeypatch, fn):
-        F, delta, b = family_instance(BUILTIN_FAMILIES["yokoi"], 7)
+        yokoi = BUILTIN_FAMILIES["yokoi"]
+        delta = family_instance(yokoi, 7)
         calls = _count_calls(monkeypatch, quadfield, fn)
-        per_q = {}
-        for q, ident in ((3, "q=3;gens=2:1"), (11, "q=11;gens=2:1")):
-            calls.clear()
-            partial_hecke_L_zero(F, delta, b,
+        for ident in ("q=3;gens=2:1", "q=11;gens=2:1"):
+            partial_hecke_L_zero(delta,
                                  DirichletCharacter.from_identifier(ident))
-            per_q[q] = sum(calls.values())
-        assert per_q[11] == per_q[3] <= 2
+        closed_form_chi(yokoi, 3, CHI3, 1)
+        verify_linearity(yokoi, 3, CHI3, 1, range(0, 8))
+        factorization_oracle_check(yokoi, 7, CHI3)
+        assert sum(calls.values()) == 0
 
     def test_radicand_factored_once(self, monkeypatch):
         exact.square_prime.cache_clear()
         calls = _count_calls(monkeypatch, exact, "factorize")
-        spec = BUILTIN_FAMILIES["yokoi"]
-        F, delta, b = family_instance(spec, 7)
-        class_numbers(F.d)
-        partial_hecke_L_zero(F, delta, b,
-                             DirichletCharacter.from_identifier(
-                                 "q=11;gens=2:1"))
+        delta = family_instance(BUILTIN_FAMILIES["yokoi"], 7)
+        class_numbers(delta.d)
+        partial_hecke_L_zero(delta, DirichletCharacter.from_identifier(
+            "q=11;gens=2:1"))
         assert calls[53] == 1
 
     def test_bad_radicand_still_raises(self):
         make_field(5)
-        partial_hecke_L_zero(*_d2_case(), CHI3)
+        partial_hecke_L_zero(QuadSurd(2, 1, 1, 2), CHI3)
         for _ in range(2):
             with pytest.raises(ValueError):
                 QuadSurd(1, 1, 1, 12)
