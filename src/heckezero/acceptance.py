@@ -15,6 +15,7 @@ from .cfrac import (MinusCF, PlusCF, delta_sequence, evaluate_periodic,
 from .characters import enumerate_characters, gen_bernoulli_b1
 from .errors import DegenerateWord, HeckeZeroError
 from .exact import QuadSurd
+from .kernels import zeta12_times
 from .linearity import (BUILTIN_FAMILIES, closed_form_cd, closed_form_chi,
                         family_instance, family_minus_cf, gamma_tau,
                         nu_sequence, verify_linearity)
@@ -145,13 +146,13 @@ def criterion_6() -> CriterionResult:
     def run():
         yok = BUILTIN_FAMILIES["yokoi"]
         A, B = closed_form_cd(yok, 3, 1, 1, 1)
-        if (A, B) != (Fraction(-4, 3), Fraction(-4)):
-            return False, f"closed form gave ({A}, {B}), want (-4/3, -4)"
+        if (A, B) != (-12, -36):
+            return False, f"closed form gave ({A}, {B}), want (-12, -36)"
         for k, n in ((0, 1), (2, 7), (4, 13)):
             z = partial_zeta_zero(3, 1, 1, family_minus_cf(yok, n))
-            if Fraction(1, 12) * (A + k * B) != z:
+            if Fraction(A + k * B, 12 * 9) != z:
                 return False, f"mismatch at n={n}: {z}"
-        return True, "(-4/3, -4) and the k = 0, 2, 4 cross-checks agree"
+        return True, "(-12, -36) and the k = 0, 2, 4 cross-checks agree"
     return _timed(6, "closed form per cell", None, run)
 
 
@@ -201,7 +202,7 @@ def criterion_9() -> CriterionResult:
         yok = BUILTIN_FAMILIES["yokoi"]
         pairs = [p for p in condition_star_search(5, 5) if p.q == 5]
         for n in (5, 7, 13, 17):
-            h, h_plus = class_numbers(yok.f(n))
+            h, h_plus = class_numbers(make_field(yok.f(n)))
             if (h, h_plus) != (1, 1):
                 return False, f"class numbers at n={n}: ({h}, {h_plus})"
             r, k = n % 5, n // 5
@@ -220,40 +221,41 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     def run():
-        yok = BUILTIN_FAMILIES["yokoi"]
-        integral_cases = 0
-        for q in (3, 5):
+        cells = 0
+        for spec, q in ((BUILTIN_FAMILIES["yokoi"], 3),
+                        (BUILTIN_FAMILIES["yokoi"], 5),
+                        (BUILTIN_FAMILIES["rd-n2p1"], 5)):
             for r in range(q):
                 ns = []
                 n = r if r else q
                 while len(ns) < 2 and n < 200:
                     try:
-                        family_instance(yok, n)
+                        family_instance(spec, n)
                     except HeckeZeroError:
                         pass
                     else:
-                        if min(yok.a(i, n) for i in range(yok.s)) >= q:
+                        if min(spec.a(i, n) for i in range(spec.s)) >= q:
                             ns.append(n)
                     n += q
                 for n in ns:
-                    mcf = family_minus_cf(yok, n)
+                    mcf = family_minus_cf(spec, n)
                     samples = [(1, 1), (1, q), (q, 1), (2 % q + 1, 2 % q + 1)]
                     for C, D in samples:
                         # sequence invariants are enforced in __post_init__
                         seq = yamamoto_sequence(q, C, D, mcf)
-                        nus = nu_sequence(yok, q, r, C, D)
+                        nus = nu_sequence(spec, q, r, C, D)
                         S = mcf.special_positions
-                        # block bridge x_{S_j + i} = nu_{Gamma_j + i}
+                        # block bridge q x_{S_j + i} = q nu_{Gamma_j + i}
                         for j in range(len(S)):
-                            g = gamma_tau(yok, 2 * j + 1, r, q)[0]
+                            g = gamma_tau(spec, 2 * j + 1, r, q)[0]
                             for i in range(g + 1):
-                                if seq.x_at(S[j] + i) != nus.nu_at(
+                                if q * seq.x_at(S[j] + i) != nus.nu_at(
                                         nus.Gamma[j] + i):
                                     return False, (f"bridge broken q={q} "
                                                    f"r={r} n={n} j={j} i={i}")
                         # in-block period-q equality
                         for j in range(1, len(S) + 1):
-                            a = yok.a(2 * j - 1, n)
+                            a = spec.a(2 * j - 1, n)
                             if a < q:
                                 continue
                             for i in range(a - q + 1):
@@ -261,24 +263,18 @@ def criterion_10() -> CriterionResult:
                                         seq.x_at(S[j - 1] + i):
                                     return False, (f"period broken q={q} "
                                                    f"n={n} j={j} i={i}")
-                # integrality grid
-                for C in range(1, q + 1):
-                    for D in range(1, q + 1):
-                        A, B = closed_form_cd(yok, q, r, C, D)
-                        if (q * q * A).denominator != 1 or \
-                                (q * q * B).denominator != 1:
-                            return False, f"non-integral at ({q},{r},{C},{D})"
-                        integral_cases += 1
-        rd = BUILTIN_FAMILIES["rd-n2p1"]
-        for r in range(5):
-            for C in range(1, 6):
-                for D in range(1, 6):
-                    A, B = closed_form_cd(rd, 5, r, C, D)
-                    if (25 * A).denominator != 1 or (25 * B).denominator != 1:
-                        return False, f"rd non-integral at ({r},{C},{D})"
-                    integral_cases += 1
-        return True, (f"bridges and block periods hold; q^2-integrality on "
-                      f"{integral_cases} cells")
+                    # every cell's closed form against the kernel
+                    for C in range(1, q + 1):
+                        for D in range(1, q + 1):
+                            A, B = closed_form_cd(spec, q, r, C, D)
+                            if A + (n - r) // q * B != zeta12_times(
+                                    q, C, D, list(mcf.period)):
+                                return False, (f"{spec.name} closed form "
+                                               f"!= kernel at n={n} "
+                                               f"({q},{r},{C},{D})")
+                            cells += 1
+        return True, (f"bridges and block periods hold; closed forms equal "
+                      f"the kernel on {cells} cells")
     return _timed(10, "structural property suites", None, run)
 
 

@@ -14,7 +14,7 @@ from .characters import (DirichletCharacter, ModPRealization, char_exponents,
 from .errors import NarrowClassNotOne
 from .exact import CycloElement, cyclo_from_buckets, factorize
 from .linearity import FamilySpec, closed_form_chi, family_instance
-from .quadfield import class_numbers, field_discriminant
+from .quadfield import class_numbers, field_discriminant, make_field
 from .shintani import partial_hecke_L_zero
 
 # Sign relating the cone-engine value to the Bernoulli-number product; fixed
@@ -109,7 +109,7 @@ def factorization_oracle_check(spec: FamilySpec, n: int,
     B_{1,chi} * B_{1,chi*chi_D} for a narrow-class-number-one member.
     """
     delta = family_instance(spec, n)
-    _, h_plus = class_numbers(delta.d)
+    _, h_plus = class_numbers(make_field(delta.d))
     if h_plus != 1:
         raise NarrowClassNotOne(
             f"h+({delta.d}) = {h_plus}; the single-class oracle does not apply")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -91,7 +92,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def cmd_field(args) -> dict:
     F = make_field(args.d)
-    h, h_plus = class_numbers(args.d)
+    h, h_plus = class_numbers(F)
     return {
         "d": F.d,
         "discriminant": F.discriminant,
@@ -150,8 +151,8 @@ def cmd_linearity(args) -> dict:
             "A_chi": _cyclo_payload(cf.A_chi),
             "B_chi": _cyclo_payload(cf.B_chi),
             "cells": [{"C": C, "D": D,
-                       "A_CD": rational_to_str(a),
-                       "B_CD": rational_to_str(b)}
+                       "A_CD": rational_to_str(Fraction(a, q * q)),
+                       "B_CD": rational_to_str(Fraction(b, q * q))}
                       for (C, D), (a, b) in sorted(cf.cells.items())],
         }
     rep = verify_linearity(spec, q, chi, args.r, _parse_ints(args.k))
@@ -231,24 +232,26 @@ def _csv_flatten(payload: dict) -> str:
     raise ValidationError("this payload has no flat table to export as csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once.  --out/--format live in common only; their defaults come
+    from run_command's namespace, as parents share Action objects and a
+    default there would overwrite a value given before the subcommand.  The
+    parser binds no function: run_command looks up cmd_<command> per call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="append the JSON report to this file")
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
     ap = argparse.ArgumentParser(
-        prog="hecke-zero",
+        prog="hecke-zero", parents=[common],
         description="Exact values at s=0 of partial Hecke L-functions of "
                     "real quadratic fields")
-    ap.add_argument("--out", help="append the JSON report to this file")
-    ap.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", parents=[common],
                        help="field invariants for Q(sqrt(d))")
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("cf", help="continued fraction operations")
     cfsub = p.add_subparsers(dest="cf_cmd", required=True)
@@ -261,13 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv = cfsub.add_parser("eval", parents=[common])
     pv.add_argument("--word", required=True, help="comma-separated digits")
     pv.add_argument("--kind", choices=("plus", "minus"), default="minus")
-    p.set_defaults(fn=cmd_cf)
 
     p = sub.add_parser("lvalue", parents=[common], help="partial Hecke L-value at s=0")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", required=True, help="a,b[,c]")
     p.add_argument("--chi", required=True, help="character identifier")
-    p.set_defaults(fn=cmd_lvalue)
 
     p = sub.add_parser("linearity", help="family linearity machinery")
     lsub = p.add_subparsers(dest="lin_cmd", required=True)
@@ -279,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "closed-form":
             pl.add_argument("--k", required=True,
                             help="comma-separated k samples")
-    p.set_defaults(fn=cmd_linearity)
 
     p = sub.add_parser("biro", help="sieve search and congruences")
     bsub = p.add_subparsers(dest="biro_cmd", required=True)
@@ -296,25 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--chi", required=True)
     po.add_argument("--intro-ab", action="store_true",
                     help="also evaluate the direct double sums")
-    p.set_defaults(fn=cmd_biro)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
-    p.set_defaults(fn=cmd_selftest)
+    sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
     return ap
 
 
 def run_command(argv) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(
+        argv, argparse.Namespace(out=None, format="json"))
     t0 = time.monotonic()
-    payload = args.fn(args)
+    payload = globals()[f"cmd_{args.command}"](args)
     envelope = {
         "tool": "hecke-zero",
         "version": __version__,
         "subcommand": args.command,
         "inputs": {k: v for k, v in sorted(vars(args).items())
-                   if k not in ("fn", "out", "format") and v is not None
-                   and not callable(v)},
+                   if k not in ("out", "format") and v is not None},
         "results": payload,
         "elapsed_s": round(time.monotonic() - t0, 6),
     }

@@ -28,13 +28,6 @@ def frac_pos(x: Rational | int) -> Fraction:
     return Fraction(1) if f == 0 else f
 
 
-def floor_strict(x: Rational | int) -> int:
-    """x - frac_pos(x).  Equals floor(x) off the integers, x - 1 on them."""
-    x = Fraction(x)
-    n = x.numerator // x.denominator
-    return n - 1 if x == n else n
-
-
 def residue_1q(m: int, q: int) -> int:
     """The representative of m mod q lying in [1, q]."""
     if q < 1:

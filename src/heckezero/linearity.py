@@ -12,10 +12,9 @@ from fractions import Fraction
 from .cfrac import MinusCF, mu_factor, plus_expand, plus_to_minus
 from .characters import DirichletCharacter, char_exponents
 from .errors import (CFMismatch, DeltaOutOfRange, HypothesisFailed,
-                     InsufficientSamples, InternalInvariantError,
-                     NoAdmissibleN, NotSquarefree, ParseError)
-from .exact import (CycloElement, QuadSurd, bernoulli_poly,
-                    cyclo_from_buckets, floor_strict, frac_pos, residue_1q)
+                     InsufficientSamples, NoAdmissibleN, NotSquarefree,
+                     ParseError)
+from .exact import CycloElement, QuadSurd, cyclo_from_buckets, residue_1q
 from .quadfield import check_radicand, norm_form
 
 N_SEARCH_LIMIT = 10_000
@@ -151,32 +150,29 @@ def gamma_tau(spec: FamilySpec, i: int, r: int, q: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class NuSequence:
-    """The residue-level shadow of the lattice recursion.
+    """The residue-level shadow of the lattice recursion, scaled by q like
+    the kernel.
 
-    nu[i] holds nu_{i-1}; Gamma[j] are the block boundaries; gamma/tau index
-    the digit functions 0..s-1 at the residue r; d[l] = <nu_{Gamma_l + 1} -
-    nu_{Gamma_l}>.
+    X[i] holds q*nu_{i-1} in [1, q]; Gamma[j] are the block boundaries;
+    gamma/tau index the digit functions 0..s-1 at the residue r.
     """
 
-    q: int
-    r: int
-    C: int
-    D: int
-    nu: tuple[Fraction, ...]
+    X: tuple[int, ...]
     Gamma: tuple[int, ...]
     gamma: tuple[int, ...]
     tau: tuple[int, ...]
-    d: tuple[Fraction, ...]
 
-    def nu_at(self, i: int) -> Fraction:
-        return self.nu[i + 1]
+    def nu_at(self, i: int) -> int:
+        """q*nu_i for i >= -1."""
+        return self.X[i + 1]
 
 
 def nu_sequence(spec: FamilySpec, q: int, r: int, C: int, D: int) -> NuSequence:
-    """Run nu_{i+1} = <c_i nu_i - nu_{i-1}> out to Gamma_{s*mu(s)}.
+    """Run nu_{i+1} = <c_i nu_i - nu_{i-1}> out to Gamma_{s*mu(s)} on the
+    integers X_i = q*nu_i.
 
     c_i = gamma_{2j}(r) + 2 at the block boundary i = Gamma_j, else 2.
-    nu_{-1} = (q-C)/q literally, so the C = q seed starts at 0.
+    The seeds are nu_{-1} = <1 - C/q> and nu_0 = <D/q>.
     """
     s = spec.s
     L = int(s * mu_factor(s))
@@ -186,47 +182,48 @@ def nu_sequence(spec: FamilySpec, q: int, r: int, C: int, D: int) -> NuSequence:
     for j in range(1, L + 1):
         Gamma.append(Gamma[-1] + gam[(2 * j - 1) % s])
     boundaries = {g: j for j, g in enumerate(Gamma)}
-    nu = [Fraction(q - C, q), frac_pos(Fraction(D, q))]
+    X = [(q - C - 1) % q + 1, (D - 1) % q + 1]
     for i in range(Gamma[-1]):
         c = gam[(2 * boundaries[i]) % s] + 2 if i in boundaries else 2
-        nu.append(frac_pos(c * nu[-1] - nu[-2]))
-    d = tuple(frac_pos(nu[Gamma[l] + 2] - nu[Gamma[l] + 1]) for l in range(L))
-    return NuSequence(q, r, C, D, tuple(nu), tuple(Gamma), gam, tau, d)
+        X.append((c * X[-1] - X[-2] - 1) % q + 1)
+    return NuSequence(tuple(X), tuple(Gamma), gam, tau)
 
 
 def closed_form_cd(spec: FamilySpec, q: int, r: int, C: int, D: int
-                   ) -> tuple[Fraction, Fraction]:
-    """(A_CD(r), B_CD(r)) with (1/12)(A + kB) = Z(C, D) at n = qk + r.
-
-    Both are rationals with q^2 * A and q^2 * B integers.
+                   ) -> tuple[int, int]:
+    """The integers (q^2 A_CD(r), q^2 B_CD(r)), where (A + kB)/(12 q^2) =
+    Z(C, D) at n = qk + r: the paper's Bernoulli-value formula term for term
+    on x = q*nu, with b1(x) = 2q B_1(x/q), b2(x) = 6q^2 B_2(x/q) and
+    dl = q*<nu_{Gamma_l + 1} - nu_{Gamma_l}>.  Its floors y - <y> become dl
+    (nu lies in (0, 1]) and (x + dl (g - 1) - 1) // q.
     """
     s = spec.s
     L = int(s * mu_factor(s))
     seq = nu_sequence(spec, q, r, C, D)
-    nu, Gamma, gam, tau, d = seq.nu_at, seq.Gamma, seq.gamma, seq.tau, seq.d
-    A = Fraction(0)
-    B = Fraction(0)
+    nu, Gamma, gam, tau = seq.nu_at, seq.Gamma, seq.gamma, seq.tau
+
+    def b1(x: int) -> int:
+        return 2 * x - q
+
+    def b2(x: int) -> int:
+        return 6 * x * x - 6 * q * x + q * q
+
+    A = B = 0
     for l in range(1, L + 1):
         x = nu(Gamma[l])
-        A += (-12 * bernoulli_poly(1, x) * bernoulli_poly(1, nu(Gamma[l] - 1))
-              + 6 * (spec.a(2 * l, r) + 2) * bernoulli_poly(2, x))
-        B += 6 * q * spec.alpha(2 * l) * bernoulli_poly(2, x)
+        A += -3 * b1(x) * b1(nu(Gamma[l] - 1)) + (spec.a(2 * l, r) + 2) * b2(x)
+        B += q * spec.alpha(2 * l) * b2(x)
     for l in range(L):
         g = gam[(2 * l + 1) % s]
         t = tau[(2 * l + 1) % s]
-        dl = d[l]
         base = nu(Gamma[l])
-        full = 6 * (q * dl * dl
-                    + (1 - 2 * dl) * floor_strict(base + dl * q)) - q
+        dl = (nu(Gamma[l] + 1) - base - 1) % q + 1
+        full = q * (6 * q * dl - 6 * dl * dl - q * q)
         A += (6 * ((g - 1) * dl * dl
-                   + (1 - 2 * dl) * floor_strict(base + dl * (g - 1))
-                   + bernoulli_poly(2, nu(Gamma[l + 1] - 1))
-                   - bernoulli_poly(2, base))
-              - g + 1 + t * full)
+                   + q * (q - 2 * dl) * ((base + dl * (g - 1) - 1) // q))
+              + b2(nu(Gamma[l + 1] - 1)) - b2(base)
+              - q * q * (g - 1) + t * full)
         B += spec.alpha(2 * l + 1) * full
-    if (q * q * A).denominator != 1 or (q * q * B).denominator != 1:
-        raise InternalInvariantError(
-            f"q^2 * coefficients not integral at (r={r}, C={C}, D={D})")
     return A, B
 
 
@@ -260,7 +257,7 @@ class ClosedFormAB:
     q: int
     chi: DirichletCharacter
     r: int
-    cells: dict[tuple[int, int], tuple[Fraction, Fraction]]
+    cells: dict[tuple[int, int], tuple[int, int]]   # q^2 (A_CD, B_CD)
     A_chi: CycloElement
     B_chi: CycloElement
 
@@ -302,7 +299,7 @@ def closed_form_chi(spec: FamilySpec, q: int, chi: DirichletCharacter,
             f"norm residues mod {q} vary with k at r = {r}")
     u, v, w = norm_form(family_instance(spec, n0))
     exps = char_exponents(chi)
-    cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    cells: dict[tuple[int, int], tuple[int, int]] = {}
     A_buckets = [0] * chi.order
     B_buckets = [0] * chi.order
     for C in range(1, q + 1):
@@ -310,8 +307,8 @@ def closed_form_chi(spec: FamilySpec, q: int, chi: DirichletCharacter,
             A, B = cells[(C, D)] = closed_form_cd(spec, q, r, C, D)
             k = exps[(u * C * C + v * C * D + w * D * D) % q]
             if k >= 0:
-                A_buckets[k] += int(q * q * A)
-                B_buckets[k] += int(q * q * B)
+                A_buckets[k] += A
+                B_buckets[k] += B
     return ClosedFormAB(spec.name, q, chi, r, cells,
                         cyclo_from_buckets(chi.order, A_buckets),
                         cyclo_from_buckets(chi.order, B_buckets))

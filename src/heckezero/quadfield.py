@@ -257,15 +257,14 @@ def norm_form(delta: QuadSurd) -> tuple[int, int, int]:
     return u, v, w
 
 
-def class_numbers(d: int) -> tuple[int, int]:
-    """(h, h_plus) by enumerating cycles of reduced indefinite forms.
+def class_numbers(F: FieldData) -> tuple[int, int]:
+    """(h, h_plus) of F by enumerating cycles of reduced indefinite forms.
 
     The form class number of discriminant D equals the narrow class number
     h_plus; h follows from the norm of the fundamental unit.
     """
-    if d > CLASS_NUMBER_BOUND:
-        raise BoundExceeded(f"d = {d} exceeds {CLASS_NUMBER_BOUND}")
-    F = make_field(d)
+    if F.d > CLASS_NUMBER_BOUND:
+        raise BoundExceeded(f"d = {F.d} exceeds {CLASS_NUMBER_BOUND}")
     D = F.discriminant
     sq = math.isqrt(D)
 

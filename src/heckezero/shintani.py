@@ -11,11 +11,16 @@ from fractions import Fraction
 
 from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
 from .characters import DirichletCharacter, char_exponents
-from .errors import DeltaOutOfRange, IdealNotCoprime, InternalInvariantError
+from .errors import (BoundExceeded, DeltaOutOfRange, IdealNotCoprime,
+                     InternalInvariantError)
 from .exact import (QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos,
                     residue_1q)
 from .kernels import zeta12_times
 from .quadfield import FieldData, norm_form
+
+# q^2 * m kernel steps for a minus period of length m, about a microsecond
+# each; the largest benchmark L-value takes about 10^5.
+KERNEL_STEP_BOUND = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -106,10 +111,11 @@ def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
 
     Sums chi(N((C+D*delta)b)) * Z(C,D) over (C,D) in [1,q]^2; cells whose
     norm residue shares a factor with q are annihilated by chi.  delta is
-    validated once: reduced, and [1, delta] an ideal of the maximal order
-    (norm_form).  Each cell then costs an integer norm residue, a
-    character-exponent lookup and the integer kernel, whose 12*q^2*Z(C,D)
-    is summed per power of zeta into one CycloElement.
+    validated once: reduced, [1, delta] an ideal of the maximal order
+    (norm_form), and q^2 * m within KERNEL_STEP_BOUND.  Each cell then costs
+    an integer norm residue, a character-exponent lookup and the integer
+    kernel, whose 12*q^2*Z(C,D) is summed per power of zeta into one
+    CycloElement.
     """
     q = chi.modulus
     check_delta_hypotheses(delta)
@@ -120,6 +126,10 @@ def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
     if not mcf.purely_periodic:
         raise InternalInvariantError(
             "reduced delta must have a purely periodic minus expansion")
+    if q * q * mcf.m > KERNEL_STEP_BOUND:
+        raise BoundExceeded(
+            f"q^2 * m = {q * q * mcf.m} kernel steps exceed "
+            f"{KERNEL_STEP_BOUND}")
     digits = list(mcf.period)
     exps = char_exponents(chi)
     buckets = [0] * chi.order

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from heckezero import cli
+from heckezero import cli, quadfield
 from heckezero.acceptance import CriterionResult
 from heckezero.cli import main
 
@@ -83,6 +83,15 @@ class TestBoundary:
                        capsys, "BoundExceeded")
         assert time.monotonic() - t0 < 1.0
 
+    def test_lvalue_work_budget(self, capsys):
+        # q^2 * m = 10007^2 * 2 kernel steps, twice the budget
+        t0 = time.monotonic()
+        msg = self.run_error(["lvalue", "--d", "2", "--delta", "2,1,1",
+                              "--chi", "q=10007;gens=5:1"],
+                             capsys, "BoundExceeded")
+        assert time.monotonic() - t0 < 1.0
+        assert "200280098" in msg
+
     def test_field_d_zero(self, capsys):
         msg = self.run_error(["field", "--d", "0"], capsys)
         assert "must be > 1" in msg and "divisible" not in msg
@@ -127,6 +136,25 @@ class TestField:
         assert doc["results"]["class_number"] == 3
         assert doc["results"]["narrow_class_number"] == 6
 
+    def test_field_built_once(self, monkeypatch, capsys):
+        calls = []
+        make_field = quadfield.make_field
+
+        def counted(d):
+            calls.append(d)
+            return make_field(d)
+        monkeypatch.setattr(quadfield, "make_field", counted)
+        monkeypatch.setattr(cli, "make_field", counted)
+        code, _ = run_cli(["field", "--d", "229"], capsys)
+        assert code == 0 and calls == [229]
+
+    def test_rebound_command_runs(self, monkeypatch, capsys):
+        # the parser is built once; the subcommand is looked up per call
+        run_cli(["field", "--d", "5"], capsys)
+        monkeypatch.setattr(cli, "cmd_field", lambda args: {"d": -args.d})
+        code, doc = run_json(["field", "--d", "5"], capsys)
+        assert code == 0 and doc["results"] == {"d": -5}
+
 
 class TestLValue:
     def test_oracle(self, capsys):
@@ -163,6 +191,14 @@ class TestLinearity:
         assert code == 0
         v = doc["results"]["verdicts"]
         assert v["affine_exact"] and v["closed_form_match"]
+
+    def test_closed_form_cells(self, capsys):
+        code, doc = run_json(["linearity", "closed-form", "--family", "yokoi",
+                              "--chi", "q=3;gens=2:1", "--r", "1"], capsys)
+        assert code == 0
+        cells = doc["results"]["cells"]
+        assert len(cells) == 9
+        assert cells[0] == {"C": 1, "D": 1, "A_CD": "-4/3", "B_CD": "-4"}
 
 
 class TestBiro:

@@ -13,7 +13,7 @@ from heckezero.errors import BoundExceeded
 from heckezero.exact import (CycloElement, QuadSurd, bernoulli_poly,
                              cyclo_from_buckets, cyclo_from_dict,
                              cyclo_to_dict, euler_phi,
-                             factorize, floor_strict, frac_pos, is_squarefree,
+                             factorize, frac_pos, is_squarefree,
                              quadsurd_from_dict, quadsurd_to_dict,
                              rational_from_str, rational_to_str, residue_1q,
                              squarefree_part, surd_sign)
@@ -36,11 +36,6 @@ class TestFracPos:
         f = frac_pos(x)
         assert 0 < f <= 1
         assert (x - f).denominator == 1
-
-    @given(st.fractions(max_denominator=1000))
-    def test_floor_strict_complement(self, x):
-        assert floor_strict(x) + frac_pos(x) == x
-        assert isinstance(floor_strict(x), int)
 
 
 class TestResidue1q:

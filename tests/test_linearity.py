@@ -1,13 +1,12 @@
 """Families, closed forms per cell, and the affine-in-n verification."""
 
-from fractions import Fraction
-
 import pytest
 
-from heckezero.characters import DirichletCharacter
+from heckezero.characters import DirichletCharacter, enumerate_characters
 from heckezero.errors import (DeltaOutOfRange, InsufficientSamples,
                               NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd
+from heckezero.kernels import zeta12_times
 from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_cd,
                                  closed_form_chi, family_instance,
                                  family_minus_cf, family_spec_from_dict,
@@ -18,6 +17,11 @@ from heckezero.shintani import partial_zeta_zero
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
+# s = 2: delta(n) = (n + 2 + sqrt(n^2 + 2))/2, delta - 1 = [[n, 2n]]
+PAIRED = family_spec_from_dict({
+    "name": "paired", "f_coeffs": [2, 0, 1],
+    "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": 2},
+    "acf": [{"alpha": 1, "beta": 0}, {"alpha": 2, "beta": 0}]})
 
 
 class TestFamilySpecs:
@@ -100,8 +104,8 @@ class TestGammaTau:
 class TestNuSequence:
     def test_seed(self):
         ns = nu_sequence(YOKOI, 3, 1, 1, 1)
-        assert ns.nu_at(-1) == Fraction(2, 3)
-        assert ns.nu_at(0) == Fraction(1, 3)
+        assert ns.nu_at(-1) == 2        # 3 * nu_{-1} = 3 * (2/3)
+        assert ns.nu_at(0) == 1         # 3 * nu_0 = 3 * (1/3)
 
     def test_matches_digit_orbit(self):
         # at an admissible n the nu orbit is the x orbit of the actual word
@@ -115,13 +119,13 @@ class TestNuSequence:
                 seq = yamamoto_sequence(q, C, D, mcf,
                                         steps=len(ns.Gamma))
                 for i in range(min(len(ns.Gamma), 3)):
-                    assert ns.nu_at(i) == seq.x_at(i)
+                    assert ns.nu_at(i) == q * seq.x_at(i)
 
 
 class TestClosedFormCD:
     def test_oracle_cell(self):
         A, B = closed_form_cd(YOKOI, 3, 1, 1, 1)
-        assert (A, B) == (Fraction(-4, 3), Fraction(-4))
+        assert (A, B) == (-12, -36)     # 9 * (-4/3, -4)
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_matches_finite_differences(self, q):
@@ -138,7 +142,7 @@ class TestClosedFormCD:
                         if min(mcf.period) < q:
                             continue
                         z = partial_zeta_zero(q, C, D, mcf)
-                        assert Fraction(1, 12) * (A + k * B) == z
+                        assert A + k * B == 12 * q * q * z
 
     def test_rd_family_cell(self):
         for r in range(3):
@@ -154,7 +158,7 @@ class TestClosedFormCD:
                         if min(mcf.period) < 3:
                             continue
                         z = partial_zeta_zero(3, C, D, mcf)
-                        assert Fraction(1, 12) * (A + k * B) == z
+                        assert A + k * B == 12 * 9 * z
 
 
 class TestClosedFormChi:
@@ -204,6 +208,43 @@ class TestVerifyLinearity:
         assert set(rep.k_used) | set(rep.k_skipped) == set(range(8))
         # k = 1 gives n = 6, even: skipped
         assert 1 in rep.k_skipped
+
+
+class TestEvenPeriod:
+    """Both builtin families have s = 1; this one has s = 2, so L = s/2 and
+    the block boundaries read a_{2l} while the blocks read a_{2l+1}."""
+
+    def test_shape(self):
+        assert PAIRED.s == 2
+        assert family_instance(PAIRED, 1) == QuadSurd(3, 1, 2, 3)
+        assert family_minus_cf(PAIRED, 3).period == (5, 2, 2, 2, 2, 2)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_cells_match_kernel(self, q):
+        for r in range(q):
+            words = {}
+            for k in range(1, 12):      # a_0(qk + r) = qk + r >= q
+                try:
+                    family_instance(PAIRED, q * k + r)
+                except NotSquarefree:
+                    continue
+                words[k] = list(family_minus_cf(PAIRED, q * k + r).period)
+            assert len(words) >= 2
+            for C in range(1, q + 1):
+                for D in range(1, q + 1):
+                    A, B = closed_form_cd(PAIRED, q, r, C, D)
+                    for k, word in words.items():
+                        assert A + k * B == zeta12_times(q, C, D, word)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_linearity_every_character(self, q):
+        for chi in enumerate_characters(q):
+            if chi.order == 1:
+                continue
+            for r in range(q):
+                rep = verify_linearity(PAIRED, q, chi, r, range(12))
+                assert rep.affine_exact and rep.closed_form_match
+                assert rep.hypothesis_check
 
 
 class TestAdmissibility:

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from heckezero.errors import IncompatiblePair, NotSquarefree, ValidationError
+from heckezero.errors import (BoundExceeded, IncompatiblePair, NotSquarefree,
+                              ValidationError)
 from heckezero.exact import QuadSurd, is_squarefree
-from heckezero.quadfield import (IdealLattice, class_numbers, ideal_inverse,
+from heckezero.quadfield import (CLASS_NUMBER_BOUND, IdealLattice,
+                                 class_numbers, ideal_inverse,
                                  ideal_norm, is_fractional_ideal,
                                  lattice_product, make_field, maximal_order,
                                  norm_form, norm_residue)
@@ -70,13 +72,18 @@ class TestMakeField:
 class TestClassNumbers:
     @pytest.mark.parametrize("d,expected", sorted(CLASS_NUMBERS.items()))
     def test_frozen_values(self, d, expected):
-        assert class_numbers(d) == expected
+        assert class_numbers(make_field(d)) == expected
+
+    def test_bound(self):
+        # 10^6 + 1 = 101 * 9901 is squarefree
+        with pytest.raises(BoundExceeded):
+            class_numbers(make_field(CLASS_NUMBER_BOUND + 1))
 
     @pytest.mark.parametrize("d", sorted(CLASS_NUMBERS))
     def test_narrow_ratio(self, d):
         # h+ equals h or 2h, with h+ = h exactly when a norm -1 unit exists.
         F = make_field(d)
-        h, h_plus = class_numbers(d)
+        h, h_plus = class_numbers(F)
         if F.fund_unit_norm == -1:
             assert h_plus == h
         else:

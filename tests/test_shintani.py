@@ -253,7 +253,7 @@ class TestHoist:
         exact.square_prime.cache_clear()
         calls = _count_calls(monkeypatch, exact, "factorize")
         delta = family_instance(BUILTIN_FAMILIES["yokoi"], 7)
-        class_numbers(delta.d)
+        class_numbers(make_field(delta.d))
         partial_hecke_L_zero(delta, DirichletCharacter.from_identifier(
             "q=11;gens=2:1"))
         assert calls[53] == 1
