@@ -5,21 +5,29 @@ satisfy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
-from .characters import (DirichletCharacter, ModPRealization, char_exponents,
-                         char_invariants, enumerate_characters,
-                         gen_bernoulli_b1, modp_realizations)
-from .errors import NarrowClassNotOne
-from .exact import CycloElement, cyclo_from_buckets, factorize
-from .linearity import FamilySpec, closed_form_chi, family_instance
+from .characters import (DirichletCharacter, ModPRealization, b1_weights,
+                         char_exponents, char_invariants,
+                         enumerate_characters, gen_bernoulli_b1,
+                         modp_realizations)
+from .errors import BoundExceeded, NarrowClassNotOne
+from .exact import CycloElement, cyclo_from_buckets
+from .linearity import (ClosedFormTable, FamilySpec, closed_form_chi,
+                        closed_form_table, family_instance)
 from .quadfield import class_numbers, field_discriminant, make_field
 from .shintani import partial_hecke_L_zero
 
 # Sign relating the cone-engine value to the Bernoulli-number product; fixed
 # once by the d=5, q=3 oracle (2/3 on both sides) and used everywhere.
 SIGN_CONVENTION = 1
+
+# A search or residue run whose sieve_work exceeds this is refused
+SIEVE_WORK_BOUND = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -37,30 +45,66 @@ class ConditionStarPair:
                 self.realization.zeta_image)
 
 
-def char_sum_a(chi: DirichletCharacter) -> CycloElement:
-    """Sum of a*chi(a) over a = 1..q, i.e. q times the first generalized
-    Bernoulli number."""
-    return gen_bernoulli_b1(chi) * chi.modulus
+def sieve_work(q_max: int, p_max: int, residues: bool = False) -> int:
+    """An upper estimate of the steps of condition_star_search(q_max, p_max),
+    and with residues=True of residue_reports as well.
+
+    The search sieves the numbers up to p_max, then tabulates each of the
+    fewer than q_max^2/4 characters of odd modulus q <= q_max (q_max
+    steps at most) and tests it against the primes up to p_max.  The
+    residue run adds, for every odd q <= q_max, q closed-form tables of q^2
+    cells with about q steps each: about q_max^5/10 steps in all.
+    """
+    work = p_max + q_max * q_max * (q_max + p_max) // 4
+    if residues:
+        work += q_max ** 5 // 10
+    return work
+
+
+def _check_sieve_work(q_max: int, p_max: int, residues: bool) -> None:
+    if q_max < 3 or p_max < 3:
+        raise ValueError("bounds must be at least 3")
+    work = sieve_work(q_max, p_max, residues)
+    if work > SIEVE_WORK_BOUND:
+        raise BoundExceeded(
+            f"q_max = {q_max}, p_max = {p_max} estimate {work} sieve steps, "
+            f"over {SIEVE_WORK_BOUND}")
+
+
+def _odd_primes(n: int) -> list[int]:
+    """The odd primes up to n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+    return [p for p in range(3, n + 1, 2) if sieve[p]]
 
 
 def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     """All (q, p, chi, realization) with odd q <= q_max, odd prime p <= p_max,
     odd primitive chi of conductor q, and realization(sum a*chi(a)) = 0.
+
+    sum a*chi(a) = q*B_{1,chi} is tested as the Horner image of its integer
+    weights; the realizations of each (order, p) are built once, and only
+    those of the current p are kept.
     """
-    if q_max < 3 or p_max < 3:
-        raise ValueError("bounds must be at least 3")
-    primes = [p for p in range(3, p_max + 1, 2) if factorize(p) == {p: 1}]
+    _check_sieve_work(q_max, p_max, residues=False)
+    chars = [(chi, chi.order, b1_weights(chi))
+             for q in range(3, q_max + 1, 2)
+             for chi in enumerate_characters(q)
+             if char_invariants(chi) == ("odd", q)]
     out: list[ConditionStarPair] = []
-    for q in range(3, q_max + 1, 2):
-        for chi in enumerate_characters(q):
-            parity, cond = char_invariants(chi)
-            if parity != "odd" or cond != q:
+    for p in _odd_primes(p_max):
+        realizations: dict[int, list[ModPRealization]] = {}
+        for chi, o, weights in chars:
+            if (p - 1) % o:
                 continue
-            S = char_sum_a(chi)
-            for p in primes:
-                for real in modp_realizations(chi, p):
-                    if real.apply(S) == 0:
-                        out.append(ConditionStarPair(q, p, chi, real, 0))
+            if o not in realizations:
+                realizations[o] = modp_realizations(chi, p)
+            for real in realizations[o]:
+                if real.image(weights) == 0:
+                    out.append(ConditionStarPair(chi.modulus, p, chi, real, 0))
     out.sort(key=ConditionStarPair.sort_key)
     return out
 
@@ -80,18 +124,21 @@ class ResidueReport:
     B_image: int
 
 
-def residue_mod_p(spec: FamilySpec, pair: ConditionStarPair,
-                  r: int) -> ResidueReport:
+def residue_mod_p(spec: FamilySpec, pair: ConditionStarPair, r: int,
+                  table: ClosedFormTable | None = None) -> ResidueReport:
     """Push A_chi(r), B_chi(r) through the realization and solve for n mod p.
 
+    table is closed_form_table(spec, pair.q, r), built here when not given.
     B mapping to 0 leaves nothing to divide by: with A also 0 the congruence
     holds identically (indeterminate), with A nonzero it has no solution at
     all (vacuous: no class-number-one member in this residue class).
     """
-    cf = closed_form_chi(spec, pair.q, pair.chi, r)
+    if table is None:
+        table = closed_form_table(spec, pair.q, r)
+    A_w, B_w = table.weights(pair.chi)
     p = pair.p
-    a_img = pair.realization.apply(cf.A_chi)
-    b_img = pair.realization.apply(cf.B_chi)
+    a_img = pair.realization.image(A_w)
+    b_img = pair.realization.image(B_w)
     if b_img == 0:
         status = "indeterminate" if a_img == 0 else "vacuous"
         return ResidueReport(spec.name, pair.q, pair.chi, pair.realization,
@@ -100,6 +147,22 @@ def residue_mod_p(spec: FamilySpec, pair: ConditionStarPair,
     residue = (pair.q * k_res + r) % p
     return ResidueReport(spec.name, pair.q, pair.chi, pair.realization,
                          r, "determined", residue, a_img, b_img)
+
+
+def residue_reports(spec: FamilySpec, q_max: int, p_max: int
+                    ) -> list[ResidueReport]:
+    """residue_mod_p for every pair of condition_star_search(q_max, p_max)
+    and every r mod its q, in that order.  The pairs come sorted by q, so
+    the q tables of one q are built once and dropped at the next q."""
+    _check_sieve_work(q_max, p_max, residues=True)
+    out: list[ResidueReport] = []
+    for q, group in groupby(condition_star_search(q_max, p_max),
+                            key=attrgetter("q")):
+        tables = [closed_form_table(spec, q, r) for r in range(q)]
+        for pair in group:
+            out.extend(residue_mod_p(spec, pair, r, tables[r])
+                       for r in range(q))
+    return out
 
 
 def factorization_oracle_check(spec: FamilySpec, n: int,

@@ -244,22 +244,30 @@ def gen_bernoulli_b1(chi: DirichletCharacter, disc: int = 1) -> CycloElement:
     psi = chi * (disc/.) of modulus f = q*disc.
 
     disc is a positive fundamental discriminant; the default 1 gives
-    B_{1,chi}.  Each a*(disc/a) is added to the bucket of chi(a)'s power of
-    zeta; (disc/.) is a character mod disc, read from a table of one period.
+    B_{1,chi}.  The sum is b1_weights(chi, disc) reduced once.
+    """
+    f = chi.modulus * disc
+    return cyclo_from_buckets(chi.order, b1_weights(chi, disc), Fraction(1, f))
+
+
+def b1_weights(chi: DirichletCharacter, disc: int = 1) -> list[int]:
+    """The integers w_j = sum a*(disc/a) over a = 1..q*disc with
+    chi(a) = zeta_o^j, o = chi.order: f*B_{1,psi} = sum_j w_j zeta_o^j.
+
+    (disc/.) is a character mod disc, read from a table of one period.
     """
     if disc < 1 or not _is_fundamental(disc):
         raise NotFundamental(
             f"{disc} is not a positive fundamental discriminant")
     q = chi.modulus
-    f = q * disc
     exps = char_exponents(chi)
     kron = [_kronecker_raw(disc, a) for a in range(disc)]
-    buckets = [0] * chi.order
-    for a in range(1, f + 1):
+    weights = [0] * chi.order
+    for a in range(1, q * disc + 1):
         k = exps[a % q]
         if k >= 0:
-            buckets[k] += a * kron[a % disc]
-    return cyclo_from_buckets(chi.order, buckets, Fraction(1, f))
+            weights[k] += a * kron[a % disc]
+    return weights
 
 
 @dataclass(frozen=True)
@@ -286,23 +294,34 @@ class ModPRealization:
             tp = tp * t % self.p
         return acc
 
+    def image(self, weights) -> int:
+        """The image of sum_j weights[j] * zeta_o^j for integer weights, by
+        Horner's rule at zeta_image.  zeta_image has order exactly o, so it
+        is a root of the o-th cyclotomic polynomial mod p and the weights
+        need no reduction first: this equals apply(cyclo_from_buckets(o,
+        weights))."""
+        t, p = self.zeta_image, self.p
+        acc = 0
+        for w in reversed(weights):
+            acc = (acc * t + w) % p
+        return acc
+
 
 def modp_realizations(chi: DirichletCharacter, p: int) -> list[ModPRealization]:
-    """One realization per order-o element of (Z/p)*; empty if o does not
-    divide p - 1."""
+    """One realization per element of exact order o = chi.order in (Z/p)*,
+    p prime, ascending; empty if o does not divide p - 1.
+
+    Those elements are h^k for 0 < k <= o with gcd(k, o) = 1, h any one of
+    them: h = t^((p-1)/o) for the least t that gives exact order o (for a
+    primitive root t it always does), so only o is factored, not p - 1.
+    """
     o = chi.order
     if (p - 1) % o:
         return []
-    out = []
+    primes_o = list(factorize(o))
     for t in range(1, p):
-        if _mult_order(t, p) == o:
-            out.append(ModPRealization(p, o, t))
-    return out
-
-
-def _mult_order(t: int, p: int) -> int:
-    k, acc = 1, t % p
-    while acc != 1:
-        acc = acc * t % p
-        k += 1
-    return k
+        h = pow(t, (p - 1) // o, p)
+        if all(pow(h, o // ell, p) != 1 for ell in primes_o):
+            break
+    return [ModPRealization(p, o, t) for t in sorted(
+        pow(h, k, p) for k in range(1, o + 1) if math.gcd(k, o) == 1)]

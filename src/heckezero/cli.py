@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .acceptance import run_all
 from .biro import (condition_star_search, factorization_oracle_check,
-                   residue_mod_p, yokoi_intro_ab)
+                   residue_reports, yokoi_intro_ab)
 from .cfrac import (MinusCF, PlusCF, evaluate_periodic, minus_expand,
                     plus_expand, plus_to_minus)
 from .characters import DirichletCharacter
@@ -179,18 +179,13 @@ def cmd_biro(args) -> dict:
                            "witness": p.witness} for p in pairs]}
     if args.biro_cmd == "residues":
         spec = load_family_config(args.family)
-        pairs = condition_star_search(args.q_max, args.p_max)
-        reports = []
-        for pair in pairs:
-            for r in range(pair.q):
-                rep = residue_mod_p(spec, pair, r)
-                reports.append({
-                    "family": rep.spec_name, "q": rep.q, "p": pair.p,
-                    "chi": rep.chi.identifier(),
-                    "zeta_image": rep.realization.zeta_image, "r": rep.r,
-                    "status": rep.status, "residue": rep.residue,
-                    "A_image": rep.A_image, "B_image": rep.B_image})
-        return {"family": spec.name, "reports": reports}
+        return {"family": spec.name, "reports": [
+            {"family": rep.spec_name, "q": rep.q, "p": rep.realization.p,
+             "chi": rep.chi.identifier(),
+             "zeta_image": rep.realization.zeta_image, "r": rep.r,
+             "status": rep.status, "residue": rep.residue,
+             "A_image": rep.A_image, "B_image": rep.B_image}
+            for rep in residue_reports(spec, args.q_max, args.p_max)]}
     # oracle
     spec = load_family_config(args.family)
     chi = DirichletCharacter.from_identifier(args.chi)

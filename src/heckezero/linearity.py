@@ -282,36 +282,66 @@ def hypothesis_check_norm(spec: FamilySpec, q: int, r: int, k_list) -> bool:
     return True
 
 
-def closed_form_chi(spec: FamilySpec, q: int, chi: DirichletCharacter,
-                    r: int) -> ClosedFormAB:
-    """Assemble A_chi(r), B_chi(r) = sum_{C,D} F_CD(r) * q^2 * (A_CD, B_CD).
+@dataclass(frozen=True)
+class ClosedFormTable:
+    """The character-free half of the closed forms at one (q, r).
 
-    F_CD is the character value of the norm residue, read off at the smallest
-    admissible n congruent to r; the norm-residue hypothesis is verified on
-    two samples first.
+    cells holds every q^2 (A_CD, B_CD); by_residue[a] sums the cells whose
+    norm residue u C^2 + v CD + w D^2 is a mod q, (u, v, w) the norm form
+    at the smallest admissible n = r mod q.
     """
-    if chi.modulus != q:
-        raise ValueError("character modulus must equal q")
+
+    cells: dict[tuple[int, int], tuple[int, int]]
+    by_residue: tuple[tuple[int, int], ...]
+
+    def weights(self, chi: DirichletCharacter) -> tuple[list[int], list[int]]:
+        """The integers (a_j, b_j) with A_chi = sum_j a_j zeta_o^j and
+        B_chi = sum_j b_j zeta_o^j, o = chi.order."""
+        exps = char_exponents(chi)
+        A_w = [0] * chi.order
+        B_w = [0] * chi.order
+        for (A, B), k in zip(self.by_residue, exps):
+            if k >= 0:
+                A_w[k] += A
+                B_w[k] += B
+        return A_w, B_w
+
+
+def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
+    """Read the norm form off the smallest admissible n congruent to r,
+    after verifying the norm-residue hypothesis on 2q + 2 samples from
+    there, and tabulate closed_form_cd over [1, q]^2."""
     n0 = smallest_admissible_n(spec, q, r)
     k0 = (n0 - r) // q
     if not hypothesis_check_norm(spec, q, r, range(k0, k0 + 2 * q + 2)):
         raise HypothesisFailed(
             f"norm residues mod {q} vary with k at r = {r}")
     u, v, w = norm_form(family_instance(spec, n0))
-    exps = char_exponents(chi)
     cells: dict[tuple[int, int], tuple[int, int]] = {}
-    A_buckets = [0] * chi.order
-    B_buckets = [0] * chi.order
+    sums = [[0, 0] for _ in range(q)]
     for C in range(1, q + 1):
         for D in range(1, q + 1):
             A, B = cells[(C, D)] = closed_form_cd(spec, q, r, C, D)
-            k = exps[(u * C * C + v * C * D + w * D * D) % q]
-            if k >= 0:
-                A_buckets[k] += A
-                B_buckets[k] += B
-    return ClosedFormAB(spec.name, q, chi, r, cells,
-                        cyclo_from_buckets(chi.order, A_buckets),
-                        cyclo_from_buckets(chi.order, B_buckets))
+            acc = sums[(u * C * C + v * C * D + w * D * D) % q]
+            acc[0] += A
+            acc[1] += B
+    return ClosedFormTable(cells, tuple((A, B) for A, B in sums))
+
+
+def closed_form_chi(spec: FamilySpec, q: int, chi: DirichletCharacter,
+                    r: int) -> ClosedFormAB:
+    """Assemble A_chi(r), B_chi(r) = sum_{C,D} F_CD(r) * q^2 * (A_CD, B_CD).
+
+    F_CD is the character value of the norm residue; closed_form_table
+    holds everything that does not depend on chi.
+    """
+    if chi.modulus != q:
+        raise ValueError("character modulus must equal q")
+    table = closed_form_table(spec, q, r)
+    A_w, B_w = table.weights(chi)
+    return ClosedFormAB(spec.name, q, chi, r, table.cells,
+                        cyclo_from_buckets(chi.order, A_w),
+                        cyclo_from_buckets(chi.order, B_w))
 
 
 @dataclass(frozen=True)

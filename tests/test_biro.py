@@ -4,17 +4,37 @@ from fractions import Fraction
 
 import pytest
 
-from heckezero.biro import (ConditionStarPair, ResidueReport, char_sum_a,
-                            condition_star_search, factorization_oracle_check,
-                            residue_mod_p, yokoi_intro_ab)
-from heckezero.characters import DirichletCharacter
+from heckezero import biro, linearity
+from heckezero.biro import (SIEVE_WORK_BOUND, ConditionStarPair,
+                            ResidueReport, condition_star_search,
+                            factorization_oracle_check, residue_mod_p,
+                            residue_reports, sieve_work, yokoi_intro_ab)
+from heckezero.characters import (DirichletCharacter, b1_weights,
+                                  char_invariants, enumerate_characters,
+                                  gen_bernoulli_b1, modp_realizations)
+from heckezero.cli import main
 from heckezero.errors import NarrowClassNotOne
-from heckezero.exact import CycloElement
-from heckezero.linearity import BUILTIN_FAMILIES
+from heckezero.exact import CycloElement, cyclo_from_buckets
+from heckezero.linearity import BUILTIN_FAMILIES, closed_form_chi
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
+
+
+def char_sum_a(chi: DirichletCharacter) -> CycloElement:
+    """sum a*chi(a) over a = 1..q from the search's integer weights."""
+    return cyclo_from_buckets(chi.order, b1_weights(chi))
+
+
+def _every_realization() -> list[ConditionStarPair]:
+    """Every realization of every odd primitive chi, q in {5, 7}, at a few
+    primes p, sorted by q like the search's pairs."""
+    return [ConditionStarPair(q, p, chi, real, 0)
+            for q in (5, 7) for chi in enumerate_characters(q)
+            if char_invariants(chi) == ("odd", q)
+            for p in (11, 13, 29, 31, 37)
+            for real in modp_realizations(chi, p)]
 
 
 class TestCharSum:
@@ -55,13 +75,19 @@ class TestSearch:
         assert a == sorted(a, key=ConditionStarPair.sort_key)
 
     def test_kill_property(self):
-        # every returned realization really sends the character sum to zero
+        # every returned realization really sends q*B_{1,chi} to zero
         for p in condition_star_search(7, 13):
-            assert p.realization.apply(char_sum_a(p.chi)) == 0
+            assert p.realization.apply(gen_bernoulli_b1(p.chi) * p.q) == 0
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             condition_star_search(2, 5)
+
+    def test_work_estimate(self):
+        # desk-scale runs stay well inside the budget (test_cli checks the
+        # refusals)
+        assert sieve_work(45, 401) < SIEVE_WORK_BOUND // 10
+        assert sieve_work(29, 61, residues=True) < SIEVE_WORK_BOUND // 4
 
 
 class TestResidue:
@@ -80,6 +106,51 @@ class TestResidue:
         rep = residue_mod_p(YOKOI, pair, 1)
         assert isinstance(rep, ResidueReport)
         assert rep.spec_name == "yokoi" and rep.q == 5 and rep.r == 1
+
+    @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=lambda s: s.name)
+    def test_shared_tables_match_per_pair(self, spec):
+        unshared = [residue_mod_p(spec, pair, r)
+                    for pair in condition_star_search(11, 61)
+                    for r in range(pair.q)]
+        assert len(unshared) > 100
+        assert residue_reports(spec, 11, 61) == unshared
+
+    @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=lambda s: s.name)
+    def test_shared_tables_every_realization(self, spec, monkeypatch):
+        # the search's own pairs above give only indeterminate reports, so
+        # feed every realization, killing or not, to see nonzero images;
+        # they must also match the reduced CycloElements of closed_form_chi
+        pairs = _every_realization()
+        monkeypatch.setattr(biro, "condition_star_search",
+                            lambda q_max, p_max: pairs)
+        shared = residue_reports(spec, 7, 37)
+        assert shared == [residue_mod_p(spec, pair, r)
+                          for pair in pairs for r in range(pair.q)]
+        assert {rep.status for rep in shared} >= {"determined", "vacuous"}
+        cfs = {}
+        for rep in shared:
+            if (rep.chi, rep.r) not in cfs:
+                cfs[(rep.chi, rep.r)] = closed_form_chi(spec, rep.q, rep.chi,
+                                                        rep.r)
+            cf = cfs[(rep.chi, rep.r)]
+            assert rep.A_image == rep.realization.apply(cf.A_chi)
+            assert rep.B_image == rep.realization.apply(cf.B_chi)
+
+    def test_closed_form_cd_calls(self, monkeypatch, capsys):
+        # one table per (q, r) for all pairs of that q: q = 5 and q = 7
+        # have pairs, so 5 * 5^2 + 7 * 7^2 cells
+        orig = linearity.closed_form_cd
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(linearity, "closed_form_cd", counted)
+        assert main(["biro", "residues", "--family", "yokoi",
+                     "--q-max", "7", "--p-max", "13"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 5 * 25 + 7 * 49 == 468
 
 
 class TestOracle:

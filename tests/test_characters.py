@@ -5,15 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from heckezero.characters import (DirichletCharacter, _unit_group, char_eval,
-                                  char_exponents, char_invariants,
-                                  enumerate_characters,
+from heckezero.characters import (DirichletCharacter, _unit_group,
+                                  b1_weights, char_eval, char_exponents,
+                                  char_invariants, enumerate_characters,
                                   gen_bernoulli_b1, is_primitive, kronecker,
                                   modp_realizations)
 from heckezero.errors import NotFundamental, ParseError
 from heckezero.exact import CycloElement
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
+
+
+def _mult_order(t: int, p: int) -> int:
+    """The multiplicative order of t mod p, by repeated multiplication."""
+    k, acc = 1, t % p
+    while acc != 1:
+        acc = acc * t % p
+        k += 1
+    return k
+
+
+def _odd_primes(n: int) -> list[int]:
+    """The odd primes up to n, by trial division."""
+    return [p for p in range(3, n + 1, 2)
+            if all(p % m for m in range(3, math.isqrt(p) + 1, 2))]
 
 
 class TestEnumeration:
@@ -169,3 +184,38 @@ class TestRealizations:
             y = char_eval(chi5, 4) - 2
             assert real.apply(x * y) == (real.apply(x) * real.apply(y)) % p
             assert real.apply(x + y) == (real.apply(x) + real.apply(y)) % p
+
+    @pytest.mark.parametrize("p", [2] + _odd_primes(211))
+    def test_exact_order_oracle(self, p):
+        # the character of exponent (p-1)/o mod p has order o
+        by_order: dict[int, list[int]] = {}
+        for t in range(1, p):
+            by_order.setdefault(_mult_order(t, p), []).append(t)
+        for o in range(1, p):
+            if (p - 1) % o:
+                continue
+            chi = DirichletCharacter(p, ((p - 1) // o,) if p > 2 else ())
+            assert chi.order == o
+            reals = modp_realizations(chi, p)
+            assert [r.zeta_image for r in reals] == by_order[o]
+            assert all(r.p == p and r.order == o for r in reals)
+
+    def test_no_realization_off_divisors(self):
+        chi5 = DirichletCharacter.from_identifier("q=5;gens=2:1")
+        assert modp_realizations(chi5, 7) == []
+
+    def test_image_matches_apply(self):
+        # the search's Horner image of the integer weights against the
+        # reduced CycloElement q*B_{1,chi}, for every odd primitive chi
+        checked = 0
+        for q in range(3, 22):
+            for chi in enumerate_characters(q):
+                if char_invariants(chi) != ("odd", q):
+                    continue
+                weights = b1_weights(chi)
+                total = gen_bernoulli_b1(chi) * q
+                for p in _odd_primes(61):
+                    for real in modp_realizations(chi, p):
+                        assert real.image(weights) == real.apply(total)
+                        checked += 1
+        assert checked > 300

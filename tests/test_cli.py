@@ -92,6 +92,23 @@ class TestBoundary:
         assert time.monotonic() - t0 < 1.0
         assert "200280098" in msg
 
+    @pytest.mark.parametrize("args", [
+        ["search", "--q-max", "3", "--p-max", "1000000000"],
+        ["search", "--q-max", "100001", "--p-max", "3"],
+        ["residues", "--family", "yokoi", "--q-max", "3",
+         "--p-max", "1000000000"],
+        ["residues", "--family", "yokoi", "--q-max", "100001",
+         "--p-max", "3"],
+        # a search this size is cheap, its closed-form tables are not
+        ["residues", "--family", "yokoi", "--q-max", "45", "--p-max", "3"],
+    ], ids=["search-p", "search-q", "residues-p", "residues-q",
+            "residues-tables"])
+    def test_sieve_work_budget(self, args, capsys):
+        t0 = time.monotonic()
+        msg = self.run_error(["biro", *args], capsys, "BoundExceeded")
+        assert time.monotonic() - t0 < 1.0
+        assert "sieve steps" in msg
+
     def test_field_d_zero(self, capsys):
         msg = self.run_error(["field", "--d", "0"], capsys)
         assert "must be > 1" in msg and "divisible" not in msg
