@@ -8,6 +8,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .biro import condition_star_search, residue_mod_p
 from .cfrac import (MinusCF, PlusCF, delta_sequence, evaluate_periodic,
@@ -16,9 +17,9 @@ from .characters import enumerate_characters, gen_bernoulli_b1
 from .errors import DegenerateWord, HeckeZeroError
 from .exact import QuadSurd
 from .kernels import zeta12_times
-from .linearity import (BUILTIN_FAMILIES, closed_form_cd, closed_form_chi,
-                        family_instance, family_minus_cf, gamma_tau,
-                        nu_sequence, verify_linearity)
+from .linearity import (BUILTIN_FAMILIES, admissible, closed_form_cd,
+                        closed_form_chi, family_minus_cf, nu_sequence,
+                        residue_word, verify_linearity)
 from .quadfield import class_numbers, make_field
 from .shintani import (partial_hecke_L_zero, partial_zeta_zero,
                        yamamoto_identity_residual, yamamoto_sequence)
@@ -145,7 +146,7 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     def run():
         yok = BUILTIN_FAMILIES["yokoi"]
-        A, B = closed_form_cd(yok, 3, 1, 1, 1)
+        A, B = closed_form_cd(yok, residue_word(yok, 3, 1), 1, 1)
         if (A, B) != (-12, -36):
             return False, f"closed form gave ({A}, {B}), want (-12, -36)"
         for k, n in ((0, 1), (2, 7), (4, 13)):
@@ -226,31 +227,24 @@ def criterion_10() -> CriterionResult:
                         (BUILTIN_FAMILIES["yokoi"], 5),
                         (BUILTIN_FAMILIES["rd-n2p1"], 5)):
             for r in range(q):
-                ns = []
-                n = r if r else q
-                while len(ns) < 2 and n < 200:
-                    try:
-                        family_instance(spec, n)
-                    except HeckeZeroError:
-                        pass
-                    else:
-                        if min(spec.a(i, n) for i in range(spec.s)) >= q:
-                            ns.append(n)
-                    n += q
+                rw = residue_word(spec, q, r)
+                ns = list(islice((q * k + r for k, _ in admissible(
+                    spec, q, r, range(200 // q))
+                    if min(spec.digits(q * k + r)) >= q), 2))
                 for n in ns:
                     mcf = family_minus_cf(spec, n)
                     samples = [(1, 1), (1, q), (q, 1), (2 % q + 1, 2 % q + 1)]
                     for C, D in samples:
                         # sequence invariants are enforced in __post_init__
                         seq = yamamoto_sequence(q, C, D, mcf)
-                        nus = nu_sequence(spec, q, r, C, D)
+                        X = nu_sequence(rw, C, D)
                         S = mcf.special_positions
                         # block bridge q x_{S_j + i} = q nu_{Gamma_j + i}
                         for j in range(len(S)):
-                            g = gamma_tau(spec, 2 * j + 1, r, q)[0]
+                            g = rw.gamma[(2 * j + 1) % spec.s]
                             for i in range(g + 1):
-                                if q * seq.x_at(S[j] + i) != nus.nu_at(
-                                        nus.Gamma[j] + i):
+                                if q * seq.x_at(S[j] + i) != \
+                                        X[rw.Gamma[j] + i + 1]:
                                     return False, (f"bridge broken q={q} "
                                                    f"r={r} n={n} j={j} i={i}")
                         # in-block period-q equality
@@ -266,7 +260,7 @@ def criterion_10() -> CriterionResult:
                     # every cell's closed form against the kernel
                     for C in range(1, q + 1):
                         for D in range(1, q + 1):
-                            A, B = closed_form_cd(spec, q, r, C, D)
+                            A, B = closed_form_cd(spec, rw, C, D)
                             if A + (n - r) // q * B != zeta12_times(
                                     q, C, D, list(mcf.period)):
                                 return False, (f"{spec.name} closed form "

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import (DegenerateWord, InternalInvariantError, NotPurelyPeriodic,
@@ -37,22 +36,16 @@ class PlusCF:
         return not self.preperiod
 
 
-def mu_factor(s: int) -> Fraction:
-    """1 for odd s, 1/2 for even s."""
-    return Fraction(1) if s % 2 else Fraction(1, 2)
-
-
 @dataclass(frozen=True)
 class MinusCF:
     """Eventually periodic minus continued fraction b0 - 1/(b1 - ...).
 
-    When produced by plus_to_minus, carries the plus period s and the special
-    positions S_j at which the digit exceeds 2.
+    When produced by minus_word, carries the special positions S_j at which
+    the digit exceeds 2.
     """
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
-    plus_period: int | None = None
     special_positions: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
@@ -72,11 +65,6 @@ class MinusCF:
     @property
     def m(self) -> int:
         return len(self.period)
-
-    def mu(self) -> Fraction:
-        if self.plus_period is None:
-            raise ValueError("not produced by plus_to_minus")
-        return mu_factor(self.plus_period)
 
     def rotated(self, k: int) -> MinusCF:
         """The word started at digit index k (cyclically)."""
@@ -127,39 +115,32 @@ def minus_expand(x: QuadSurd) -> MinusCF:
     return MinusCF(preperiod, period)
 
 
-def plus_to_minus(p: PlusCF) -> MinusCF:
-    """Convert a purely periodic plus word to the minus word of value + 1.
+def minus_word(a: tuple[int, ...]) -> MinusCF:
+    """The minus word of value + 1 for the purely periodic plus period a,
+    uncertified.
 
-    With plus period s, the minus period is m = a_1 + a_3 + ... + a_{s-1}
-    for even s and a_0 + ... + a_{s-1} for odd s; digits are a_{2j} + 2 at
-    the positions S_j = S_{j-1} + a_{2j-1} and 2 elsewhere.  All a-indices
-    wrap mod s.
+    With s = len(a), the minus period is m = a_1 + a_3 + ... + a_{s-1} for
+    even s and a_0 + ... + a_{s-1} for odd s; digits are a_{2j} + 2 at the
+    positions S_j = S_{j-1} + a_{2j-1} (S_0 = 0, j below s for odd s and
+    below s/2 for even s) and 2 elsewhere.  All a-indices wrap mod s.
     """
-    if not p.purely_periodic:
-        raise NotPurelyPeriodic("conversion needs a purely periodic plus word")
-    a = p.period
     s = len(a)
-    if s % 2:
-        m = sum(a)
-        # runtime check of the equivalent odd-s formula
-        if sum(a[(2 * i - 1) % s] for i in range(1, s + 1)) != m:
-            raise InternalInvariantError("odd-s period identities disagree")
-        n_special = s
-    else:
-        m = sum(a[i] for i in range(1, s, 2))
-        n_special = s // 2
-    positions = []
-    S = 0
-    for j in range(n_special):
-        if j > 0:
-            S += a[(2 * j - 1) % s]
-        positions.append(S)
+    positions = [0]
+    for j in range(1, s if s % 2 else s // 2):
+        positions.append(positions[-1] + a[(2 * j - 1) % s])
+    m = sum(a) if s % 2 else sum(a[1::2])
     digits = [2] * m
     for j, S in enumerate(positions):
         digits[S] = a[(2 * j) % s] + 2
-    out = MinusCF((), tuple(digits), plus_period=s,
-                  special_positions=tuple(positions))
-    # certify: the conversion must satisfy minus value = plus value + 1
+    return MinusCF((), tuple(digits), special_positions=tuple(positions))
+
+
+def plus_to_minus(p: PlusCF) -> MinusCF:
+    """minus_word of a purely periodic plus word, certified: the minus value
+    must equal the plus value + 1."""
+    if not p.purely_periodic:
+        raise NotPurelyPeriodic("conversion needs a purely periodic plus word")
+    out = minus_word(p.period)
     if evaluate_periodic(out) != evaluate_periodic(p) + 1:
         raise InternalInvariantError("plus_to_minus certification failed")
     return out

@@ -10,9 +10,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import NotFundamental, ParseError
+from .errors import BoundExceeded, NotFundamental, ParseError
 from .exact import (CycloElement, cyclo_from_buckets, euler_phi, factorize,
                     is_squarefree)
+from .kernels import KERNEL_STEP_BOUND
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +124,12 @@ class DirichletCharacter:
             raise ParseError(f"bad character identifier {s!r}") from exc
         if q < 1:
             raise ParseError(f"character modulus must be >= 1, got q = {q}")
+        # an L-value mod q sums at least q^2 kernel steps, so past this
+        # modulus none fits the budget; refused before the phi(q) table
+        if q > math.isqrt(KERNEL_STEP_BOUND):
+            raise BoundExceeded(
+                f"modulus q = {q}: q^2 kernel steps exceed "
+                f"{KERNEL_STEP_BOUND}")
         gens, orders, _ = _unit_group(q)
         exps = [0] * len(gens)
         for g, e in pairs:
@@ -142,7 +149,9 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
             for exps in product(*(range(n) for n in orders))]
 
 
-@lru_cache(maxsize=None)
+# room for the 423 tables of the perfbench family workload; unbounded, a
+# sieve search would keep one for every character of every odd q <= q_max
+@lru_cache(maxsize=1024)
 def char_exponents(chi: DirichletCharacter) -> tuple[int, ...]:
     """Entry a (0 <= a < q) is the k with chi(a) = zeta_o^k, o = chi.order,
     or -1 when a is not a unit mod q."""

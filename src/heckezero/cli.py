@@ -25,13 +25,15 @@ from .biro import (condition_star_search, factorization_oracle_check,
 from .cfrac import (MinusCF, PlusCF, evaluate_periodic, minus_expand,
                     plus_expand, plus_to_minus)
 from .characters import DirichletCharacter
-from .errors import HeckeZeroError, InternalInvariantError, ParseError, \
-    ValidationError
+from .errors import (CFMismatch, DeltaOutOfRange, HeckeZeroError,
+                     InternalInvariantError, NoAdmissibleN, NotSquarefree,
+                     ParseError, SpecInconsistent, ValidationError)
 from .exact import (QuadSurd, cyclo_to_dict, quadsurd_to_dict,
                     rational_to_str)
-from .linearity import (BUILTIN_FAMILIES, FamilySpec, closed_form_chi,
+from .linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT, FamilySpec,
+                        closed_form_chi, family_instance,
                         family_spec_from_dict, hypothesis_check_norm,
-                        smallest_admissible_n, verify_linearity)
+                        verify_linearity)
 from .quadfield import check_radicand, class_numbers, make_field
 from .shintani import partial_hecke_L_zero
 
@@ -40,9 +42,10 @@ DISPLAY_DIGITS = 30
 
 def _decimal_display(x: Fraction) -> str:
     """30-significant-digit decimal rendering; never authoritative."""
-    from decimal import Decimal, getcontext
-    getcontext().prec = DISPLAY_DIGITS
-    return str(Decimal(x.numerator) / Decimal(x.denominator))
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec = DISPLAY_DIGITS
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 def _cyclo_payload(x) -> dict:
@@ -65,14 +68,17 @@ def load_family_config(name_or_path: str) -> FamilySpec:
             raise ParseError(f"{name_or_path}:{exc.lineno}:{exc.colno}: "
                              f"{exc.msg}") from exc
     spec = family_spec_from_dict(obj)
-    # check the declared invariants on the first admissible member
-    from .errors import CFMismatch, SpecInconsistent
-    try:
-        n0 = smallest_admissible_n(spec, 1, 0)
-    except CFMismatch as exc:
-        raise SpecInconsistent(str(exc)) from exc
-    del n0
-    return spec
+    # the declared digits must hold at the first n >= 1 that passes the
+    # radicand, n-constraint and reducedness checks
+    for n in range(1, N_SEARCH_LIMIT + 1):
+        try:
+            family_instance(spec, n)
+        except CFMismatch as exc:
+            raise SpecInconsistent(str(exc)) from exc
+        except (NotSquarefree, DeltaOutOfRange):
+            continue
+        return spec
+    raise NoAdmissibleN(f"no admissible n up to {N_SEARCH_LIMIT}")
 
 
 def _parse_surd(text: str, d: int) -> QuadSurd:

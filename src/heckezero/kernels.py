@@ -8,6 +8,10 @@ X_i = q*x_i in [1, q], Y_i = q*y_i = q - X_{i-1}, and the returned value is
 
 from __future__ import annotations
 
+# q^2 * m kernel steps for a minus period of length m, about a microsecond
+# each; the largest benchmark L-value takes about 10^5.
+KERNEL_STEP_BOUND = 10 ** 8
+
 
 def zeta12_times(q: int, C: int, D: int, digits) -> int:
     m = len(digits)

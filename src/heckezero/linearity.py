@@ -1,5 +1,6 @@
 """Parametrized families of fields and the linearity machinery: instance
-construction, the residue data gamma/tau/Gamma, the nu-sequence, per-cell
+construction and the walk over admissible members, the residue word
+(gamma, tau, Gamma and its minus word), the nu-sequence, per-cell
 closed-form coefficients, their character assembly, and the verifier that
 pits the closed forms against the direct engine.
 """
@@ -9,13 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import MinusCF, mu_factor, plus_expand, plus_to_minus
+from .cfrac import MinusCF, PlusCF, minus_word, plus_expand, plus_to_minus
 from .characters import DirichletCharacter, char_exponents
-from .errors import (CFMismatch, DeltaOutOfRange, HypothesisFailed,
-                     InsufficientSamples, NoAdmissibleN, NotSquarefree,
-                     ParseError)
+from .errors import (BoundExceeded, CFMismatch, DeltaOutOfRange,
+                     HypothesisFailed, InsufficientSamples, NoAdmissibleN,
+                     NotSquarefree, ParseError)
 from .exact import CycloElement, QuadSurd, cyclo_from_buckets, residue_1q
+from .kernels import KERNEL_STEP_BOUND
 from .quadfield import check_radicand, norm_form
+from .shintani import partial_hecke_L_zero
 
 N_SEARCH_LIMIT = 10_000
 
@@ -72,6 +75,10 @@ class FamilySpec:
     def alpha(self, i: int) -> int:
         return self.acf[i % self.s][0]
 
+    def digits(self, n: int) -> tuple[int, ...]:
+        """The plus period (a_0(n), ..., a_{s-1}(n))."""
+        return tuple(alpha * n + beta for alpha, beta in self.acf)
+
 
 def _poly(coeffs, n: int) -> int:
     acc = 0
@@ -127,80 +134,85 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
     if not (delta > 2 and 0 < delta.conj() < 1):
         raise DeltaOutOfRange(f"delta({n}) = {delta} is not reduced")
     pcf = plus_expand(delta - 1)
-    expect = tuple(spec.a(i, n) for i in range(spec.s))
+    expect = spec.digits(n)
     if pcf.preperiod or pcf.period != expect:
         raise CFMismatch(
             f"delta({n})-1 expands to {pcf}, family digits say {expect}")
     return delta
 
 
+def admissible(spec: FamilySpec, q: int, r: int, ks):
+    """Yield (k, delta(n)) for each k in ks whose n = qk + r >= 1 passes
+    family_instance, in the order of ks."""
+    for k in ks:
+        n = q * k + r
+        if n < 1:
+            continue
+        try:
+            yield k, family_instance(spec, n)
+        except (NotSquarefree, DeltaOutOfRange, CFMismatch):
+            continue
+
+
 def family_minus_cf(spec: FamilySpec, n: int) -> MinusCF:
-    """The minus expansion of delta(n), with the plus word attached."""
-    return plus_to_minus(plus_expand(
-        QuadSurd(_poly(spec.u_coeffs, n), _poly(spec.v_coeffs, n),
-                 spec.w, spec.f(n)) - 1))
-
-
-def gamma_tau(spec: FamilySpec, i: int, r: int, q: int) -> tuple[int, int]:
-    """gamma_i(r) in [1, q] and tau_i(r) with a_i(r) = q*tau + gamma."""
-    a = spec.a(i, r)
-    g = residue_1q(a, q)
-    return g, (a - g) // q
+    """The minus word of the family's plus digits at n: the minus expansion
+    of delta(n) wherever family_instance accepts n."""
+    return plus_to_minus(PlusCF((), spec.digits(n)))
 
 
 @dataclass(frozen=True)
-class NuSequence:
-    """The residue-level shadow of the lattice recursion, scaled by q like
-    the kernel.
+class ResidueWord:
+    """The residue-level shadow of the family's words at n = qk + r.
 
-    X[i] holds q*nu_{i-1} in [1, q]; Gamma[j] are the block boundaries;
-    gamma/tau index the digit functions 0..s-1 at the residue r.
+    a_i(r) = q tau_i + gamma_i with gamma_i in [1, q]; word is the minus
+    word of the plus period gamma, with digits gamma_{2j} + 2 at the block
+    boundaries Gamma_j and 2 elsewhere, and Gamma ends with Gamma_L, the
+    length of word.
     """
 
-    X: tuple[int, ...]
-    Gamma: tuple[int, ...]
+    q: int
     gamma: tuple[int, ...]
     tau: tuple[int, ...]
-
-    def nu_at(self, i: int) -> int:
-        """q*nu_i for i >= -1."""
-        return self.X[i + 1]
+    word: MinusCF
+    Gamma: tuple[int, ...]
 
 
-def nu_sequence(spec: FamilySpec, q: int, r: int, C: int, D: int) -> NuSequence:
-    """Run nu_{i+1} = <c_i nu_i - nu_{i-1}> out to Gamma_{s*mu(s)} on the
-    integers X_i = q*nu_i.
+def residue_word(spec: FamilySpec, q: int, r: int) -> ResidueWord:
+    a = spec.digits(r)
+    gamma = tuple(residue_1q(x, q) for x in a)
+    word = minus_word(gamma)
+    return ResidueWord(q, gamma,
+                       tuple((x - g) // q for x, g in zip(a, gamma)),
+                       word, word.special_positions + (word.m,))
 
-    c_i = gamma_{2j}(r) + 2 at the block boundary i = Gamma_j, else 2.
-    The seeds are nu_{-1} = <1 - C/q> and nu_0 = <D/q>.
+
+def nu_sequence(rw: ResidueWord, C: int, D: int) -> list[int]:
+    """Run nu_{i+1} = <c_i nu_i - nu_{i-1}> over the residue word (c_i its
+    digits) on the integers X_i = q*nu_i; entry i + 1 holds X_i, from
+    i = -1 to Gamma_L.  The seeds are nu_{-1} = <1 - C/q> and nu_0 = <D/q>.
     """
-    s = spec.s
-    L = int(s * mu_factor(s))
-    gam = tuple(gamma_tau(spec, i, r, q)[0] for i in range(s))
-    tau = tuple(gamma_tau(spec, i, r, q)[1] for i in range(s))
-    Gamma = [0]
-    for j in range(1, L + 1):
-        Gamma.append(Gamma[-1] + gam[(2 * j - 1) % s])
-    boundaries = {g: j for j, g in enumerate(Gamma)}
+    q = rw.q
     X = [(q - C - 1) % q + 1, (D - 1) % q + 1]
-    for i in range(Gamma[-1]):
-        c = gam[(2 * boundaries[i]) % s] + 2 if i in boundaries else 2
+    for c in rw.word.period:
         X.append((c * X[-1] - X[-2] - 1) % q + 1)
-    return NuSequence(tuple(X), tuple(Gamma), gam, tau)
+    return X
 
 
-def closed_form_cd(spec: FamilySpec, q: int, r: int, C: int, D: int
+def closed_form_cd(spec: FamilySpec, rw: ResidueWord, C: int, D: int
                    ) -> tuple[int, int]:
     """The integers (q^2 A_CD(r), q^2 B_CD(r)), where (A + kB)/(12 q^2) =
-    Z(C, D) at n = qk + r: the paper's Bernoulli-value formula term for term
-    on x = q*nu, with b1(x) = 2q B_1(x/q), b2(x) = 6q^2 B_2(x/q) and
+    Z(C, D) at n = qk + r, rw = residue_word(spec, q, r): the paper's
+    Bernoulli-value formula term for term on x = q*nu, with
+    b1(x) = 2q B_1(x/q), b2(x) = 6q^2 B_2(x/q) and
     dl = q*<nu_{Gamma_l + 1} - nu_{Gamma_l}>.  Its floors y - <y> become dl
     (nu lies in (0, 1]) and (x + dl (g - 1) - 1) // q.
     """
-    s = spec.s
-    L = int(s * mu_factor(s))
-    seq = nu_sequence(spec, q, r, C, D)
-    nu, Gamma, gam, tau = seq.nu_at, seq.Gamma, seq.gamma, seq.tau
+    q, gam, tau, Gamma = rw.q, rw.gamma, rw.tau, rw.Gamma
+    s = len(gam)
+    X = nu_sequence(rw, C, D)
+
+    def nu(i: int) -> int:
+        return X[i + 1]
 
     def b1(x: int) -> int:
         return 2 * x - q
@@ -209,42 +221,30 @@ def closed_form_cd(spec: FamilySpec, q: int, r: int, C: int, D: int
         return 6 * x * x - 6 * q * x + q * q
 
     A = B = 0
-    for l in range(1, L + 1):
+    for l in range(1, len(Gamma)):
         x = nu(Gamma[l])
-        A += -3 * b1(x) * b1(nu(Gamma[l] - 1)) + (spec.a(2 * l, r) + 2) * b2(x)
-        B += q * spec.alpha(2 * l) * b2(x)
-    for l in range(L):
-        g = gam[(2 * l + 1) % s]
-        t = tau[(2 * l + 1) % s]
+        i = 2 * l % s
+        A += (-3 * b1(x) * b1(nu(Gamma[l] - 1))
+              + (q * tau[i] + gam[i] + 2) * b2(x))
+        B += q * spec.alpha(i) * b2(x)
+    for l in range(len(Gamma) - 1):
+        i = (2 * l + 1) % s
+        g = gam[i]
         base = nu(Gamma[l])
         dl = (nu(Gamma[l] + 1) - base - 1) % q + 1
         full = q * (6 * q * dl - 6 * dl * dl - q * q)
         A += (6 * ((g - 1) * dl * dl
                    + q * (q - 2 * dl) * ((base + dl * (g - 1) - 1) // q))
               + b2(nu(Gamma[l + 1] - 1)) - b2(base)
-              - q * q * (g - 1) + t * full)
-        B += spec.alpha(2 * l + 1) * full
+              - q * q * (g - 1) + tau[i] * full)
+        B += spec.alpha(i) * full
     return A, B
 
 
-def smallest_admissible_n(spec: FamilySpec, q: int, r: int,
-                          require_min_digit: bool = False) -> int:
-    """The least n = qk + r, k >= 0, where family_instance succeeds (and,
-    optionally, min_i a_i(n) >= q)."""
-    n = r if r >= 1 else r + q
-    if q == 1 and r == 0:
-        n = 1
-    while n <= N_SEARCH_LIMIT:
-        try:
-            family_instance(spec, n)
-        except (NotSquarefree, DeltaOutOfRange, CFMismatch):
-            n += q
-            continue
-        if require_min_digit and min(
-                spec.a(i, n) for i in range(spec.s)) < q:
-            n += q
-            continue
-        return n
+def smallest_admissible_n(spec: FamilySpec, q: int, r: int) -> int:
+    """The least n = qk + r >= 1, k >= 0, where family_instance succeeds."""
+    for k, _ in admissible(spec, q, r, range((N_SEARCH_LIMIT - r) // q + 1)):
+        return q * k + r
     raise NoAdmissibleN(
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")
 
@@ -262,24 +262,28 @@ class ClosedFormAB:
     B_chi: CycloElement
 
 
+def common_norm_form(q: int, deltas) -> tuple[int, int, int] | None:
+    """The norm form mod q shared by every delta, or None at the first that
+    differs; InsufficientSamples with fewer than two deltas.
+
+    u C^2 + v CD + w D^2 mod q read at (1, q), (q, 1) and (1, 1) gives u, w
+    and u + v + w mod q, so two norm residue tables over [1, q]^2 agree
+    exactly when the forms agree mod q.
+    """
+    forms = []
+    for delta in deltas:
+        forms.append(tuple(c % q for c in norm_form(delta)))
+        if forms[-1] != forms[0]:
+            return None
+    if len(forms) < 2:
+        raise InsufficientSamples("need at least 2 admissible k")
+    return forms[0]
+
+
 def hypothesis_check_norm(spec: FamilySpec, q: int, r: int, k_list) -> bool:
     """Is the norm residue table over [1,q]^2 the same for every sampled k?"""
-    tables = []
-    for k in k_list:
-        n = q * k + r
-        try:
-            delta = family_instance(spec, n)
-        except (NotSquarefree, DeltaOutOfRange, CFMismatch):
-            continue
-        # u C^2 + v CD + w D^2 mod q read at (1, q), (q, 1) and (1, 1)
-        # gives u, w and u + v + w mod q, so two tables over [1, q]^2 agree
-        # exactly when the coefficients agree mod q
-        tables.append(tuple(c % q for c in norm_form(delta)))
-        if len(tables) > 1 and tables[-1] != tables[0]:
-            return False
-    if len(tables) < 2:
-        raise InsufficientSamples("need at least 2 admissible k")
-    return True
+    return common_norm_form(
+        q, (delta for _, delta in admissible(spec, q, r, k_list))) is not None
 
 
 @dataclass(frozen=True)
@@ -288,7 +292,7 @@ class ClosedFormTable:
 
     cells holds every q^2 (A_CD, B_CD); by_residue[a] sums the cells whose
     norm residue u C^2 + v CD + w D^2 is a mod q, (u, v, w) the norm form
-    at the smallest admissible n = r mod q.
+    mod q of the members n = r mod q.
     """
 
     cells: dict[tuple[int, int], tuple[int, int]]
@@ -308,20 +312,30 @@ class ClosedFormTable:
 
 
 def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
-    """Read the norm form off the smallest admissible n congruent to r,
-    after verifying the norm-residue hypothesis on 2q + 2 samples from
-    there, and tabulate closed_form_cd over [1, q]^2."""
-    n0 = smallest_admissible_n(spec, q, r)
-    k0 = (n0 - r) // q
-    if not hypothesis_check_norm(spec, q, r, range(k0, k0 + 2 * q + 2)):
+    """Tabulate closed_form_cd over [1, q]^2, summed per norm residue of the
+    norm form mod q that the 2q + 2 members from the smallest admissible
+    n = r mod q share.
+
+    Refuses q^2 * (length of the residue word) above KERNEL_STEP_BOUND
+    before any member is built.
+    """
+    rw = residue_word(spec, q, r)
+    if q * q * rw.word.m > KERNEL_STEP_BOUND:
+        raise BoundExceeded(
+            f"q^2 * {rw.word.m} = {q * q * rw.word.m} closed-form steps "
+            f"exceed {KERNEL_STEP_BOUND}")
+    k0 = (smallest_admissible_n(spec, q, r) - r) // q
+    form = common_norm_form(q, (delta for _, delta in admissible(
+        spec, q, r, range(k0, k0 + 2 * q + 2))))
+    if form is None:
         raise HypothesisFailed(
             f"norm residues mod {q} vary with k at r = {r}")
-    u, v, w = norm_form(family_instance(spec, n0))
+    u, v, w = form
     cells: dict[tuple[int, int], tuple[int, int]] = {}
     sums = [[0, 0] for _ in range(q)]
     for C in range(1, q + 1):
         for D in range(1, q + 1):
-            A, B = cells[(C, D)] = closed_form_cd(spec, q, r, C, D)
+            A, B = cells[(C, D)] = closed_form_cd(spec, rw, C, D)
             acc = sums[(u * C * C + v * C * D + w * D * D) % q]
             acc[0] += A
             acc[1] += B
@@ -369,29 +383,15 @@ def verify_linearity(spec: FamilySpec, q: int, chi: DirichletCharacter,
     Uses only admissible k with min_i a_i(qk+r) >= q; needs at least three.
     The line is fitted from the first two points and the verdicts are
     independent booleans: every remaining point on the line exactly; the
-    fitted pair equals (A_chi, B_chi); the norm-residue hypothesis holds.
+    fitted pair equals (A_chi, B_chi); the norm-residue hypothesis holds on
+    the members used.
     """
-    from .shintani import partial_hecke_L_zero
     ks = sorted(set(k_list))
-    used: list[int] = []
-    skipped: list[int] = []
-    vals: list[CycloElement] = []
-    for k in ks:
-        n = q * k + r
-        if n < 1:
-            skipped.append(k)
-            continue
-        try:
-            delta = family_instance(spec, n)
-        except (NotSquarefree, DeltaOutOfRange, CFMismatch):
-            skipped.append(k)
-            continue
-        if min(spec.a(i, n) for i in range(spec.s)) < q:
-            skipped.append(k)
-            continue
-        used.append(k)
-        L = partial_hecke_L_zero(delta, chi)
-        vals.append(L * (12 * q * q))
+    members = [(k, delta) for k, delta in admissible(spec, q, r, ks)
+               if min(spec.digits(q * k + r)) >= q]
+    used = [k for k, _ in members]
+    vals = [partial_hecke_L_zero(delta, chi) * (12 * q * q)
+            for _, delta in members]
     if len(used) < 3:
         raise InsufficientSamples(
             f"need >= 3 admissible k with digits >= q, got {len(used)}")
@@ -401,7 +401,8 @@ def verify_linearity(spec: FamilySpec, q: int, chi: DirichletCharacter,
                  for k, v in zip(used[2:], vals[2:]))
     cf = closed_form_chi(spec, q, chi, r)
     match = intercept == cf.A_chi and slope == cf.B_chi
-    hyp = hypothesis_check_norm(spec, q, r, used)
-    return LinearityReport(spec.name, q, chi, r, tuple(used), tuple(skipped),
+    hyp = common_norm_form(q, (delta for _, delta in members)) is not None
+    return LinearityReport(spec.name, q, chi, r, tuple(used),
+                           tuple(k for k in ks if k not in used),
                            tuple(vals), intercept, slope, cf.A_chi, cf.B_chi,
                            affine, match, hyp)

@@ -15,12 +15,8 @@ from .errors import (BoundExceeded, DeltaOutOfRange, IdealNotCoprime,
                      InternalInvariantError)
 from .exact import (QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos,
                     residue_1q)
-from .kernels import zeta12_times
+from .kernels import KERNEL_STEP_BOUND, zeta12_times
 from .quadfield import FieldData, norm_form
-
-# q^2 * m kernel steps for a minus period of length m, about a microsecond
-# each; the largest benchmark L-value takes about 10^5.
-KERNEL_STEP_BOUND = 10 ** 8
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,11 @@
 """Plus/minus continued fractions: expansion, conversion, evaluation."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckezero.cfrac import (MinusCF, PlusCF, delta_sequence,
-                             evaluate_periodic, minus_expand, mu_factor,
+                             evaluate_periodic, minus_expand, minus_word,
                              plus_expand, plus_to_minus, surd_walk)
 from heckezero.errors import (DegenerateWord, NotPurelyPeriodic,
                               RationalInput)
@@ -129,8 +127,6 @@ class TestPlusToMinus:
     def test_conversion_word(self):
         m = plus_to_minus(PlusCF((), (2, 3)))
         assert m.period == (4, 2, 2)
-        assert m.plus_period == 2
-        assert m.mu() == Fraction(1, 2)
 
     def test_special_positions(self):
         m = plus_to_minus(PlusCF((), (2, 3)))
@@ -156,14 +152,7 @@ class TestPlusToMinus:
             return
         m2 = minus_expand(x + 1)
         assert m1.period == m2.period
-
-
-class TestMu:
-    def test_values(self):
-        assert mu_factor(1) == 1
-        assert mu_factor(3) == 1
-        assert mu_factor(2) == Fraction(1, 2)
-        assert mu_factor(6) == Fraction(1, 2)
+        assert minus_word(p.period) == m1
 
 
 class TestDeltaSequence:

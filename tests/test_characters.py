@@ -10,8 +10,10 @@ from heckezero.characters import (DirichletCharacter, _unit_group,
                                   char_invariants, enumerate_characters,
                                   gen_bernoulli_b1, is_primitive, kronecker,
                                   modp_realizations)
-from heckezero.errors import NotFundamental, ParseError
+from heckezero.biro import condition_star_search
+from heckezero.errors import BoundExceeded, NotFundamental, ParseError
 from heckezero.exact import CycloElement
+from heckezero.kernels import KERNEL_STEP_BOUND
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 
@@ -91,6 +93,20 @@ class TestExponents:
         for ident in ("q=0;gens=", "q=-3;gens="):
             with pytest.raises(ParseError):
                 DirichletCharacter.from_identifier(ident)
+
+    def test_modulus_bound(self):
+        # an L-value mod q takes at least q^2 kernel steps, so the largest
+        # modulus accepted is the largest q with q^2 within the budget
+        q_max = math.isqrt(KERNEL_STEP_BOUND)
+        assert q_max ** 2 <= KERNEL_STEP_BOUND < (q_max + 1) ** 2
+        with pytest.raises(BoundExceeded):
+            DirichletCharacter.from_identifier(f"q={q_max + 1};gens=")
+
+    def test_cache_bounded_after_search(self):
+        char_exponents.cache_clear()
+        condition_star_search(101, 3)
+        info = char_exponents.cache_info()
+        assert info.currsize <= info.maxsize == 1024 < info.misses
 
 
 class TestInvariants:

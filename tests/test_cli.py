@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, envelopes, output formats."""
 
+import decimal
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heckezero import cli, quadfield
+from heckezero import cli, linearity, quadfield
 from heckezero.acceptance import CriterionResult
 from heckezero.cli import main
 
@@ -84,13 +85,14 @@ class TestBoundary:
         assert time.monotonic() - t0 < 1.0
 
     def test_lvalue_work_budget(self, capsys):
-        # q^2 * m = 10007^2 * 2 kernel steps, twice the budget
+        # q^2 * m = 9973^2 * 2 kernel steps, twice the budget; 9973 is the
+        # largest prime modulus the character parser accepts
         t0 = time.monotonic()
         msg = self.run_error(["lvalue", "--d", "2", "--delta", "2,1,1",
-                              "--chi", "q=10007;gens=5:1"],
+                              "--chi", "q=9973;gens=11:1"],
                              capsys, "BoundExceeded")
         assert time.monotonic() - t0 < 1.0
-        assert "200280098" in msg
+        assert "198921458" in msg
 
     @pytest.mark.parametrize("args", [
         ["search", "--q-max", "3", "--p-max", "1000000000"],
@@ -108,6 +110,35 @@ class TestBoundary:
         msg = self.run_error(["biro", *args], capsys, "BoundExceeded")
         assert time.monotonic() - t0 < 1.0
         assert "sieve steps" in msg
+
+    @pytest.mark.parametrize("args", [
+        ["lvalue", "--d", "5", "--delta", "3,1,2",
+         "--chi", "q=200003;gens=2:1"],
+        ["lvalue", "--d", "5", "--delta", "3,1,2",
+         "--chi", "q=1000000007;gens=5:1"],
+        # q^2 * 1007 = 1.03e9 closed-form steps, before any member is built
+        ["linearity", "closed-form", "--family", "yokoi",
+         "--chi", "q=1009;gens=11:1", "--r", "1007"],
+    ], ids=["lvalue-q200003", "lvalue-q1000000007", "closed-form-q1009"])
+    def test_modulus_and_table_budgets(self, args, capsys):
+        t0 = time.monotonic()
+        self.run_error(args, capsys, "BoundExceeded")
+        assert time.monotonic() - t0 < 1.0
+
+    def test_inconsistent_family_file(self, tmp_path, capsys):
+        # Yokoi's delta with its digits declared as 2n: delta(1) - 1 = [[1]]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({
+            "name": "yokoi-2n", "f_coeffs": [4, 0, 1],
+            "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": 2},
+            "acf": [{"alpha": 2, "beta": 0}],
+            "n_constraints": {"parity": "odd"}}))
+        t0 = time.monotonic()
+        msg = self.run_error(["linearity", "verify", "--family", str(f),
+                              "--chi", "q=3;gens=2:1", "--r", "1",
+                              "--k", "0,1,2,3"], capsys, "SpecInconsistent")
+        assert time.monotonic() - t0 < 1.0
+        assert "delta(1)-1" in msg and "(2,)" in msg
 
     def test_field_d_zero(self, capsys):
         msg = self.run_error(["field", "--d", "0"], capsys)
@@ -184,6 +215,12 @@ class TestLValue:
         approx = doc["results"]["value"]["display_decimal_approx"]
         assert approx.startswith("0.6666666666")
 
+    def test_caller_decimal_context_unchanged(self, capsys):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 28
+            run_json(LVALUE_ARGS, capsys)
+            assert decimal.getcontext().prec == 28
+
 
 class TestCF:
     def test_convert(self, capsys):
@@ -216,6 +253,23 @@ class TestLinearity:
         cells = doc["results"]["cells"]
         assert len(cells) == 9
         assert cells[0] == {"C": 1, "D": 1, "A_CD": "-4/3", "B_CD": "-4"}
+
+    def test_verify_q11_member_builds(self, monkeypatch, capsys):
+        # 10 samples, the walk to the smallest admissible n = 2 mod 11 and
+        # the 2q + 2 = 24 members of the hypothesis window
+        orig = linearity.family_instance
+        calls = []
+
+        def counted(spec, n):
+            calls.append(n)
+            return orig(spec, n)
+
+        monkeypatch.setattr(linearity, "family_instance", counted)
+        code, doc = run_json(["linearity", "verify", "--family", "yokoi",
+                              "--chi", "q=11;gens=2:1", "--r", "2",
+                              "--k", "0,1,2,3,4,5,6,7,8,9"], capsys)
+        assert code == 0 and doc["results"]["verdicts"]["closed_form_match"]
+        assert len(calls) <= 36
 
 
 class TestBiro:

@@ -1,16 +1,21 @@
 """Families, closed forms per cell, and the affine-in-n verification."""
 
+from dataclasses import replace
+
 import pytest
 
+from heckezero import linearity
+from heckezero.cfrac import PlusCF, plus_to_minus
 from heckezero.characters import DirichletCharacter, enumerate_characters
 from heckezero.errors import (DeltaOutOfRange, InsufficientSamples,
                               NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd
 from heckezero.kernels import zeta12_times
-from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_cd,
-                                 closed_form_chi, family_instance,
-                                 family_minus_cf, family_spec_from_dict,
-                                 gamma_tau, hypothesis_check_norm, nu_sequence,
+from heckezero.linearity import (BUILTIN_FAMILIES, admissible,
+                                 closed_form_cd, closed_form_chi,
+                                 family_instance, family_minus_cf,
+                                 family_spec_from_dict, hypothesis_check_norm,
+                                 nu_sequence, residue_word,
                                  smallest_admissible_n, verify_linearity)
 from heckezero.shintani import partial_zeta_zero
 
@@ -22,6 +27,16 @@ PAIRED = family_spec_from_dict({
     "name": "paired", "f_coeffs": [2, 0, 1],
     "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": 2},
     "acf": [{"alpha": 1, "beta": 0}, {"alpha": 2, "beta": 0}]})
+# s = 3 and s = 4 digit functions; family_minus_cf and the closed forms read
+# only acf, so the radicand and delta are Yokoi's placeholders
+TRIPLE = replace(YOKOI, name="triple", acf=((1, 0), (2, 1), (1, 2)))
+QUAD = replace(YOKOI, name="quad", acf=((1, 1), (1, 0), (2, 0), (1, 3)))
+
+
+def first_with_digits_at_least_q(spec, q, r):
+    """The least admissible n = qk + r, k < 20, whose digits are all >= q."""
+    return next(q * k + r for k, _ in admissible(spec, q, r, range(20))
+                if min(spec.digits(q * k + r)) >= q)
 
 
 class TestFamilySpecs:
@@ -84,80 +99,96 @@ class TestFamilyJSON:
                 "acf": [], "n_constraints": {}})
 
 
-class TestGammaTau:
+class TestResidueWord:
     def test_yokoi_q3(self):
         # a_0(r) = r; gamma in [1, q], tau the quotient
-        assert gamma_tau(YOKOI, 0, 1, 3) == (1, 0)
-        assert gamma_tau(YOKOI, 0, 3, 3) == (3, 0)
-        assert gamma_tau(YOKOI, 0, 0, 3) == (3, -1)
+        for r, g, t in ((1, 1, 0), (3, 3, 0), (0, 3, -1)):
+            rw = residue_word(YOKOI, 3, r)
+            assert (rw.gamma, rw.tau) == ((g,), (t,))
 
     def test_reconstruction(self):
-        for spec in (YOKOI, RDN):
+        for spec in (YOKOI, RDN, PAIRED, TRIPLE, QUAD):
             for q in (3, 5):
                 for r in range(q):
-                    for i in range(2 * spec.s):
-                        g, t = gamma_tau(spec, i, r, q)
-                        assert 1 <= g <= q
-                        assert spec.a(i, r) == g + t * q
+                    rw = residue_word(spec, q, r)
+                    for i in range(spec.s):
+                        assert 1 <= rw.gamma[i] <= q
+                        assert spec.a(i, r) == rw.gamma[i] + rw.tau[i] * q
+                    # the word is the certified conversion of gamma, and
+                    # Gamma its special positions closed by its length
+                    word = plus_to_minus(PlusCF((), rw.gamma))
+                    assert rw.word == word
+                    assert rw.Gamma == word.special_positions + (word.m,)
 
 
 class TestNuSequence:
     def test_seed(self):
-        ns = nu_sequence(YOKOI, 3, 1, 1, 1)
-        assert ns.nu_at(-1) == 2        # 3 * nu_{-1} = 3 * (2/3)
-        assert ns.nu_at(0) == 1         # 3 * nu_0 = 3 * (1/3)
+        X = nu_sequence(residue_word(YOKOI, 3, 1), 1, 1)
+        assert X[:2] == [2, 1]      # 3 * nu_{-1} = 3 * (2/3), 3 * nu_0 = 1
 
     def test_matches_digit_orbit(self):
         # at an admissible n the nu orbit is the x orbit of the actual word
         from heckezero.shintani import yamamoto_sequence
         q, r = 3, 1
-        n = smallest_admissible_n(YOKOI, q, r, require_min_digit=True)
-        mcf = family_minus_cf(YOKOI, n)
+        rw = residue_word(YOKOI, q, r)
+        mcf = family_minus_cf(YOKOI, first_with_digits_at_least_q(YOKOI, q, r))
         for C in range(1, q + 1):
             for D in range(1, q + 1):
-                ns = nu_sequence(YOKOI, q, r, C, D)
-                seq = yamamoto_sequence(q, C, D, mcf,
-                                        steps=len(ns.Gamma))
-                for i in range(min(len(ns.Gamma), 3)):
-                    assert ns.nu_at(i) == q * seq.x_at(i)
+                X = nu_sequence(rw, C, D)
+                seq = yamamoto_sequence(q, C, D, mcf, steps=len(rw.Gamma))
+                for i in range(min(len(rw.Gamma), 3)):
+                    assert X[i + 1] == q * seq.x_at(i)
 
 
 class TestClosedFormCD:
     def test_oracle_cell(self):
-        A, B = closed_form_cd(YOKOI, 3, 1, 1, 1)
+        A, B = closed_form_cd(YOKOI, residue_word(YOKOI, 3, 1), 1, 1)
         assert (A, B) == (-12, -36)     # 9 * (-4/3, -4)
+
+    @pytest.mark.parametrize("spec", [YOKOI, PAIRED, TRIPLE, QUAD],
+                             ids=lambda spec: f"s{spec.s}")
+    @pytest.mark.parametrize("q", [3, 4, 5, 7])
+    def test_every_word_with_digits_at_least_q(self, spec, q):
+        # the closed forms are a property of the word: they hold at every
+        # n = qk + r whose digits are >= q, admissible or not
+        checked = 0
+        for r in range(q):
+            rw = residue_word(spec, q, r)
+            words = {k: family_minus_cf(spec, q * k + r).period
+                     for k in range(5)
+                     if min(spec.digits(q * k + r)) >= q}
+            assert len(words) >= 3
+            for C in range(1, q + 1):
+                for D in range(1, q + 1):
+                    A, B = closed_form_cd(spec, rw, C, D)
+                    for k, word in words.items():
+                        assert A + k * B == zeta12_times(q, C, D, word)
+                        checked += 1
+        assert checked >= 3 * q ** 3
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_matches_finite_differences(self, q):
         for r in range(q):
             for C in range(1, q + 1):
                 for D in range(1, q + 1):
-                    A, B = closed_form_cd(YOKOI, q, r, C, D)
+                    A, B = closed_form_cd(YOKOI, residue_word(YOKOI, q, r),
+                                          C, D)
                     for k in (0, 1, 3):
                         n = q * k + r
-                        try:
-                            mcf = family_minus_cf(YOKOI, n)
-                        except Exception:
+                        if min(YOKOI.digits(n)) < q:
                             continue
-                        if min(mcf.period) < q:
-                            continue
-                        z = partial_zeta_zero(q, C, D, mcf)
+                        z = partial_zeta_zero(q, C, D,
+                                              family_minus_cf(YOKOI, n))
                         assert A + k * B == 12 * q * q * z
 
     def test_rd_family_cell(self):
         for r in range(3):
             for C in range(1, 4):
                 for D in range(1, 4):
-                    A, B = closed_form_cd(RDN, 3, r, C, D)
+                    A, B = closed_form_cd(RDN, residue_word(RDN, 3, r), C, D)
                     for k in (2, 4):
                         n = 3 * k + r
-                        try:
-                            mcf = family_minus_cf(RDN, n)
-                        except Exception:
-                            continue
-                        if min(mcf.period) < 3:
-                            continue
-                        z = partial_zeta_zero(3, C, D, mcf)
+                        z = partial_zeta_zero(3, C, D, family_minus_cf(RDN, n))
                         assert A + k * B == 12 * 9 * z
 
 
@@ -232,7 +263,8 @@ class TestEvenPeriod:
             assert len(words) >= 2
             for C in range(1, q + 1):
                 for D in range(1, q + 1):
-                    A, B = closed_form_cd(PAIRED, q, r, C, D)
+                    A, B = closed_form_cd(PAIRED,
+                                          residue_word(PAIRED, q, r), C, D)
                     for k, word in words.items():
                         assert A + k * B == zeta12_times(q, C, D, word)
 
@@ -249,10 +281,25 @@ class TestEvenPeriod:
 
 class TestAdmissibility:
     def test_smallest(self):
-        assert smallest_admissible_n(YOKOI, 3, 1, False) == 1
-        assert smallest_admissible_n(YOKOI, 3, 0, False) == 3
-        n = smallest_admissible_n(YOKOI, 5, 1, require_min_digit=True)
+        assert smallest_admissible_n(YOKOI, 3, 1) == 1
+        assert smallest_admissible_n(YOKOI, 3, 0) == 3
+        n = first_with_digits_at_least_q(YOKOI, 5, 1)
         assert n % 5 == 1 and n % 2 == 1 and n >= 5
+
+    def test_walk_skips_n_below_one_first(self, monkeypatch):
+        # n = -2 is skipped before any check, n = 4 fails the radicand
+        seen = []
+        orig = linearity.family_instance
+
+        def counted(spec, n):
+            seen.append(n)
+            return orig(spec, n)
+
+        monkeypatch.setattr(linearity, "family_instance", counted)
+        members = list(admissible(YOKOI, 3, -2, range(4)))
+        assert [k for k, _ in members] == [1, 3]       # n = 1 and n = 7
+        assert members[0][1] == family_instance(YOKOI, 1)
+        assert seen[:3] == [1, 4, 7]
 
     def test_hypothesis_check(self):
         assert hypothesis_check_norm(YOKOI, 3, 1, range(0, 8))
