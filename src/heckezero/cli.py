@@ -233,6 +233,13 @@ def _csv_flatten(payload: dict) -> str:
     raise ValidationError("this payload has no flat table to export as csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError on a bad argument; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once.  --out/--format live in common only; their defaults come
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="append the JSON report to this file")
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hecke-zero", parents=[common],
         description="Exact values at s=0 of partial Hecke L-functions of "
                     "real quadratic fields")
@@ -333,16 +340,10 @@ def run_command(argv) -> int:
 def main(argv=None) -> int:
     try:
         return run_command(sys.argv[1:] if argv is None else argv)
-    except InternalInvariantError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    except (ValidationError, HeckeZeroError, ValueError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+    except (HeckeZeroError, ValueError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        return 3 if isinstance(exc, InternalInvariantError) else 2
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .cfrac import MinusCF, PlusCF, minus_word, plus_expand, plus_to_minus
 from .characters import DirichletCharacter, char_exponents
@@ -241,10 +242,12 @@ def closed_form_cd(spec: FamilySpec, rw: ResidueWord, C: int, D: int
     return A, B
 
 
-def smallest_admissible_n(spec: FamilySpec, q: int, r: int) -> int:
-    """The least n = qk + r >= 1, k >= 0, where family_instance succeeds."""
-    for k, _ in admissible(spec, q, r, range((N_SEARCH_LIMIT - r) // q + 1)):
-        return q * k + r
+def smallest_admissible_n(spec: FamilySpec, q: int, r: int
+                          ) -> tuple[int, QuadSurd]:
+    """(n, delta(n)) at the least admissible n = qk + r >= 1, k >= 0."""
+    for k, delta in admissible(
+            spec, q, r, range((N_SEARCH_LIMIT - r) // q + 1)):
+        return q * k + r, delta
     raise NoAdmissibleN(
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")
 
@@ -324,9 +327,11 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
         raise BoundExceeded(
             f"q^2 * {rw.word.m} = {q * q * rw.word.m} closed-form steps "
             f"exceed {KERNEL_STEP_BOUND}")
-    k0 = (smallest_admissible_n(spec, q, r) - r) // q
-    form = common_norm_form(q, (delta for _, delta in admissible(
-        spec, q, r, range(k0, k0 + 2 * q + 2))))
+    n0, delta0 = smallest_admissible_n(spec, q, r)
+    k0 = (n0 - r) // q
+    window = admissible(spec, q, r, range(k0 + 1, k0 + 2 * q + 2))
+    form = common_norm_form(
+        q, chain([delta0], (delta for _, delta in window)))
     if form is None:
         raise HypothesisFailed(
             f"norm residues mod {q} vary with k at r = {r}")

@@ -1,6 +1,6 @@
 """Real quadratic field data: integral basis, units, the norm form of
-b = [1, delta]^{-1}, class numbers by reduced-form enumeration, and ideal
-lattices kept as the test oracle of the norm form.
+b = [1, delta]^{-1}, class numbers by counting plus cycles of reduced surds,
+and ideal lattices kept as the test oracle of the norm form.
 """
 
 from __future__ import annotations
@@ -258,65 +258,34 @@ def norm_form(delta: QuadSurd) -> tuple[int, int, int]:
 
 
 def class_numbers(F: FieldData) -> tuple[int, int]:
-    """(h, h_plus) of F by enumerating cycles of reduced indefinite forms.
-
-    The form class number of discriminant D equals the narrow class number
-    h_plus; h follows from the norm of the fundamental unit.
-    """
+    """(h, h_plus) of F.  h counts the cycles of the plus step on the reduced
+    x = (P + sqrt(D))/Q (x > 1, -1 < x' < 0): two share a cycle exactly when
+    they are GL_2(Z)-equivalent, that is when the lattices [1, x] lie in one
+    wide ideal class (Cohen, A Course in Computational Algebraic Number
+    Theory, 5.6).  h_plus = h if N(eps0) = -1, else 2h; every cycle length l
+    must satisfy (-1)^l = N(eps0)."""
     if F.d > CLASS_NUMBER_BOUND:
         raise BoundExceeded(f"d = {F.d} exceeds {CLASS_NUMBER_BOUND}")
     D = F.discriminant
-    sq = math.isqrt(D)
-
-    def reduced(a: int, b: int) -> bool:
-        # |sqrt(D) - 2|a|| < b < sqrt(D), exact in integers
-        if b <= 0 or b * b >= D:
-            return False
-        if (b + 2 * abs(a)) ** 2 <= D:
-            return False
-        t = 2 * abs(a) - b
-        return t < 0 or t * t < D
-
-    forms = set()
-    for b in range(1, sq + 1):
-        if (D - b * b) % 4:
-            continue
-        ac = (b * b - D) // 4  # negative
-        for a in range(1, math.isqrt(-ac) + 1):
-            if ac % a:
-                continue
-            c = ac // a
-            for (aa, cc) in ((a, c), (-a, -c), (c, a), (-c, -a)):
-                if reduced(aa, b):
-                    forms.add((aa, b, cc))
-
-    def rho(form):
-        a, b, c = form
-        # b' = -b mod 2c chosen with sqrt(D) - 2|c| < b' < sqrt(D)
-        step = 2 * abs(c)
-        b2 = (-b) % step
-        while b2 * b2 >= D or (b2 + 2 * abs(c)) ** 2 <= D:
-            b2 += step
-            if b2 > D:
-                raise InternalInvariantError("reduction step failed")
-        c2 = (b2 * b2 - D) // (4 * c)
-        return (c, b2, c2)
-
-    h_plus = 0
-    remaining = set(forms)
-    while remaining:
-        h_plus += 1
-        start = next(iter(remaining))
-        f = start
-        while True:
-            remaining.discard(f)
-            f = rho(f)
-            if f == start:
-                break
-    if F.fund_unit_norm == -1:
-        h = h_plus
-    else:
-        if h_plus % 2:
-            raise InternalInvariantError("odd form count with N(eps0) = +1")
-        h = h_plus // 2
-    return h, h_plus
+    s = math.isqrt(D)
+    states = set()
+    for P in range(2 - D % 2, s + 1, 2):
+        N = (D - P * P) // 4
+        for a in range(1, math.isqrt(N) + 1):
+            if N % a == 0:
+                states.update((P, Q) for Q in (2 * a, 2 * N // a)
+                              if s - P < Q <= s + P)
+    h = 0
+    while states:
+        h += 1
+        P, Q = start = states.pop()
+        length = 0
+        while not length or (P, Q) != start:
+            P = (P + s) // Q * Q - P
+            Q = (D - P * P) // Q
+            states.discard((P, Q))
+            length += 1
+        if (-1) ** length != F.fund_unit_norm:
+            raise InternalInvariantError(
+                f"cycle length {length}, N(eps0) = {F.fund_unit_norm}")
+    return h, h if F.fund_unit_norm == -1 else 2 * h

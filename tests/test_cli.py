@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, envelopes, output formats."""
 
+import contextlib
 import decimal
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckezero import cli, linearity, quadfield
 from heckezero.acceptance import CriterionResult
@@ -145,14 +149,25 @@ class TestBoundary:
         assert "must be > 1" in msg and "divisible" not in msg
 
     def test_lvalue_q_option_removed(self, capsys):
-        with pytest.raises(SystemExit):
-            main(LVALUE_ARGS + ["--q", "7"])
-        capsys.readouterr()
+        msg = self.run_error(LVALUE_ARGS + ["--q", "7"], capsys, "ParseError")
+        assert "--q" in msg
 
     def test_lvalue_ideal_option_removed(self, capsys):
-        with pytest.raises(SystemExit):
-            main(LVALUE_ARGS + ["--ideal", "1,0,1,1"])
-        capsys.readouterr()
+        msg = self.run_error(LVALUE_ARGS + ["--ideal", "1,0,1,1"], capsys,
+                             "ParseError")
+        assert "--ideal" in msg
+
+    def test_bad_int_argument(self, capsys):
+        msg = self.run_error(["lvalue", "--d", "x", "--delta", "1,1",
+                              "--chi", "q=3;gens=2:1"], capsys, "ParseError")
+        assert "invalid int value: 'x'" in msg
+
+    @pytest.mark.parametrize("args", [["--help"], ["biro", "oracle", "-h"]])
+    def test_help_exits_zero(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert "usage: hecke-zero" in capsys.readouterr().out
 
 
 class TestEnvelope:
@@ -337,6 +352,72 @@ class TestFamilyFile:
                            "--chi", "q=3;gens=2:1", "--r", "1",
                            "--k", "0,1,2,3,4,5,6,7"], capsys)
         assert code == 2
+
+
+def _options(**values):
+    """argv fragments: every --option, each left out about one time in six
+    (a left-out required option is a parse error); None is a bare flag."""
+    dropped = st.sampled_from([False] * 5 + [True])
+    return st.tuples(*(
+        st.tuples(st.just("--" + name.replace("_", "-")), dropped, v)
+        for name, v in values.items()
+    )).map(lambda opts: [t for flag, drop, v in opts if not drop
+                         for t in (flag,) + (() if v is None else (v,))])
+
+
+_INT = st.sampled_from([str(i) for i in range(-3, 61)] + ["x", "", "1.5"])
+_D = st.sampled_from(["2", "3", "5", "13"]) | _INT
+_WORD = st.lists(st.integers(-1, 9).map(str), max_size=4).map(",".join) \
+    | st.sampled_from(["a,b", "2,1,1", "3,1,2", "5,1,2", "7,1,1"])
+_CHI = st.one_of(
+    st.sampled_from(["q=3;gens=2:1", "q=4;gens=3:1", "q=5;gens=2:1",
+                     "q=7;gens=3:2", "q=11;gens=2:1"]),
+    st.integers(1, 12).map("q={};gens=".format),
+    st.builds("q={};gens={}:{}".format, st.integers(1, 12),
+              st.integers(0, 12), st.integers(-2, 12)),
+    st.sampled_from(["q=x;gens=", "q=3", "chi"]))
+_FAMILY = st.sampled_from(["yokoi", "rd-n2p1"] * 3 + ["no/such/family.json"])
+_R = st.integers(-2, 12).map(str)
+_KS = st.lists(st.integers(0, 9).map(str), max_size=5).map(",".join)
+_KIND = st.sampled_from(["plus", "minus", "neither"])
+_QMAX = st.integers(-1, 9).map(str)
+_PMAX = st.integers(-1, 30).map(str)
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just(["field"]), _options(d=_D)),
+    st.tuples(st.just(["cf", "expand"]),
+              _options(d=_D, surd=_WORD, kind=_KIND)),
+    st.tuples(st.just(["cf", "convert"]), _options(plus=_WORD)),
+    st.tuples(st.just(["cf", "eval"]), _options(word=_WORD, kind=_KIND)),
+    st.tuples(st.just(["lvalue"]), _options(d=_D, delta=_WORD, chi=_CHI)),
+    st.tuples(st.sampled_from([["linearity", name] for name in
+                               ("verify", "closed-form", "hypothesis")]),
+              _options(family=_FAMILY, chi=_CHI, r=_R, k=_KS)),
+    st.tuples(st.just(["biro", "search"]),
+              _options(q_max=_QMAX, p_max=_PMAX)),
+    st.tuples(st.just(["biro", "residues"]),
+              _options(family=_FAMILY, q_max=_QMAX, p_max=_PMAX)),
+    st.tuples(st.just(["biro", "oracle"]),
+              _options(family=_FAMILY, n=_INT, chi=_CHI, intro_ab=st.none())),
+    st.tuples(st.sampled_from([[], ["biro"], ["bogus"]]), st.just([])))
+
+
+@settings(deadline=None, max_examples=150)
+@given(command=_COMMANDS,
+       extra=st.sampled_from([[], ["--format", "csv"], ["--format", "xml"],
+                              ["--bogus"]]))
+def test_fuzz_argument_fragments(command, extra):
+    words, options = command
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(words + options + extra)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
 
 def test_console_script_selftest():

@@ -281,8 +281,9 @@ class TestEvenPeriod:
 
 class TestAdmissibility:
     def test_smallest(self):
-        assert smallest_admissible_n(YOKOI, 3, 1) == 1
-        assert smallest_admissible_n(YOKOI, 3, 0) == 3
+        assert smallest_admissible_n(YOKOI, 3, 1)[0] == 1
+        assert smallest_admissible_n(YOKOI, 3, 0) == (
+            3, family_instance(YOKOI, 3))
         n = first_with_digits_at_least_q(YOKOI, 5, 1)
         assert n % 5 == 1 and n % 2 == 1 and n >= 5
 
@@ -300,6 +301,24 @@ class TestAdmissibility:
         assert [k for k, _ in members] == [1, 3]       # n = 1 and n = 7
         assert members[0][1] == family_instance(YOKOI, 1)
         assert seen[:3] == [1, 4, 7]
+
+    def test_smallest_member_built_once(self, monkeypatch):
+        # the walk to the smallest admissible n = 7 mod 11 (k0 = 2, three
+        # builds) hands its member on to the 2q + 2 = 24-member window
+        seen = []
+        orig = linearity.family_instance
+
+        def counted(spec, n):
+            seen.append(n)
+            return orig(spec, n)
+
+        monkeypatch.setattr(linearity, "family_instance", counted)
+        linearity.closed_form_table(RDN, 11, 7)
+        assert len(seen) == 26 and len(set(seen)) == 26
+        seen.clear()
+        chi = DirichletCharacter.from_identifier("q=11;gens=2:1")
+        verify_linearity(RDN, 11, chi, 7, range(10))
+        assert len(seen) == 36
 
     def test_hypothesis_check(self):
         assert hypothesis_check_norm(YOKOI, 3, 1, range(0, 8))

@@ -89,6 +89,23 @@ class TestClassNumbers:
         else:
             assert h_plus == 2 * h
 
+    def test_sweep(self):
+        # every squarefree 1 < d < 2000; the aggregates were recorded from
+        # the reduced-form enumeration that the cycle count replaced
+        values = []
+        for d in range(2, 2000):
+            if not is_squarefree(d):
+                continue
+            F = make_field(d)
+            h, h_plus = class_numbers(F)
+            assert h_plus == (h if F.fund_unit_norm == -1 else 2 * h)
+            values.append((h, h_plus))
+        assert len(values) == 1214
+        assert sum(h_plus == 1 for _, h_plus in values) == 132
+        assert sum(h for h, _ in values) == 2878
+        assert sum(h_plus for _, h_plus in values) == 5108
+        assert max(values) == (14, 28)
+
 
 class TestIdealLattice:
     def test_maximal_order(self):
