@@ -1,5 +1,6 @@
-"""Dirichlet characters mod q with exact cyclotomic values, generalized
-Bernoulli numbers, Kronecker characters and mod-p realizations.
+"""Dirichlet characters mod q as exponent tables over the powers of zeta_o,
+generalized Bernoulli numbers twisted by a real quadratic character, and
+mod-p realizations.
 """
 
 from __future__ import annotations
@@ -96,13 +97,6 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def __mul__(self, other: DirichletCharacter) -> DirichletCharacter:
-        if self.modulus != other.modulus:
-            raise ValueError("character product needs equal moduli")
-        return DirichletCharacter(
-            self.modulus,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def conjugate(self) -> DirichletCharacter:
         return DirichletCharacter(self.modulus,
                                   tuple(-e for e in self.exponents))
@@ -138,9 +132,6 @@ class DirichletCharacter:
             exps[gens.index(g)] = e
         return DirichletCharacter(q, tuple(exps))
 
-    def __call__(self, a: int) -> CycloElement:
-        return char_eval(self, a)
-
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) Dirichlet characters mod q."""
@@ -170,14 +161,6 @@ def char_exponents(chi: DirichletCharacter) -> tuple[int, ...]:
     return tuple(out)
 
 
-def char_eval(chi: DirichletCharacter, a: int) -> CycloElement:
-    """chi(a) as an exact cyclotomic number (0 off the units)."""
-    k = char_exponents(chi)[a % chi.modulus]
-    if k < 0:
-        return CycloElement.zero(chi.order)
-    return CycloElement.zeta_power(chi.order, k)
-
-
 def char_invariants(chi: DirichletCharacter) -> tuple[str, int]:
     """(parity, conductor): parity from chi(-1), conductor the smallest
     f | q through which chi factors."""
@@ -191,22 +174,11 @@ def char_invariants(chi: DirichletCharacter) -> tuple[str, int]:
     raise RuntimeError("conductor search failed")  # pragma: no cover
 
 
-def is_primitive(chi: DirichletCharacter) -> bool:
-    return char_invariants(chi)[1] == chi.modulus
-
-
 def _divisors(n: int) -> list[int]:
     out = [1]
     for p, k in factorize(n).items():
         out = [d * p ** e for d in out for e in range(k + 1)]
     return out
-
-
-def kronecker(D: int, b: int) -> int:
-    """Kronecker symbol (D/b) for a fundamental discriminant D."""
-    if not _is_fundamental(D):
-        raise NotFundamental(f"{D} is not a fundamental discriminant")
-    return _kronecker_raw(D, b)
 
 
 def _is_fundamental(D: int) -> bool:

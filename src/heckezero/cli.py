@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -82,18 +83,23 @@ def load_family_config(name_or_path: str) -> FamilySpec:
 
 
 def _parse_surd(text: str, d: int) -> QuadSurd:
-    parts = [int(t) for t in text.split(",")]
+    parts = list(_parse_ints(text))
     if len(parts) == 2:
         parts.append(1)
     if len(parts) != 3:
-        raise ValidationError("surd must be a,b[,c] for (a+b*sqrt(d))/c")
+        raise ParseError(
+            f"surd {text!r} must be a,b[,c] for (a+b*sqrt(d))/c")
     if parts[2] == 0:
-        raise ValidationError("surd denominator c must be nonzero")
+        raise ParseError(f"surd {text!r}: denominator c must be nonzero")
     return QuadSurd(parts[0], parts[1], parts[2], d)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ParseError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_field(args) -> dict:
@@ -113,6 +119,7 @@ def cmd_field(args) -> dict:
 
 def cmd_cf(args) -> dict:
     if args.cf_cmd == "expand":
+        check_radicand(args.d)
         x = _parse_surd(args.surd, args.d)
         if args.kind == "plus":
             w = plus_expand(x)
@@ -235,6 +242,14 @@ def _csv_flatten(payload: dict) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """Raises ParseError on a bad argument; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a value that starts with "-" for an option name
+        # unless it looks like a negative number, so "--k -2,9" and
+        # "--surd -1,1" would fail; comma lists of integers count as numbers
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")

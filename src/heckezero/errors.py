@@ -39,10 +39,6 @@ class UnitMismatch(HeckeZeroError):
     """Product of the cone ratios does not equal the totally positive unit."""
 
 
-class NotAnIdeal(ValidationError):
-    """The lattice is not a fractional ideal of the maximal order."""
-
-
 class IncompatiblePair(ValidationError):
     """[1, delta] is not an ideal of the maximal order O, so no ideal b
     satisfies b*[1, delta] = O (or a given b does not)."""

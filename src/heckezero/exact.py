@@ -287,18 +287,6 @@ class QuadSurd:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, n: int) -> QuadSurd:
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadSurd.from_rational(1, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def sign(self) -> int:
         return surd_sign(self)
 
@@ -313,20 +301,6 @@ class QuadSurd:
 
     def __ge__(self, other):
         return (self - other).sign() >= 0
-
-    def floor(self) -> int:
-        """Exact floor under the embedding sqrt(d) > 0."""
-        # initial float-free guess from integer sqrt, then exact fix-up
-        s = math.isqrt(self.b * self.b * self.d) * (1 if self.b >= 0 else -1)
-        n = (self.a + s) // self.c
-        while self - (n + 1) >= 0:
-            n += 1
-        while self - n < 0:
-            n -= 1
-        return n
-
-    def ceil(self) -> int:
-        return -((-self).floor())
 
     def coords(self, omega: QuadSurd) -> tuple[Fraction, Fraction]:
         """Rational (u, v) with self = u + v*omega; omega must be irrational."""
@@ -556,22 +530,9 @@ def rational_to_str(x: Rational | int) -> str:
         else str(x.numerator)
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def quadsurd_to_dict(x: QuadSurd) -> dict:
     return {"a": x.a, "b": x.b, "c": x.c, "d": x.d}
 
 
-def quadsurd_from_dict(obj: dict) -> QuadSurd:
-    return QuadSurd(obj["a"], obj["b"], obj["c"], obj["d"])
-
-
 def cyclo_to_dict(x: CycloElement) -> dict:
     return {"order": x.order, "coeffs": [rational_to_str(c) for c in x.coeffs]}
-
-
-def cyclo_from_dict(obj: dict) -> CycloElement:
-    return CycloElement(obj["order"],
-                        tuple(Fraction(c) for c in obj["coeffs"]))

@@ -19,7 +19,7 @@ from .errors import (BoundExceeded, CFMismatch, DeltaOutOfRange,
 from .exact import CycloElement, QuadSurd, cyclo_from_buckets, residue_1q
 from .kernels import KERNEL_STEP_BOUND
 from .quadfield import check_radicand, norm_form
-from .shintani import partial_hecke_L_zero
+from .shintani import check_delta_hypotheses, partial_hecke_L_zero
 
 N_SEARCH_LIMIT = 10_000
 
@@ -132,8 +132,7 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
         raise DeltaOutOfRange(f"n = {n} violates the family's n constraints")
     delta = QuadSurd(_poly(spec.u_coeffs, n), _poly(spec.v_coeffs, n),
                      spec.w, f)
-    if not (delta > 2 and 0 < delta.conj() < 1):
-        raise DeltaOutOfRange(f"delta({n}) = {delta} is not reduced")
+    check_delta_hypotheses(delta)
     pcf = plus_expand(delta - 1)
     expect = spec.digits(n)
     if pcf.preperiod or pcf.period != expect:
@@ -256,10 +255,6 @@ def smallest_admissible_n(spec: FamilySpec, q: int, r: int
 class ClosedFormAB:
     """Character-assembled closed forms with the per-cell table kept."""
 
-    spec_name: str
-    q: int
-    chi: DirichletCharacter
-    r: int
     cells: dict[tuple[int, int], tuple[int, int]]   # q^2 (A_CD, B_CD)
     A_chi: CycloElement
     B_chi: CycloElement
@@ -358,17 +353,12 @@ def closed_form_chi(spec: FamilySpec, q: int, chi: DirichletCharacter,
         raise ValueError("character modulus must equal q")
     table = closed_form_table(spec, q, r)
     A_w, B_w = table.weights(chi)
-    return ClosedFormAB(spec.name, q, chi, r, table.cells,
-                        cyclo_from_buckets(chi.order, A_w),
+    return ClosedFormAB(table.cells, cyclo_from_buckets(chi.order, A_w),
                         cyclo_from_buckets(chi.order, B_w))
 
 
 @dataclass(frozen=True)
 class LinearityReport:
-    spec_name: str
-    q: int
-    chi: DirichletCharacter
-    r: int
     k_used: tuple[int, ...]
     k_skipped: tuple[int, ...]
     scaled_values: tuple[CycloElement, ...]   # 12 q^2 L per used k
@@ -407,7 +397,6 @@ def verify_linearity(spec: FamilySpec, q: int, chi: DirichletCharacter,
     cf = closed_form_chi(spec, q, chi, r)
     match = intercept == cf.A_chi and slope == cf.B_chi
     hyp = common_norm_form(q, (delta for _, delta in members)) is not None
-    return LinearityReport(spec.name, q, chi, r, tuple(used),
-                           tuple(k for k in ks if k not in used),
+    return LinearityReport(tuple(used), tuple(k for k in ks if k not in used),
                            tuple(vals), intercept, slope, cf.A_chi, cf.B_chi,
                            affine, match, hyp)

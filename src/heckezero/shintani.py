@@ -1,6 +1,6 @@
 """The L-value engine: the lattice-translation recursion, per-(C,D) partial
-zeta values at s=0, the full partial Hecke L-value, and the identity checkers
-backing it.
+zeta values at s=0, the full partial Hecke L-value, and the cone-ratio
+identity residual that selftest checks.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
 from .characters import DirichletCharacter, char_exponents
 from .errors import (BoundExceeded, DeltaOutOfRange, IdealNotCoprime,
                      InternalInvariantError)
-from .exact import (QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos,
-                    residue_1q)
+from .exact import QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos
 from .kernels import KERNEL_STEP_BOUND, zeta12_times
 from .quadfield import FieldData, norm_form
 
@@ -46,10 +45,6 @@ class YamamotoSeq:
         v = 1 - self.x_at(i - 1)
         return v if v != 1 else Fraction(0)
 
-    @property
-    def steps(self) -> int:
-        return len(self.x) - 2
-
 
 def yamamoto_sequence(q: int, C: int, D: int, mcf: MinusCF,
                       steps: int | None = None) -> YamamotoSeq:
@@ -78,21 +73,6 @@ def partial_zeta_zero(q: int, C: int, D: int, mcf: MinusCF) -> Fraction:
     integer kernel; 12*q^2*Z is always an integer.
     """
     return Fraction(zeta12_times(q, C, D, list(mcf.period)), 12 * q * q)
-
-
-def partial_zeta_zero_reference(q: int, C: int, D: int, mcf: MinusCF) -> Fraction:
-    """Kernel-free evaluation straight from the Bernoulli polynomials.
-
-    Kept as the independent route against the integer kernel.
-    """
-    seq = yamamoto_sequence(q, C, D, mcf)
-    m = mcf.m
-    acc = Fraction(0)
-    for i in range(1, m + 1):
-        b = mcf.period[i % m]
-        acc += (bernoulli_poly(1, seq.x_at(i)) * bernoulli_poly(1, seq.y_at(i))
-                + Fraction(b, 2) * bernoulli_poly(2, seq.x_at(i)))
-    return acc
 
 
 def check_delta_hypotheses(delta: QuadSurd) -> None:
@@ -187,28 +167,3 @@ def yamamoto_identity_residual(F: FieldData, mcf: MinusCF, q: int,
         acc += (u / 4) * bernoulli_poly(2, seq.y_at(i))
         acc -= Fraction(b, 2) * bernoulli_poly(2, seq.x_at(i))
     return acc
-
-
-def orbit_shift_check(F: FieldData, mcf: MinusCF, q: int,
-                      C: int, D: int) -> bool:
-    """Does the epsilon-translated seed reproduce each shifted m-window,
-    and does the sequence close up after the full lam*m window?"""
-    m = mcf.m
-    delta = evaluate_periodic(mcf)
-    lam = lattice_unit_order(F, delta, q)
-    seq = yamamoto_sequence(q, C, D, mcf, steps=lam * m)
-    if seq.x_at(lam * m) != seq.x_at(0) or \
-            seq.x_at(lam * m - 1) != seq.x_at(-1):
-        return False
-    eps = F.tp_fund_unit
-    for i in range(1, lam):
-        alpha = (eps ** i) * (C + D * delta)
-        u, v = alpha.coords(delta)
-        if u.denominator != 1 or v.denominator != 1:
-            raise InternalInvariantError(
-                "unit translate left the lattice [1, delta]")
-        Ci, Di = residue_1q(int(u), q), residue_1q(int(v), q)
-        shifted = yamamoto_sequence(q, Ci, Di, mcf, steps=m)
-        if any(shifted.x_at(j) != seq.x_at(m * i + j) for j in range(m)):
-            return False
-    return True

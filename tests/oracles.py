@@ -1,0 +1,274 @@
+"""Independent oracles the tests compare the program against.
+
+Nothing in the package imports this module.  It holds the routes the
+program no longer runs: ideal lattices in Hermite normal form (the lattice
+product, inverse and norm behind the per-cell norm residue that
+quadfield.norm_form replaced), the Bernoulli-polynomial evaluation of
+Z(C, D) and the orbit-closure check of the cone recursion, character values
+as cyclotomic numbers, the Kronecker symbol, and floor, ceiling and power of
+quadratic surds.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from heckezero.cfrac import MinusCF, evaluate_periodic
+from heckezero.characters import (DirichletCharacter, _is_fundamental,
+                                  _kronecker_raw, char_exponents,
+                                  char_invariants)
+from heckezero.errors import (IncompatiblePair, InternalInvariantError,
+                              NotFundamental, ValidationError)
+from heckezero.exact import (CycloElement, QuadSurd, Rational, bernoulli_poly,
+                             residue_1q)
+from heckezero.quadfield import FieldData
+from heckezero.shintani import lattice_unit_order, yamamoto_sequence
+
+
+class NotAnIdeal(ValidationError):
+    """The lattice is not a fractional ideal of the maximal order."""
+
+
+@dataclass(frozen=True)
+class IdealLattice:
+    """A full lattice in K, stored in canonical Hermite normal form.
+
+    The lattice is (1/den) * { Z*e + Z*(f + h*omega) } with e, h > 0,
+    0 <= f < e, h | e, h | f for ideals (general lattices keep arbitrary f),
+    and gcd(e, f, h, den) = 1.  Equal lattices normalize identically.
+    """
+
+    e: int
+    f: int
+    h: int
+    den: int
+
+    def __post_init__(self):
+        for name in ("e", "h", "den"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(
+                    f"ideal {name} must be positive, got {getattr(self, name)}")
+
+    @staticmethod
+    def from_rows(rows: list[tuple[Rational, Rational]]) -> IdealLattice:
+        """Lattice generated by vectors u + v*omega given as (u, v) pairs."""
+        rows = [(Fraction(u), Fraction(v)) for u, v in rows]
+        den = 1
+        for u, v in rows:
+            den = math.lcm(den, u.denominator, v.denominator)
+        ints = [(int(u * den), int(v * den)) for u, v in rows]
+        e, f, h = _hnf2(ints)
+        if e == 0 or h == 0:
+            raise ValueError("generators do not span a full lattice")
+        g = math.gcd(math.gcd(e, f), math.gcd(h, den))
+        return IdealLattice(e // g, f // g, h // g, den // g)
+
+    @staticmethod
+    def from_surds(alpha: QuadSurd, beta: QuadSurd, F: FieldData) -> IdealLattice:
+        return IdealLattice.from_rows([alpha.coords(F.omega),
+                                       beta.coords(F.omega)])
+
+    def basis(self, F: FieldData) -> tuple[QuadSurd, QuadSurd]:
+        d = F.d
+        one = QuadSurd.from_rational(1, d)
+        u = (one * self.e) * Fraction(1, self.den)
+        v = (self.f + self.h * F.omega) * Fraction(1, self.den)
+        return u, v
+
+    def member(self, x: QuadSurd, F: FieldData) -> bool:
+        u, v = x.coords(F.omega)
+        u, v = u * self.den, v * self.den
+        if v.denominator != 1 or v % self.h:
+            return False
+        n2 = v / self.h
+        u = u - n2 * self.f
+        return u.denominator == 1 and u % self.e == 0
+
+
+def _hnf2(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """Hermite normal form of the lattice spanned by integer rows (u, v).
+
+    Returns (e, f, h): basis vectors (e, 0) and (f, h) with h > 0 dividing
+    every second coordinate and 0 <= f < e.
+    """
+    h = 0
+    for _, v in rows:
+        h = math.gcd(h, v)
+    if h == 0:
+        e = 0
+        for u, _ in rows:
+            e = math.gcd(e, u)
+        return e, 0, 0
+    # find f with (f, h) in the lattice via the extended gcd of the v's
+    f_acc, g = 0, 0
+    for u, v in rows:
+        if v == 0:
+            continue
+        gg = math.gcd(g, v)
+        # solve a*g + b*v = gg
+        a, b = _bezout(g, v)
+        f_acc = a * f_acc + b * u
+        g = gg
+    f = f_acc
+    e = 0
+    for u, v in rows:
+        k = v // h
+        e = math.gcd(e, abs(u - k * f))
+    if e == 0:
+        return 0, 0, h
+    f %= e
+    return e, f, h
+
+
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """Coefficients (x, y) with x*a + y*b = math.gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        # floor division leaves a negative remainder chain for negative
+        # inputs; flip so the combination hits the nonnegative gcd
+        x0, y0 = -x0, -y0
+    return x0, y0
+
+
+def maximal_order(F: FieldData) -> IdealLattice:
+    return IdealLattice(1, 0, 1, 1)
+
+
+def is_fractional_ideal(F: FieldData, L: IdealLattice) -> bool:
+    """True iff L is stable under multiplication by omega (an O-module)."""
+    a, b = L.basis(F)
+    return L.member(a * F.omega, F) and L.member(b * F.omega, F)
+
+
+def ideal_norm(F: FieldData, L: IdealLattice) -> Fraction:
+    """Generalized index |det(basis over (1, omega))| of a fractional ideal."""
+    if not is_fractional_ideal(F, L):
+        raise NotAnIdeal(f"{L} is not an O-module")
+    return Fraction(L.e * L.h, L.den * L.den)
+
+
+def ideal_inverse(F: FieldData, L: IdealLattice) -> IdealLattice:
+    """The fractional ideal with L * result = O (conjugate over norm)."""
+    n = ideal_norm(F, L)
+    a, b = L.basis(F)
+    inv = IdealLattice.from_surds(a.conj() * (1 / n), b.conj() * (1 / n), F)
+    if lattice_product(F, L, inv) != maximal_order(F):
+        raise InternalInvariantError("ideal inverse failed product check")
+    return inv
+
+
+def lattice_product(F: FieldData, L: IdealLattice, M: IdealLattice) -> IdealLattice:
+    a, b = L.basis(F)
+    c, e = M.basis(F)
+    gens = [a * c, a * e, b * c, b * e]
+    return IdealLattice.from_rows([g.coords(F.omega) for g in gens])
+
+
+def norm_residue(F: FieldData, b: IdealLattice, delta: QuadSurd,
+                 C: int, D: int, q: int) -> int:
+    """N(b * (C + D*delta)) mod q, in [0, q), through the lattice product.
+
+    The per-cell route that norm_form replaces; kept as its oracle.
+    """
+    if lattice_product(F, b, IdealLattice.from_surds(
+            QuadSurd.from_rational(1, F.d), delta, F)) != maximal_order(F):
+        raise IncompatiblePair("b * [1, delta] is not the maximal order")
+    t, nm = delta.trace(), delta.norm()
+    val = (C * C + t * C * D + nm * D * D) * ideal_norm(F, b)
+    if val.denominator != 1:
+        raise InternalInvariantError("norm of an integral ideal not integral")
+    return int(val) % q
+
+
+def surd_floor(x: QuadSurd) -> int:
+    """Exact floor under the embedding sqrt(d) > 0."""
+    # initial float-free guess from integer sqrt, then exact fix-up
+    s = math.isqrt(x.b * x.b * x.d) * (1 if x.b >= 0 else -1)
+    n = (x.a + s) // x.c
+    while x - (n + 1) >= 0:
+        n += 1
+    while x - n < 0:
+        n -= 1
+    return n
+
+
+def surd_ceil(x: QuadSurd) -> int:
+    return -surd_floor(-x)
+
+
+def surd_pow(x: QuadSurd, n: int) -> QuadSurd:
+    if n < 0:
+        return surd_pow(x.inverse(), -n)
+    out = QuadSurd.from_rational(1, x.d)
+    base = x
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def char_eval(chi: DirichletCharacter, a: int) -> CycloElement:
+    """chi(a) as an exact cyclotomic number (0 off the units)."""
+    k = char_exponents(chi)[a % chi.modulus]
+    if k < 0:
+        return CycloElement.zero(chi.order)
+    return CycloElement.zeta_power(chi.order, k)
+
+
+def is_primitive(chi: DirichletCharacter) -> bool:
+    return char_invariants(chi)[1] == chi.modulus
+
+
+def kronecker(D: int, b: int) -> int:
+    """Kronecker symbol (D/b) for a fundamental discriminant D."""
+    if not _is_fundamental(D):
+        raise NotFundamental(f"{D} is not a fundamental discriminant")
+    return _kronecker_raw(D, b)
+
+
+def partial_zeta_zero_reference(q: int, C: int, D: int, mcf: MinusCF) -> Fraction:
+    """Kernel-free evaluation straight from the Bernoulli polynomials.
+
+    Kept as the independent route against the integer kernel.
+    """
+    seq = yamamoto_sequence(q, C, D, mcf)
+    m = mcf.m
+    acc = Fraction(0)
+    for i in range(1, m + 1):
+        b = mcf.period[i % m]
+        acc += (bernoulli_poly(1, seq.x_at(i)) * bernoulli_poly(1, seq.y_at(i))
+                + Fraction(b, 2) * bernoulli_poly(2, seq.x_at(i)))
+    return acc
+
+
+def orbit_shift_check(F: FieldData, mcf: MinusCF, q: int,
+                      C: int, D: int) -> bool:
+    """Does the epsilon-translated seed reproduce each shifted m-window,
+    and does the sequence close up after the full lam*m window?"""
+    m = mcf.m
+    delta = evaluate_periodic(mcf)
+    lam = lattice_unit_order(F, delta, q)
+    seq = yamamoto_sequence(q, C, D, mcf, steps=lam * m)
+    if seq.x_at(lam * m) != seq.x_at(0) or \
+            seq.x_at(lam * m - 1) != seq.x_at(-1):
+        return False
+    eps = F.tp_fund_unit
+    for i in range(1, lam):
+        alpha = surd_pow(eps, i) * (C + D * delta)
+        u, v = alpha.coords(delta)
+        if u.denominator != 1 or v.denominator != 1:
+            raise InternalInvariantError(
+                "unit translate left the lattice [1, delta]")
+        Ci, Di = residue_1q(int(u), q), residue_1q(int(v), q)
+        shifted = yamamoto_sequence(q, Ci, Di, mcf, steps=m)
+        if any(shifted.x_at(j) != seq.x_at(m * i + j) for j in range(m)):
+            return False
+    return True

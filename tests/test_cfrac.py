@@ -11,15 +11,16 @@ from heckezero.errors import (DegenerateWord, NotPurelyPeriodic,
                               RationalInput)
 from heckezero.exact import QuadSurd, is_squarefree
 from heckezero.quadfield import make_field
+from oracles import surd_ceil, surd_floor
 
 
 def reference_walk(x, minus):
     """The walk over complete quotients in QuadSurd arithmetic: digits by
-    QuadSurd.floor/ceil, the period closed at the first repeated quotient."""
+    surd_floor/surd_ceil, the period closed at the first repeated quotient."""
     seen, digits = {}, []
     while x not in seen:
         seen[x] = len(digits)
-        k = x.ceil() if minus else x.floor()
+        k = surd_ceil(x) if minus else surd_floor(x)
         digits.append(k)
         x = (k - x).inverse() if minus else (x - k).inverse()
     j = seen[x]

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from heckezero.characters import (DirichletCharacter, _unit_group,
-                                  b1_weights, char_eval, char_exponents,
+                                  b1_weights, char_exponents,
                                   char_invariants, enumerate_characters,
-                                  gen_bernoulli_b1, is_primitive, kronecker,
-                                  modp_realizations)
+                                  gen_bernoulli_b1, modp_realizations)
 from heckezero.biro import condition_star_search
 from heckezero.errors import BoundExceeded, NotFundamental, ParseError
 from heckezero.exact import CycloElement
 from heckezero.kernels import KERNEL_STEP_BOUND
+from oracles import char_eval, is_primitive, kronecker
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 

@@ -162,6 +162,16 @@ class TestBoundary:
                               "--chi", "q=3;gens=2:1"], capsys, "ParseError")
         assert "invalid int value: 'x'" in msg
 
+    @pytest.mark.parametrize("args,error,text", [
+        (["cf", "expand", "--d", "-3", "--surd", "1,1"], "NotSquarefree",
+         "-3"),
+        (["cf", "eval", "--word", ","], "ParseError", "','"),
+        (["cf", "expand", "--d", "5", "--surd", "x,1"], "ParseError",
+         "'x,1'"),
+    ], ids=["radicand", "empty-digits", "bad-digit"])
+    def test_named_input_errors(self, args, error, text, capsys):
+        assert text in self.run_error(args, capsys, error)
+
     @pytest.mark.parametrize("args", [["--help"], ["biro", "oracle", "-h"]])
     def test_help_exits_zero(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -250,6 +260,20 @@ class TestCF:
         ja, jb = json.loads(a), json.loads(b)
         ja.pop("elapsed_s"), jb.pop("elapsed_s")
         assert ja == jb
+
+
+@pytest.mark.parametrize("words,option,value", [
+    (["cf", "expand", "--d", "5"], "--surd", "-1,1"),
+    (["linearity", "verify", "--family", "yokoi", "--chi", "q=3;gens=2:1",
+      "--r", "1"], "--k", "-1,2,4,6,8"),
+], ids=["surd", "k"])
+def test_negative_comma_list(words, option, value, capsys):
+    # a comma list that starts with a minus sign is a value, not an option
+    code, spaced = run_json(words + [option, value], capsys)
+    _, joined = run_json(words + [f"{option}={value}"], capsys)
+    assert code == 0
+    assert spaced["results"] == joined["results"]
+    assert spaced["inputs"] == joined["inputs"]
 
 
 class TestLinearity:

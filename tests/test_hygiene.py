@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package or the tests imports a name it
-never uses.  An ast scan, so it needs neither pyflakes nor ruff."""
+never uses, and every top-level function and class of the package is
+reached from a command.  Ast scans, so they need neither pyflakes nor ruff."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src" / "heckezero").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = ROOT / "src" / "heckezero"
+FILES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +38,65 @@ def test_scan_finds_unused():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreached_defs(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes, as "module.name", that no command
+    reaches; sources maps each module name of the package to its text.
+
+    The roots are cli.main, the cli.cmd_* functions (run_command looks them
+    up by name) and every module-level statement that is not a def, a class
+    or an import.  Reached code reaches each top-level def or class that it
+    names, in its own module or through `from .m import x`; a reached class
+    reaches what any of its methods names.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defs, aliases, stack = {}, {}, []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                stack.append((mod, node))
+        aliases[mod] = {alias.asname or alias.name:
+                        (node.module or "__init__", alias.name)
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.level == 1
+                        for alias in node.names}
+    reached = {key for key in defs if key[0] == "cli" and (
+        key[1] == "main" or key[1].startswith("cmd_"))}
+    stack += [(key[0], defs[key]) for key in reached]
+    while stack:
+        mod, node = stack.pop()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                key = (mod, sub.id) if (mod, sub.id) in defs \
+                    else aliases[mod].get(sub.id)
+                if key in defs and key not in reached:
+                    reached.add(key)
+                    stack.append((key[0], defs[key]))
+    return sorted(f"{mod}.{name}" for mod, name in defs.keys() - reached)
+
+
+def test_scan_finds_unreached():
+    sources = {
+        "cli": "from .a import f as g\n"
+               "def main(): g()\n"
+               "def cmd_x(): pass\n"
+               "def helper(): pass\n",
+        "a": "def f(): h()\n"
+             "def h(): pass\n"
+             "def dead(): pass\n"
+             "class K:\n"
+             "    def m(self): via_method()\n"
+             "def via_method(): pass\n"
+             "TABLE = K\n",
+    }
+    assert unreached_defs(sources) == ["a.dead", "cli.helper"]
+
+
+def test_every_definition_reached():
+    # the oracles the tests compare against live in tests/oracles.py
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreached_defs(sources) == []

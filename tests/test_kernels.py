@@ -1,6 +1,6 @@
 """The integer cone kernel against the Bernoulli-polynomial reference.
 
-``shintani.partial_zeta_zero_reference`` evaluates Z(C, D) with Fractions
+``oracles.partial_zeta_zero_reference`` evaluates Z(C, D) with Fractions
 straight from B_1 and B_2, sharing no code with the kernel, so
 ``12*q^2*Z`` from it is an independent exact oracle for ``zeta12_times``.
 """
@@ -9,7 +9,7 @@ import random
 
 from heckezero.cfrac import MinusCF
 from heckezero.kernels import zeta12_times
-from heckezero.shintani import partial_zeta_zero_reference
+from oracles import partial_zeta_zero_reference
 
 
 def reference12(q, C, D, word):

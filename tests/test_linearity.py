@@ -196,7 +196,6 @@ class TestClosedFormChi:
     def test_q3_quadratic(self):
         cf = closed_form_chi(YOKOI, 3, CHI3, 1)
         # scaled pair q^2 * (A, B) summed with character weights
-        assert cf.q == 3 and cf.r == 1
         # the closed form must reproduce the direct L-values
         for k in (0, 2, 4):
             n = 3 * k + 1

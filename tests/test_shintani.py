@@ -7,22 +7,21 @@ from fractions import Fraction
 
 import pytest
 
-from heckezero import exact, quadfield
-from heckezero.biro import factorization_oracle_check
+from heckezero import exact
 from heckezero.cfrac import MinusCF, minus_expand
-from heckezero.characters import (DirichletCharacter, char_eval,
-                                  enumerate_characters, gen_bernoulli_b1)
+from heckezero.characters import (DirichletCharacter, enumerate_characters,
+                                  gen_bernoulli_b1)
 from heckezero.errors import (DeltaOutOfRange, IdealNotCoprime,
                               IncompatiblePair)
 from heckezero.exact import CycloElement, QuadSurd
-from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_chi,
-                                 family_instance, verify_linearity)
-from heckezero.quadfield import (IdealLattice, class_numbers, ideal_inverse,
-                                 ideal_norm, make_field, norm_residue)
+from heckezero.linearity import BUILTIN_FAMILIES, family_instance
+from heckezero.quadfield import class_numbers, make_field
 from heckezero.shintani import (check_delta_hypotheses, lattice_unit_order,
-                                orbit_shift_check, partial_hecke_L_zero,
-                                partial_zeta_zero, partial_zeta_zero_reference,
+                                partial_hecke_L_zero, partial_zeta_zero,
                                 yamamoto_identity_residual, yamamoto_sequence)
+from oracles import (IdealLattice, char_eval, ideal_inverse, ideal_norm,
+                     kronecker, norm_residue, orbit_shift_check,
+                     partial_zeta_zero_reference)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")   # quadratic mod 3
 
@@ -108,7 +107,6 @@ class TestHeckeL:
     def test_matches_bernoulli_product(self):
         # 2/3 = (-1/3) * (-2) with the two first Bernoulli numbers; the
         # second is B_{1, chi*chi_5}, summed here term by term mod 15
-        from heckezero.characters import kronecker
         assert gen_bernoulli_b1(CHI3) == Fraction(-1, 3)
         acc = CycloElement.zero()
         for a in range(1, 16):
@@ -232,22 +230,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestHoist:
-    """Call counts, not timings: no L-value path touches the lattice
-    oracle, and each radicand is factored once."""
-
-    @pytest.mark.parametrize("fn", ["lattice_product", "ideal_norm",
-                                    "ideal_inverse", "is_fractional_ideal"])
-    def test_ideal_work_independent_of_q(self, monkeypatch, fn):
-        yokoi = BUILTIN_FAMILIES["yokoi"]
-        delta = family_instance(yokoi, 7)
-        calls = _count_calls(monkeypatch, quadfield, fn)
-        for ident in ("q=3;gens=2:1", "q=11;gens=2:1"):
-            partial_hecke_L_zero(delta,
-                                 DirichletCharacter.from_identifier(ident))
-        closed_form_chi(yokoi, 3, CHI3, 1)
-        verify_linearity(yokoi, 3, CHI3, 1, range(0, 8))
-        factorization_oracle_check(yokoi, 7, CHI3)
-        assert sum(calls.values()) == 0
+    """Call counts, not timings: each radicand is factored once."""
 
     def test_radicand_factored_once(self, monkeypatch):
         exact.square_prime.cache_clear()
