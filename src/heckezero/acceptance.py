@@ -18,7 +18,7 @@ from .errors import DegenerateWord, HeckeZeroError
 from .exact import QuadSurd
 from .kernels import zeta12_times
 from .linearity import (BUILTIN_FAMILIES, admissible, closed_form_cd,
-                        closed_form_chi, family_minus_cf, nu_sequence,
+                        closed_form_table, family_minus_cf, nu_sequence,
                         residue_word, verify_linearity)
 from .quadfield import class_numbers, make_field
 from .shintani import (partial_hecke_L_zero, partial_zeta_zero,
@@ -162,7 +162,7 @@ def criterion_7() -> CriterionResult:
         yok = BUILTIN_FAMILIES["yokoi"]
         chi = _quartic_chi5()
         for r in range(5):
-            rep = verify_linearity(yok, 5, chi, r, range(0, 10))
+            rep = verify_linearity(yok, chi, r, range(0, 10))
             if not (rep.affine_exact and rep.closed_form_match):
                 return False, f"verdicts failed at r={r}"
             for v in rep.scaled_values + (rep.A_chi, rep.B_chi):
@@ -202,18 +202,17 @@ def criterion_9() -> CriterionResult:
     def run():
         yok = BUILTIN_FAMILIES["yokoi"]
         pairs = [p for p in condition_star_search(5, 5) if p.q == 5]
-        for n in (5, 7, 13, 17):
+        ns = (5, 7, 13, 17)
+        tables = {r: closed_form_table(yok, 5, r) for r in {n % 5 for n in ns}}
+        for n in ns:
             h, h_plus = class_numbers(make_field(yok.f(n)))
             if (h, h_plus) != (1, 1):
                 return False, f"class numbers at n={n}: ({h}, {h_plus})"
             r, k = n % 5, n // 5
             for pair in pairs:
-                cf = closed_form_chi(yok, 5, pair.chi, r)
-                a = pair.realization.apply(cf.A_chi)
-                b = pair.realization.apply(cf.B_chi)
-                if (a + k * b) % 5 != 0:
+                rep = residue_mod_p(pair, r, tables[r])
+                if (rep.A_image + k * rep.B_image) % 5 != 0:
                     return False, f"congruence broken at n={n}"
-                rep = residue_mod_p(yok, pair, r)
                 if rep.status == "determined" and rep.residue != n % 5:
                     return False, f"residue {rep.residue} != {n % 5} at n={n}"
         return True, "congruence and residue reports consistent at n=5,7,13,17"

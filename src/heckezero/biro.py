@@ -15,7 +15,7 @@ from .characters import (DirichletCharacter, ModPRealization, b1_weights,
                          char_exponents, char_invariants,
                          enumerate_characters, gen_bernoulli_b1,
                          modp_realizations)
-from .errors import BoundExceeded, NarrowClassNotOne
+from .errors import BoundExceeded, NarrowClassNotOne, ParseError
 from .exact import CycloElement, cyclo_from_buckets
 from .linearity import (ClosedFormTable, FamilySpec, closed_form_chi,
                         closed_form_table, family_instance)
@@ -63,7 +63,7 @@ def sieve_work(q_max: int, p_max: int, residues: bool = False) -> int:
 
 def _check_sieve_work(q_max: int, p_max: int, residues: bool) -> None:
     if q_max < 3 or p_max < 3:
-        raise ValueError("bounds must be at least 3")
+        raise ParseError("bounds must be at least 3")
     work = sieve_work(q_max, p_max, residues)
     if work > SIEVE_WORK_BOUND:
         raise BoundExceeded(
@@ -113,8 +113,6 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
 class ResidueReport:
     """The congruence n = -q*A/B + r mod p for one (family, pair, r)."""
 
-    spec_name: str
-    q: int
     chi: DirichletCharacter
     realization: ModPRealization
     r: int
@@ -124,29 +122,27 @@ class ResidueReport:
     B_image: int
 
 
-def residue_mod_p(spec: FamilySpec, pair: ConditionStarPair, r: int,
-                  table: ClosedFormTable | None = None) -> ResidueReport:
+def residue_mod_p(pair: ConditionStarPair, r: int, table: ClosedFormTable
+                  ) -> ResidueReport:
     """Push A_chi(r), B_chi(r) through the realization and solve for n mod p.
 
-    table is closed_form_table(spec, pair.q, r), built here when not given.
-    B mapping to 0 leaves nothing to divide by: with A also 0 the congruence
-    holds identically (indeterminate), with A nonzero it has no solution at
+    table is the family's closed_form_table(spec, pair.q, r).  B mapping to
+    0 leaves nothing to divide by: with A also 0 the congruence holds
+    identically (indeterminate), with A nonzero it has no solution at
     all (vacuous: no class-number-one member in this residue class).
     """
-    if table is None:
-        table = closed_form_table(spec, pair.q, r)
     A_w, B_w = table.weights(pair.chi)
     p = pair.p
     a_img = pair.realization.image(A_w)
     b_img = pair.realization.image(B_w)
     if b_img == 0:
         status = "indeterminate" if a_img == 0 else "vacuous"
-        return ResidueReport(spec.name, pair.q, pair.chi, pair.realization,
-                             r, status, None, a_img, b_img)
+        return ResidueReport(pair.chi, pair.realization, r, status, None,
+                             a_img, b_img)
     k_res = (-a_img * pow(b_img, -1, p)) % p
     residue = (pair.q * k_res + r) % p
-    return ResidueReport(spec.name, pair.q, pair.chi, pair.realization,
-                         r, "determined", residue, a_img, b_img)
+    return ResidueReport(pair.chi, pair.realization, r, "determined",
+                         residue, a_img, b_img)
 
 
 def residue_reports(spec: FamilySpec, q_max: int, p_max: int
@@ -160,7 +156,7 @@ def residue_reports(spec: FamilySpec, q_max: int, p_max: int
                             key=attrgetter("q")):
         tables = [closed_form_table(spec, q, r) for r in range(q)]
         for pair in group:
-            out.extend(residue_mod_p(spec, pair, r, tables[r])
+            out.extend(residue_mod_p(pair, r, tables[r])
                        for r in range(q))
     return out
 
@@ -182,11 +178,13 @@ def factorization_oracle_check(spec: FamilySpec, n: int,
     return lhs, rhs, lhs == rhs
 
 
-def yokoi_intro_ab(q: int, chi: DirichletCharacter, r: int
+def yokoi_intro_ab(chi: DirichletCharacter, r: int
                    ) -> tuple[CycloElement, CycloElement, Fraction | None]:
-    """The two direct double sums over 0 <= C, D < q, and the single rational
-    factor relating them to the closed-form pair when one exists.
+    """The two direct double sums over 0 <= C, D < q, q = chi.modulus, and
+    the single rational factor relating them to the closed-form pair of
+    Yokoi's family when one exists.
     """
+    q = chi.modulus
     exps = char_exponents(chi)
     A_buckets = [0] * chi.order
     B_buckets = [0] * chi.order
@@ -201,21 +199,17 @@ def yokoi_intro_ab(q: int, chi: DirichletCharacter, r: int
     A = cyclo_from_buckets(chi.order, A_buckets)
     B = cyclo_from_buckets(chi.order, B_buckets)
     from .linearity import BUILTIN_FAMILIES
-    cf = closed_form_chi(BUILTIN_FAMILIES["yokoi"], q, chi, r)
+    cf = closed_form_chi(BUILTIN_FAMILIES["yokoi"], chi, r)
     rho = _proportionality((A, B), (cf.A_chi, cf.B_chi))
     return A, B, rho
 
 
 def _proportionality(pair, ref) -> Fraction | None:
-    """The rational rho with pair = rho * ref componentwise, if one exists."""
+    """The rational rho with pair = rho * ref componentwise, if one exists;
+    all four elements have one order."""
     rho: Fraction | None = None
     for x, y in zip(pair, ref):
-        xs, ys = x.coeffs, y.coeffs
-        if len(xs) != len(ys):
-            ys = y.to_order(x.order).coeffs if x.order % y.order == 0 else None
-            if ys is None:
-                return None
-        for cx, cy in zip(xs, ys):
+        for cx, cy in zip(x.coeffs, y.coeffs):
             if cy == 0:
                 if cx != 0:
                     return None

@@ -8,12 +8,17 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import (DegenerateWord, InternalInvariantError, NotPurelyPeriodic,
-                     RationalInput, UnitMismatch)
+from .errors import (BoundExceeded, DegenerateWord, InternalInvariantError,
+                     ParseError, RationalInput, UnitMismatch)
 from .exact import QuadSurd, squarefree_part
 
 if TYPE_CHECKING:
     from .quadfield import FieldData
+
+# surd_walk and minus_word refuse a word longer than this: no family member
+# below N_SEARCH_LIMIT needs more than 2*10^4 digits, and q^2 * m within
+# KERNEL_STEP_BOUND already caps m at 10^6 for q = 10
+WALK_DIGIT_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -25,15 +30,11 @@ class PlusCF:
 
     def __post_init__(self):
         if not self.period:
-            raise ValueError("period must be nonempty")
+            raise ParseError("period must be nonempty")
         if any(a < 1 for a in self.period):
-            raise ValueError("periodic plus digits must be >= 1")
+            raise ParseError("periodic plus digits must be >= 1")
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", tuple(self.period))
-
-    @property
-    def purely_periodic(self) -> bool:
-        return not self.preperiod
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,9 @@ class MinusCF:
 
     def __post_init__(self):
         if not self.period:
-            raise ValueError("period must be nonempty")
+            raise ParseError("period must be nonempty")
         if any(b < 2 for b in self.period):
-            raise ValueError("periodic minus digits must be >= 2")
+            raise ParseError("periodic minus digits must be >= 2")
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", tuple(self.period))
         object.__setattr__(self, "special_positions",
@@ -80,7 +81,7 @@ def surd_walk(x: QuadSurd, minus: bool
     ch. 5); the period closes at the first repeated (P, Q), and tail is the
     complete quotient where it starts.  Plus digits are floor(x_k) with
     x_{k+1} = 1/(x_k - a_k), minus digits ceil(x_k) with
-    x_{k+1} = 1/(b_k - x_k).
+    x_{k+1} = 1/(b_k - x_k).  BoundExceeded past WALK_DIGIT_BOUND digits.
     """
     if x.is_rational():
         raise RationalInput(f"{x} is rational")
@@ -92,6 +93,9 @@ def surd_walk(x: QuadSurd, minus: bool
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
     while (P, Q) not in seen:
+        if len(digits) == WALK_DIGIT_BOUND:
+            raise BoundExceeded(
+                f"the expansion of {x} runs past {WALK_DIGIT_BOUND} digits")
         seen[P, Q] = len(digits)
         k = (P + s) // Q if Q > 0 else (P + s + 1) // Q
         if minus:
@@ -123,12 +127,16 @@ def minus_word(a: tuple[int, ...]) -> MinusCF:
     even s and a_0 + ... + a_{s-1} for odd s; digits are a_{2j} + 2 at the
     positions S_j = S_{j-1} + a_{2j-1} (S_0 = 0, j below s for odd s and
     below s/2 for even s) and 2 elsewhere.  All a-indices wrap mod s.
+    BoundExceeded when m exceeds WALK_DIGIT_BOUND.
     """
     s = len(a)
+    m = sum(a) if s % 2 else sum(a[1::2])
+    if m > WALK_DIGIT_BOUND:
+        raise BoundExceeded(
+            f"the minus word has {m} digits, over {WALK_DIGIT_BOUND}")
     positions = [0]
     for j in range(1, s if s % 2 else s // 2):
         positions.append(positions[-1] + a[(2 * j - 1) % s])
-    m = sum(a) if s % 2 else sum(a[1::2])
     digits = [2] * m
     for j, S in enumerate(positions):
         digits[S] = a[(2 * j) % s] + 2
@@ -138,8 +146,6 @@ def minus_word(a: tuple[int, ...]) -> MinusCF:
 def plus_to_minus(p: PlusCF) -> MinusCF:
     """minus_word of a purely periodic plus word, certified: the minus value
     must equal the plus value + 1."""
-    if not p.purely_periodic:
-        raise NotPurelyPeriodic("conversion needs a purely periodic plus word")
     out = minus_word(p.period)
     if evaluate_periodic(out) != evaluate_periodic(p) + 1:
         raise InternalInvariantError("plus_to_minus certification failed")
@@ -190,10 +196,9 @@ def delta_sequence(F: FieldData, mcf: MinusCF) -> DeltaSequence:
 
     Evaluating each rotation independently (rather than iterating the cyclic
     relation from delta_0) lets the relation delta_i = b_i - 1/delta_{i+1}
-    serve as a genuine cross-check in the test suite.
+    serve as a genuine cross-check in the test suite.  mcf is the purely
+    periodic expansion of the totally positive unit.
     """
-    if not mcf.purely_periodic:
-        raise NotPurelyPeriodic("delta sequence needs a purely periodic word")
     m = mcf.m
     deltas = []
     for i in range(1, m + 1):

@@ -11,9 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import BoundExceeded, NotFundamental, ParseError
-from .exact import (CycloElement, cyclo_from_buckets, euler_phi, factorize,
-                    is_squarefree)
+from .errors import BoundExceeded, InternalInvariantError, ParseError
+from .exact import CycloElement, cyclo_from_buckets, euler_phi, factorize
 from .kernels import KERNEL_STEP_BOUND
 
 
@@ -47,7 +46,7 @@ def _unit_group(q: int):
             r = r * pow(g, e, q) % q
         table[r % q] = exps
     if len(table) != euler_phi(q):
-        raise RuntimeError(f"unit group of Z/{q} misgenerated")
+        raise InternalInvariantError(f"unit group of Z/{q} misgenerated")
     return tuple(gens), tuple(orders), table
 
 
@@ -59,7 +58,7 @@ def _primitive_root(pk: int) -> int:
             continue
         if all(pow(g, phi // p, pk) != 1 for p in prime_divs):
             return g
-    raise RuntimeError(f"no primitive root mod {pk}")
+    raise InternalInvariantError(f"no primitive root mod {pk}")
 
 
 def _crt_lift(g: int, pk: int, rest: int, q: int) -> int:
@@ -93,9 +92,6 @@ class DirichletCharacter:
         for e, n in zip(self.exponents, orders):
             o = math.lcm(o, n // math.gcd(e, n))
         return o
-
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
 
     def conjugate(self) -> DirichletCharacter:
         return DirichletCharacter(self.modulus,
@@ -153,7 +149,8 @@ def char_exponents(chi: DirichletCharacter) -> tuple[int, ...]:
     weights = []
     for e, n in zip(chi.exponents, orders):
         if e * o % n:
-            raise RuntimeError("character phase not compatible with its order")
+            raise InternalInvariantError(
+                "character phase not compatible with its order")
         weights.append(e * o // n)
     out = [-1] * q
     for a, logs in table.items():
@@ -171,7 +168,7 @@ def char_invariants(chi: DirichletCharacter) -> tuple[str, int]:
         if all(exps[a] == 0 for a in range(q)
                if exps[a] >= 0 and a % f == 1 % f):
             return parity, f
-    raise RuntimeError("conductor search failed")  # pragma: no cover
+    raise InternalInvariantError("conductor search failed")  # pragma: no cover
 
 
 def _divisors(n: int) -> list[int]:
@@ -179,17 +176,6 @@ def _divisors(n: int) -> list[int]:
     for p, k in factorize(n).items():
         out = [d * p ** e for d in out for e in range(k + 1)]
     return out
-
-
-def _is_fundamental(D: int) -> bool:
-    if D == 1:
-        return True
-    if D % 4 == 1:
-        return is_squarefree(abs(D))
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and is_squarefree(abs(m))
-    return False
 
 
 def _kronecker_raw(a: int, n: int) -> int:
@@ -236,10 +222,8 @@ def b1_weights(chi: DirichletCharacter, disc: int = 1) -> list[int]:
     chi(a) = zeta_o^j, o = chi.order: f*B_{1,psi} = sum_j w_j zeta_o^j.
 
     (disc/.) is a character mod disc, read from a table of one period.
+    disc is 1 or field_discriminant of a checked radicand.
     """
-    if disc < 1 or not _is_fundamental(disc):
-        raise NotFundamental(
-            f"{disc} is not a positive fundamental discriminant")
     q = chi.modulus
     exps = char_exponents(chi)
     kron = [_kronecker_raw(disc, a) for a in range(disc)]
@@ -263,24 +247,12 @@ class ModPRealization:
     order: int
     zeta_image: int
 
-    def apply(self, x: CycloElement) -> int:
-        if self.order % x.order:
-            raise ValueError(f"cannot reduce order-{x.order} element")
-        t = pow(self.zeta_image, self.order // x.order, self.p)
-        acc, tp = 0, 1
-        for c in x.coeffs:
-            num = c.numerator % self.p
-            den = pow(c.denominator, -1, self.p)
-            acc = (acc + num * den * tp) % self.p
-            tp = tp * t % self.p
-        return acc
-
     def image(self, weights) -> int:
         """The image of sum_j weights[j] * zeta_o^j for integer weights, by
         Horner's rule at zeta_image.  zeta_image has order exactly o, so it
         is a root of the o-th cyclotomic polynomial mod p and the weights
-        need no reduction first: this equals apply(cyclo_from_buckets(o,
-        weights))."""
+        need no reduction first: this is the image of the reduced
+        cyclo_from_buckets(o, weights) as well."""
         t, p = self.zeta_image, self.p
         acc = 0
         for w in reversed(weights):

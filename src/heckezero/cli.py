@@ -158,7 +158,7 @@ def cmd_linearity(args) -> dict:
         return {"family": spec.name, "q": q, "r": args.r,
                 "hypothesis_holds": ok}
     if args.lin_cmd == "closed-form":
-        cf = closed_form_chi(spec, q, chi, args.r)
+        cf = closed_form_chi(spec, chi, args.r)
         return {
             "family": spec.name, "q": q, "chi": chi.identifier(), "r": args.r,
             "A_chi": _cyclo_payload(cf.A_chi),
@@ -168,7 +168,7 @@ def cmd_linearity(args) -> dict:
                        "B_CD": rational_to_str(Fraction(b, q * q))}
                       for (C, D), (a, b) in sorted(cf.cells.items())],
         }
-    rep = verify_linearity(spec, q, chi, args.r, _parse_ints(args.k))
+    rep = verify_linearity(spec, chi, args.r, _parse_ints(args.k))
     return {
         "family": spec.name, "q": q, "chi": chi.identifier(), "r": args.r,
         "k_used": list(rep.k_used), "k_skipped": list(rep.k_skipped),
@@ -193,7 +193,8 @@ def cmd_biro(args) -> dict:
     if args.biro_cmd == "residues":
         spec = load_family_config(args.family)
         return {"family": spec.name, "reports": [
-            {"family": rep.spec_name, "q": rep.q, "p": rep.realization.p,
+            {"family": spec.name, "q": rep.chi.modulus,
+             "p": rep.realization.p,
              "chi": rep.chi.identifier(),
              "zeta_image": rep.realization.zeta_image, "r": rep.r,
              "status": rep.status, "residue": rep.residue,
@@ -201,13 +202,16 @@ def cmd_biro(args) -> dict:
             for rep in residue_reports(spec, args.q_max, args.p_max)]}
     # oracle
     spec = load_family_config(args.family)
+    if args.intro_ab and spec != BUILTIN_FAMILIES["yokoi"]:
+        # the double sums run over Yokoi's norm form D^2 - C^2 - rCD
+        raise ParseError(f"--intro-ab needs the yokoi family, not {spec.name}")
     chi = DirichletCharacter.from_identifier(args.chi)
     lhs, rhs, equal = factorization_oracle_check(spec, args.n, chi)
     out = {"family": spec.name, "n": args.n, "q": chi.modulus,
            "chi": chi.identifier(), "lhs": _cyclo_payload(lhs),
            "rhs": _cyclo_payload(rhs), "equal": equal}
     if args.intro_ab:
-        A, B, rho = yokoi_intro_ab(chi.modulus, chi, args.n % chi.modulus)
+        A, B, rho = yokoi_intro_ab(chi, args.n % chi.modulus)
         out["intro_A"] = _cyclo_payload(A)
         out["intro_B"] = _cyclo_payload(B)
         out["intro_proportionality"] = \

@@ -27,10 +27,6 @@ class RationalInput(ValidationError):
     """Continued-fraction expansion of a rational value was requested."""
 
 
-class NotPurelyPeriodic(ValidationError):
-    """A purely periodic continued-fraction word was required."""
-
-
 class DegenerateWord(ValidationError):
     """A periodic word whose fixed-point equation has rational roots."""
 
@@ -54,10 +50,6 @@ class DeltaOutOfRange(ValidationError):
 
 class IdealNotCoprime(ValidationError):
     """N(b) shares a factor with the modulus q."""
-
-
-class NotFundamental(ValidationError):
-    """Not a fundamental discriminant."""
 
 
 class CFMismatch(ValidationError):

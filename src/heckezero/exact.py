@@ -175,8 +175,9 @@ def square_prime(n: int) -> int:
     """The least prime p with p^2 | n, or 0 when n is squarefree.  Needs
     n >= 1.
 
-    Memoized: every surd re-validates its radicand, so each d is factored
-    once per process rather than once per arithmetic result.
+    Memoized: one command checks the same radicand at several entry points
+    (family_instance, then make_field for the same member), so each d is
+    factored once per process.
     """
     for p, e in factorize(n).items():
         if e > 1:
@@ -184,16 +185,14 @@ def square_prime(n: int) -> int:
     return 0
 
 
-def is_squarefree(n: int) -> bool:
-    return n > 0 and square_prime(n) == 0
-
-
 @dataclass(frozen=True)
 class QuadSurd:
     """The real number (a + b*sqrt(d)) / c, stored in canonical form.
 
     d is a fixed squarefree integer > 1 (kept even when b = 0 so that field
-    elements stay in one ambient field); c > 0 and gcd(a, b, c) = 1.
+    elements stay in one ambient field); c > 0 and gcd(a, b, c) = 1.  d is
+    not re-checked here: every surd takes it from check_radicand,
+    squarefree_part or another surd.
     """
 
     a: int
@@ -202,8 +201,6 @@ class QuadSurd:
     d: int
 
     def __post_init__(self):
-        if self.d <= 1 or square_prime(self.d):
-            raise ValueError(f"d = {self.d} must be squarefree and > 1")
         if self.c == 0:
             raise ZeroDivisionError("zero denominator")
         a, b, c = self.a, self.b, self.c
@@ -392,22 +389,8 @@ class CycloElement:
         object.__setattr__(self, "coeffs", cs)
 
     @staticmethod
-    def zero(order: int = 1) -> CycloElement:
-        return CycloElement(order, ())
-
-    @staticmethod
     def from_rational(x: Rational | int, order: int = 1) -> CycloElement:
         return CycloElement(order, (Fraction(x),))
-
-    @staticmethod
-    def zeta_power(order: int, e: int) -> CycloElement:
-        e %= order
-        cs = [Fraction(0)] * (e + 1)
-        cs[e] = Fraction(1)
-        return CycloElement(order, tuple(cs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

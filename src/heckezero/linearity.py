@@ -115,7 +115,7 @@ def family_spec_from_dict(obj: dict) -> FamilySpec:
                 parity=nc.get("parity"),
                 forbidden_residues=tuple(
                     (m, r) for m, r in nc.get("forbidden_residues", ()))))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad family description: {exc}") from exc
 
 
@@ -342,16 +342,15 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
     return ClosedFormTable(cells, tuple((A, B) for A, B in sums))
 
 
-def closed_form_chi(spec: FamilySpec, q: int, chi: DirichletCharacter,
-                    r: int) -> ClosedFormAB:
-    """Assemble A_chi(r), B_chi(r) = sum_{C,D} F_CD(r) * q^2 * (A_CD, B_CD).
+def closed_form_chi(spec: FamilySpec, chi: DirichletCharacter, r: int
+                    ) -> ClosedFormAB:
+    """Assemble A_chi(r), B_chi(r) = sum_{C,D} F_CD(r) * q^2 * (A_CD, B_CD)
+    for q = chi.modulus.
 
     F_CD is the character value of the norm residue; closed_form_table
     holds everything that does not depend on chi.
     """
-    if chi.modulus != q:
-        raise ValueError("character modulus must equal q")
-    table = closed_form_table(spec, q, r)
+    table = closed_form_table(spec, chi.modulus, r)
     A_w, B_w = table.weights(chi)
     return ClosedFormAB(table.cells, cyclo_from_buckets(chi.order, A_w),
                         cyclo_from_buckets(chi.order, B_w))
@@ -371,9 +370,10 @@ class LinearityReport:
     hypothesis_check: bool
 
 
-def verify_linearity(spec: FamilySpec, q: int, chi: DirichletCharacter,
-                     r: int, k_list) -> LinearityReport:
-    """Pit the direct engine against the closed forms over a k sweep.
+def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
+                     k_list) -> LinearityReport:
+    """Pit the direct engine against the closed forms over a k sweep, at
+    n = qk + r with q = chi.modulus.
 
     Uses only admissible k with min_i a_i(qk+r) >= q; needs at least three.
     The line is fitted from the first two points and the verdicts are
@@ -381,6 +381,7 @@ def verify_linearity(spec: FamilySpec, q: int, chi: DirichletCharacter,
     fitted pair equals (A_chi, B_chi); the norm-residue hypothesis holds on
     the members used.
     """
+    q = chi.modulus
     ks = sorted(set(k_list))
     members = [(k, delta) for k, delta in admissible(spec, q, r, ks)
                if min(spec.digits(q * k + r)) >= q]
@@ -394,7 +395,7 @@ def verify_linearity(spec: FamilySpec, q: int, chi: DirichletCharacter,
     intercept = vals[0] - slope * used[0]
     affine = all(v == intercept + slope * k
                  for k, v in zip(used[2:], vals[2:]))
-    cf = closed_form_chi(spec, q, chi, r)
+    cf = closed_form_chi(spec, chi, r)
     match = intercept == cf.A_chi and slope == cf.B_chi
     hyp = common_norm_form(q, (delta for _, delta in members)) is not None
     return LinearityReport(tuple(used), tuple(k for k in ks if k not in used),

@@ -47,8 +47,11 @@ def field_discriminant(d: int) -> int:
 
 
 def make_field(d: int) -> FieldData:
-    """Construct FieldData for squarefree d > 1."""
+    """Construct FieldData for squarefree 1 < d <= CLASS_NUMBER_BOUND; a
+    larger d is refused before the unit is built."""
     check_radicand(d)
+    if d > CLASS_NUMBER_BOUND:
+        raise BoundExceeded(f"d = {d} exceeds {CLASS_NUMBER_BOUND}")
     omega = QuadSurd(1, 1, 2, d) if d % 4 == 1 else QuadSurd.sqrt(d)
     eps0, norm = _fundamental_unit(omega)
     eps = eps0 if norm == 1 else eps0 * eps0
@@ -107,9 +110,7 @@ def class_numbers(F: FieldData) -> tuple[int, int]:
     they are GL_2(Z)-equivalent, that is when the lattices [1, x] lie in one
     wide ideal class (Cohen, A Course in Computational Algebraic Number
     Theory, 5.6).  h_plus = h if N(eps0) = -1, else 2h; every cycle length l
-    must satisfy (-1)^l = N(eps0)."""
-    if F.d > CLASS_NUMBER_BOUND:
-        raise BoundExceeded(f"d = {F.d} exceeds {CLASS_NUMBER_BOUND}")
+    must satisfy (-1)^l = N(eps0).  make_field has bounded F.d."""
     D = F.discriminant
     s = math.isqrt(D)
     states = set()

@@ -5,8 +5,9 @@ program no longer runs: ideal lattices in Hermite normal form (the lattice
 product, inverse and norm behind the per-cell norm residue that
 quadfield.norm_form replaced), the Bernoulli-polynomial evaluation of
 Z(C, D) and the orbit-closure check of the cone recursion, character values
-as cyclotomic numbers, the Kronecker symbol, and floor, ceiling and power of
-quadratic surds.
+as cyclotomic numbers, the reduction of a cyclotomic number along a mod-p
+realization, fundamental discriminants and the Kronecker symbol, and floor,
+ceiling and power of quadratic surds.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from heckezero.cfrac import MinusCF, evaluate_periodic
-from heckezero.characters import (DirichletCharacter, _is_fundamental,
+from heckezero.characters import (DirichletCharacter, ModPRealization,
                                   _kronecker_raw, char_exponents,
                                   char_invariants)
 from heckezero.errors import (IncompatiblePair, InternalInvariantError,
-                              NotFundamental, ValidationError)
+                              ValidationError)
 from heckezero.exact import (CycloElement, QuadSurd, Rational, bernoulli_poly,
-                             residue_1q)
+                             residue_1q, square_prime)
 from heckezero.quadfield import FieldData
 from heckezero.shintani import lattice_unit_order, yamamoto_sequence
 
@@ -215,22 +216,57 @@ def surd_pow(x: QuadSurd, n: int) -> QuadSurd:
     return out
 
 
+def zeta_power(order: int, e: int) -> CycloElement:
+    """zeta_order^e."""
+    return CycloElement(order, (0,) * (e % order) + (1,))
+
+
 def char_eval(chi: DirichletCharacter, a: int) -> CycloElement:
     """chi(a) as an exact cyclotomic number (0 off the units)."""
     k = char_exponents(chi)[a % chi.modulus]
     if k < 0:
-        return CycloElement.zero(chi.order)
-    return CycloElement.zeta_power(chi.order, k)
+        return CycloElement(chi.order, ())
+    return zeta_power(chi.order, k)
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:
     return char_invariants(chi)[1] == chi.modulus
 
 
+def apply_realization(real: ModPRealization, x: CycloElement) -> int:
+    """The image of x in Z/p along zeta_{real.order} -> real.zeta_image,
+    coefficient by coefficient; x.order must divide real.order."""
+    if real.order % x.order:
+        raise ValueError(f"cannot reduce order-{x.order} element")
+    t = pow(real.zeta_image, real.order // x.order, real.p)
+    acc, tp = 0, 1
+    for c in x.coeffs:
+        num = c.numerator % real.p
+        den = pow(c.denominator, -1, real.p)
+        acc = (acc + num * den * tp) % real.p
+        tp = tp * t % real.p
+    return acc
+
+
+def is_squarefree(n: int) -> bool:
+    return n > 0 and square_prime(n) == 0
+
+
+def _is_fundamental(D: int) -> bool:
+    if D == 1:
+        return True
+    if D % 4 == 1:
+        return is_squarefree(abs(D))
+    if D % 4 == 0:
+        m = D // 4
+        return m % 4 in (2, 3) and is_squarefree(abs(m))
+    return False
+
+
 def kronecker(D: int, b: int) -> int:
     """Kronecker symbol (D/b) for a fundamental discriminant D."""
     if not _is_fundamental(D):
-        raise NotFundamental(f"{D} is not a fundamental discriminant")
+        raise ValueError(f"{D} is not a fundamental discriminant")
     return _kronecker_raw(D, b)
 
 

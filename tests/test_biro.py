@@ -13,9 +13,11 @@ from heckezero.characters import (DirichletCharacter, b1_weights,
                                   char_invariants, enumerate_characters,
                                   gen_bernoulli_b1, modp_realizations)
 from heckezero.cli import main
-from heckezero.errors import NarrowClassNotOne
+from heckezero.errors import NarrowClassNotOne, ParseError
 from heckezero.exact import CycloElement, cyclo_from_buckets
-from heckezero.linearity import BUILTIN_FAMILIES, closed_form_chi
+from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_chi,
+                                 closed_form_table)
+from oracles import apply_realization
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
@@ -77,10 +79,11 @@ class TestSearch:
     def test_kill_property(self):
         # every returned realization really sends q*B_{1,chi} to zero
         for p in condition_star_search(7, 13):
-            assert p.realization.apply(gen_bernoulli_b1(p.chi) * p.q) == 0
+            assert apply_realization(
+                p.realization, gen_bernoulli_b1(p.chi) * p.q) == 0
 
     def test_bad_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             condition_star_search(2, 5)
 
     def test_work_estimate(self):
@@ -94,22 +97,23 @@ class TestResidue:
     def test_all_indeterminate_at_5_5(self):
         # q = p = 5 collapses both coefficient images to 0 for every residue
         pairs = condition_star_search(5, 5)
-        for pair in pairs:
-            for r in range(5):
-                rep = residue_mod_p(YOKOI, pair, r)
+        for r in range(5):
+            table = closed_form_table(YOKOI, 5, r)
+            for pair in pairs:
+                rep = residue_mod_p(pair, r, table)
                 assert rep.status == "indeterminate"
                 assert rep.residue is None
                 assert rep.A_image == 0 and rep.B_image == 0
 
     def test_report_fields(self):
         pair = condition_star_search(5, 5)[0]
-        rep = residue_mod_p(YOKOI, pair, 1)
+        rep = residue_mod_p(pair, 1, closed_form_table(YOKOI, 5, 1))
         assert isinstance(rep, ResidueReport)
-        assert rep.spec_name == "yokoi" and rep.q == 5 and rep.r == 1
+        assert rep.chi == pair.chi and rep.r == 1
 
     @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=lambda s: s.name)
     def test_shared_tables_match_per_pair(self, spec):
-        unshared = [residue_mod_p(spec, pair, r)
+        unshared = [residue_mod_p(pair, r, closed_form_table(spec, pair.q, r))
                     for pair in condition_star_search(11, 61)
                     for r in range(pair.q)]
         assert len(unshared) > 100
@@ -124,17 +128,17 @@ class TestResidue:
         monkeypatch.setattr(biro, "condition_star_search",
                             lambda q_max, p_max: pairs)
         shared = residue_reports(spec, 7, 37)
-        assert shared == [residue_mod_p(spec, pair, r)
-                          for pair in pairs for r in range(pair.q)]
+        assert shared == [
+            residue_mod_p(pair, r, closed_form_table(spec, pair.q, r))
+            for pair in pairs for r in range(pair.q)]
         assert {rep.status for rep in shared} >= {"determined", "vacuous"}
         cfs = {}
         for rep in shared:
             if (rep.chi, rep.r) not in cfs:
-                cfs[(rep.chi, rep.r)] = closed_form_chi(spec, rep.q, rep.chi,
-                                                        rep.r)
+                cfs[(rep.chi, rep.r)] = closed_form_chi(spec, rep.chi, rep.r)
             cf = cfs[(rep.chi, rep.r)]
-            assert rep.A_image == rep.realization.apply(cf.A_chi)
-            assert rep.B_image == rep.realization.apply(cf.B_chi)
+            assert rep.A_image == apply_realization(rep.realization, cf.A_chi)
+            assert rep.B_image == apply_realization(rep.realization, cf.B_chi)
 
     def test_closed_form_cd_calls(self, monkeypatch, capsys):
         # one table per (q, r) for all pairs of that q: q = 5 and q = 7
@@ -191,8 +195,38 @@ class TestIntroNormalization:
         for q, chi in ((3, CHI3),
                        (5, DirichletCharacter.from_identifier("q=5;gens=2:1"))):
             for r in range(q):
-                A, B, rho = yokoi_intro_ab(q, chi, r)
-                if A == CycloElement.zero(chi.order) and \
-                        B == CycloElement.zero(chi.order):
+                A, B, rho = yokoi_intro_ab(chi, r)
+                if A == 0 and B == 0:
                     continue
                 assert rho == Fraction(1, 12 * q)
+
+
+@pytest.mark.parametrize("spec", [YOKOI, RDN], ids=lambda s: s.name)
+class TestEvenCharactersVanish:
+    """Every residue report is indeterminate, because the closed forms of
+    every even character vanish.  A counterexample to either test goes into
+    the README."""
+
+    def test_residue_reports_indeterminate(self, spec):
+        reports = residue_reports(spec, 15, 2000)
+        assert len(reports) == 412
+        assert {rep.status for rep in reports} == {"indeterminate"}
+
+    def test_closed_forms_zero(self, spec):
+        # both families admit odd n only, so n = qk + r with q and r even
+        # has no member and closed_form_chi raises NoAdmissibleN there
+        assert spec.n_constraints.parity == "odd"
+        checked = skipped = 0
+        for q in range(3, 16):
+            for chi in enumerate_characters(q):
+                if char_invariants(chi)[0] != "even":
+                    continue
+                for r in range(q):
+                    if q % 2 == 0 and r % 2 == 0:
+                        skipped += 1
+                        continue
+                    cf = closed_form_chi(spec, chi, r)
+                    assert cf.A_chi == 0 and cf.B_chi == 0, \
+                        (chi.identifier(), r)
+                    checked += 1
+        assert (checked, skipped) == (310, 56)

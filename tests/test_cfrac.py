@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from heckezero.cfrac import (MinusCF, PlusCF, delta_sequence,
                              evaluate_periodic, minus_expand, minus_word,
                              plus_expand, plus_to_minus, surd_walk)
-from heckezero.errors import (DegenerateWord, NotPurelyPeriodic,
-                              RationalInput)
-from heckezero.exact import QuadSurd, is_squarefree
+from heckezero.errors import DegenerateWord, RationalInput
+from heckezero.exact import QuadSurd
 from heckezero.quadfield import make_field
-from oracles import surd_ceil, surd_floor
+from oracles import is_squarefree, surd_ceil, surd_floor
 
 
 def reference_walk(x, minus):
@@ -181,11 +180,6 @@ class TestDeltaSequence:
         assert prod == F.tp_fund_unit
         assert ds.A[0] == QuadSurd.from_rational(1, d)
         assert ds.A[0] / ds.A[-1] == F.tp_fund_unit
-
-    def test_needs_purely_periodic(self):
-        F = make_field(2)
-        with pytest.raises(NotPurelyPeriodic):
-            delta_sequence(F, MinusCF((3,), (4, 2)))
 
 
 class TestEvaluatePeriodic:

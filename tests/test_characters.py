@@ -10,10 +10,11 @@ from heckezero.characters import (DirichletCharacter, _unit_group,
                                   char_invariants, enumerate_characters,
                                   gen_bernoulli_b1, modp_realizations)
 from heckezero.biro import condition_star_search
-from heckezero.errors import BoundExceeded, NotFundamental, ParseError
+from heckezero.errors import BoundExceeded, ParseError
 from heckezero.exact import CycloElement
 from heckezero.kernels import KERNEL_STEP_BOUND
-from oracles import char_eval, is_primitive, kronecker
+from oracles import (apply_realization, char_eval, is_primitive, kronecker,
+                     zeta_power)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 
@@ -39,7 +40,7 @@ class TestEnumeration:
     def test_group_size(self, q, count):
         chars = enumerate_characters(q)
         assert len(chars) == count
-        assert sum(1 for c in chars if c.is_trivial()) == 1
+        assert sum(1 for c in chars if c.order == 1) == 1
 
     def test_identifier_round_trip(self):
         for q in (3, 5, 7, 8, 9, 15, 21):
@@ -60,7 +61,7 @@ class TestEnumeration:
         # sum over the group of chi(a) is 0 unless a = 1 mod q
         chars = enumerate_characters(q)
         for a in range(2, q):
-            s = CycloElement.zero(1)
+            s = CycloElement(1, ())
             for chi in chars:
                 s = s + char_eval(chi, a)
             expect = len(chars) if a % q == 1 else 0
@@ -79,8 +80,7 @@ class TestExponents:
                 assert (exps[a] == -1) == (math.gcd(a, q) != 1)
                 if exps[a] >= 0:
                     assert 0 <= exps[a] < o
-                    assert char_eval(chi, a) == \
-                        CycloElement.zeta_power(o, exps[a])
+                    assert char_eval(chi, a) == zeta_power(o, exps[a])
             # chi(g_i) = zeta_{n_i}^{e_i}, i.e. exps[g_i] / o = e_i / n_i mod 1
             for g, n, e in zip(gens, orders, chi.exponents):
                 assert (exps[g] * n - e * o) % (o * n) == 0
@@ -132,7 +132,7 @@ class TestInvariants:
             cc = chi.conjugate()
             for a in range(1, 6):
                 prod = char_eval(chi, a) * char_eval(cc, a)
-                if char_eval(chi, a).is_zero():
+                if char_eval(chi, a) == 0:
                     assert prod == 0
                 else:
                     assert prod == 1
@@ -150,16 +150,10 @@ class TestBernoulli:
         # chi3 * kronecker(5, .) mod 15 has B1 = -2
         assert gen_bernoulli_b1(CHI3, 5) == Fraction(-2)
 
-    def test_rejects_non_fundamental(self):
-        with pytest.raises(NotFundamental):
-            gen_bernoulli_b1(CHI3, 9)        # not squarefree
-        with pytest.raises(NotFundamental):
-            gen_bernoulli_b1(CHI3, -3)       # imaginary quadratic
-
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_even_characters_vanish(self, q):
         for chi in enumerate_characters(q):
-            if char_invariants(chi)[0] == "even" and not chi.is_trivial():
+            if char_invariants(chi)[0] == "even" and chi.order > 1:
                 assert gen_bernoulli_b1(chi) == 0
 
 
@@ -198,8 +192,10 @@ class TestRealizations:
             p = real.p
             x = char_eval(chi5, 2) + char_eval(chi5, 3) * 7
             y = char_eval(chi5, 4) - 2
-            assert real.apply(x * y) == (real.apply(x) * real.apply(y)) % p
-            assert real.apply(x + y) == (real.apply(x) + real.apply(y)) % p
+            assert apply_realization(real, x * y) == \
+                apply_realization(real, x) * apply_realization(real, y) % p
+            assert apply_realization(real, x + y) == \
+                (apply_realization(real, x) + apply_realization(real, y)) % p
 
     @pytest.mark.parametrize("p", [2] + _odd_primes(211))
     def test_exact_order_oracle(self, p):
@@ -232,6 +228,7 @@ class TestRealizations:
                 total = gen_bernoulli_b1(chi) * q
                 for p in _odd_primes(61):
                     for real in modp_realizations(chi, p):
-                        assert real.image(weights) == real.apply(total)
+                        assert real.image(weights) == \
+                            apply_realization(real, total)
                         checked += 1
         assert checked > 300

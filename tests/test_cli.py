@@ -123,11 +123,25 @@ class TestBoundary:
         # q^2 * 1007 = 1.03e9 closed-form steps, before any member is built
         ["linearity", "closed-form", "--family", "yokoi",
          "--chi", "q=1009;gens=11:1", "--r", "1007"],
-    ], ids=["lvalue-q200003", "lvalue-q1000000007", "closed-form-q1009"])
+        # radicands over CLASS_NUMBER_BOUND, refused before the unit
+        ["field", "--d", "1000000000039"],
+        ["field", "--d", "10000000019"],
+        # a minus word of 10^7 digits, refused before it is allocated
+        ["cf", "convert", "--plus", "10000000"],
+    ], ids=["lvalue-q200003", "lvalue-q1000000007", "closed-form-q1009",
+            "field-d1e12", "field-d1e10", "convert-long-word"])
     def test_modulus_and_table_budgets(self, args, capsys):
         t0 = time.monotonic()
         self.run_error(args, capsys, "BoundExceeded")
         assert time.monotonic() - t0 < 1.0
+
+    def test_walk_digit_bound(self, capsys):
+        # the minus expansion of sqrt(2)/10^7 has tens of millions of
+        # digits; the walk stops at WALK_DIGIT_BOUND = 10^6 of them
+        msg = self.run_error(["cf", "expand", "--d", "2", "--surd",
+                              "0,1,10000000", "--kind", "minus"],
+                             capsys, "BoundExceeded")
+        assert "past 1000000 digits" in msg
 
     def test_inconsistent_family_file(self, tmp_path, capsys):
         # Yokoi's delta with its digits declared as 2n: delta(1) - 1 = [[1]]
@@ -168,8 +182,28 @@ class TestBoundary:
         (["cf", "eval", "--word", ","], "ParseError", "','"),
         (["cf", "expand", "--d", "5", "--surd", "x,1"], "ParseError",
          "'x,1'"),
-    ], ids=["radicand", "empty-digits", "bad-digit"])
-    def test_named_input_errors(self, args, error, text, capsys):
+        (["cf", "eval", "--word", "-1,2"], "ParseError",
+         "periodic minus digits must be >= 2"),
+        (["cf", "convert", "--plus", "0,1"], "ParseError",
+         "periodic plus digits must be >= 1"),
+        (["linearity", "hypothesis", "--family", "w0.json",
+          "--chi", "q=3;gens=2:1", "--r", "1", "--k", "0,1"], "ParseError",
+         "w must be a positive integer"),
+        (["biro", "search", "--q-max", "2", "--p-max", "5"], "ParseError",
+         "bounds must be at least 3"),
+        # the double sums run over Yokoi's norm form only
+        (["biro", "oracle", "--family", "rd-n2p1", "--n", "1",
+          "--chi", "q=3;gens=2:1", "--intro-ab"], "ParseError", "yokoi"),
+    ], ids=["radicand", "empty-digits", "bad-digit", "minus-digit",
+            "plus-digit", "family-w0", "search-bounds", "intro-ab-family"])
+    def test_named_input_errors(self, args, error, text, tmp_path,
+                                monkeypatch, capsys):
+        # w0.json is Yokoi's family with the denominator w = 0
+        (tmp_path / "w0.json").write_text(json.dumps({
+            "name": "w0", "f_coeffs": [4, 0, 1],
+            "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": 0},
+            "acf": [{"alpha": 1, "beta": 0}]}))
+        monkeypatch.chdir(tmp_path)
         assert text in self.run_error(args, capsys, error)
 
     @pytest.mark.parametrize("args", [["--help"], ["biro", "oracle", "-h"]])

@@ -194,7 +194,7 @@ class TestClosedFormCD:
 
 class TestClosedFormChi:
     def test_q3_quadratic(self):
-        cf = closed_form_chi(YOKOI, 3, CHI3, 1)
+        cf = closed_form_chi(YOKOI, CHI3, 1)
         # scaled pair q^2 * (A, B) summed with character weights
         # the closed form must reproduce the direct L-values
         for k in (0, 2, 4):
@@ -214,27 +214,27 @@ class TestClosedFormChi:
 
 class TestVerifyLinearity:
     def test_yokoi_q3(self):
-        rep = verify_linearity(YOKOI, 3, CHI3, 1, range(0, 8))
+        rep = verify_linearity(YOKOI, CHI3, 1, range(0, 8))
         assert rep.affine_exact and rep.closed_form_match
         assert rep.hypothesis_check
         assert rep.intercept == rep.A_chi and rep.slope == rep.B_chi
 
     def test_rd_q3(self):
-        rep = verify_linearity(RDN, 3, CHI3, 1, range(0, 12))
+        rep = verify_linearity(RDN, CHI3, 1, range(0, 12))
         assert rep.affine_exact and rep.closed_form_match
 
     def test_order_independence(self):
         ks = [6, 0, 2, 4, 2]
-        a = verify_linearity(YOKOI, 3, CHI3, 1, ks)
-        b = verify_linearity(YOKOI, 3, CHI3, 1, sorted(set(ks)))
+        a = verify_linearity(YOKOI, CHI3, 1, ks)
+        b = verify_linearity(YOKOI, CHI3, 1, sorted(set(ks)))
         assert a == b
 
     def test_insufficient(self):
         with pytest.raises(InsufficientSamples):
-            verify_linearity(YOKOI, 3, CHI3, 1, [0, 2])
+            verify_linearity(YOKOI, CHI3, 1, [0, 2])
 
     def test_skips_recorded(self):
-        rep = verify_linearity(YOKOI, 3, CHI3, 1, range(0, 8))
+        rep = verify_linearity(YOKOI, CHI3, 1, range(0, 8))
         assert set(rep.k_used) | set(rep.k_skipped) == set(range(8))
         # k = 1 gives n = 6, even: skipped
         assert 1 in rep.k_skipped
@@ -273,7 +273,7 @@ class TestEvenPeriod:
             if chi.order == 1:
                 continue
             for r in range(q):
-                rep = verify_linearity(PAIRED, q, chi, r, range(12))
+                rep = verify_linearity(PAIRED, chi, r, range(12))
                 assert rep.affine_exact and rep.closed_form_match
                 assert rep.hypothesis_check
 
@@ -316,7 +316,7 @@ class TestAdmissibility:
         assert len(seen) == 26 and len(set(seen)) == 26
         seen.clear()
         chi = DirichletCharacter.from_identifier("q=11;gens=2:1")
-        verify_linearity(RDN, 11, chi, 7, range(10))
+        verify_linearity(RDN, chi, 7, range(10))
         assert len(seen) == 36
 
     def test_hypothesis_check(self):
