@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .biro import condition_star_search, residue_mod_p
 from .cfrac import (MinusCF, PlusCF, delta_sequence, evaluate_periodic,
@@ -25,8 +25,7 @@ from .shintani import (partial_hecke_L_zero, partial_zeta_zero,
                        yamamoto_identity_residual, yamamoto_sequence)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -6,10 +6,10 @@ satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 from .characters import (DirichletCharacter, ModPRealization, b1_weights,
                          char_exponents, char_invariants,
@@ -30,8 +30,7 @@ SIGN_CONVENTION = 1
 SIEVE_WORK_BOUND = 10 ** 7
 
 
-@dataclass(frozen=True)
-class ConditionStarPair:
+class ConditionStarPair(NamedTuple):
     """A (q, p, chi) triple with a mod-p realization killing sum a*chi(a)."""
 
     q: int
@@ -109,8 +108,7 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     return out
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(NamedTuple):
     """The congruence n = -q*A/B + r mod p for one (family, pair, r)."""
 
     chi: DirichletCharacter

@@ -5,8 +5,7 @@ conversion, exact periodic evaluation, and the cone ratio sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (BoundExceeded, DegenerateWord, InternalInvariantError,
                      ParseError, RationalInput, UnitMismatch)
@@ -21,23 +20,32 @@ if TYPE_CHECKING:
 WALK_DIGIT_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True)
 class PlusCF:
     """Eventually periodic plus continued fraction a0 + 1/(a1 + ...)."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise ParseError("period must be nonempty")
-        if any(a < 1 for a in self.period):
+        if any(a < 1 for a in period):
             raise ParseError("periodic plus digits must be >= 1")
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
+        self.preperiod, self.period = tuple(preperiod), tuple(period)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PlusCF:
+            return NotImplemented
+        return (self.preperiod, self.period) == \
+            (other.preperiod, other.period)
+
+    def __hash__(self):
+        return hash((self.preperiod, self.period))
+
+    def __repr__(self) -> str:
+        # family_instance quotes it in CFMismatch
+        return f"PlusCF(preperiod={self.preperiod}, period={self.period})"
 
 
-@dataclass(frozen=True)
 class MinusCF:
     """Eventually periodic minus continued fraction b0 - 1/(b1 - ...).
 
@@ -45,19 +53,25 @@ class MinusCF:
     the digit exceeds 2.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-    special_positions: tuple[int, ...] = field(default=())
+    __slots__ = ("preperiod", "period", "special_positions")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...],
+                 special_positions: tuple[int, ...] = ()):
+        if not period:
             raise ParseError("period must be nonempty")
-        if any(b < 2 for b in self.period):
+        if any(b < 2 for b in period):
             raise ParseError("periodic minus digits must be >= 2")
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
-        object.__setattr__(self, "special_positions",
-                           tuple(self.special_positions))
+        self.preperiod, self.period = tuple(preperiod), tuple(period)
+        self.special_positions = tuple(special_positions)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not MinusCF:
+            return NotImplemented
+        return (self.preperiod, self.period, self.special_positions) == \
+            (other.preperiod, other.period, other.special_positions)
+
+    def __hash__(self):
+        return hash((self.preperiod, self.period, self.special_positions))
 
     @property
     def purely_periodic(self) -> bool:
@@ -78,10 +92,13 @@ def surd_walk(x: QuadSurd, minus: bool
     """(preperiod, period, tail) of the plus or minus expansion of x.
 
     Runs on integer states x_k = (P + sqrt(D))/Q with Q | D - P^2 (Cohen,
-    ch. 5); the period closes at the first repeated (P, Q), and tail is the
-    complete quotient where it starts.  Plus digits are floor(x_k) with
-    x_{k+1} = 1/(x_k - a_k), minus digits ceil(x_k) with
-    x_{k+1} = 1/(b_k - x_k).  BoundExceeded past WALK_DIGIT_BOUND digits.
+    ch. 5).  Plus digits are floor(x_k) with x_{k+1} = 1/(x_k - a_k), minus
+    digits ceil(x_k) with x_{k+1} = 1/(b_k - x_k).  The period starts at the
+    first reduced state, the one state the walk remembers: x > 1 with
+    -1 < x' < 0 (plus) or 0 < x' < 1 (minus), exactly the states whose
+    expansion is purely periodic (Galois; Zagier for minus).  It closes when
+    the walk returns there, and tail is the complete quotient at that state.
+    BoundExceeded past WALK_DIGIT_BOUND digits.
     """
     if x.is_rational():
         raise RationalInput(f"{x} is rational")
@@ -90,20 +107,27 @@ def surd_walk(x: QuadSurd, minus: bool
     if x.b < 0:
         P, Q = -P, -Q
     s = math.isqrt(D)
-    seen: dict[tuple[int, int], int] = {}
+    # a reduced state has Q > 0; sqrt(D) is irrational, so n < sqrt(D)
+    # iff n <= s for an integer n: x > 1 iff Q - P <= s, x' < 0 iff P <= s,
+    # x' > -1 iff s < P + Q, and x' < 1 iff P - Q <= s
+    j = None
     digits: list[int] = []
-    while (P, Q) not in seen:
+    while True:
+        if j is None:
+            if Q > 0 and Q - P <= s and (
+                    P > s and P - Q <= s if minus else P <= s < P + Q):
+                j, P0, Q0 = len(digits), P, Q
+        elif P == P0 and Q == Q0:
+            break
         if len(digits) == WALK_DIGIT_BOUND:
             raise BoundExceeded(
                 f"the expansion of {x} runs past {WALK_DIGIT_BOUND} digits")
-        seen[P, Q] = len(digits)
         k = (P + s) // Q if Q > 0 else (P + s + 1) // Q
         if minus:
             k += 1
         digits.append(k)
         P = k * Q - P
         Q = (P * P - D) // Q if minus else (D - P * P) // Q
-    j = seen[P, Q]
     return tuple(digits[:j]), tuple(digits[j:]), QuadSurd(P, b * c, Q, x.d)
 
 
@@ -183,8 +207,7 @@ def evaluate_periodic(word: PlusCF | MinusCF) -> QuadSurd:
     return y
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
+class DeltaSequence(NamedTuple):
     """Cone ratios delta_1..delta_m and the cumulative A_i = A_{i-1}/delta_i."""
 
     deltas: tuple[QuadSurd, ...]

@@ -6,10 +6,10 @@ mod-p realizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .errors import BoundExceeded, InternalInvariantError, ParseError
 from .exact import CycloElement, cyclo_from_buckets, euler_phi, factorize
@@ -68,22 +68,29 @@ def _crt_lift(g: int, pk: int, rest: int, q: int) -> int:
     return (g + pk * ((1 - g) * inv % rest)) % q
 
 
-@dataclass(frozen=True)
 class DirichletCharacter:
     """Character of (Z/q)* given by one exponent per canonical generator.
 
     chi(g_i) = zeta_{n_i}^{e_i} where n_i is the order of generator g_i.
     """
 
-    modulus: int
-    exponents: tuple[int, ...]
+    __slots__ = ("modulus", "exponents")
 
-    def __post_init__(self):
-        _, orders, _ = _unit_group(self.modulus)
-        if len(self.exponents) != len(orders):
+    def __init__(self, modulus: int, exponents: tuple[int, ...]):
+        _, orders, _ = _unit_group(modulus)
+        if len(exponents) != len(orders):
             raise ValueError("wrong number of exponents")
-        object.__setattr__(self, "exponents",
-                           tuple(e % n for e, n in zip(self.exponents, orders)))
+        self.modulus = modulus
+        self.exponents = tuple(e % n for e, n in zip(exponents, orders))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DirichletCharacter:
+            return NotImplemented
+        return (self.modulus, self.exponents) == \
+            (other.modulus, other.exponents)
+
+    def __hash__(self):
+        return hash((self.modulus, self.exponents))
 
     @property
     def order(self) -> int:
@@ -108,8 +115,8 @@ class DirichletCharacter:
             qpart, gpart = s.split(";")
             q = int(qpart.removeprefix("q="))
             body = gpart.removeprefix("gens=")
-            pairs = [tuple(map(int, t.split(":"))) for t in body.split(",")] \
-                if body else []
+            pairs = [(int(g), int(e)) for g, e in
+                     (t.split(":") for t in body.split(","))] if body else []
         except (ValueError, AttributeError) as exc:
             raise ParseError(f"bad character identifier {s!r}") from exc
         if q < 1:
@@ -120,13 +127,15 @@ class DirichletCharacter:
             raise BoundExceeded(
                 f"modulus q = {q}: q^2 kernel steps exceed "
                 f"{KERNEL_STEP_BOUND}")
-        gens, orders, _ = _unit_group(q)
-        exps = [0] * len(gens)
+        gens, _, _ = _unit_group(q)
+        exps: dict[int, int] = {}
         for g, e in pairs:
             if g not in gens:
                 raise ParseError(f"{g} is not a canonical generator mod {q}")
-            exps[gens.index(g)] = e
-        return DirichletCharacter(q, tuple(exps))
+            if g in exps:
+                raise ParseError(f"generator {g} is named twice in {s!r}")
+            exps[g] = e
+        return DirichletCharacter(q, tuple(exps.get(g, 0) for g in gens))
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
@@ -235,8 +244,7 @@ def b1_weights(chi: DirichletCharacter, disc: int = 1) -> list[int]:
     return weights
 
 
-@dataclass(frozen=True)
-class ModPRealization:
+class ModPRealization(NamedTuple):
     """Reduction of Q(zeta_o) to Z/pZ along zeta_o -> zeta_image.
 
     Computationally equivalent to a degree-one prime of the character field

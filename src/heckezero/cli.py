@@ -20,7 +20,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .acceptance import run_all
 from .biro import (condition_star_search, factorization_oracle_check,
                    residue_reports, yokoi_intro_ab)
 from .cfrac import (MinusCF, PlusCF, evaluate_periodic, minus_expand,
@@ -220,6 +219,8 @@ def cmd_biro(args) -> dict:
 
 
 def cmd_selftest(args) -> dict:
+    # the one deferred import: no other command loads the acceptance suite
+    from .acceptance import run_all
     results = run_all()
     for res in results:
         print(res.line(), file=sys.stderr)

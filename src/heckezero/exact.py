@@ -7,7 +7,6 @@ here is safe to use from parallel sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -185,7 +184,6 @@ def square_prime(n: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
 class QuadSurd:
     """The real number (a + b*sqrt(d)) / c, stored in canonical form.
 
@@ -195,23 +193,26 @@ class QuadSurd:
     squarefree_part or another surd.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.c == 0:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if c == 0:
             raise ZeroDivisionError("zero denominator")
-        a, b, c = self.a, self.b, self.c
         if c < 0:
             a, b, c = -a, -b, -c
         g = math.gcd(math.gcd(a, b), c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QuadSurd:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == \
+            (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     @staticmethod
     def from_rational(x: Rational | int, d: int) -> QuadSurd:
@@ -368,7 +369,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class CycloElement:
     """Element of Q(zeta_o) as phi(o) rational coordinates in the power basis.
 
@@ -376,17 +376,16 @@ class CycloElement:
     elements always have equal coefficient tuples.
     """
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        phi = euler_phi(self.order)
-        cs = tuple(Fraction(c) for c in self.coeffs)
+    def __init__(self, order: int, coeffs):
+        phi = euler_phi(order)
+        cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) > phi:
-            cs = _cyclo_reduce(self.order, cs)
+            cs = _cyclo_reduce(order, cs)
         elif len(cs) < phi:
             cs = cs + (Fraction(0),) * (phi - len(cs))
-        object.__setattr__(self, "coeffs", cs)
+        self.order, self.coeffs = order, cs
 
     @staticmethod
     def from_rational(x: Rational | int, order: int = 1) -> CycloElement:

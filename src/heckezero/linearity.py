@@ -7,9 +7,9 @@ pits the closed forms against the direct engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .cfrac import MinusCF, PlusCF, minus_word, plus_expand, plus_to_minus
 from .characters import DirichletCharacter, char_exponents
@@ -24,8 +24,7 @@ from .shintani import check_delta_hypotheses, partial_hecke_L_zero
 N_SEARCH_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class NConstraints:
+class NConstraints(NamedTuple):
     """Admissibility filters on the family parameter n."""
 
     parity: str | None = None          # "odd", "even" or None
@@ -41,26 +40,38 @@ class NConstraints:
         return all(n % m != r % m for m, r in self.forbidden_residues)
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """A family K_n with f(n) under the radical, delta(n) = (u(n)+v(n)sqrt(f))/w,
     and plus continued fraction delta(n)-1 = [[a_0(n), ..., a_{s-1}(n)]] with
     a_i(n) = alpha_i*n + beta_i.
     """
 
-    name: str
-    f_coeffs: tuple[int, ...]
-    u_coeffs: tuple[int, ...]
-    v_coeffs: tuple[int, ...]
-    w: int
-    acf: tuple[tuple[int, int], ...]
-    n_constraints: NConstraints = NConstraints()
+    __slots__ = ("name", "f_coeffs", "u_coeffs", "v_coeffs", "w", "acf",
+                 "n_constraints")
 
-    def __post_init__(self):
-        if self.w < 1:
+    def __init__(self, name: str, f_coeffs: tuple[int, ...],
+                 u_coeffs: tuple[int, ...], v_coeffs: tuple[int, ...], w: int,
+                 acf: tuple[tuple[int, int], ...],
+                 n_constraints: NConstraints = NConstraints()):
+        if w < 1:
             raise ValueError("w must be a positive integer")
-        if len(self.acf) < 1:
+        if len(acf) < 1:
             raise ValueError("need at least one digit function")
+        self.name, self.f_coeffs = name, f_coeffs
+        self.u_coeffs, self.v_coeffs, self.w = u_coeffs, v_coeffs, w
+        self.acf, self.n_constraints = acf, n_constraints
+
+    def _key(self) -> tuple:
+        return (self.name, self.f_coeffs, self.u_coeffs, self.v_coeffs,
+                self.w, self.acf, self.n_constraints)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FamilySpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def s(self) -> int:
@@ -160,8 +171,7 @@ def family_minus_cf(spec: FamilySpec, n: int) -> MinusCF:
     return plus_to_minus(PlusCF((), spec.digits(n)))
 
 
-@dataclass(frozen=True)
-class ResidueWord:
+class ResidueWord(NamedTuple):
     """The residue-level shadow of the family's words at n = qk + r.
 
     a_i(r) = q tau_i + gamma_i with gamma_i in [1, q]; word is the minus
@@ -251,8 +261,7 @@ def smallest_admissible_n(spec: FamilySpec, q: int, r: int
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")
 
 
-@dataclass(frozen=True)
-class ClosedFormAB:
+class ClosedFormAB(NamedTuple):
     """Character-assembled closed forms with the per-cell table kept."""
 
     cells: dict[tuple[int, int], tuple[int, int]]   # q^2 (A_CD, B_CD)
@@ -284,8 +293,7 @@ def hypothesis_check_norm(spec: FamilySpec, q: int, r: int, k_list) -> bool:
         q, (delta for _, delta in admissible(spec, q, r, k_list))) is not None
 
 
-@dataclass(frozen=True)
-class ClosedFormTable:
+class ClosedFormTable(NamedTuple):
     """The character-free half of the closed forms at one (q, r).
 
     cells holds every q^2 (A_CD, B_CD); by_residue[a] sums the cells whose
@@ -356,8 +364,7 @@ def closed_form_chi(spec: FamilySpec, chi: DirichletCharacter, r: int
                         cyclo_from_buckets(chi.order, B_w))
 
 
-@dataclass(frozen=True)
-class LinearityReport:
+class LinearityReport(NamedTuple):
     k_used: tuple[int, ...]
     k_skipped: tuple[int, ...]
     scaled_values: tuple[CycloElement, ...]   # 12 q^2 L per used k

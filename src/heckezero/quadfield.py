@@ -6,7 +6,7 @@ surds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cfrac import fold_moebius, surd_walk
 from .errors import (BoundExceeded, IncompatiblePair, InternalInvariantError,
@@ -16,8 +16,7 @@ from .exact import QuadSurd, square_prime
 CLASS_NUMBER_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True)
-class FieldData:
+class FieldData(NamedTuple):
     """Q(sqrt(d)) with its maximal order O = [1, omega] and units.
 
     fund_unit is the fundamental unit eps0 > 1; tp_fund_unit is the totally

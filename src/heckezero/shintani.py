@@ -6,7 +6,6 @@ identity residual that selftest checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
@@ -18,7 +17,6 @@ from .kernels import KERNEL_STEP_BOUND, zeta12_times
 from .quadfield import FieldData, norm_form
 
 
-@dataclass(frozen=True)
 class YamamotoSeq:
     """Translation coordinates x_{-1}, x_0, ..., x_N of the shifted lattice.
 
@@ -26,15 +24,22 @@ class YamamotoSeq:
     q*x_i an integer, and y_i = 1 - x_{i-1}.
     """
 
-    q: int
-    C: int
-    D: int
-    x: tuple[Fraction, ...]
+    __slots__ = ("q", "C", "D", "x")
 
-    def __post_init__(self):
-        for v in self.x:
-            if not (0 < v <= 1) or (v * self.q).denominator != 1:
+    def __init__(self, q: int, C: int, D: int, x: tuple[Fraction, ...]):
+        for v in x:
+            if not (0 < v <= 1) or (v * q).denominator != 1:
                 raise InternalInvariantError(f"x value {v} out of contract")
+        self.q, self.C, self.D, self.x = q, C, D, x
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not YamamotoSeq:
+            return NotImplemented
+        return (self.q, self.C, self.D, self.x) == \
+            (other.q, other.C, other.D, other.x)
+
+    def __hash__(self):
+        return hash((self.q, self.C, self.D, self.x))
 
     def x_at(self, i: int) -> Fraction:
         """x_i for i >= -1."""

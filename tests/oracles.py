@@ -216,6 +216,29 @@ def surd_pow(x: QuadSurd, n: int) -> QuadSurd:
     return out
 
 
+def surd_walk_by_table(x: QuadSurd, minus: bool
+                       ) -> tuple[tuple[int, ...], tuple[int, ...], QuadSurd]:
+    """cfrac.surd_walk by a table of every state seen: the period closes
+    at the first repeated (P, Q), with no reducedness test and no bound."""
+    a, b, c = x.a, abs(x.b), x.c
+    P, Q, D = a * c, c * c, b * b * c * c * x.d
+    if x.b < 0:
+        P, Q = -P, -Q
+    s = math.isqrt(D)
+    seen: dict[tuple[int, int], int] = {}
+    digits: list[int] = []
+    while (P, Q) not in seen:
+        seen[P, Q] = len(digits)
+        k = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        if minus:
+            k += 1
+        digits.append(k)
+        P = k * Q - P
+        Q = (P * P - D) // Q if minus else (D - P * P) // Q
+    j = seen[P, Q]
+    return tuple(digits[:j]), tuple(digits[j:]), QuadSurd(P, b * c, Q, x.d)
+
+
 def zeta_power(order: int, e: int) -> CycloElement:
     """zeta_order^e."""
     return CycloElement(order, (0,) * (e % order) + (1,))

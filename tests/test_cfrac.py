@@ -10,7 +10,7 @@ from heckezero.cfrac import (MinusCF, PlusCF, delta_sequence,
 from heckezero.errors import DegenerateWord, RationalInput
 from heckezero.exact import QuadSurd
 from heckezero.quadfield import make_field
-from oracles import is_squarefree, surd_ceil, surd_floor
+from oracles import is_squarefree, surd_ceil, surd_floor, surd_walk_by_table
 
 
 def reference_walk(x, minus):
@@ -38,6 +38,17 @@ class TestSurdWalk:
         x = QuadSurd(a, b, c, d)
         assert surd_walk(x, minus) == reference_walk(x, minus)
 
+    # integer states make the table walk cheap enough for periods of
+    # thousands of digits; these bounds keep every period under a few 10^5
+    @given(st.integers(-1000, 1000), st.integers(-20, 20).filter(bool),
+           st.integers(-50, 50).filter(bool),
+           st.sampled_from([2, 3, 5, 6, 7, 13, 15, 29, 53, 229, 1009]),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_period_starts_at_first_reduced_state(self, a, b, c, d, minus):
+        x = QuadSurd(a, b, c, d)
+        assert surd_walk(x, minus) == surd_walk_by_table(x, minus)
+
     def test_fundamental_unit_matches_reference(self):
         # eps = m10*y + m11 from the plus period of omega folded at its
         # start y, normalized to the unit > 1
@@ -61,17 +72,17 @@ class TestSurdWalk:
         # Yokoi delta(n) = (n + 2 + sqrt(n^2 + 4))/2 has a minus word of n
         # digits; the integer walk builds only the tail, whatever n is
         built = []
-        post_init = QuadSurd.__post_init__
+        init = QuadSurd.__init__
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self)
-            post_init(self)
+            init(self, *args)
 
         counts = []
         for n in (7, 701):
             delta = QuadSurd(n + 2, 1, 2, n * n + 4)
             built.clear()
-            monkeypatch.setattr(QuadSurd, "__post_init__", counted)
+            monkeypatch.setattr(QuadSurd, "__init__", counted)
             mcf = minus_expand(delta)
             monkeypatch.undo()
             assert mcf.m == n and not mcf.preperiod
@@ -127,6 +138,14 @@ class TestPlusToMinus:
     def test_conversion_word(self):
         m = plus_to_minus(PlusCF((), (2, 3)))
         assert m.period == (4, 2, 2)
+
+    def test_words_equal_by_value(self):
+        assert PlusCF((), [2, 3]) == PlusCF((), (2, 3))
+        assert hash(PlusCF((), [2, 3])) == hash(PlusCF((), (2, 3)))
+        assert PlusCF((1,), (2, 3)) != PlusCF((), (2, 3))
+        assert hash(MinusCF((), [3])) == hash(MinusCF((), (3,)))
+        # the special positions count
+        assert minus_word((2, 3)) != MinusCF((), (4, 2, 2))
 
     def test_special_positions(self):
         m = plus_to_minus(PlusCF((), (2, 3)))

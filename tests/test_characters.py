@@ -48,6 +48,15 @@ class TestEnumeration:
                 again = DirichletCharacter.from_identifier(chi.identifier())
                 assert again == chi
 
+    def test_exponents_checked_and_normalised(self):
+        with pytest.raises(ValueError, match="wrong number of exponents"):
+            DirichletCharacter(5, (1, 1))
+        chi = DirichletCharacter(5, (5,))
+        assert chi.exponents == (1,)
+        assert chi == DirichletCharacter(5, (1,))
+        assert hash(chi) == hash(DirichletCharacter(5, (1,)))
+        assert chi != DirichletCharacter(5, (2,))
+
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 15])
     def test_multiplicativity(self, q):
         for chi in enumerate_characters(q):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckezero import cli, linearity, quadfield
+from heckezero import acceptance, cli, linearity, quadfield
 from heckezero.acceptance import CriterionResult
 from heckezero.cli import main
 
@@ -46,7 +46,7 @@ class TestExitCodes:
 
     def test_selftest_failure_is_invariant_error(self, monkeypatch, capsys):
         failing = CriterionResult(1, "stub", False, "forced failure", 0.0)
-        monkeypatch.setattr(cli, "run_all", lambda: [failing])
+        monkeypatch.setattr(acceptance, "run_all", lambda: [failing])
         code, doc = run_json(["selftest"], capsys)
         assert code == 3
         assert doc["results"]["all_passed"] is False
@@ -143,6 +143,22 @@ class TestBoundary:
                              capsys, "BoundExceeded")
         assert "past 1000000 digits" in msg
 
+    def test_walk_refusal_memory(self):
+        # the walk remembers one state besides its digits, so refusing at
+        # WALK_DIGIT_BOUND peaks under 64 MiB (ru_maxrss is in KiB on Linux)
+        probe = (
+            "import resource\n"
+            "from heckezero.cli import main\n"
+            "code = main(['cf', 'expand', '--d', '2', '--surd',"
+            " '0,1,10000000', '--kind', 'minus'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 2 and "BoundExceeded" in proc.stderr
+        assert peak_kib < 64 * 1024
+
     def test_inconsistent_family_file(self, tmp_path, capsys):
         # Yokoi's delta with its digits declared as 2n: delta(1) - 1 = [[1]]
         f = tmp_path / "bad.json"
@@ -194,8 +210,15 @@ class TestBoundary:
         # the double sums run over Yokoi's norm form only
         (["biro", "oracle", "--family", "rd-n2p1", "--n", "1",
           "--chi", "q=3;gens=2:1", "--intro-ab"], "ParseError", "yokoi"),
+        (LVALUE_ARGS[:-1] + ["q=3;gens=2:1,2:0"], "ParseError",
+         "generator 2 is named twice"),
+        (LVALUE_ARGS[:-1] + ["q=3;gens=2"], "ParseError",
+         "bad character identifier 'q=3;gens=2'"),
+        (LVALUE_ARGS[:-1] + ["q=3;gens=2:1:5"], "ParseError",
+         "bad character identifier 'q=3;gens=2:1:5'"),
     ], ids=["radicand", "empty-digits", "bad-digit", "minus-digit",
-            "plus-digit", "family-w0", "search-bounds", "intro-ab-family"])
+            "plus-digit", "family-w0", "search-bounds", "intro-ab-family",
+            "chi-generator-twice", "chi-pair-short", "chi-pair-long"])
     def test_named_input_errors(self, args, error, text, tmp_path,
                                 monkeypatch, capsys):
         # w0.json is Yokoi's family with the denominator w = 0
@@ -500,3 +523,22 @@ def test_cli_import_stays_pure_python():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_generates_no_code():
+    # every command pays for this import: it generates no dataclass methods
+    # (loads neither dataclasses nor inspect), and the acceptance suite is
+    # loaded by selftest alone (test_console_script_selftest runs it).  Some
+    # interpreters load inspect at start-up, so only what the import adds
+    # counts.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import heckezero.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'heckezero.acceptance'}"
+        " & (set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

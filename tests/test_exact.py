@@ -126,6 +126,16 @@ class TestQuadSurd:
         assert (x.a, x.b, x.c) == (-1, -2, 3)
         assert QuadSurd(2, 2, 2, 5) == QuadSurd(1, 1, 1, 5)
 
+    def test_value_equality(self):
+        assert hash(QuadSurd(2, 2, 2, 5)) == hash(QuadSurd(1, 1, 1, 5))
+        # equal only to a surd of the class: d counts, numbers do not
+        assert QuadSurd(1, 0, 1, 5) != QuadSurd(1, 0, 1, 2)
+        assert QuadSurd(1, 0, 1, 5) != 1
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            QuadSurd(1, 1, 0, 5)
+
     def test_arithmetic_golden(self):
         phi = QuadSurd(1, 1, 2, 5)
         assert phi * phi == phi + 1          # golden ratio equation
@@ -182,6 +192,11 @@ class TestCycloElement:
         assert zeta_power(4, 2) == -1
         z3 = zeta_power(3, 1)
         assert z3 * z3 == CycloElement(3, (Fraction(-1), Fraction(-1)))
+
+    def test_reduced_on_construction(self):
+        # 1 + z3 + z3^2 = 0; a short tuple is padded to phi(order) entries
+        assert CycloElement(3, (1, 1, 1)).coeffs == (0, 0)
+        assert CycloElement(5, (2,)).coeffs == (2, 0, 0, 0)
 
     def test_roots_of_unity(self):
         for o in (1, 2, 3, 4, 5, 6, 8, 12):

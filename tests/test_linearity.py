@@ -1,7 +1,5 @@
 """Families, closed forms per cell, and the affine-in-n verification."""
 
-from dataclasses import replace
-
 import pytest
 
 from heckezero import linearity
@@ -11,7 +9,7 @@ from heckezero.errors import (DeltaOutOfRange, InsufficientSamples,
                               NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd
 from heckezero.kernels import zeta12_times
-from heckezero.linearity import (BUILTIN_FAMILIES, admissible,
+from heckezero.linearity import (BUILTIN_FAMILIES, FamilySpec, admissible,
                                  closed_form_cd, closed_form_chi,
                                  family_instance, family_minus_cf,
                                  family_spec_from_dict, hypothesis_check_norm,
@@ -29,8 +27,11 @@ PAIRED = family_spec_from_dict({
     "acf": [{"alpha": 1, "beta": 0}, {"alpha": 2, "beta": 0}]})
 # s = 3 and s = 4 digit functions; family_minus_cf and the closed forms read
 # only acf, so the radicand and delta are Yokoi's placeholders
-TRIPLE = replace(YOKOI, name="triple", acf=((1, 0), (2, 1), (1, 2)))
-QUAD = replace(YOKOI, name="quad", acf=((1, 1), (1, 0), (2, 0), (1, 3)))
+TRIPLE, QUAD = (
+    FamilySpec(name, YOKOI.f_coeffs, YOKOI.u_coeffs, YOKOI.v_coeffs, YOKOI.w,
+               acf, YOKOI.n_constraints)
+    for name, acf in (("triple", ((1, 0), (2, 1), (1, 2))),
+                      ("quad", ((1, 1), (1, 0), (2, 0), (1, 3)))))
 
 
 def first_with_digits_at_least_q(spec, q, r):
@@ -89,6 +90,25 @@ class TestFamilyJSON:
         spec = family_spec_from_dict(obj)
         assert spec.s == 1 and spec.f(1) == 5
         assert family_instance(spec, 1).d == 5
+
+    def test_equal_by_value(self):
+        obj = {
+            "name": "yokoi",
+            "f_coeffs": [4, 0, 1],
+            "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": 2},
+            "acf": [{"alpha": 1, "beta": 0}],
+            "n_constraints": {"parity": "odd", "forbidden_residues": []},
+        }
+        assert family_spec_from_dict(obj) == YOKOI
+        assert hash(family_spec_from_dict(obj)) == hash(YOKOI)
+        assert YOKOI != RDN
+
+    @pytest.mark.parametrize("w,acf,text", [
+        (0, ((1, 0),), "w must be a positive integer"),
+        (2, (), "need at least one digit function")], ids=["w0", "no-acf"])
+    def test_checked_on_construction(self, w, acf, text):
+        with pytest.raises(ValueError, match=text):
+            FamilySpec("x", (4, 0, 1), (2, 1), (1,), w, acf)
 
     def test_malformed(self):
         with pytest.raises(ParseError):

@@ -12,13 +12,15 @@ from heckezero.cfrac import MinusCF, minus_expand
 from heckezero.characters import (DirichletCharacter, enumerate_characters,
                                   gen_bernoulli_b1)
 from heckezero.errors import (DeltaOutOfRange, IdealNotCoprime,
-                              IncompatiblePair, NotSquarefree)
+                              IncompatiblePair, InternalInvariantError,
+                              NotSquarefree)
 from heckezero.exact import CycloElement, QuadSurd
 from heckezero.linearity import BUILTIN_FAMILIES, family_instance
 from heckezero.quadfield import check_radicand, class_numbers, make_field
-from heckezero.shintani import (check_delta_hypotheses, lattice_unit_order,
-                                partial_hecke_L_zero, partial_zeta_zero,
-                                yamamoto_identity_residual, yamamoto_sequence)
+from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
+                                lattice_unit_order, partial_hecke_L_zero,
+                                partial_zeta_zero, yamamoto_identity_residual,
+                                yamamoto_sequence)
 from oracles import (IdealLattice, char_eval, ideal_inverse, ideal_norm,
                      kronecker, norm_residue, orbit_shift_check,
                      partial_zeta_zero_reference)
@@ -51,6 +53,19 @@ class TestYamamotoSequence:
         # C = q gives x_{-1} = 1 (not 0)
         seq = yamamoto_sequence(3, 3, 1, MinusCF((), (3,)), steps=2)
         assert seq.x_at(-1) == 1
+
+    def test_equal_by_value(self):
+        seq = yamamoto_sequence(3, 3, 1, MinusCF((), (3,)), steps=2)
+        assert seq == yamamoto_sequence(3, 3, 1, MinusCF((), (3,)), steps=2)
+        assert hash(seq) == hash(YamamotoSeq(3, 3, 1, seq.x))
+        assert seq != yamamoto_sequence(3, 3, 1, MinusCF((), (3,)), steps=3)
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(4, 3),
+                                   Fraction(1, 2)])
+    def test_contract_checked(self, x):
+        # every x_i lies in (0, 1] with 3 x_i an integer
+        with pytest.raises(InternalInvariantError, match="out of contract"):
+            YamamotoSeq(3, 1, 1, (Fraction(1, 3), x))
 
 
 class TestPartialZeta:
