@@ -12,19 +12,14 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .characters import (DirichletCharacter, ModPRealization, b1_weights,
-                         char_exponents, char_invariants,
-                         enumerate_characters, gen_bernoulli_b1,
-                         modp_realizations)
+                         char_invariants, chi_weights, enumerate_characters,
+                         gen_bernoulli_b1, modp_realizations)
 from .errors import BoundExceeded, NarrowClassNotOne, ParseError
 from .exact import CycloElement, cyclo_from_buckets
 from .linearity import (ClosedFormTable, FamilySpec, closed_form_chi,
                         closed_form_table, family_instance)
 from .quadfield import class_numbers, field_discriminant, make_field
 from .shintani import partial_hecke_L_zero
-
-# Sign relating the cone-engine value to the Bernoulli-number product; fixed
-# once by the d=5, q=3 oracle (2/3 on both sides) and used everywhere.
-SIGN_CONVENTION = 1
 
 # A search or residue run whose sieve_work exceeds this is refused
 SIEVE_WORK_BOUND = 10 ** 7
@@ -129,10 +124,9 @@ def residue_mod_p(pair: ConditionStarPair, r: int, table: ClosedFormTable
     identically (indeterminate), with A nonzero it has no solution at
     all (vacuous: no class-number-one member in this residue class).
     """
-    A_w, B_w = table.weights(pair.chi)
     p = pair.p
-    a_img = pair.realization.image(A_w)
-    b_img = pair.realization.image(B_w)
+    a_img = pair.realization.image(chi_weights(pair.chi, table.A))
+    b_img = pair.realization.image(chi_weights(pair.chi, table.B))
     if b_img == 0:
         status = "indeterminate" if a_img == 0 else "vacuous"
         return ResidueReport(pair.chi, pair.realization, r, status, None,
@@ -164,13 +158,16 @@ def factorization_oracle_check(spec: FamilySpec, n: int,
                                ) -> tuple[CycloElement, CycloElement, bool]:
     """Compare the cone-engine value against the Bernoulli-number product
     B_{1,chi} * B_{1,chi*chi_D} for a narrow-class-number-one member.
+
+    The sign between them is +1, fixed by the d = 5, q = 3 oracle (2/3 on
+    both sides).
     """
     delta = family_instance(spec, n)
     _, h_plus = class_numbers(make_field(delta.d))
     if h_plus != 1:
         raise NarrowClassNotOne(
             f"h+({delta.d}) = {h_plus}; the single-class oracle does not apply")
-    lhs = partial_hecke_L_zero(delta, chi) * SIGN_CONVENTION
+    lhs = partial_hecke_L_zero(delta, chi)
     rhs = gen_bernoulli_b1(chi) * gen_bernoulli_b1(
         chi, field_discriminant(delta.d))
     return lhs, rhs, lhs == rhs
@@ -183,19 +180,15 @@ def yokoi_intro_ab(chi: DirichletCharacter, r: int
     Yokoi's family when one exists.
     """
     q = chi.modulus
-    exps = char_exponents(chi)
-    A_buckets = [0] * chi.order
-    B_buckets = [0] * chi.order
+    A_table, B_table = [0] * q, [0] * q
     for C in range(q):
         for D in range(q):
-            k = exps[(D * D - C * C - r * C * D) % q]
-            if k < 0:
-                continue
+            a = (D * D - C * C - r * C * D) % q
             ceil_term = -((D - r * C) // q)        # ceil((rC - D) / q)
-            A_buckets[k] += ceil_term * (C - q)
-            B_buckets[k] += C * (C - q)
-    A = cyclo_from_buckets(chi.order, A_buckets)
-    B = cyclo_from_buckets(chi.order, B_buckets)
+            A_table[a] += ceil_term * (C - q)
+            B_table[a] += C * (C - q)
+    A = cyclo_from_buckets(chi.order, chi_weights(chi, A_table))
+    B = cyclo_from_buckets(chi.order, chi_weights(chi, B_table))
     from .linearity import BUILTIN_FAMILIES
     cf = closed_form_chi(BUILTIN_FAMILIES["yokoi"], chi, r)
     rho = _proportionality((A, B), (cf.A_chi, cf.B_chi))

@@ -167,6 +167,21 @@ def char_exponents(chi: DirichletCharacter) -> tuple[int, ...]:
     return tuple(out)
 
 
+def chi_weights(chi: DirichletCharacter, table) -> list[int]:
+    """The integers w_j with sum_a chi(a)*table[a] = sum_j w_j zeta_o^j,
+    o = chi.order, for integers table[a] indexed by the residues a mod q.
+
+    The one place a character meets data: every character sum builds a
+    chi-free residue table and folds it here.  Entries at non-units, which
+    chi annihilates, are ignored.
+    """
+    weights = [0] * chi.order
+    for k, t in zip(char_exponents(chi), table):
+        if k >= 0:
+            weights[k] += t
+    return weights
+
+
 def char_invariants(chi: DirichletCharacter) -> tuple[str, int]:
     """(parity, conductor): parity from chi(-1), conductor the smallest
     f | q through which chi factors."""
@@ -234,14 +249,11 @@ def b1_weights(chi: DirichletCharacter, disc: int = 1) -> list[int]:
     disc is 1 or field_discriminant of a checked radicand.
     """
     q = chi.modulus
-    exps = char_exponents(chi)
     kron = [_kronecker_raw(disc, a) for a in range(disc)]
-    weights = [0] * chi.order
+    table = [0] * q
     for a in range(1, q * disc + 1):
-        k = exps[a % q]
-        if k >= 0:
-            weights[k] += a * kron[a % disc]
-    return weights
+        table[a % q] += a * kron[a % disc]
+    return chi_weights(chi, table)
 
 
 class ModPRealization(NamedTuple):

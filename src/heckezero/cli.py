@@ -61,12 +61,21 @@ def load_family_config(name_or_path: str) -> FamilySpec:
         return BUILTIN_FAMILIES[name_or_path]
     if not os.path.exists(name_or_path):
         raise ParseError(f"no builtin family or file named {name_or_path!r}")
-    with open(name_or_path) as fh:
-        try:
+    try:
+        with open(name_or_path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{name_or_path}:{exc.lineno}:{exc.colno}: "
-                             f"{exc.msg}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{name_or_path}:{exc.lineno}:{exc.colno}: "
+                         f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name_or_path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the digit limit, or nesting past the stack
+        raise ParseError(f"{name_or_path}: unreadable JSON ({exc})") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read family file {name_or_path!r}: "
+                         f"{exc.strerror}") from exc
     spec = family_spec_from_dict(obj)
     # the declared digits must hold at the first n >= 1 that passes the
     # radicand, n-constraint and reducedness checks
@@ -344,14 +353,20 @@ def run_command(argv) -> int:
         "elapsed_s": round(time.monotonic() - t0, 6),
     }
     if args.format == "csv":
-        sys.stdout.write(_csv_flatten(payload))
+        text = _csv_flatten(payload)
     else:
-        json.dump(envelope, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        text = json.dumps(envelope, indent=2) + "\n"
+    # the --out line goes first, so a file that cannot be appended to
+    # leaves stdout empty
     if args.out:
         line = json.dumps(envelope, separators=(",", ":"))
-        with open(args.out, "a") as fh:
-            fh.write(line + "\n")
+        try:
+            with open(args.out, "a") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot append to --out {args.out!r}: "
+                             f"{exc.strerror}") from exc
+    sys.stdout.write(text)
     if args.command == "selftest" and not payload["all_passed"]:
         return 3   # a failed acceptance criterion is a broken invariant
     return 0

@@ -7,12 +7,13 @@ pits the closed forms against the direct engine.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
 from .cfrac import MinusCF, PlusCF, minus_word, plus_expand, plus_to_minus
-from .characters import DirichletCharacter, char_exponents
+from .characters import DirichletCharacter, chi_weights
 from .errors import (BoundExceeded, CFMismatch, DeltaOutOfRange,
                      HypothesisFailed, InsufficientSamples, NoAdmissibleN,
                      NotSquarefree, ParseError)
@@ -40,38 +41,20 @@ class NConstraints(NamedTuple):
         return all(n % m != r % m for m, r in self.forbidden_residues)
 
 
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A family K_n with f(n) under the radical, delta(n) = (u(n)+v(n)sqrt(f))/w,
     and plus continued fraction delta(n)-1 = [[a_0(n), ..., a_{s-1}(n)]] with
-    a_i(n) = alpha_i*n + beta_i.
+    a_i(n) = alpha_i*n + beta_i.  w >= 1 and acf is not empty, as
+    family_spec_from_dict checks.
     """
 
-    __slots__ = ("name", "f_coeffs", "u_coeffs", "v_coeffs", "w", "acf",
-                 "n_constraints")
-
-    def __init__(self, name: str, f_coeffs: tuple[int, ...],
-                 u_coeffs: tuple[int, ...], v_coeffs: tuple[int, ...], w: int,
-                 acf: tuple[tuple[int, int], ...],
-                 n_constraints: NConstraints = NConstraints()):
-        if w < 1:
-            raise ValueError("w must be a positive integer")
-        if len(acf) < 1:
-            raise ValueError("need at least one digit function")
-        self.name, self.f_coeffs = name, f_coeffs
-        self.u_coeffs, self.v_coeffs, self.w = u_coeffs, v_coeffs, w
-        self.acf, self.n_constraints = acf, n_constraints
-
-    def _key(self) -> tuple:
-        return (self.name, self.f_coeffs, self.u_coeffs, self.v_coeffs,
-                self.w, self.acf, self.n_constraints)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FamilySpec:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    name: str
+    f_coeffs: tuple[int, ...]
+    u_coeffs: tuple[int, ...]
+    v_coeffs: tuple[int, ...]
+    w: int
+    acf: tuple[tuple[int, int], ...]
+    n_constraints: NConstraints = NConstraints()
 
     @property
     def s(self) -> int:
@@ -111,23 +94,73 @@ BUILTIN_FAMILIES = {
 }
 
 
-def family_spec_from_dict(obj: dict) -> FamilySpec:
-    """Parse the JSON object form {name, f_coeffs, delta, acf, n_constraints}."""
-    try:
-        nc = obj.get("n_constraints", {})
-        return FamilySpec(
-            name=obj["name"],
-            f_coeffs=tuple(obj["f_coeffs"]),
-            u_coeffs=tuple(obj["delta"]["u_coeffs"]),
-            v_coeffs=tuple(obj["delta"]["v_coeffs"]),
-            w=obj["delta"]["w"],
-            acf=tuple((p["alpha"], p["beta"]) for p in obj["acf"]),
-            n_constraints=NConstraints(
-                parity=nc.get("parity"),
-                forbidden_residues=tuple(
-                    (m, r) for m, r in nc.get("forbidden_residues", ()))))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad family description: {exc}") from exc
+def family_spec_from_dict(obj) -> FamilySpec:
+    """Parse and check the JSON object form {name, f_coeffs, delta: {u_coeffs,
+    v_coeffs, w}, acf: [{alpha, beta}, ...], n_constraints: {parity,
+    forbidden_residues}}, n_constraints and its fields optional.  Every
+    field is checked for shape, type and range here; a bad one is a
+    ParseError.
+    """
+    top = _object(obj, "a family description")
+    delta = _object(_field(top, "delta"), "delta")
+    nc = _object(top.get("n_constraints", {}), "n_constraints")
+    name = _field(top, "name")
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string, got {type(name).__name__}")
+    w = _integer(_field(delta, "w"), "w")
+    if w < 1:
+        raise ParseError(f"w must be a positive integer, got {w}")
+    acf = tuple((_integer(_field(p, "alpha"), "alpha"),
+                 _integer(_field(p, "beta"), "beta"))
+                for p in (_object(e, "an acf entry")
+                          for e in _list(_field(top, "acf"), "acf")))
+    if not acf:
+        raise ParseError("acf: need at least one digit function")
+    parity = nc.get("parity")
+    if parity not in (None, "odd", "even"):
+        raise ParseError(f'parity must be "odd" or "even", '
+                         f'got {reprlib.repr(parity)}')
+    forbidden = tuple(_integers(pair, "a forbidden residue pair") for pair in
+                      _list(nc.get("forbidden_residues", []),
+                            "forbidden_residues"))
+    for pair in forbidden:
+        if len(pair) != 2 or pair[0] < 1:
+            raise ParseError(f"forbidden residue {list(pair)} must be "
+                             f"[m, r] with modulus m >= 1")
+    return FamilySpec(
+        name, _integers(_field(top, "f_coeffs"), "f_coeffs"),
+        _integers(_field(delta, "u_coeffs"), "u_coeffs"),
+        _integers(_field(delta, "v_coeffs"), "v_coeffs"), w, acf,
+        NConstraints(parity, forbidden))
+
+
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ParseError(f"{what} must be an object, got {type(x).__name__}")
+    return x
+
+
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise ParseError(f"bad family description: no {key!r}")
+    return obj[key]
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"{what} must be a list, got {type(x).__name__}")
+    return x
+
+
+def _integer(x, what: str) -> int:
+    # bool is a subclass of int; JSON true is not a coefficient
+    if type(x) is not int:
+        raise ParseError(f"{what} must be an integer, got {reprlib.repr(x)}")
+    return x
+
+
+def _integers(x, what: str) -> tuple[int, ...]:
+    return tuple(_integer(c, what) for c in _list(x, what))
 
 
 def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
@@ -296,25 +329,14 @@ def hypothesis_check_norm(spec: FamilySpec, q: int, r: int, k_list) -> bool:
 class ClosedFormTable(NamedTuple):
     """The character-free half of the closed forms at one (q, r).
 
-    cells holds every q^2 (A_CD, B_CD); by_residue[a] sums the cells whose
+    cells holds every q^2 (A_CD, B_CD); A[a] and B[a] sum the cells whose
     norm residue u C^2 + v CD + w D^2 is a mod q, (u, v, w) the norm form
     mod q of the members n = r mod q.
     """
 
     cells: dict[tuple[int, int], tuple[int, int]]
-    by_residue: tuple[tuple[int, int], ...]
-
-    def weights(self, chi: DirichletCharacter) -> tuple[list[int], list[int]]:
-        """The integers (a_j, b_j) with A_chi = sum_j a_j zeta_o^j and
-        B_chi = sum_j b_j zeta_o^j, o = chi.order."""
-        exps = char_exponents(chi)
-        A_w = [0] * chi.order
-        B_w = [0] * chi.order
-        for (A, B), k in zip(self.by_residue, exps):
-            if k >= 0:
-                A_w[k] += A
-                B_w[k] += B
-        return A_w, B_w
+    A: tuple[int, ...]
+    B: tuple[int, ...]
 
 
 def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
@@ -340,14 +362,14 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
             f"norm residues mod {q} vary with k at r = {r}")
     u, v, w = form
     cells: dict[tuple[int, int], tuple[int, int]] = {}
-    sums = [[0, 0] for _ in range(q)]
+    A_sums, B_sums = [0] * q, [0] * q
     for C in range(1, q + 1):
         for D in range(1, q + 1):
             A, B = cells[(C, D)] = closed_form_cd(spec, rw, C, D)
-            acc = sums[(u * C * C + v * C * D + w * D * D) % q]
-            acc[0] += A
-            acc[1] += B
-    return ClosedFormTable(cells, tuple((A, B) for A, B in sums))
+            a = (u * C * C + v * C * D + w * D * D) % q
+            A_sums[a] += A
+            B_sums[a] += B
+    return ClosedFormTable(cells, tuple(A_sums), tuple(B_sums))
 
 
 def closed_form_chi(spec: FamilySpec, chi: DirichletCharacter, r: int
@@ -359,9 +381,9 @@ def closed_form_chi(spec: FamilySpec, chi: DirichletCharacter, r: int
     holds everything that does not depend on chi.
     """
     table = closed_form_table(spec, chi.modulus, r)
-    A_w, B_w = table.weights(chi)
-    return ClosedFormAB(table.cells, cyclo_from_buckets(chi.order, A_w),
-                        cyclo_from_buckets(chi.order, B_w))
+    return ClosedFormAB(
+        table.cells, cyclo_from_buckets(chi.order, chi_weights(chi, table.A)),
+        cyclo_from_buckets(chi.order, chi_weights(chi, table.B)))
 
 
 class LinearityReport(NamedTuple):

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
-from .characters import DirichletCharacter, char_exponents
+from .characters import DirichletCharacter, chi_weights
 from .errors import (BoundExceeded, DeltaOutOfRange, IdealNotCoprime,
                      InternalInvariantError)
 from .exact import QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos
@@ -91,12 +91,12 @@ def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
     exact cyclotomic number.
 
     Sums chi(N((C+D*delta)b)) * Z(C,D) over (C,D) in [1,q]^2; cells whose
-    norm residue shares a factor with q are annihilated by chi.  delta is
-    validated once: reduced, [1, delta] an ideal of the maximal order
-    (norm_form), and q^2 * m within KERNEL_STEP_BOUND.  Each cell then costs
-    an integer norm residue, a character-exponent lookup and the integer
-    kernel, whose 12*q^2*Z(C,D) is summed per power of zeta into one
-    CycloElement.
+    norm residue shares a factor with q are annihilated by chi and skip the
+    kernel.  delta is validated once: reduced, [1, delta] an ideal of the
+    maximal order (norm_form), and q^2 * m within KERNEL_STEP_BOUND.  Each
+    cell then costs an integer norm residue and the integer kernel, whose
+    12*q^2*Z(C,D) is summed into a chi-free table over the norm residues;
+    chi_weights folds that table into one CycloElement.
     """
     q = chi.modulus
     check_delta_hypotheses(delta)
@@ -112,14 +112,15 @@ def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
             f"q^2 * m = {q * q * mcf.m} kernel steps exceed "
             f"{KERNEL_STEP_BOUND}")
     digits = list(mcf.period)
-    exps = char_exponents(chi)
-    buckets = [0] * chi.order
+    unit = [math.gcd(a, q) == 1 for a in range(q)]
+    table = [0] * q
     for C in range(1, q + 1):
         for D in range(1, q + 1):
-            k = exps[(u * C * C + v * C * D + w * D * D) % q]
-            if k >= 0:
-                buckets[k] += zeta12_times(q, C, D, digits)
-    return cyclo_from_buckets(chi.order, buckets, Fraction(1, 12 * q * q))
+            a = (u * C * C + v * C * D + w * D * D) % q
+            if unit[a]:
+                table[a] += zeta12_times(q, C, D, digits)
+    return cyclo_from_buckets(chi.order, chi_weights(chi, table),
+                              Fraction(1, 12 * q * q))
 
 
 def lattice_unit_order(F: FieldData, delta: QuadSurd, q: int) -> int:

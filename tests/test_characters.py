@@ -1,17 +1,19 @@
 """Dirichlet characters, generalized Bernoulli numbers, mod-p realizations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from heckezero.characters import (DirichletCharacter, _unit_group,
                                   b1_weights, char_exponents,
-                                  char_invariants, enumerate_characters,
-                                  gen_bernoulli_b1, modp_realizations)
+                                  char_invariants, chi_weights,
+                                  enumerate_characters, gen_bernoulli_b1,
+                                  modp_realizations)
 from heckezero.biro import condition_star_search
 from heckezero.errors import BoundExceeded, ParseError
-from heckezero.exact import CycloElement
+from heckezero.exact import CycloElement, cyclo_from_buckets
 from heckezero.kernels import KERNEL_STEP_BOUND
 from oracles import (apply_realization, char_eval, is_primitive, kronecker,
                      zeta_power)
@@ -116,6 +118,22 @@ class TestExponents:
         condition_star_search(101, 3)
         info = char_exponents.cache_info()
         assert info.currsize <= info.maxsize == 1024 < info.misses
+
+
+class TestChiWeights:
+    @pytest.mark.parametrize("q", range(1, 31))
+    def test_fold_equals_termwise_sum(self, q):
+        # sum_a chi(a)*t[a] term by term, for every chi mod q, on seeded
+        # random tables with entries of both signs
+        rng = random.Random(q)
+        for chi in enumerate_characters(q):
+            for _ in range(2):
+                t = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(q)]
+                termwise = CycloElement(chi.order, ())
+                for a in range(q):
+                    termwise += char_eval(chi, a) * t[a]
+                assert cyclo_from_buckets(
+                    chi.order, chi_weights(chi, t)) == termwise
 
 
 class TestInvariants:

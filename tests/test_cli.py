@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -22,6 +23,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 LVALUE_ARGS = ["lvalue", "--d", "5", "--delta", "3,1,2",
                "--chi", "q=3;gens=2:1"]
+YOKOI_FILE = {"name": "yokoi-file", "f_coeffs": [4, 0, 1],
+              "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": 2},
+              "acf": [{"alpha": 1, "beta": 0}],
+              "n_constraints": {"parity": "odd", "forbidden_residues": []}}
+
+
+def replaced(path, value) -> bytes:
+    """YOKOI_FILE as JSON with the field at path (keys and indices, empty
+    for the whole document) replaced by value."""
+    doc = json.loads(json.dumps(YOKOI_FILE))
+    if not path:
+        return json.dumps(value).encode()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc).encode()
 
 
 def run_cli(args, capsys):
@@ -57,8 +75,9 @@ class TestBoundary:
 
     def run_error(self, args, capsys, error=None):
         code = main(args)
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert code == 2 and len(lines) == 1
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert code == 2 and len(lines) == 1 and out == ""
         doc = json.loads(lines[0])
         assert set(doc) == {"error", "message"}
         assert error is None or doc["error"] == error
@@ -145,13 +164,15 @@ class TestBoundary:
 
     def test_walk_refusal_memory(self):
         # the walk remembers one state besides its digits, so refusing at
-        # WALK_DIGIT_BOUND peaks under 64 MiB (ru_maxrss is in KiB on Linux)
+        # WALK_DIGIT_BOUND peaks under 64 MiB.  The probe reads its own
+        # VmHWM (KiB): on Linux, exec carries the peak of the process that
+        # started it into ru_maxrss, and pytest's peak is near 64 MiB
         probe = (
-            "import resource\n"
             "from heckezero.cli import main\n"
             "code = main(['cf', 'expand', '--d', '2', '--surd',"
             " '0,1,10000000', '--kind', 'minus'])\n"
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "print(code, next(line.split()[1] for line in"
+            " open('/proc/self/status') if line.startswith('VmHWM:')))\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -173,6 +194,53 @@ class TestBoundary:
                               "--k", "0,1,2,3"], capsys, "SpecInconsistent")
         assert time.monotonic() - t0 < 1.0
         assert "delta(1)-1" in msg and "(2,)" in msg
+
+    @pytest.mark.parametrize("contents,text", [
+        (replaced((), [1, 2]), "a family description must be an object"),
+        (replaced((), None), "a family description must be an object"),
+        (replaced(("n_constraints",), []), "n_constraints must be an object"),
+        (replaced(("f_coeffs",), ["4", 0, 1]),
+         "f_coeffs must be an integer, got '4'"),
+        (replaced(("f_coeffs",), [4.5, 0, 1]),
+         "f_coeffs must be an integer, got 4.5"),
+        (replaced(("delta", "w"), 2.0), "w must be an integer, got 2.0"),
+        (replaced(("n_constraints", "forbidden_residues"), [[0, 1]]),
+         "modulus m >= 1"),
+        (None, "Is a directory"),
+        (b'{"name": "\xff"}', "not UTF-8 text"),
+        (replaced(("acf",), [[1, 0]]), "an acf entry must be an object"),
+        (replaced(("n_constraints", "parity"), "od"),
+         'parity must be "odd" or "even"'),
+        (replaced(("f_coeffs",), [True, 0, 1]),
+         "f_coeffs must be an integer, got True"),
+        # past the recursion limit of json's scanner on 3.10 to 3.13
+        (b"[" * 10 ** 4 + b"]" * 10 ** 4, "unreadable JSON"),
+        (b'{"name": ' + b"1" * 5000 + b"}", "unreadable JSON"),
+        (replaced(("f_coeffs",), [[1] * 1000]),
+         "f_coeffs must be an integer, got [1, 1, 1, 1, 1, 1, ...]"),
+    ], ids=["top-list", "top-null", "nc-list", "coeff-str", "coeff-float",
+            "w-float", "forbidden-m0", "directory", "not-utf8", "acf-pair",
+            "parity-typo", "coeff-bool", "deep-nesting", "long-integer",
+            "long-value"])
+    def test_malformed_family_file(self, contents, text, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_bytes(contents)
+        msg = self.run_error(["linearity", "hypothesis", "--family",
+                              str(path), "--chi", "q=3;gens=2:1", "--r", "1",
+                              "--k", "0,1,2"], capsys, "ParseError")
+        assert text in msg and len(msg) < 500
+
+    @pytest.mark.parametrize("target", ["adir", "no/such/dir/x.jsonl"],
+                             ids=["out-directory", "out-missing-dir"])
+    def test_out_not_appendable(self, target, tmp_path, monkeypatch, capsys):
+        (tmp_path / "adir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        msg = self.run_error(["field", "--d", "5", "--out", target], capsys,
+                             "ParseError")
+        assert repr(target) in msg
 
     def test_field_d_zero(self, capsys):
         msg = self.run_error(["field", "--d", "0"], capsys)
@@ -457,7 +525,18 @@ _CHI = st.one_of(
     st.builds("q={};gens={}:{}".format, st.integers(1, 12),
               st.integers(0, 12), st.integers(-2, 12)),
     st.sampled_from(["q=x;gens=", "q=3", "chi"]))
-_FAMILY = st.sampled_from(["yokoi", "rd-n2p1"] * 3 + ["no/such/family.json"])
+# family files with one field replaced by a wrongly typed or out-of-range
+# value; bytes stand for a file that the test writes first
+_FAMILY_FIELDS = [(), ("name",), ("f_coeffs",), ("f_coeffs", 1), ("delta",),
+                  ("delta", "u_coeffs"), ("delta", "v_coeffs"),
+                  ("delta", "w"), ("acf",), ("acf", 0), ("acf", 0, "alpha"),
+                  ("acf", 0, "beta"), ("n_constraints",),
+                  ("n_constraints", "parity"),
+                  ("n_constraints", "forbidden_residues")]
+_BAD_VALUES = [None, True, 2.0, "4", 0, -1, {}, [[0, 1]], [1.5], "od"]
+_FAMILY = st.sampled_from(["yokoi", "rd-n2p1"] * 3 + ["no/such/family.json"]) \
+    | st.builds(replaced, st.sampled_from(_FAMILY_FIELDS),
+                st.sampled_from(_BAD_VALUES))
 _R = st.integers(-2, 12).map(str)
 _KS = st.lists(st.integers(0, 9).map(str), max_size=5).map(",".join)
 _KIND = st.sampled_from(["plus", "minus", "neither"])
@@ -490,8 +569,16 @@ _COMMANDS = st.one_of(
 def test_fuzz_argument_fragments(command, extra):
     words, options = command
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(words + options + extra)
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        argv = []
+        for i, word in enumerate(words + options + extra):
+            if isinstance(word, bytes):
+                path = Path(tmp) / f"family{i}.json"
+                path.write_bytes(word)
+                word = str(path)
+            argv.append(word)
+        code = main(argv)
     assert code in (0, 2, 3)
     if code == 0:
         assert err.getvalue() == ""

@@ -131,3 +131,20 @@ def test_every_definition_reached():
     # argparse calls _Parser.error by name, never through code of ours
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreached_defs(sources) == ["cli._Parser.error"]
+
+
+def test_char_exponents_read_in_characters_only():
+    # every character sum builds a chi-free residue table and folds it with
+    # characters.chi_weights, so no other module reads the exponent table
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.asname or node.name
+                yield node.name
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "characters.py"
+            and "char_exponents" in names(ast.parse(path.read_text()))] == []

@@ -104,11 +104,14 @@ class TestFamilyJSON:
         assert YOKOI != RDN
 
     @pytest.mark.parametrize("w,acf,text", [
-        (0, ((1, 0),), "w must be a positive integer"),
-        (2, (), "need at least one digit function")], ids=["w0", "no-acf"])
+        (0, [{"alpha": 1, "beta": 0}], "w must be a positive integer"),
+        (2, [], "need at least one digit function")], ids=["w0", "no-acf"])
     def test_checked_on_construction(self, w, acf, text):
-        with pytest.raises(ValueError, match=text):
-            FamilySpec("x", (4, 0, 1), (2, 1), (1,), w, acf)
+        with pytest.raises(ParseError, match=text):
+            family_spec_from_dict({
+                "name": "x", "f_coeffs": [4, 0, 1],
+                "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": w},
+                "acf": acf})
 
     def test_malformed(self):
         with pytest.raises(ParseError):
