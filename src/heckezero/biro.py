@@ -16,8 +16,8 @@ from .characters import (DirichletCharacter, ModPRealization, b1_weights,
                          gen_bernoulli_b1, modp_realizations)
 from .errors import BoundExceeded, NarrowClassNotOne, ParseError
 from .exact import CycloElement, cyclo_from_buckets
-from .linearity import (ClosedFormTable, FamilySpec, closed_form_chi,
-                        closed_form_table, family_instance)
+from .linearity import (BUILTIN_FAMILIES, ClosedFormTable, FamilySpec,
+                        closed_form_chi, closed_form_table, family_instance)
 from .quadfield import class_numbers, field_discriminant, make_field
 from .shintani import partial_hecke_L_zero
 
@@ -189,7 +189,6 @@ def yokoi_intro_ab(chi: DirichletCharacter, r: int
             B_table[a] += C * (C - q)
     A = cyclo_from_buckets(chi.order, chi_weights(chi, A_table))
     B = cyclo_from_buckets(chi.order, chi_weights(chi, B_table))
-    from .linearity import BUILTIN_FAMILIES
     cf = closed_form_chi(BUILTIN_FAMILIES["yokoi"], chi, r)
     rho = _proportionality((A, B), (cf.A_chi, cf.B_chi))
     return A, B, rho

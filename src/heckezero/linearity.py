@@ -20,7 +20,7 @@ from .errors import (BoundExceeded, CFMismatch, DeltaOutOfRange,
 from .exact import CycloElement, QuadSurd, cyclo_from_buckets, residue_1q
 from .kernels import KERNEL_STEP_BOUND
 from .quadfield import check_radicand, norm_form
-from .shintani import check_delta_hypotheses, partial_hecke_L_zero
+from .shintani import check_delta_hypotheses, residue_table
 
 N_SEARCH_LIMIT = 10_000
 
@@ -405,17 +405,30 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     n = qk + r with q = chi.modulus.
 
     Uses only admissible k with min_i a_i(qk+r) >= q; needs at least three.
-    The line is fitted from the first two points and the verdicts are
-    independent booleans: every remaining point on the line exactly; the
-    fitted pair equals (A_chi, B_chi); the norm-residue hypothesis holds on
-    the members used.
+    Refuses members whose q^2 * m kernel steps (m the length of each minus
+    word) add up to more than KERNEL_STEP_BOUND before any L-value is
+    computed.  Each scaled value 12 q^2 L is the chi-fold of the member's
+    residue_table.  The line is fitted from the first two points and the
+    verdicts are independent booleans: every remaining point on the line
+    exactly; the fitted pair equals (A_chi, B_chi); the norm-residue
+    hypothesis holds on the members used.
     """
     q = chi.modulus
     ks = sorted(set(k_list))
-    members = [(k, delta) for k, delta in admissible(spec, q, r, ks)
-               if min(spec.digits(q * k + r)) >= q]
+    members, steps = [], 0
+    for k, delta in admissible(spec, q, r, ks):
+        digits = spec.digits(q * k + r)
+        if min(digits) < q:
+            continue
+        steps += q * q * minus_word(digits).m
+        if steps > KERNEL_STEP_BOUND:
+            raise BoundExceeded(
+                f"the sampled members need over {KERNEL_STEP_BOUND} kernel "
+                f"steps (q^2 * m summed over {len(members) + 1} of them)")
+        members.append((k, delta))
     used = [k for k, _ in members]
-    vals = [partial_hecke_L_zero(delta, chi) * (12 * q * q)
+    vals = [cyclo_from_buckets(chi.order,
+                               chi_weights(chi, residue_table(delta, q)))
             for _, delta in members]
     if len(used) < 3:
         raise InsufficientSamples(

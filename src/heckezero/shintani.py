@@ -1,6 +1,6 @@
 """The L-value engine: the lattice-translation recursion, per-(C,D) partial
-zeta values at s=0, the full partial Hecke L-value, and the cone-ratio
-identity residual that selftest checks.
+zeta values at s=0, the chi-free residue table of the partial Hecke L-value
+and its fold, and the cone-ratio identity residual that selftest checks.
 """
 
 from __future__ import annotations
@@ -86,19 +86,16 @@ def check_delta_hypotheses(delta: QuadSurd) -> None:
             f"delta = {delta} must satisfy delta > 2 and 0 < delta' < 1")
 
 
-def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
-    """L(0, chi o N, b) for b = [1, delta]^{-1} in Q(sqrt(delta.d)), as an
-    exact cyclotomic number.
+def residue_table(delta: QuadSurd, q: int) -> tuple[int, ...]:
+    """The chi-free table T over the residues mod q of the L-value at
+    b = [1, delta]^{-1}: T[a] sums 12*q^2*Z(C, D) over the cells (C, D) in
+    [1, q]^2 whose norm residue N((C + D*delta)b) mod q is the unit a, and
+    T[a] = 0 at non-units, whose cells skip the kernel.
 
-    Sums chi(N((C+D*delta)b)) * Z(C,D) over (C,D) in [1,q]^2; cells whose
-    norm residue shares a factor with q are annihilated by chi and skip the
-    kernel.  delta is validated once: reduced, [1, delta] an ideal of the
-    maximal order (norm_form), and q^2 * m within KERNEL_STEP_BOUND.  Each
-    cell then costs an integer norm residue and the integer kernel, whose
-    12*q^2*Z(C,D) is summed into a chi-free table over the norm residues;
-    chi_weights folds that table into one CycloElement.
+    delta is validated once: reduced, [1, delta] an ideal of the maximal
+    order (norm_form) with N(b) prime to q, and q^2 * m within
+    KERNEL_STEP_BOUND.
     """
-    q = chi.modulus
     check_delta_hypotheses(delta)
     u, v, w = norm_form(delta)
     if math.gcd(u, q) != 1:
@@ -119,7 +116,17 @@ def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
             a = (u * C * C + v * C * D + w * D * D) % q
             if unit[a]:
                 table[a] += zeta12_times(q, C, D, digits)
-    return cyclo_from_buckets(chi.order, chi_weights(chi, table),
+    return tuple(table)
+
+
+def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
+    """L(0, chi o N, b) for b = [1, delta]^{-1} in Q(sqrt(delta.d)), as an
+    exact cyclotomic number: the chi-fold of residue_table(delta, q) over
+    12*q^2, q = chi.modulus.
+    """
+    q = chi.modulus
+    return cyclo_from_buckets(chi.order,
+                              chi_weights(chi, residue_table(delta, q)),
                               Fraction(1, 12 * q * q))
 
 

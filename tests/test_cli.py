@@ -147,8 +147,13 @@ class TestBoundary:
         ["field", "--d", "10000000019"],
         # a minus word of 10^7 digits, refused before it is allocated
         ["cf", "convert", "--plus", "10000000"],
+        # each L-value is in budget, the 1000 samples together are not
+        ["linearity", "verify", "--family", "yokoi",
+         "--chi", "q=11;gens=2:1", "--r", "1",
+         "--k", ",".join(map(str, range(1000)))],
     ], ids=["lvalue-q200003", "lvalue-q1000000007", "closed-form-q1009",
-            "field-d1e12", "field-d1e10", "convert-long-word"])
+            "field-d1e12", "field-d1e10", "convert-long-word",
+            "verify-k1000"])
     def test_modulus_and_table_budgets(self, args, capsys):
         t0 = time.monotonic()
         self.run_error(args, capsys, "BoundExceeded")

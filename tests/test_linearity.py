@@ -1,11 +1,14 @@
 """Families, closed forms per cell, and the affine-in-n verification."""
 
+import math
+
 import pytest
 
 from heckezero import linearity
 from heckezero.cfrac import PlusCF, plus_to_minus
 from heckezero.characters import DirichletCharacter, enumerate_characters
-from heckezero.errors import (DeltaOutOfRange, InsufficientSamples,
+from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
+                              InsufficientSamples, NoAdmissibleN,
                               NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd
 from heckezero.kernels import zeta12_times
@@ -15,7 +18,7 @@ from heckezero.linearity import (BUILTIN_FAMILIES, FamilySpec, admissible,
                                  family_spec_from_dict, hypothesis_check_norm,
                                  nu_sequence, residue_word,
                                  smallest_admissible_n, verify_linearity)
-from heckezero.shintani import partial_zeta_zero
+from heckezero.shintani import partial_zeta_zero, residue_table
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
@@ -32,6 +35,27 @@ TRIPLE, QUAD = (
                acf, YOKOI.n_constraints)
     for name, acf in (("triple", ((1, 0), (2, 1), (1, 2))),
                       ("quad", ((1, 1), (1, 0), (2, 0), (1, 3)))))
+
+
+
+def _family(name, f_coeffs, u_coeffs, v_coeffs, w, acf):
+    return family_spec_from_dict({
+        "name": name, "f_coeffs": f_coeffs,
+        "delta": {"u_coeffs": u_coeffs, "v_coeffs": v_coeffs, "w": w},
+        "acf": [{"alpha": a, "beta": b} for a, b in acf]})
+
+
+# families from the paper's list, as family files: f(n), delta(n) and the
+# plus period of delta(n) - 1 in the comments
+CHOWLA = _family(   # 4n^2 + 1, (2n + 1 + sqrt f)/2, [[2n - 1, 1, 1]]
+    "chowla", [1, 0, 4], [1, 2], [1], 2, [(2, -1), (0, 1), (0, 1)])
+N2P2 = _family(     # n^2 + 2, n + 1 + sqrt f, [[2n, n]]
+    "n2p2", [2, 0, 1], [1, 1], [1], 1, [(2, 0), (1, 0)])
+N2M1 = _family(     # n^2 - 1, n + sqrt f, [[2n - 2, 1]]
+    "n2m1", [-1, 0, 1], [0, 1], [1], 1, [(2, -2), (0, 1)])
+N2M2 = _family(     # n^2 - 2, n + sqrt f, [[2n - 2, 1, n - 2, 1]]
+    "n2m2", [-2, 0, 1], [0, 1], [1], 1,
+    [(2, -2), (0, 1), (1, -2), (0, 1)])
 
 
 def first_with_digits_at_least_q(spec, q, r):
@@ -261,6 +285,54 @@ class TestVerifyLinearity:
         assert set(rep.k_used) | set(rep.k_skipped) == set(range(8))
         # k = 1 gives n = 6, even: skipped
         assert 1 in rep.k_skipped
+
+    def test_sample_budget(self, monkeypatch):
+        # Yokoi's minus word at n has m = n digits, so the members used cost
+        # 9 * sum(n) kernel steps at q = 3: that total runs, one step less
+        # is refused before any residue table is built
+        rep = verify_linearity(YOKOI, CHI3, 1, range(8))
+        steps = sum(9 * (3 * k + 1) for k in rep.k_used)
+        monkeypatch.setattr(linearity, "KERNEL_STEP_BOUND", steps)
+        assert verify_linearity(YOKOI, CHI3, 1, range(8)) == rep
+        tables = []
+        monkeypatch.setattr(linearity, "residue_table",
+                            lambda *args: tables.append(args))
+        monkeypatch.setattr(linearity, "KERNEL_STEP_BOUND", steps - 1)
+        with pytest.raises(BoundExceeded):
+            verify_linearity(YOKOI, CHI3, 1, range(8))
+        assert tables == []
+
+
+class TestResidueTables:
+    """The paper's theorem on chi-free tables: at n = qk + r the L-value's
+    residue table equals A + k B at every unit, (A, B) the closed-form
+    table of (q, r).  The characters mod q span the functions on the
+    units, so one check covers every chi mod q.  Members whose digits are
+    below q are included; only the (q, r) without members are skipped."""
+
+    @pytest.mark.parametrize("spec,qs,k_max,points", [
+        (YOKOI, range(2, 12), 10, 290),
+        (RDN, range(2, 12), 10, 290),
+        (CHOWLA, (2, 3, 4, 5, 7), 8, 140),
+        (N2P2, (2, 3, 4, 5, 7), 8, 119),
+        (N2M1, (2, 3, 4, 5, 7), 8, 56),
+        (N2M2, (2, 3, 4, 5, 7), 8, 145),
+    ], ids=["yokoi", "rd-n2p1", "chowla", "n2p2", "n2m1", "n2m2"])
+    def test_table_affine_in_k(self, spec, qs, k_max, points):
+        checked = 0
+        for q in qs:
+            units = [a for a in range(q) if math.gcd(a, q) == 1]
+            for r in range(q):
+                try:
+                    cf = linearity.closed_form_table(spec, q, r)
+                except NoAdmissibleN:
+                    continue
+                for k, delta in admissible(spec, q, r, range(k_max)):
+                    table = residue_table(delta, q)
+                    assert [table[a] for a in units] == \
+                        [cf.A[a] + k * cf.B[a] for a in units], (q, r, k)
+                    checked += 1
+        assert checked == points
 
 
 class TestEvenPeriod:

@@ -15,12 +15,13 @@ from heckezero.errors import (DeltaOutOfRange, IdealNotCoprime,
                               IncompatiblePair, InternalInvariantError,
                               NotSquarefree)
 from heckezero.exact import CycloElement, QuadSurd
-from heckezero.linearity import BUILTIN_FAMILIES, family_instance
-from heckezero.quadfield import check_radicand, class_numbers, make_field
+from heckezero.linearity import BUILTIN_FAMILIES, admissible, family_instance
+from heckezero.quadfield import (check_radicand, class_numbers,
+                                 field_discriminant, make_field)
 from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
                                 lattice_unit_order, partial_hecke_L_zero,
-                                partial_zeta_zero, yamamoto_identity_residual,
-                                yamamoto_sequence)
+                                partial_zeta_zero, residue_table,
+                                yamamoto_identity_residual, yamamoto_sequence)
 from oracles import (IdealLattice, char_eval, ideal_inverse, ideal_norm,
                      kronecker, norm_residue, orbit_shift_check,
                      partial_zeta_zero_reference)
@@ -141,6 +142,44 @@ class TestHeckeL:
         # [1, (11+sqrt79)/3] is the inverse of the norm-3 prime [3, 1+sqrt79]
         with pytest.raises(IdealNotCoprime):
             partial_hecke_L_zero(QuadSurd(11, 1, 3, 79), CHI3)
+
+
+def _bernoulli_conv(q, D):
+    """Conv[c] = sum a*b*(D/b) over 1 <= a <= q, 1 <= b <= qD, ab = c mod q,
+    summing b*(D/b) per residue of b first."""
+    by_b = [0] * q
+    for b in range(1, q * D + 1):
+        by_b[b % q] += b * kronecker(D, b)
+    conv = [0] * q
+    for a in range(1, q + 1):
+        for t in range(q):
+            conv[a * t % q] += a * by_b[t]
+    return conv
+
+
+class TestResidueTable:
+    def test_bernoulli_factorization(self):
+        # for h+ = 1, L(0, chi) = B_{1,chi} B_{1,chi chi_D} and the right
+        # side times 12 q^2 is the chi-fold of 12 Conv / D; the characters
+        # mod q span the functions on the units, so D T[a] = 12 Conv[a] at
+        # every unit a, for every builtin member n < 60 with h+ = 1 and
+        # every q <= 12 prime to D.  T vanishes at the non-units.
+        checked = 0
+        for spec in BUILTIN_FAMILIES.values():
+            for _, delta in admissible(spec, 1, 0, range(1, 60)):
+                if class_numbers(make_field(delta.d))[1] != 1:
+                    continue
+                D = field_discriminant(delta.d)
+                for q in range(2, 13):
+                    if math.gcd(q, D) != 1:
+                        continue
+                    table = residue_table(delta, q)
+                    conv = _bernoulli_conv(q, D)
+                    for a in range(q):
+                        unit = math.gcd(a, q) == 1
+                        assert D * table[a] == (12 * conv[a] if unit else 0)
+                    checked += 1
+        assert checked == 69
 
 
 class TestIdentity:
