@@ -12,8 +12,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .characters import (DirichletCharacter, ModPRealization, b1_weights,
-                         char_invariants, chi_weights, enumerate_characters,
-                         gen_bernoulli_b1, modp_realizations)
+                         chi_weights, enumerate_characters, gen_bernoulli_b1,
+                         modp_realizations, odd_primitive)
 from .errors import BoundExceeded, NarrowClassNotOne, ParseError
 from .exact import CycloElement, cyclo_from_buckets
 from .linearity import (BUILTIN_FAMILIES, ClosedFormTable, FamilySpec,
@@ -87,7 +87,7 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     chars = [(chi, chi.order, b1_weights(chi))
              for q in range(3, q_max + 1, 2)
              for chi in enumerate_characters(q)
-             if char_invariants(chi) == ("odd", q)]
+             if odd_primitive(chi)]
     out: list[ConditionStarPair] = []
     for p in _odd_primes(p_max):
         realizations: dict[int, list[ModPRealization]] = {}

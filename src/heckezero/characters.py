@@ -1,6 +1,6 @@
-"""Dirichlet characters mod q as exponent tables over the powers of zeta_o,
-generalized Bernoulli numbers twisted by a real quadratic character, and
-mod-p realizations.
+"""Dirichlet characters mod q as exponents over the canonical generators of
+(Z/q)*, generalized Bernoulli numbers twisted by a real quadratic character,
+and mod-p realizations.
 """
 
 from __future__ import annotations
@@ -145,28 +145,6 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
             for exps in product(*(range(n) for n in orders))]
 
 
-# room for the 423 tables of the perfbench family workload; unbounded, a
-# sieve search would keep one for every character of every odd q <= q_max
-@lru_cache(maxsize=1024)
-def char_exponents(chi: DirichletCharacter) -> tuple[int, ...]:
-    """Entry a (0 <= a < q) is the k with chi(a) = zeta_o^k, o = chi.order,
-    or -1 when a is not a unit mod q."""
-    q, o = chi.modulus, chi.order
-    _, orders, table = _unit_group(q)
-    # chi(g_i) = zeta_{n_i}^{e_i} = zeta_o^{e_i o / n_i}; o is a multiple of
-    # the order of every zeta_{n_i}^{e_i}, so each weight is an integer
-    weights = []
-    for e, n in zip(chi.exponents, orders):
-        if e * o % n:
-            raise InternalInvariantError(
-                "character phase not compatible with its order")
-        weights.append(e * o // n)
-    out = [-1] * q
-    for a, logs in table.items():
-        out[a] = sum(w * t for w, t in zip(weights, logs)) % o
-    return tuple(out)
-
-
 def chi_weights(chi: DirichletCharacter, table) -> list[int]:
     """The integers w_j with sum_a chi(a)*table[a] = sum_j w_j zeta_o^j,
     o = chi.order, for integers table[a] indexed by the residues a mod q.
@@ -175,31 +153,36 @@ def chi_weights(chi: DirichletCharacter, table) -> list[int]:
     chi-free residue table and folds it here.  Entries at non-units, which
     chi annihilates, are ignored.
     """
-    weights = [0] * chi.order
-    for k, t in zip(char_exponents(chi), table):
-        if k >= 0:
-            weights[k] += t
+    o = chi.order
+    _, orders, logs = _unit_group(chi.modulus)
+    # chi(g_i) = zeta_{n_i}^{e_i} = zeta_o^{e_i o / n_i}; o is a multiple of
+    # the order of every zeta_{n_i}^{e_i}, so each step is an integer
+    steps = []
+    for e, n in zip(chi.exponents, orders):
+        if e * o % n:
+            raise InternalInvariantError(
+                "character phase not compatible with its order")
+        steps.append(e * o // n)
+    weights = [0] * o
+    for a, t in logs.items():
+        weights[sum(s * x for s, x in zip(steps, t)) % o] += table[a]
     return weights
 
 
-def char_invariants(chi: DirichletCharacter) -> tuple[str, int]:
-    """(parity, conductor): parity from chi(-1), conductor the smallest
-    f | q through which chi factors."""
-    q = chi.modulus
-    exps = char_exponents(chi)
-    parity = "even" if exps[(q - 1) % q] == 0 else "odd"
-    for f in sorted(_divisors(q)):
-        if all(exps[a] == 0 for a in range(q)
-               if exps[a] >= 0 and a % f == 1 % f):
-            return parity, f
-    raise InternalInvariantError("conductor search failed")  # pragma: no cover
+def odd_primitive(chi: DirichletCharacter) -> bool:
+    """Whether chi, of odd modulus q, is odd and of conductor q, read off
+    its generator exponents.
 
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, k in factorize(n).items():
-        out = [d * p ** e for d in out for e in range(k + 1)]
-    return out
+    At each p^k || q the generator g has even order phi = phi(p^k), so
+    -1 = g^(phi/2) and chi(-1) = (-1)^(sum of the e_i).  chi has conductor
+    q iff no p^k component factors through p^(k-1): for k = 1 iff e != 0;
+    for k >= 2 iff chi(g^(phi/p)) = zeta_p^e != 1, g^(phi/p) generating the
+    kernel of reduction mod p^(k-1), i.e. iff p does not divide e.
+    """
+    if sum(chi.exponents) % 2 == 0:
+        return False
+    return all(e % p if k > 1 else e for (p, k), e in
+               zip(sorted(factorize(chi.modulus).items()), chi.exponents))
 
 
 def _kronecker_raw(a: int, n: int) -> int:

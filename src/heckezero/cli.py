@@ -78,7 +78,8 @@ def load_family_config(name_or_path: str) -> FamilySpec:
                          f"{exc.strerror}") from exc
     spec = family_spec_from_dict(obj)
     # the declared digits must hold at the first n >= 1 that passes the
-    # radicand, n-constraint and reducedness checks
+    # radicand, n-constraint and reducedness checks and whose declared
+    # period is not degenerate
     for n in range(1, N_SEARCH_LIMIT + 1):
         try:
             family_instance(spec, n)

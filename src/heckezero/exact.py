@@ -373,7 +373,9 @@ class CycloElement:
     """Element of Q(zeta_o) as phi(o) rational coordinates in the power basis.
 
     Reduction modulo the o-th cyclotomic polynomial is canonical, so equal
-    elements always have equal coefficient tuples.
+    elements always have equal coefficient tuples.  Arithmetic stays in one
+    field: an int or Fraction operand is read in Q(zeta_o), and elements of
+    different orders are refused.
     """
 
     __slots__ = ("order", "coeffs")
@@ -399,30 +401,21 @@ class CycloElement:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def to_order(self, order: int) -> CycloElement:
-        """Embed into Q(zeta_order); requires self.order | order."""
-        if order == self.order:
-            return self
-        if order % self.order:
-            raise ValueError(f"{self.order} does not divide {order}")
-        k = order // self.order
-        cs = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[i * k] = c
-        return CycloElement(order, tuple(cs))
-
-    def _pair(self, other) -> tuple[CycloElement, CycloElement]:
+    def _coerce(self, other) -> CycloElement:
+        """other in self's field: a rational is read in Q(zeta_o),
+        o = self.order.  Every value a command builds lies in the field of
+        its one character, so two orders never meet."""
         if not isinstance(other, CycloElement):
-            other = CycloElement.from_rational(other)
-        if self.order == other.order:
-            return self, other
-        o = math.lcm(self.order, other.order)
-        return self.to_order(o), other.to_order(o)
+            return CycloElement.from_rational(other, self.order)
+        if other.order != self.order:
+            raise ValueError(f"elements of Q(zeta_{self.order}) and "
+                             f"Q(zeta_{other.order}) mixed")
+        return other
 
     def __add__(self, other) -> CycloElement:
-        a, b = self._pair(other)
-        return CycloElement(a.order,
-                            tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        b = self._coerce(other)
+        return CycloElement(self.order, tuple(
+            x + y for x, y in zip(self.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -430,7 +423,7 @@ class CycloElement:
         return CycloElement(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-(self._pair(other)[1]))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -439,15 +432,15 @@ class CycloElement:
         if isinstance(other, (int, Fraction)):
             return CycloElement(self.order,
                                 tuple(c * other for c in self.coeffs))
-        a, b = self._pair(other)
-        n = len(a.coeffs) + len(b.coeffs) - 1
+        b = self._coerce(other)
+        n = len(self.coeffs) + len(b.coeffs) - 1
         conv = [Fraction(0)] * n
-        for i, x in enumerate(a.coeffs):
+        for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         conv[i + j] += x * y
-        return CycloElement(a.order, tuple(conv))
+        return CycloElement(self.order, tuple(conv))
 
     __rmul__ = __mul__
 
@@ -456,8 +449,7 @@ class CycloElement:
             return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, CycloElement):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return self.coeffs == self._coerce(other).coeffs
 
     def __hash__(self):
         if self.is_rational():

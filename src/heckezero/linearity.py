@@ -165,7 +165,9 @@ def _integers(x, what: str) -> tuple[int, ...]:
 
 def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
     """Instantiate K_n as delta(n), checked against the family's declared
-    radicand, n constraints, reducedness and plus digits.
+    radicand, n constraints, reducedness and plus digits.  An n whose
+    declared period is degenerate (a digit below 1, or a power of a shorter
+    word) is not a member.
 
     delta(n) is all the L-value needs: the field is Q(sqrt(delta.d)) and
     b_n = [1, delta(n)]^{-1}, whose norm form norm_form(delta) gives.
@@ -177,9 +179,15 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
     delta = QuadSurd(_poly(spec.u_coeffs, n), _poly(spec.v_coeffs, n),
                      spec.w, f)
     check_delta_hypotheses(delta)
-    pcf = plus_expand(delta - 1)
+    # a plus expansion has digits >= 1 and a primitive period, one that
+    # equals none of its nontrivial rotations; no delta(n) matches any other
     expect = spec.digits(n)
-    if pcf.preperiod or pcf.period != expect:
+    if min(expect) < 1 or expect in (expect[i:] + expect[:i]
+                                     for i in range(1, len(expect))):
+        raise DeltaOutOfRange(f"n = {n} is not a member: the declared "
+                              f"period {expect} is degenerate")
+    pcf = plus_expand(delta - 1)
+    if pcf.period != expect:
         raise CFMismatch(
             f"delta({n})-1 expands to {pcf}, family digits say {expect}")
     return delta

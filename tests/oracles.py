@@ -5,9 +5,10 @@ program no longer runs: ideal lattices in Hermite normal form (the lattice
 product, inverse and norm behind the per-cell norm residue that
 quadfield.norm_form replaced), the Bernoulli-polynomial evaluation of
 Z(C, D) and the orbit-closure check of the cone recursion, character values
-as cyclotomic numbers, the reduction of a cyclotomic number along a mod-p
-realization, fundamental discriminants and the Kronecker symbol, and floor,
-ceiling and power of quadratic surds.
+as cyclotomic numbers, parity and the conductor search over the divisors of
+q (which characters.odd_primitive reads off the exponents), the reduction
+of a cyclotomic number along a mod-p realization, fundamental discriminants
+and the Kronecker symbol, and floor, ceiling and power of quadratic surds.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from fractions import Fraction
 
 from heckezero.cfrac import MinusCF, evaluate_periodic
 from heckezero.characters import (DirichletCharacter, ModPRealization,
-                                  _kronecker_raw, char_exponents,
-                                  char_invariants)
+                                  _kronecker_raw, _unit_group)
 from heckezero.errors import (IncompatiblePair, InternalInvariantError,
                               ValidationError)
 from heckezero.exact import (CycloElement, QuadSurd, Rational, bernoulli_poly,
-                             residue_1q, square_prime)
+                             factorize, residue_1q, square_prime)
 from heckezero.quadfield import FieldData
 from heckezero.shintani import lattice_unit_order, yamamoto_sequence
 
@@ -244,12 +244,49 @@ def zeta_power(order: int, e: int) -> CycloElement:
     return CycloElement(order, (0,) * (e % order) + (1,))
 
 
+def char_logs(chi: DirichletCharacter) -> list[int]:
+    """Entry a (0 <= a < q) is the k with chi(a) = zeta_o^k, o = chi.order,
+    or -1 when a is not a unit mod q.  With lam the exponent of (Z/q)* and
+    t_i the discrete logs of a, chi(a) = zeta_lam^(sum e_i t_i lam/n_i),
+    and o divides lam."""
+    q, o = chi.modulus, chi.order
+    _, orders, logs = _unit_group(q)
+    lam = math.lcm(*orders)
+    out = [-1] * q
+    for a, t in logs.items():
+        k = sum(e * x * (lam // n)
+                for e, x, n in zip(chi.exponents, t, orders)) % lam
+        if k * o % lam:
+            raise InternalInvariantError("chi(a) is not a power of zeta_o")
+        out[a] = k * o // lam
+    return out
+
+
 def char_eval(chi: DirichletCharacter, a: int) -> CycloElement:
     """chi(a) as an exact cyclotomic number (0 off the units)."""
-    k = char_exponents(chi)[a % chi.modulus]
+    k = char_logs(chi)[a % chi.modulus]
     if k < 0:
         return CycloElement(chi.order, ())
     return zeta_power(chi.order, k)
+
+
+def char_invariants(chi: DirichletCharacter) -> tuple[str, int]:
+    """(parity, conductor): parity from chi(-1), conductor the smallest
+    f | q through which chi factors, searched over the divisors."""
+    q = chi.modulus
+    logs = char_logs(chi)
+    parity = "even" if logs[(q - 1) % q] == 0 else "odd"
+    for f in sorted(_divisors(q)):
+        if all(logs[a] <= 0 for a in range(1 % f, q, f)):
+            return parity, f
+    raise InternalInvariantError("conductor search failed")
+
+
+def _divisors(n: int) -> list[int]:
+    out = [1]
+    for p, k in factorize(n).items():
+        out = [d * p ** e for d in out for e in range(k + 1)]
+    return out
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:

@@ -10,14 +10,14 @@ from heckezero.biro import (SIEVE_WORK_BOUND, ConditionStarPair,
                             factorization_oracle_check, residue_mod_p,
                             residue_reports, sieve_work, yokoi_intro_ab)
 from heckezero.characters import (DirichletCharacter, b1_weights,
-                                  char_invariants, enumerate_characters,
-                                  gen_bernoulli_b1, modp_realizations)
+                                  enumerate_characters, gen_bernoulli_b1,
+                                  modp_realizations)
 from heckezero.cli import main
 from heckezero.errors import NarrowClassNotOne, ParseError
 from heckezero.exact import CycloElement, cyclo_from_buckets
 from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_chi,
                                  closed_form_table)
-from oracles import apply_realization
+from oracles import apply_realization, char_invariants
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]

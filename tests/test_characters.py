@@ -7,16 +7,14 @@ from fractions import Fraction
 import pytest
 
 from heckezero.characters import (DirichletCharacter, _unit_group,
-                                  b1_weights, char_exponents,
-                                  char_invariants, chi_weights,
+                                  b1_weights, chi_weights,
                                   enumerate_characters, gen_bernoulli_b1,
-                                  modp_realizations)
-from heckezero.biro import condition_star_search
+                                  modp_realizations, odd_primitive)
 from heckezero.errors import BoundExceeded, ParseError
 from heckezero.exact import CycloElement, cyclo_from_buckets
 from heckezero.kernels import KERNEL_STEP_BOUND
-from oracles import (apply_realization, char_eval, is_primitive, kronecker,
-                     zeta_power)
+from oracles import (apply_realization, char_eval, char_invariants, char_logs,
+                     is_primitive, kronecker, zeta_power)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 
@@ -69,12 +67,18 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 15])
     def test_orthogonality(self, q):
-        # sum over the group of chi(a) is 0 unless a = 1 mod q
+        # sum over the group of chi(a) is 0 unless a = 1 mod q; the sum is
+        # taken in Q(zeta_lam), lam the exponent of (Z/q)*, which holds the
+        # values of every chi mod q
+        _, orders, _ = _unit_group(q)
+        lam = math.lcm(*orders)
         chars = enumerate_characters(q)
         for a in range(2, q):
-            s = CycloElement(1, ())
+            s = CycloElement(lam, ())
             for chi in chars:
-                s = s + char_eval(chi, a)
+                k = char_logs(chi)[a]
+                if k >= 0:
+                    s = s + zeta_power(lam, k * lam // chi.order)
             expect = len(chars) if a % q == 1 else 0
             assert s == expect
 
@@ -85,7 +89,7 @@ class TestExponents:
         gens, orders, _ = _unit_group(q)
         for chi in enumerate_characters(q):
             o = chi.order
-            exps = char_exponents(chi)
+            exps = char_logs(chi)
             assert len(exps) == q
             for a in range(q):
                 assert (exps[a] == -1) == (math.gcd(a, q) != 1)
@@ -112,12 +116,6 @@ class TestExponents:
         assert q_max ** 2 <= KERNEL_STEP_BOUND < (q_max + 1) ** 2
         with pytest.raises(BoundExceeded):
             DirichletCharacter.from_identifier(f"q={q_max + 1};gens=")
-
-    def test_cache_bounded_after_search(self):
-        char_exponents.cache_clear()
-        condition_star_search(101, 3)
-        info = char_exponents.cache_info()
-        assert info.currsize <= info.maxsize == 1024 < info.misses
 
 
 class TestChiWeights:
@@ -147,6 +145,17 @@ class TestInvariants:
             chars = enumerate_characters(q)
             odd = [c for c in chars if char_invariants(c)[0] == "odd"]
             assert len(odd) == len(chars) // 2
+
+    def test_odd_primitive_matches_conductor_search(self):
+        # the sieve's rule read off the exponents against the search over
+        # the divisors of q, for all 8151 characters of odd modulus q < 200
+        count = 0
+        for q in range(1, 200, 2):
+            for chi in enumerate_characters(q):
+                assert odd_primitive(chi) == \
+                    (char_invariants(chi) == ("odd", q)), chi.identifier()
+                count += 1
+        assert count == 8151
 
     def test_imprimitive(self):
         # the character mod 9 induced from the quadratic mod 3

@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 from heckezero import acceptance, cli, linearity, quadfield
 from heckezero.acceptance import CriterionResult
+from heckezero.characters import DirichletCharacter
 from heckezero.cli import main
+from heckezero.errors import DeltaOutOfRange
+from heckezero.exact import cyclo_to_dict
+from test_linearity import PAPER_FAMILY_FILES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -176,11 +180,13 @@ class TestBoundary:
             "from heckezero.cli import main\n"
             "code = main(['cf', 'expand', '--d', '2', '--surd',"
             " '0,1,10000000', '--kind', 'minus'])\n"
-            "print(code, next(line.split()[1] for line in"
-            " open('/proc/self/status') if line.startswith('VmHWM:')))\n")
+            "with open('/proc/self/status') as fh:\n"
+            "    print(code, next(line.split()[1] for line in fh"
+            " if line.startswith('VmHWM:')))\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", probe],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
         code, peak_kib = map(int, proc.stdout.split())
         assert code == 2 and "BoundExceeded" in proc.stderr
         assert peak_kib < 64 * 1024
@@ -499,6 +505,31 @@ class TestFamilyFile:
         assert code == 0
         assert doc["results"]["verdicts"]["affine_exact"]
 
+    @pytest.mark.parametrize("name", list(PAPER_FAMILY_FILES))
+    def test_paper_family_file(self, name, tmp_path, capsys):
+        # chowla's period at n = 1 is (1, 1, 1), a power of (1), and n2m2's
+        # at n = 2 is (2, 1, 0, 1): neither n is a member, so the file loads
+        obj = PAPER_FAMILY_FILES[name]
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(obj))
+        chi = "q=5;gens=2:1"
+        code, doc = run_json(["linearity", "closed-form", "--family", str(f),
+                              "--chi", chi, "--r", "1"], capsys)
+        assert code == 0
+        cf = linearity.closed_form_chi(
+            linearity.family_spec_from_dict(obj),
+            DirichletCharacter.from_identifier(chi), 1)
+        for key, want in (("A_chi", cf.A_chi), ("B_chi", cf.B_chi)):
+            got = doc["results"][key]
+            assert {k: got[k] for k in ("order", "coeffs")} == \
+                cyclo_to_dict(want)
+
+    @pytest.mark.parametrize("name,n", [("chowla", 1), ("n2m2", 2)])
+    def test_degenerate_period_not_a_member(self, name, n):
+        spec = linearity.family_spec_from_dict(PAPER_FAMILY_FILES[name])
+        with pytest.raises(DeltaOutOfRange, match="not a member"):
+            linearity.family_instance(spec, n)
+
     def test_malformed_family(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text('{"name": "x"}')
@@ -595,7 +626,8 @@ def test_fuzz_argument_fragments(command, extra):
 
 def test_console_script_selftest():
     # run out of process so the entry point itself is exercised
-    proc = subprocess.run([sys.executable, "-m", "heckezero.cli", "selftest"],
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "heckezero.cli",
+                           "selftest"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert "criterion 1" in proc.stderr
@@ -612,8 +644,8 @@ def test_cli_import_stays_pure_python():
         "        assert mod.__file__.endswith('.py'), mod.__file__\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", probe],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -630,7 +662,7 @@ def test_cli_import_generates_no_code():
         "print(sorted({'dataclasses', 'inspect', 'heckezero.acceptance'}"
         " & (set(sys.modules) - before)))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", probe],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -207,11 +207,16 @@ class TestCycloElement:
             assert prod == 1
             assert len(z.coeffs) == euler_phi(o)
 
-    def test_mixed_order(self):
-        z4 = zeta_power(4, 1)
+    def test_orders_never_mix(self):
+        # a rational operand is read in the element's own field; two
+        # different orders are refused, even where both fields are Q
         z2 = zeta_power(2, 1)
-        assert z4 * z4 == z2
-        assert z2 == -1
+        assert z2 == -1 and (z2 + 1).order == 2
+        for a, b in ((zeta_power(4, 1), z2), (CycloElement(1, (1,)), z2)):
+            with pytest.raises(ValueError, match="mixed"):
+                a * b
+            with pytest.raises(ValueError, match="mixed"):
+                a - b
 
     @given(st.sampled_from([3, 4, 5, 6, 8]),
            st.lists(st.integers(-5, 5), min_size=1, max_size=4),

@@ -133,9 +133,9 @@ def test_every_definition_reached():
     assert unreached_defs(sources) == ["cli._Parser.error"]
 
 
-def test_char_exponents_read_in_characters_only():
+def test_unit_group_read_in_characters_only():
     # every character sum builds a chi-free residue table and folds it with
-    # characters.chi_weights, so no other module reads the exponent table
+    # characters.chi_weights, so no other module reads the discrete logs
     def names(tree):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -147,4 +147,4 @@ def test_char_exponents_read_in_characters_only():
                 yield node.name
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "characters.py"
-            and "char_exponents" in names(ast.parse(path.read_text()))] == []
+            and "_unit_group" in names(ast.parse(path.read_text()))] == []

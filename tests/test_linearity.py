@@ -39,23 +39,27 @@ TRIPLE, QUAD = (
 
 
 def _family(name, f_coeffs, u_coeffs, v_coeffs, w, acf):
-    return family_spec_from_dict({
+    return {
         "name": name, "f_coeffs": f_coeffs,
         "delta": {"u_coeffs": u_coeffs, "v_coeffs": v_coeffs, "w": w},
-        "acf": [{"alpha": a, "beta": b} for a, b in acf]})
+        "acf": [{"alpha": a, "beta": b} for a, b in acf]}
 
 
 # families from the paper's list, as family files: f(n), delta(n) and the
 # plus period of delta(n) - 1 in the comments
-CHOWLA = _family(   # 4n^2 + 1, (2n + 1 + sqrt f)/2, [[2n - 1, 1, 1]]
-    "chowla", [1, 0, 4], [1, 2], [1], 2, [(2, -1), (0, 1), (0, 1)])
-N2P2 = _family(     # n^2 + 2, n + 1 + sqrt f, [[2n, n]]
-    "n2p2", [2, 0, 1], [1, 1], [1], 1, [(2, 0), (1, 0)])
-N2M1 = _family(     # n^2 - 1, n + sqrt f, [[2n - 2, 1]]
-    "n2m1", [-1, 0, 1], [0, 1], [1], 1, [(2, -2), (0, 1)])
-N2M2 = _family(     # n^2 - 2, n + sqrt f, [[2n - 2, 1, n - 2, 1]]
-    "n2m2", [-2, 0, 1], [0, 1], [1], 1,
-    [(2, -2), (0, 1), (1, -2), (0, 1)])
+PAPER_FAMILY_FILES = {
+    "chowla": _family(  # 4n^2 + 1, (2n + 1 + sqrt f)/2, [[2n - 1, 1, 1]]
+        "chowla", [1, 0, 4], [1, 2], [1], 2, [(2, -1), (0, 1), (0, 1)]),
+    "n2p2": _family(    # n^2 + 2, n + 1 + sqrt f, [[2n, n]]
+        "n2p2", [2, 0, 1], [1, 1], [1], 1, [(2, 0), (1, 0)]),
+    "n2m1": _family(    # n^2 - 1, n + sqrt f, [[2n - 2, 1]]
+        "n2m1", [-1, 0, 1], [0, 1], [1], 1, [(2, -2), (0, 1)]),
+    "n2m2": _family(    # n^2 - 2, n + sqrt f, [[2n - 2, 1, n - 2, 1]]
+        "n2m2", [-2, 0, 1], [0, 1], [1], 1,
+        [(2, -2), (0, 1), (1, -2), (0, 1)]),
+}
+CHOWLA, N2P2, N2M1, N2M2 = map(family_spec_from_dict,
+                               PAPER_FAMILY_FILES.values())
 
 
 def first_with_digits_at_least_q(spec, q, r):

@@ -124,7 +124,7 @@ class TestHeckeL:
         # 2/3 = (-1/3) * (-2) with the two first Bernoulli numbers; the
         # second is B_{1, chi*chi_5}, summed here term by term mod 15
         assert gen_bernoulli_b1(CHI3) == Fraction(-1, 3)
-        acc = CycloElement(1, ())
+        acc = CycloElement(CHI3.order, ())
         for a in range(1, 16):
             acc = acc + char_eval(CHI3, a) * (a * kronecker(5, a))
         assert gen_bernoulli_b1(CHI3, 5) == acc * Fraction(1, 15)
