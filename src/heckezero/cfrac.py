@@ -38,9 +38,6 @@ class PlusCF:
         return (self.preperiod, self.period) == \
             (other.preperiod, other.period)
 
-    def __hash__(self):
-        return hash((self.preperiod, self.period))
-
     def __repr__(self) -> str:
         # family_instance quotes it in CFMismatch
         return f"PlusCF(preperiod={self.preperiod}, period={self.period})"
@@ -69,9 +66,6 @@ class MinusCF:
             return NotImplemented
         return (self.preperiod, self.period, self.special_positions) == \
             (other.preperiod, other.period, other.special_positions)
-
-    def __hash__(self):
-        return hash((self.preperiod, self.period, self.special_positions))
 
     @property
     def purely_periodic(self) -> bool:

@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Every successful run prints one ReportEnvelope as JSON; payloads use the
+Every successful run prints one ReportEnvelope as one line of compact JSON,
+the line --out appends (or, with --format csv, its table); payloads use the
 shared exact serialization, so identical inputs give byte-identical payloads
 (the elapsed-time field is excluded from that guarantee).  Exit codes: 0
 success, 2 validation error, 3 broken internal invariant.
@@ -353,17 +354,16 @@ def run_command(argv) -> int:
         "results": payload,
         "elapsed_s": round(time.monotonic() - t0, 6),
     }
+    # one compact line, printed and appended to --out alike
+    text = line = json.dumps(envelope, separators=(",", ":")) + "\n"
     if args.format == "csv":
         text = _csv_flatten(payload)
-    else:
-        text = json.dumps(envelope, indent=2) + "\n"
     # the --out line goes first, so a file that cannot be appended to
     # leaves stdout empty
     if args.out:
-        line = json.dumps(envelope, separators=(",", ":"))
         try:
             with open(args.out, "a") as fh:
-                fh.write(line + "\n")
+                fh.write(line)
         except OSError as exc:
             raise ParseError(f"cannot append to --out {args.out!r}: "
                              f"{exc.strerror}") from exc

@@ -48,10 +48,6 @@ class DeltaOutOfRange(ValidationError):
     """delta must satisfy delta > 2 and 0 < delta' < 1."""
 
 
-class IdealNotCoprime(ValidationError):
-    """N(b) shares a factor with the modulus q."""
-
-
 class CFMismatch(ValidationError):
     """Declared continued-fraction digits disagree with the actual expansion."""
 

@@ -226,11 +226,6 @@ class QuadSurd:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_rational(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.c)
-
     def conj(self) -> QuadSurd:
         return QuadSurd(self.a, -self.b, self.c, self.d)
 
@@ -282,17 +277,11 @@ class QuadSurd:
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def sign(self) -> int:
         return surd_sign(self)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
 
     def __gt__(self, other):
         return (self - other).sign() > 0
@@ -425,9 +414,6 @@ class CycloElement:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other) -> CycloElement:
         if isinstance(other, (int, Fraction)):
             return CycloElement(self.order,
@@ -450,11 +436,6 @@ class CycloElement:
         if not isinstance(other, CycloElement):
             return NotImplemented
         return self.coeffs == self._coerce(other).coeffs
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
 
     def __str__(self) -> str:
         if self.is_rational():

@@ -412,14 +412,14 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     """Pit the direct engine against the closed forms over a k sweep, at
     n = qk + r with q = chi.modulus.
 
-    Uses only admissible k with min_i a_i(qk+r) >= q; needs at least three.
-    Refuses members whose q^2 * m kernel steps (m the length of each minus
-    word) add up to more than KERNEL_STEP_BOUND before any L-value is
-    computed.  Each scaled value 12 q^2 L is the chi-fold of the member's
-    residue_table.  The line is fitted from the first two points and the
-    verdicts are independent booleans: every remaining point on the line
-    exactly; the fitted pair equals (A_chi, B_chi); the norm-residue
-    hypothesis holds on the members used.
+    Uses only admissible k with min_i a_i(qk+r) >= q.  Refuses fewer than
+    three such k, and members whose q^2 * m kernel steps (m the length of
+    each minus word) add up to more than KERNEL_STEP_BOUND, before any
+    L-value is computed.  Each scaled value 12 q^2 L is the chi-fold of
+    the member's residue_table.  The line is fitted from the first two
+    points and the verdicts are independent booleans: every remaining point
+    on the line exactly; the fitted pair equals (A_chi, B_chi); the
+    norm-residue hypothesis holds on the members used.
     """
     q = chi.modulus
     ks = sorted(set(k_list))
@@ -435,12 +435,12 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
                 f"steps (q^2 * m summed over {len(members) + 1} of them)")
         members.append((k, delta))
     used = [k for k, _ in members]
-    vals = [cyclo_from_buckets(chi.order,
-                               chi_weights(chi, residue_table(delta, q)))
-            for _, delta in members]
     if len(used) < 3:
         raise InsufficientSamples(
             f"need >= 3 admissible k with digits >= q, got {len(used)}")
+    vals = [cyclo_from_buckets(chi.order,
+                               chi_weights(chi, residue_table(delta, q)))
+            for _, delta in members]
     slope = (vals[1] - vals[0]) * Fraction(1, used[1] - used[0])
     intercept = vals[0] - slope * used[0]
     affine = all(v == intercept + slope * k

@@ -10,8 +10,7 @@ from fractions import Fraction
 
 from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
 from .characters import DirichletCharacter, chi_weights
-from .errors import (BoundExceeded, DeltaOutOfRange, IdealNotCoprime,
-                     InternalInvariantError)
+from .errors import BoundExceeded, DeltaOutOfRange, InternalInvariantError
 from .exact import QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos
 from .kernels import KERNEL_STEP_BOUND, zeta12_times
 from .quadfield import FieldData, norm_form
@@ -37,9 +36,6 @@ class YamamotoSeq:
             return NotImplemented
         return (self.q, self.C, self.D, self.x) == \
             (other.q, other.C, other.D, other.x)
-
-    def __hash__(self):
-        return hash((self.q, self.C, self.D, self.x))
 
     def x_at(self, i: int) -> Fraction:
         """x_i for i >= -1."""
@@ -93,13 +89,11 @@ def residue_table(delta: QuadSurd, q: int) -> tuple[int, ...]:
     T[a] = 0 at non-units, whose cells skip the kernel.
 
     delta is validated once: reduced, [1, delta] an ideal of the maximal
-    order (norm_form) with N(b) prime to q, and q^2 * m within
-    KERNEL_STEP_BOUND.
+    order (norm_form) and q^2 * m within KERNEL_STEP_BOUND.  N(b) need not
+    be prime to q: only N((C + D*delta)b) mod q enters.
     """
     check_delta_hypotheses(delta)
     u, v, w = norm_form(delta)
-    if math.gcd(u, q) != 1:
-        raise IdealNotCoprime(f"N(b) = {u} shares a factor with q = {q}")
     mcf = minus_expand(delta)
     if not mcf.purely_periodic:
         raise InternalInvariantError(

@@ -8,7 +8,8 @@ Z(C, D) and the orbit-closure check of the cone recursion, character values
 as cyclotomic numbers, parity and the conductor search over the divisors of
 q (which characters.odd_primitive reads off the exponents), the reduction
 of a cyclotomic number along a mod-p realization, fundamental discriminants
-and the Kronecker symbol, and floor, ceiling and power of quadratic surds.
+and the Kronecker symbol, floor, ceiling and power of quadratic surds, and
+the cycles of Zagier's reduced forms, one per narrow ideal class.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from heckezero.errors import (IncompatiblePair, InternalInvariantError,
                               ValidationError)
 from heckezero.exact import (CycloElement, QuadSurd, Rational, bernoulli_poly,
                              factorize, residue_1q, square_prime)
-from heckezero.quadfield import FieldData
+from heckezero.quadfield import FieldData, field_discriminant
 from heckezero.shintani import lattice_unit_order, yamamoto_sequence
 
 
@@ -237,6 +238,41 @@ def surd_walk_by_table(x: QuadSurd, minus: bool
         Q = (P * P - D) // Q if minus else (D - P * P) // Q
     j = seen[P, Q]
     return tuple(digits[:j]), tuple(digits[j:]), QuadSurd(P, b * c, Q, x.d)
+
+
+def minus_cycles(d: int) -> list[list[tuple[int, int]]]:
+    """The cycles of Zagier's reduction on the reduced primitive forms of
+    discriminant D = field_discriminant(d), one per narrow ideal class
+    (Zagier, "A Kronecker limit formula for real quadratic fields",
+    Math. Ann. 213 (1975)).
+
+    A form (a, b, c) is reduced when a, c > 0 and b > a + c, that is when
+    delta = (b + sqrt(D))/(2a) has delta > 1 > delta' > 0.  It is kept as the
+    state (P, Q) = (b, 2a), and the step delta -> 1/(ceil(delta) - delta)
+    is k = (P + isqrt(D))//Q + 1, P' = kQ - P, Q' = (P'^2 - D)/Q.  The
+    enumeration is bounded: b^2 - (a + c)^2 = D - (a - c)^2 with
+    b - (a + c) >= 1 gives b <= (D + 1)/2, and delta > 1 > delta' puts 2a
+    between b - sqrt(D) and b + sqrt(D).
+    """
+    D = field_discriminant(d)
+    s = math.isqrt(D)
+    states = set()
+    for P in range(s + 1 + (s + 1 + D) % 2, (D + 1) // 2 + 1, 2):
+        N = (P * P - D) // 4
+        for a in range(max(1, (P - s + 1) // 2), (P + s) // 2 + 1):
+            if N % a == 0 and a + N // a < P and math.gcd(a, P, N // a) == 1:
+                states.add((P, 2 * a))
+    cycles = []
+    while states:
+        P, Q = start = min(states)
+        cycle = []
+        while not cycle or (P, Q) != start:
+            states.remove((P, Q))
+            cycle.append((P, Q))
+            P = ((P + s) // Q + 1) * Q - P
+            Q = (P * P - D) // Q
+        cycles.append(cycle)
+    return cycles
 
 
 def zeta_power(order: int, e: int) -> CycloElement:

@@ -141,9 +141,8 @@ class TestPlusToMinus:
 
     def test_words_equal_by_value(self):
         assert PlusCF((), [2, 3]) == PlusCF((), (2, 3))
-        assert hash(PlusCF((), [2, 3])) == hash(PlusCF((), (2, 3)))
         assert PlusCF((1,), (2, 3)) != PlusCF((), (2, 3))
-        assert hash(MinusCF((), [3])) == hash(MinusCF((), (3,)))
+        assert MinusCF((), [3]) == MinusCF((), (3,))
         # the special positions count
         assert minus_word((2, 3)) != MinusCF((), (4, 2, 2))
 

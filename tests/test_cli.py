@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from heckezero import acceptance, cli, linearity, quadfield
 from heckezero.acceptance import CriterionResult
+from heckezero.biro import yokoi_intro_ab
 from heckezero.characters import DirichletCharacter
 from heckezero.cli import main
-from heckezero.errors import DeltaOutOfRange
-from heckezero.exact import cyclo_to_dict
+from heckezero.errors import DeltaOutOfRange, HypothesisFailed
+from heckezero.exact import cyclo_to_dict, rational_to_str
 from test_linearity import PAPER_FAMILY_FILES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -295,9 +296,13 @@ class TestBoundary:
          "bad character identifier 'q=3;gens=2'"),
         (LVALUE_ARGS[:-1] + ["q=3;gens=2:1:5"], "ParseError",
          "bad character identifier 'q=3;gens=2:1:5'"),
+        (["linearity", "hypothesis", "--family", "yokoi",
+          "--chi", "q=3;gens=2:1", "--r", "1", "--k", "0"],
+         "InsufficientSamples", "need at least 2 admissible k"),
     ], ids=["radicand", "empty-digits", "bad-digit", "minus-digit",
             "plus-digit", "family-w0", "search-bounds", "intro-ab-family",
-            "chi-generator-twice", "chi-pair-short", "chi-pair-long"])
+            "chi-generator-twice", "chi-pair-short", "chi-pair-long",
+            "hypothesis-one-k"])
     def test_named_input_errors(self, args, error, text, tmp_path,
                                 monkeypatch, capsys):
         # w0.json is Yokoi's family with the denominator w = 0
@@ -382,6 +387,13 @@ class TestLValue:
             run_json(LVALUE_ARGS, capsys)
             assert decimal.getcontext().prec == 28
 
+    def test_norm_not_prime_to_q(self, capsys):
+        # b = [3, 1+sqrt79] has norm 3, the modulus of chi
+        code, doc = run_json(["lvalue", "--d", "79", "--delta", "11,1,3",
+                              "--chi", "q=3;gens=2:1"], capsys)
+        assert code == 0
+        assert doc["results"]["value"]["value"] == "0"
+
 
 class TestCF:
     def test_convert(self, capsys):
@@ -389,6 +401,15 @@ class TestCF:
         res = doc["results"]
         assert res["minus_period"] == [4, 2, 2]
         assert res["special_positions"] == [0]
+
+    @pytest.mark.parametrize("d,surd,preperiod,period", [
+        ("5", "3,1,2", [2], [1]), ("7", "0,1", [2], [1, 1, 1, 4])])
+    def test_expand_plus(self, d, surd, preperiod, period, capsys):
+        code, doc = run_json(["cf", "expand", "--d", d, "--surd", surd,
+                              "--kind", "plus"], capsys)
+        assert code == 0
+        assert doc["results"] == {"kind": "plus", "preperiod": preperiod,
+                                  "period": period}
 
     def test_determinism(self, capsys):
         _, a = run_cli(["cf", "convert", "--plus", "2,3"], capsys)
@@ -446,6 +467,35 @@ class TestLinearity:
         assert code == 0 and doc["results"]["verdicts"]["closed_form_match"]
         assert len(calls) <= 36
 
+    def test_hypothesis(self, capsys):
+        code, doc = run_json(["linearity", "hypothesis", "--family", "yokoi",
+                              "--chi", "q=3;gens=2:1", "--r", "1",
+                              "--k", "0,1,2,3,4"], capsys)
+        assert code == 0
+        assert doc["results"] == {"family": "yokoi", "q": 3, "r": 1,
+                                  "hypothesis_holds": True}
+
+    def test_hypothesis_failure(self, monkeypatch, capsys):
+        # a norm form whose w moves with k at n = 3k + r (Yokoi's delta(n)
+        # has a = n + 2), so members of one residue class differ mod 3
+        norm_form = linearity.norm_form
+
+        def varying(delta):
+            u, v, w = norm_form(delta)
+            return u, v, w + delta.a // 3
+        monkeypatch.setattr(linearity, "norm_form", varying)
+        with pytest.raises(HypothesisFailed):
+            linearity.closed_form_table(linearity.BUILTIN_FAMILIES["yokoi"],
+                                        3, 1)
+        args = ["--family", "yokoi", "--chi", "q=3;gens=2:1", "--r", "1",
+                "--k", "0,1,2,3,4,5,6,7"]
+        code, doc = run_json(["linearity", "hypothesis", *args], capsys)
+        assert code == 0
+        assert doc["results"]["hypothesis_holds"] is False
+        assert main(["linearity", "verify", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "HypothesisFailed"
+
 
 class TestBiro:
     def test_search(self, capsys):
@@ -462,6 +512,19 @@ class TestBiro:
         assert code == 0
         assert doc["results"]["equal"] is True
 
+    def test_oracle_intro_ab(self, capsys):
+        chi = DirichletCharacter.from_identifier("q=5;gens=2:1")
+        code, doc = run_json(["biro", "oracle", "--family", "yokoi",
+                              "--n", "7", "--chi", chi.identifier(),
+                              "--intro-ab"], capsys)
+        assert code == 0
+        A, B, rho = yokoi_intro_ab(chi, 7 % 5)
+        res = doc["results"]
+        # order-4 values carry no rational "value" field
+        assert res["intro_A"] == cyclo_to_dict(A)
+        assert res["intro_B"] == cyclo_to_dict(B)
+        assert res["intro_proportionality"] == rational_to_str(rho)
+
 
 class TestOutputOptions:
     def test_out_file(self, tmp_path, capsys):
@@ -471,6 +534,15 @@ class TestOutputOptions:
         assert code == 0
         doc = json.loads(target.read_text().splitlines()[0])
         assert doc["results"]["class_number"] == 1
+
+    def test_stdout_is_the_out_line(self, tmp_path, capsys):
+        # one compact encoding, printed and appended byte for byte
+        target = tmp_path / "out.jsonl"
+        code, out = run_cli(["biro", "search", "--q-max", "11",
+                             "--p-max", "23", "--out", str(target)], capsys)
+        assert code == 0
+        assert out == target.read_text()
+        assert out.count("\n") == 1 and ", " not in out and ": " not in out
 
     def test_global_flags_before_subcommand(self, tmp_path, capsys):
         target = tmp_path / "o.json"

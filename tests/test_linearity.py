@@ -284,6 +284,18 @@ class TestVerifyLinearity:
         with pytest.raises(InsufficientSamples):
             verify_linearity(YOKOI, CHI3, 1, [0, 2])
 
+    def test_insufficient_before_any_table(self, monkeypatch):
+        # two members, n = 9901 and 9923 with digits >= 11, are too few:
+        # refused before either residue table is built
+        chi = DirichletCharacter.from_identifier("q=11;gens=2:1")
+        assert len(list(admissible(YOKOI, 11, 1, [900, 902]))) == 2
+        tables = []
+        monkeypatch.setattr(linearity, "residue_table",
+                            lambda *args: tables.append(args))
+        with pytest.raises(InsufficientSamples):
+            verify_linearity(YOKOI, chi, 1, [900, 902])
+        assert tables == []
+
     def test_skips_recorded(self):
         rep = verify_linearity(YOKOI, CHI3, 1, range(0, 8))
         assert set(rep.k_used) | set(rep.k_skipped) == set(range(8))

@@ -9,12 +9,11 @@ import pytest
 
 from heckezero import exact
 from heckezero.cfrac import MinusCF, minus_expand
-from heckezero.characters import (DirichletCharacter, enumerate_characters,
-                                  gen_bernoulli_b1)
-from heckezero.errors import (DeltaOutOfRange, IdealNotCoprime,
-                              IncompatiblePair, InternalInvariantError,
-                              NotSquarefree)
-from heckezero.exact import CycloElement, QuadSurd
+from heckezero.characters import (DirichletCharacter, chi_weights,
+                                  enumerate_characters, gen_bernoulli_b1)
+from heckezero.errors import (DeltaOutOfRange, IncompatiblePair,
+                              InternalInvariantError, NotSquarefree)
+from heckezero.exact import CycloElement, QuadSurd, cyclo_from_buckets
 from heckezero.linearity import BUILTIN_FAMILIES, admissible, family_instance
 from heckezero.quadfield import (check_radicand, class_numbers,
                                  field_discriminant, make_field)
@@ -22,8 +21,8 @@ from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
                                 lattice_unit_order, partial_hecke_L_zero,
                                 partial_zeta_zero, residue_table,
                                 yamamoto_identity_residual, yamamoto_sequence)
-from oracles import (IdealLattice, char_eval, ideal_inverse, ideal_norm,
-                     kronecker, norm_residue, orbit_shift_check,
+from oracles import (IdealLattice, char_eval, ideal_inverse, is_squarefree,
+                     kronecker, minus_cycles, norm_residue, orbit_shift_check,
                      partial_zeta_zero_reference)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")   # quadratic mod 3
@@ -58,7 +57,7 @@ class TestYamamotoSequence:
     def test_equal_by_value(self):
         seq = yamamoto_sequence(3, 3, 1, MinusCF((), (3,)), steps=2)
         assert seq == yamamoto_sequence(3, 3, 1, MinusCF((), (3,)), steps=2)
-        assert hash(seq) == hash(YamamotoSeq(3, 3, 1, seq.x))
+        assert seq == YamamotoSeq(3, 3, 1, seq.x)
         assert seq != yamamoto_sequence(3, 3, 1, MinusCF((), (3,)), steps=3)
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(4, 3),
@@ -138,10 +137,16 @@ class TestHeckeL:
             with pytest.raises(IncompatiblePair):
                 partial_hecke_L_zero(delta, CHI3)
 
-    def test_rejects_non_coprime(self):
+    def test_norm_not_prime_to_q(self):
         # [1, (11+sqrt79)/3] is the inverse of the norm-3 prime [3, 1+sqrt79]
-        with pytest.raises(IdealNotCoprime):
-            partial_hecke_L_zero(QuadSurd(11, 1, 3, 79), CHI3)
+        # and [1, (10+sqrt79)/7] that of a norm-7 ideal.  Both lie on one
+        # minus cycle, so in one narrow class, and the table reads only
+        # N((C + D delta)b) mod 3, which norm_form gives for any b
+        for delta in (QuadSurd(11, 1, 3, 79), QuadSurd(10, 1, 7, 79)):
+            assert residue_table(delta, 3) == (0, -54, -54)
+        assert any({(22, 6), (20, 14)} <= set(cycle)
+                   for cycle in minus_cycles(79))
+        assert partial_hecke_L_zero(QuadSurd(11, 1, 3, 79), CHI3) == 0
 
 
 def _bernoulli_conv(q, D):
@@ -180,6 +185,54 @@ class TestResidueTable:
                         assert D * table[a] == (12 * conv[a] if unit else 0)
                     checked += 1
         assert checked == 69
+
+
+class TestMinusCycles:
+    """Zagier's reduced forms, grouped into cycles of the minus step, list
+    the narrow ideal classes (oracles.minus_cycles): every reduced delta > 2
+    of one cycle gives the same table, whether or not N(b) is prime to q."""
+
+    def test_tables_constant_on_each_cycle(self):
+        # squarefree d < 150 and q = 2..7.  Where h+ = 1 and gcd(q, D) = 1,
+        # each delta with gcd(N(b), q) > 1 alone gives the Bernoulli product
+        # for every chi mod q.  Both checks are needed: an error in the
+        # kernel that does not depend on the rotation of the word leaves
+        # every cycle constant
+        fields = cycles_checked = mixed = not_coprime = products = 0
+        for d in filter(is_squarefree, range(2, 150)):
+            F = make_field(d)
+            D, f = F.discriminant, 1 if F.discriminant == d else 2
+            cycles = minus_cycles(d)
+            h_plus = class_numbers(F)[1]
+            assert len(cycles) == h_plus, d
+            fields += 1
+            for q in range(2, 8):
+                want = [(chi, gen_bernoulli_b1(chi) * gen_bernoulli_b1(chi, D))
+                        for chi in enumerate_characters(q)
+                        if h_plus == 1 and math.gcd(q, D) == 1]
+                for cycle in cycles:
+                    tables, coprime = set(), set()
+                    for P, Q in cycle:
+                        if (P + math.isqrt(D)) // Q < 2:
+                            continue        # delta < 2
+                        # delta = (P + sqrt(D))/Q with N(b) = Q/2
+                        table = residue_table(QuadSurd(P, f, Q, d), q)
+                        unit = math.gcd(Q // 2, q) == 1
+                        tables.add(table)
+                        coprime.add(unit)
+                        if unit:
+                            continue
+                        not_coprime += 1
+                        for chi, value in want:
+                            assert cyclo_from_buckets(
+                                chi.order, chi_weights(chi, table),
+                                Fraction(1, 12 * q * q)) == value, (d, q)
+                            products += 1
+                    assert len(tables) == 1, (d, q, cycle)
+                    cycles_checked += 1
+                    mixed += len(coprime) == 2
+        assert (fields, cycles_checked, mixed, not_coprime, products) == \
+            (91, 1374, 474, 1250, 276)
 
 
 class TestIdentity:
@@ -245,13 +298,8 @@ class TestBucketedEngine:
     def test_every_character_mod_q_up_to_12(self, name, n):
         F, delta, b = _engine_case(name, n)
         mcf = minus_expand(delta)
-        nb = int(ideal_norm(F, b))
         for q in range(1, 13):
             chars = enumerate_characters(q)
-            if math.gcd(nb, q) != 1:
-                with pytest.raises(IdealNotCoprime):
-                    partial_hecke_L_zero(delta, chars[0])
-                continue
             cells = [(norm_residue(F, b, delta, C, D, q),
                       partial_zeta_zero_reference(q, C, D, mcf))
                      for C in range(1, q + 1) for D in range(1, q + 1)]
