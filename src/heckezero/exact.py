@@ -169,14 +169,17 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return d, s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2 ** 14)
 def square_prime(n: int) -> int:
     """The least prime p with p^2 | n, or 0 when n is squarefree.  Needs
     n >= 1.
 
     Memoized: one command checks the same radicand at several entry points
-    (family_instance, then make_field for the same member), so each d is
-    factored once per process.
+    (family_instance, then make_field for the same member), and a command
+    that searches several residues n = qk + r re-checks the radicands of
+    n <= linearity.N_SEARCH_LIMIT = 10^4, so each d is factored once per
+    command.  The bound holds one such search window whole, about 2.6 MiB,
+    where an unbounded memo kept every radicand a process ever saw.
     """
     for p, e in factorize(n).items():
         if e > 1:

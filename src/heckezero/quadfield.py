@@ -109,25 +109,45 @@ def class_numbers(F: FieldData) -> tuple[int, int]:
     they are GL_2(Z)-equivalent, that is when the lattices [1, x] lie in one
     wide ideal class (Cohen, A Course in Computational Algebraic Number
     Theory, 5.6).  h_plus = h if N(eps0) = -1, else 2h; every cycle length l
-    must satisfy (-1)^l = N(eps0).  make_field has bounded F.d."""
+    must satisfy (-1)^l = N(eps0).  make_field has bounded F.d.
+
+    The reduced x are the states (P, Q) with 0 < P < sqrt(D), Q = 2a for a
+    divisor a of N = (D - P^2)/4, and sqrt(D) - P < Q < sqrt(D) + P.  The
+    cofactor Q' = 2N/a has Q*Q' = (sqrt(D) - P)(sqrt(D) + P), so (P, Q) is
+    reduced exactly when (P, Q') is, and one of the two has a <= isqrt(N).
+    Such an a gives Q <= sqrt(D - P^2) < sqrt(D) + P, so it is reduced
+    exactly when a > (isqrt(D) - P)/2.  The trial division therefore starts
+    at that edge and keeps both states of each divisor untested: about
+    0.07 D divisions, where the whole range 1..isqrt(N) takes 0.2 D.
+
+    Each cofactor is kept because the walk checks every plus step against
+    the enumeration: a cycle passes through states with a <= isqrt(N) and
+    their cofactors alike, and a step onto a state that is not listed, or
+    was already walked, raises InternalInvariantError.  So a missing or
+    stray state cannot change h silently, and no walk takes more steps
+    than there are states."""
     D = F.discriminant
     s = math.isqrt(D)
     states = set()
     for P in range(2 - D % 2, s + 1, 2):
         N = (D - P * P) // 4
-        for a in range(1, math.isqrt(N) + 1):
+        for a in range((s - P) // 2 + 1, math.isqrt(N) + 1):
             if N % a == 0:
-                states.update((P, Q) for Q in (2 * a, 2 * N // a)
-                              if s - P < Q <= s + P)
+                states.update(((P, 2 * a), (P, 2 * N // a)))
     h = 0
     while states:
         h += 1
         P, Q = start = states.pop()
-        length = 0
-        while not length or (P, Q) != start:
+        length = 1
+        while True:
             P = (P + s) // Q * Q - P
             Q = (D - P * P) // Q
-            states.discard((P, Q))
+            if (P, Q) == start:
+                break
+            if (P, Q) not in states:
+                raise InternalInvariantError(
+                    f"plus step from {start} left the reduced states")
+            states.remove((P, Q))
             length += 1
         if (-1) ** length != F.fund_unit_norm:
             raise InternalInvariantError(

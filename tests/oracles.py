@@ -8,8 +8,11 @@ Z(C, D) and the orbit-closure check of the cone recursion, character values
 as cyclotomic numbers, parity and the conductor search over the divisors of
 q (which characters.odd_primitive reads off the exponents), the reduction
 of a cyclotomic number along a mod-p realization, fundamental discriminants
-and the Kronecker symbol, floor, ceiling and power of quadratic surds, and
-the cycles of Zagier's reduced forms, one per narrow ideal class.
+and the Kronecker symbol, floor, ceiling and power of quadratic surds, the
+cycles of Zagier's reduced forms, one per narrow ideal class, and two
+class-number references: the plus-cycle count over a trial division of the
+whole range that quadfield.class_numbers narrowed to the reduced window,
+and Dirichlet's analytic class number formula.
 """
 
 from __future__ import annotations
@@ -273,6 +276,53 @@ def minus_cycles(d: int) -> list[list[tuple[int, int]]]:
             Q = (P * P - D) // Q
         cycles.append(cycle)
     return cycles
+
+
+def class_numbers_full_scan(F: FieldData) -> tuple[int, int]:
+    """(h, h_plus) of F as quadfield.class_numbers computed them before the
+    reduced window: every a <= isqrt(N) is trial-divided and each of the two
+    states of a divisor is tested against the window s - P < Q <= s + P."""
+    D = F.discriminant
+    s = math.isqrt(D)
+    states = set()
+    for P in range(2 - D % 2, s + 1, 2):
+        N = (D - P * P) // 4
+        for a in range(1, math.isqrt(N) + 1):
+            if N % a == 0:
+                states.update((P, Q) for Q in (2 * a, 2 * N // a)
+                              if s - P < Q <= s + P)
+    h = 0
+    while states:
+        h += 1
+        P, Q = start = states.pop()
+        length = 0
+        while not length or (P, Q) != start:
+            P = (P + s) // Q * Q - P
+            Q = (D - P * P) // Q
+            states.discard((P, Q))
+            length += 1
+        if (-1) ** length != F.fund_unit_norm:
+            raise InternalInvariantError(
+                f"cycle length {length}, N(eps0) = {F.fund_unit_norm}")
+    return h, h if F.fund_unit_norm == -1 else 2 * h
+
+
+def class_number_analytic(F: FieldData) -> float:
+    """h of F as a float from Dirichlet's class number formula
+    h * log(eps0) = -1/2 * sum_{a=1}^{D-1} (D/a) log sin(pi a/D).
+
+    eps0 = (a + b sqrt(d))/c has trace t = 2a/c and norm n = +-1, so
+    eps0 = t (1 + sqrt(1 - 4n/t^2))/2; log t is taken from the integers, so
+    a unit of any size gives a finite float.
+    """
+    D = F.discriminant
+    total = math.fsum(kronecker(D, a) * math.log(math.sin(math.pi * a / D))
+                      for a in range(1, D))
+    eps = F.fund_unit
+    log_eps = (math.log(2 * eps.a) - math.log(eps.c)
+               + math.log((1 + math.sqrt(1 - F.fund_unit_norm * eps.c ** 2
+                                         / eps.a ** 2)) / 2))
+    return -total / (2 * log_eps)
 
 
 def zeta_power(order: int, e: int) -> CycloElement:

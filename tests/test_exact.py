@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckezero.errors import BoundExceeded
+from heckezero.errors import BoundExceeded, NoAdmissibleN
 from heckezero.exact import (CycloElement, QuadSurd, bernoulli_poly,
                              cyclo_from_buckets, cyclo_to_dict, euler_phi,
                              factorize, frac_pos, quadsurd_to_dict,
-                             rational_to_str, residue_1q, squarefree_part,
-                             surd_sign)
+                             rational_to_str, residue_1q, square_prime,
+                             squarefree_part, surd_sign)
+from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
+                                 smallest_admissible_n)
 from oracles import is_squarefree, surd_ceil, surd_floor, surd_pow, zeta_power
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 13, 15, 29, 53, 229]
@@ -107,6 +109,35 @@ class TestFactorization:
             fac = factorize(n)
             assert math.prod(p**e for p, e in fac.items()) == n
             assert all(is_prime(p) for p in fac)
+
+    def test_square_prime_memo_bounded(self):
+        # a sweep over more radicands than the memo holds leaves it full,
+        # not grown, and still answers correctly
+        bound = square_prime.cache_info().maxsize
+        assert bound is not None
+        top = bound + 1000
+        least = [0] * (top + 1)         # least p with p^2 | n, by a sieve
+        for p in range(math.isqrt(top), 1, -1):
+            least[p * p::p * p] = [p] * len(least[p * p::p * p])
+        for n in range(1, top + 1):
+            assert square_prime(n) == least[n]
+        assert square_prime.cache_info().currsize == bound
+        assert square_prime(12) == 2 and square_prime(10 ** 6 + 1) == 0
+
+    def test_square_prime_memo_holds_a_search_window(self):
+        # yokoi has no admissible even n <= N_SEARCH_LIMIT: the q = 2 search
+        # checks the 5000 even n, and the q = 4 searches after it, as one
+        # command over several q makes them, find every radicand memoized
+        square_prime.cache_clear()
+        yokoi = BUILTIN_FAMILIES["yokoi"]
+        with pytest.raises(NoAdmissibleN):
+            smallest_admissible_n(yokoi, 2, 0)
+        misses = square_prime.cache_info().misses
+        assert misses == N_SEARCH_LIMIT // 2
+        for r in (0, 2):
+            with pytest.raises(NoAdmissibleN):
+                smallest_admissible_n(yokoi, 4, r)
+        assert square_prime.cache_info().misses == misses
 
     def test_squarefree_part(self):
         assert squarefree_part(12) == (3, 2)

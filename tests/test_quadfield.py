@@ -11,9 +11,10 @@ from heckezero.exact import QuadSurd
 from heckezero.quadfield import (CLASS_NUMBER_BOUND, class_numbers,
                                  make_field, norm_form)
 from heckezero.shintani import lattice_unit_order
-from oracles import (IdealLattice, ideal_inverse, ideal_norm,
+from oracles import (IdealLattice, class_number_analytic,
+                     class_numbers_full_scan, ideal_inverse, ideal_norm,
                      is_fractional_ideal, lattice_product, maximal_order,
-                     is_squarefree, norm_residue, surd_pow)
+                     is_squarefree, minus_cycles, norm_residue, surd_pow)
 
 FUND_UNITS = {
     2: QuadSurd(1, 1, 1, 2),
@@ -106,6 +107,34 @@ class TestClassNumbers:
         assert sum(h for h, _ in values) == 2878
         assert sum(h_plus for _, h_plus in values) == 5108
         assert max(values) == (14, 28)
+
+    def test_window_matches_full_scan(self):
+        # the reduced window against the trial division of 1..isqrt(N): a
+        # window that starts one a too late, or a divisor whose cofactor
+        # state is dropped, misses reduced states that the walk then meets
+        for d in filter(is_squarefree, range(2, 2000)):
+            F = make_field(d)
+            assert class_numbers(F) == class_numbers_full_scan(F), d
+        for d, expected in ((999983, (5, 10)), (999997, (2, 2)),
+                            (994013, (25, 25))):
+            F = make_field(d)
+            assert class_numbers(F) == class_numbers_full_scan(F) == \
+                expected
+
+    @pytest.mark.parametrize("d", [
+        79, 229, 40009, 160001, 160005,
+        101 ** 2 + 4, 97 ** 2 + 1, 199 ** 2 + 1])
+    def test_analytic_class_number_formula(self, d):
+        # Dirichlet's formula in floats, independent of the reduced surds;
+        # the last three are members of the yokoi (n^2 + 4) and rd-n2p1
+        # (n^2 + 1) families that the field-sweep benchmark draws from
+        F = make_field(d)
+        assert abs(class_number_analytic(F) - class_numbers(F)[0]) < 1e-6
+
+    def test_narrow_class_number_is_minus_cycle_count(self):
+        # Zagier's reduced forms give one minus cycle per narrow class
+        for d in filter(is_squarefree, range(2, 1000)):
+            assert class_numbers(make_field(d))[1] == len(minus_cycles(d)), d
 
 
 class TestIdealLattice:
