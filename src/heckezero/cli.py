@@ -10,7 +10,6 @@ success, 2 validation error, 3 broken internal invariant.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -19,24 +18,23 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
+# Every command pays for the import of this module, so it loads only what
+# field, cf and lvalue all run (errors, exact, cfrac, quadfield); each
+# command imports the rest where it needs it.
 from . import __version__
-from .biro import (condition_star_search, factorization_oracle_check,
-                   residue_reports, yokoi_intro_ab)
 from .cfrac import (MinusCF, PlusCF, evaluate_periodic, minus_expand,
                     plus_expand, plus_to_minus)
-from .characters import DirichletCharacter
 from .errors import (CFMismatch, DeltaOutOfRange, HeckeZeroError,
                      InternalInvariantError, NoAdmissibleN, NotSquarefree,
                      ParseError, SpecInconsistent, ValidationError)
 from .exact import (QuadSurd, cyclo_to_dict, quadsurd_to_dict,
                     rational_to_str)
-from .linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT, FamilySpec,
-                        closed_form_chi, family_instance,
-                        family_spec_from_dict, hypothesis_check_norm,
-                        verify_linearity)
 from .quadfield import check_radicand, class_numbers, make_field
-from .shintani import partial_hecke_L_zero
+
+if TYPE_CHECKING:
+    from .linearity import FamilySpec
 
 DISPLAY_DIGITS = 30
 
@@ -58,6 +56,8 @@ def _cyclo_payload(x) -> dict:
 
 
 def load_family_config(name_or_path: str) -> FamilySpec:
+    from .linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
+                            family_instance, family_spec_from_dict)
     if name_or_path in BUILTIN_FAMILIES:
         return BUILTIN_FAMILIES[name_or_path]
     if not os.path.exists(name_or_path):
@@ -150,6 +150,8 @@ def cmd_cf(args) -> dict:
 
 
 def cmd_lvalue(args) -> dict:
+    from .characters import DirichletCharacter
+    from .shintani import partial_hecke_L_zero
     check_radicand(args.d)
     delta = _parse_surd(args.delta, args.d)
     chi = DirichletCharacter.from_identifier(args.chi)
@@ -160,6 +162,9 @@ def cmd_lvalue(args) -> dict:
 
 
 def cmd_linearity(args) -> dict:
+    from .characters import DirichletCharacter
+    from .linearity import (closed_form_chi, hypothesis_check_norm,
+                            verify_linearity)
     spec = load_family_config(args.family)
     chi = DirichletCharacter.from_identifier(args.chi)
     q = chi.modulus
@@ -194,6 +199,10 @@ def cmd_linearity(args) -> dict:
 
 
 def cmd_biro(args) -> dict:
+    from .biro import (condition_star_search, factorization_oracle_check,
+                       residue_reports, yokoi_intro_ab)
+    from .characters import DirichletCharacter
+    from .linearity import BUILTIN_FAMILIES
     if args.biro_cmd == "search":
         pairs = condition_star_search(args.q_max, args.p_max)
         return {"q_max": args.q_max, "p_max": args.p_max,
@@ -230,7 +239,6 @@ def cmd_biro(args) -> dict:
 
 
 def cmd_selftest(args) -> dict:
-    # the one deferred import: no other command loads the acceptance suite
     from .acceptance import run_all
     results = run_all()
     for res in results:
@@ -243,6 +251,7 @@ def cmd_selftest(args) -> dict:
 
 def _csv_flatten(payload: dict) -> str:
     """Flatten the first list-of-flat-dicts table found in the payload."""
+    import csv
     for key in ("cells", "reports", "pairs", "criteria"):
         if key in payload and isinstance(payload[key], list) and payload[key]:
             rows = payload[key]

@@ -7,6 +7,7 @@ pits the closed forms against the direct engine.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from fractions import Fraction
 from itertools import chain
@@ -17,7 +18,8 @@ from .characters import DirichletCharacter, chi_weights
 from .errors import (BoundExceeded, CFMismatch, DeltaOutOfRange,
                      HypothesisFailed, InsufficientSamples, NoAdmissibleN,
                      NotSquarefree, ParseError)
-from .exact import CycloElement, QuadSurd, cyclo_from_buckets, residue_1q
+from .exact import (CycloElement, QuadSurd, cyclo_from_buckets, factorize,
+                    residue_1q)
 from .kernels import KERNEL_STEP_BOUND
 from .quadfield import check_radicand, norm_form
 from .shintani import check_delta_hypotheses, residue_table
@@ -292,11 +294,41 @@ def closed_form_cd(spec: FamilySpec, rw: ResidueWord, C: int, D: int
     return A, B
 
 
+def empty_class_reason(spec: FamilySpec, q: int, r: int, walk: int
+                       ) -> str | None:
+    """Why no n = qk + r >= 1 can pass family_instance, or None when neither
+    exact check decides it.  A check that takes more than `walk` steps, the
+    number of radicands the search it saves would factor, is skipped.
+
+    (i) admits depends on n mod lcm(2, forbidden moduli) only, so one
+    period of the class decides it.  (ii) f(q(k + p^2) + r) = f(qk + r)
+    mod p^2, so when p^2 divides f(qk + r) for k < p^2 no radicand of the
+    class is squarefree; p runs over 2 and the primes dividing q.
+    """
+    nc = spec.n_constraints
+    period = math.lcm(2, *(m for m, _ in nc.forbidden_residues))
+    span = period // math.gcd(q, period)
+    if span <= walk:
+        k0 = max(0, -((r - 1) // q))    # the least k with qk + r >= 1
+        if not any(nc.admits(q * k + r) for k in range(k0, k0 + span)):
+            return "the family's n constraints reject every such n"
+    for p in sorted({2, *factorize(q)}):
+        if p * p <= walk and all(spec.f(q * k + r) % (p * p) == 0
+                                 for k in range(p * p)):
+            return f"{p}^2 divides f(n) for every such n"
+    return None
+
+
 def smallest_admissible_n(spec: FamilySpec, q: int, r: int
                           ) -> tuple[int, QuadSurd]:
-    """(n, delta(n)) at the least admissible n = qk + r >= 1, k >= 0."""
-    for k, delta in admissible(
-            spec, q, r, range((N_SEARCH_LIMIT - r) // q + 1)):
+    """(n, delta(n)) at the least admissible n = qk + r >= 1, k >= 0.  A
+    class that empty_class_reason shows empty is refused before any
+    radicand is factored; any other is walked up to N_SEARCH_LIMIT."""
+    ks = range((N_SEARCH_LIMIT - r) // q + 1)
+    reason = empty_class_reason(spec, q, r, len(ks))
+    if reason is not None:
+        raise NoAdmissibleN(f"no admissible n = {q}k + {r}: {reason}")
+    for k, delta in admissible(spec, q, r, ks):
         return q * k + r, delta
     raise NoAdmissibleN(
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")

@@ -721,20 +721,56 @@ def test_cli_import_stays_pure_python():
     assert proc.returncode == 0, proc.stderr
 
 
+# the modules field, cf and lvalue all run, which `import heckezero.cli`
+# loads, and those each command imports only when it runs
+SHARED = {"heckezero", "heckezero.cli", "heckezero.errors", "heckezero.exact",
+          "heckezero.cfrac", "heckezero.quadfield"}
+DEFERRED = {"csv", "heckezero.characters", "heckezero.kernels",
+            "heckezero.shintani", "heckezero.linearity", "heckezero.biro",
+            "heckezero.acceptance"}
+
+
 def test_cli_import_generates_no_code():
     # every command pays for this import: it generates no dataclass methods
-    # (loads neither dataclasses nor inspect), and the acceptance suite is
-    # loaded by selftest alone (test_console_script_selftest runs it).  Some
-    # interpreters load inspect at start-up, so only what the import adds
-    # counts.
+    # (loads neither dataclasses nor inspect), and it loads none of the
+    # modules a command imports for itself (test_console_script_selftest
+    # runs the one that loads the acceptance suite).  Some interpreters load
+    # inspect at start-up, so only what the import adds counts.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import heckezero.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'heckezero.acceptance'}"
-        " & (set(sys.modules) - before)))\n")
+        "print(*(set(sys.modules) - before))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-W", "error", "-c", probe],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    added = set(proc.stdout.split())
+    assert "heckezero.cli" in added
+    assert added & ({"dataclasses", "inspect"} | DEFERRED) == set()
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["field", "--d", "5"], set()),
+    (["cf", "expand", "--d", "5", "--surd", "1,1,2"], set()),
+    (["cf", "convert", "--plus", "1,2"], set()),
+    (["cf", "eval", "--word", "3"], set()),
+    (LVALUE_ARGS, {"heckezero.characters", "heckezero.kernels",
+                   "heckezero.shintani"}),
+], ids=["field", "cf-expand", "cf-convert", "cf-eval", "lvalue"])
+def test_command_loads_only_what_it_runs(argv, extra):
+    # out of process, so no other test has loaded a module first: field and
+    # cf run on the shared modules alone, and lvalue adds the character
+    # layer and the cone kernel but neither linearity nor biro
+    probe = (
+        "import sys\n"
+        "from heckezero.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('heckezero', 'csv')))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", probe, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0" and set(loaded) == SHARED | extra

@@ -125,18 +125,19 @@ class TestFactorization:
         assert square_prime(12) == 2 and square_prime(10 ** 6 + 1) == 0
 
     def test_square_prime_memo_holds_a_search_window(self):
-        # yokoi has no admissible even n <= N_SEARCH_LIMIT: the q = 2 search
-        # checks the 5000 even n, and the q = 4 searches after it, as one
-        # command over several q makes them, find every radicand memoized
+        # 9(n^2 + 1) is never squarefree, which at q = 2 and 4 only the
+        # walk shows: the q = 2 search checks the 5000 odd n, and the q = 4
+        # searches after it, as one command over several q makes them, find
+        # every radicand memoized
         square_prime.cache_clear()
-        yokoi = BUILTIN_FAMILIES["yokoi"]
+        nine = BUILTIN_FAMILIES["rd-n2p1"]._replace(f_coeffs=(9, 0, 9))
         with pytest.raises(NoAdmissibleN):
-            smallest_admissible_n(yokoi, 2, 0)
+            smallest_admissible_n(nine, 2, 1)
         misses = square_prime.cache_info().misses
         assert misses == N_SEARCH_LIMIT // 2
-        for r in (0, 2):
+        for r in (1, 3):
             with pytest.raises(NoAdmissibleN):
-                smallest_admissible_n(yokoi, 4, r)
+                smallest_admissible_n(nine, 4, r)
         assert square_prime.cache_info().misses == misses
 
     def test_squarefree_part(self):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heckezero import linearity
 from heckezero.cfrac import PlusCF, plus_to_minus
@@ -10,15 +12,18 @@ from heckezero.characters import DirichletCharacter, enumerate_characters
 from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
                               InsufficientSamples, NoAdmissibleN,
                               NotSquarefree, ParseError)
-from heckezero.exact import QuadSurd
+from heckezero.exact import QuadSurd, square_prime
 from heckezero.kernels import zeta12_times
-from heckezero.linearity import (BUILTIN_FAMILIES, FamilySpec, admissible,
+from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
+                                 FamilySpec, NConstraints, admissible,
                                  closed_form_cd, closed_form_chi,
-                                 family_instance, family_minus_cf,
-                                 family_spec_from_dict, hypothesis_check_norm,
-                                 nu_sequence, residue_word,
-                                 smallest_admissible_n, verify_linearity)
+                                 empty_class_reason, family_instance,
+                                 family_minus_cf, family_spec_from_dict,
+                                 hypothesis_check_norm, nu_sequence,
+                                 residue_word, smallest_admissible_n,
+                                 verify_linearity)
 from heckezero.shintani import partial_zeta_zero, residue_table
+from oracles import is_squarefree
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
@@ -429,6 +434,77 @@ class TestAdmissibility:
         chi = DirichletCharacter.from_identifier("q=11;gens=2:1")
         verify_linearity(RDN, chi, 7, range(10))
         assert len(seen) == 36
+
+    @pytest.mark.parametrize("q, r", [(2, 0), (2, 2), (4, 0), (4, 2), (4, 6)])
+    @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=["yokoi", "rd-n2p1"])
+    def test_even_class_refused_unfactored(self, spec, q, r):
+        # both families admit odd n only, which no n = qk + r with q and r
+        # even is, and the n constraints show it before a radicand is
+        # factored
+        square_prime.cache_clear()
+        with pytest.raises(NoAdmissibleN, match="n constraints reject"):
+            smallest_admissible_n(spec, q, r)
+        assert square_prime.cache_info().misses == 0
+
+    def test_square_radicand_class_refused_unfactored(self):
+        # n^2 - 1 = (n - 1)(n + 1) is divisible by 8 at odd n, so n2m1 has
+        # no member n = qk + r with q even and r odd
+        square_prime.cache_clear()
+        for q in (2, 4, 6, 8):
+            for r in range(1, q, 2):
+                with pytest.raises(NoAdmissibleN, match=r"2\^2 divides f"):
+                    smallest_admissible_n(N2M1, q, r)
+        assert square_prime.cache_info().misses == 0
+
+    def test_checks_cost_at_most_the_walk(self):
+        # n^2 + 49 is 49(k^2 + 1) at n = 7k, which 49 values of k show
+        spec = YOKOI._replace(f_coeffs=(49, 0, 1))
+        assert empty_class_reason(spec, 7, 0, 49) == \
+            "7^2 divides f(n) for every such n"
+        assert empty_class_reason(spec, 7, 0, 48) is None
+        # n = 3k is forbidden; the n constraints have period 6, two values
+        # of k
+        spec = RDN._replace(n_constraints=NConstraints(
+            forbidden_residues=((3, 0),)))
+        assert empty_class_reason(spec, 3, 0, 2) == \
+            "the family's n constraints reject every such n"
+        assert empty_class_reason(spec, 3, 0, 1) is None
+        assert empty_class_reason(spec, 3, 1, N_SEARCH_LIMIT) is None
+
+    @pytest.mark.parametrize("spec", [YOKOI, RDN, CHOWLA, N2P2, N2M1, N2M2],
+                             ids=lambda spec: spec.name)
+    def test_member_classes_unchanged(self, spec):
+        # the checks only ever refuse: a class with a member n <= 200 gets
+        # the member the plain walk finds first
+        for q in range(1, 13):
+            for r in range(q):
+                first = next(admissible(spec, q, r, range((200 - r) // q + 1)),
+                             None)
+                if first is None:
+                    continue
+                k, delta = first
+                assert smallest_admissible_n(spec, q, r) == (q * k + r, delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f_coeffs=st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+           parity=st.sampled_from([None, "odd", "even"]),
+           forbidden=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 5)),
+                              max_size=2),
+           q=st.integers(1, 8), r=st.integers(-3, 10))
+    # 4 divides n^2 - n at n = 0 and 1 but not at n = 2: at odd q the
+    # residues mod 4 take four values of k, not two
+    @example(f_coeffs=[0, -1, 1], parity=None, forbidden=[], q=1, r=0)
+    @example(f_coeffs=[0, -1, 1], parity=None, forbidden=[], q=5, r=0)
+    def test_refusal_sound(self, f_coeffs, parity, forbidden, q, r):
+        # whatever the checks refuse, a walk over n <= 200 finds no n of the
+        # class that passes the radicand and n-constraint checks, the two
+        # family_instance makes before it builds delta(n)
+        spec = RDN._replace(f_coeffs=tuple(f_coeffs), n_constraints=
+                            NConstraints(parity, tuple(forbidden)))
+        if empty_class_reason(spec, q, r, N_SEARCH_LIMIT) is not None:
+            assert [n for n in range(r, 201, q)
+                    if n >= 1 and spec.n_constraints.admits(n)
+                    and spec.f(n) > 1 and is_squarefree(spec.f(n))] == []
 
     def test_hypothesis_check(self):
         assert hypothesis_check_norm(YOKOI, 3, 1, range(0, 8))
