@@ -14,9 +14,9 @@ from .exact import QuadSurd, squarefree_part
 if TYPE_CHECKING:
     from .quadfield import FieldData
 
-# surd_walk and minus_word refuse a word longer than this: no family member
-# below N_SEARCH_LIMIT needs more than 2*10^4 digits, and q^2 * m within
-# KERNEL_STEP_BOUND already caps m at 10^6 for q = 10
+# surd_walk and minus_length (so minus_word) refuse a word longer than this:
+# no family member below N_SEARCH_LIMIT needs more than 2*10^4 digits, and
+# q^2 * m within KERNEL_STEP_BOUND already caps m at 10^6 for q = 10
 WALK_DIGIT_BOUND = 10 ** 6
 
 
@@ -137,6 +137,16 @@ def minus_expand(x: QuadSurd) -> MinusCF:
     return MinusCF(preperiod, period)
 
 
+def minus_length(a: tuple[int, ...]) -> int:
+    """The length m of minus_word(a), read off the plus period a without
+    building the word; BoundExceeded when m exceeds WALK_DIGIT_BOUND."""
+    m = sum(a) if len(a) % 2 else sum(a[1::2])
+    if m > WALK_DIGIT_BOUND:
+        raise BoundExceeded(
+            f"the minus word has {m} digits, over {WALK_DIGIT_BOUND}")
+    return m
+
+
 def minus_word(a: tuple[int, ...]) -> MinusCF:
     """The minus word of value + 1 for the purely periodic plus period a,
     uncertified.
@@ -148,10 +158,7 @@ def minus_word(a: tuple[int, ...]) -> MinusCF:
     BoundExceeded when m exceeds WALK_DIGIT_BOUND.
     """
     s = len(a)
-    m = sum(a) if s % 2 else sum(a[1::2])
-    if m > WALK_DIGIT_BOUND:
-        raise BoundExceeded(
-            f"the minus word has {m} digits, over {WALK_DIGIT_BOUND}")
+    m = minus_length(a)
     positions = [0]
     for j in range(1, s if s % 2 else s // 2):
         positions.append(positions[-1] + a[(2 * j - 1) % s])

@@ -57,7 +57,8 @@ def _cyclo_payload(x) -> dict:
 
 def load_family_config(name_or_path: str) -> FamilySpec:
     from .linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
-                            family_instance, family_spec_from_dict)
+                            empty_class_reason, family_instance,
+                            family_spec_from_dict)
     if name_or_path in BUILTIN_FAMILIES:
         return BUILTIN_FAMILIES[name_or_path]
     if not os.path.exists(name_or_path):
@@ -78,9 +79,13 @@ def load_family_config(name_or_path: str) -> FamilySpec:
         raise ParseError(f"cannot read family file {name_or_path!r}: "
                          f"{exc.strerror}") from exc
     spec = family_spec_from_dict(obj)
-    # the declared digits must hold at the first n >= 1 that passes the
-    # radicand, n-constraint and reducedness checks and whose declared
-    # period is not degenerate
+    # a family with no n >= 1 at all is refused before any radicand is
+    # factored; otherwise the declared digits must hold at the first n >= 1
+    # that passes the radicand, n-constraint and reducedness checks and
+    # whose declared period is not degenerate
+    reason = empty_class_reason(spec, 1, 0, N_SEARCH_LIMIT)
+    if reason is not None:
+        raise NoAdmissibleN(f"no admissible n: {reason}")
     for n in range(1, N_SEARCH_LIMIT + 1):
         try:
             family_instance(spec, n)

@@ -21,7 +21,7 @@ from heckezero.biro import yokoi_intro_ab
 from heckezero.characters import DirichletCharacter
 from heckezero.cli import main
 from heckezero.errors import DeltaOutOfRange, HypothesisFailed
-from heckezero.exact import cyclo_to_dict, rational_to_str
+from heckezero.exact import cyclo_to_dict, rational_to_str, square_prime
 from test_linearity import PAPER_FAMILY_FILES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -601,6 +601,20 @@ class TestFamilyFile:
         spec = linearity.family_spec_from_dict(PAPER_FAMILY_FILES[name])
         with pytest.raises(DeltaOutOfRange, match="not a member"):
             linearity.family_instance(spec, n)
+
+    def test_empty_family_refused_unfactored(self, tmp_path, capsys):
+        # 4 divides f(n) = 4n^2 + 4 at every n, which four values of n show
+        # before the walk over n <= N_SEARCH_LIMIT factors any radicand
+        f = tmp_path / "square.json"
+        f.write_text(json.dumps(dict(YOKOI_FILE, f_coeffs=[4, 0, 4])))
+        square_prime.cache_clear()
+        code = main(["linearity", "closed-form", "--family", str(f),
+                     "--chi", "q=3;gens=2:1", "--r", "1"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "NoAdmissibleN",
+            "message": "no admissible n: 2^2 divides f(n) for every such n"}
+        assert square_prime.cache_info().misses == 0
 
     def test_malformed_family(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

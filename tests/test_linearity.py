@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckezero import linearity
+from heckezero import cfrac, linearity
 from heckezero.cfrac import PlusCF, plus_to_minus
 from heckezero.characters import DirichletCharacter, enumerate_characters
 from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
@@ -291,14 +291,27 @@ class TestVerifyLinearity:
 
     def test_insufficient_before_any_table(self, monkeypatch):
         # two members, n = 9901 and 9923 with digits >= 11, are too few:
-        # refused before either residue table is built
+        # refused before the residue tables are built
         chi = DirichletCharacter.from_identifier("q=11;gens=2:1")
         assert len(list(admissible(YOKOI, 11, 1, [900, 902]))) == 2
         tables = []
-        monkeypatch.setattr(linearity, "residue_table",
+        monkeypatch.setattr(linearity, "step_tables",
                             lambda *args: tables.append(args))
         with pytest.raises(InsufficientSamples):
             verify_linearity(YOKOI, chi, 1, [900, 902])
+        assert tables == []
+
+    def test_long_word_refused_before_any_table(self, monkeypatch):
+        # a member whose minus word would exceed WALK_DIGIT_BOUND is refused
+        # as minus_word refuses it, from the plus digits alone: Yokoi's word
+        # at n has n digits, and n = 55 is the first member above 50
+        monkeypatch.setattr(cfrac, "WALK_DIGIT_BOUND", 50)
+        tables = []
+        monkeypatch.setattr(linearity, "step_tables",
+                            lambda *args: tables.append(args))
+        with pytest.raises(BoundExceeded,
+                           match="^the minus word has 55 digits, over 50$"):
+            verify_linearity(YOKOI, CHI3, 1, range(30))
         assert tables == []
 
     def test_skips_recorded(self):
@@ -310,13 +323,13 @@ class TestVerifyLinearity:
     def test_sample_budget(self, monkeypatch):
         # Yokoi's minus word at n has m = n digits, so the members used cost
         # 9 * sum(n) kernel steps at q = 3: that total runs, one step less
-        # is refused before any residue table is built
+        # is refused before the residue tables are built
         rep = verify_linearity(YOKOI, CHI3, 1, range(8))
         steps = sum(9 * (3 * k + 1) for k in rep.k_used)
         monkeypatch.setattr(linearity, "KERNEL_STEP_BOUND", steps)
         assert verify_linearity(YOKOI, CHI3, 1, range(8)) == rep
         tables = []
-        monkeypatch.setattr(linearity, "residue_table",
+        monkeypatch.setattr(linearity, "step_tables",
                             lambda *args: tables.append(args))
         monkeypatch.setattr(linearity, "KERNEL_STEP_BOUND", steps - 1)
         with pytest.raises(BoundExceeded):

@@ -6,20 +6,25 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from heckezero import exact
+from heckezero import exact, shintani
 from heckezero.cfrac import MinusCF, minus_expand
 from heckezero.characters import (DirichletCharacter, chi_weights,
                                   enumerate_characters, gen_bernoulli_b1)
-from heckezero.errors import (DeltaOutOfRange, IncompatiblePair,
-                              InternalInvariantError, NotSquarefree)
+from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
+                              IncompatiblePair, InternalInvariantError,
+                              NotSquarefree)
 from heckezero.exact import CycloElement, QuadSurd, cyclo_from_buckets
+from heckezero.kernels import zeta12_times
 from heckezero.linearity import BUILTIN_FAMILIES, admissible, family_instance
 from heckezero.quadfield import (check_radicand, class_numbers,
-                                 field_discriminant, make_field)
+                                 field_discriminant, make_field, norm_form)
 from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
-                                lattice_unit_order, partial_hecke_L_zero,
-                                partial_zeta_zero, residue_table,
+                                fold_step_counts, lattice_unit_order,
+                                partial_hecke_L_zero, partial_zeta_zero,
+                                residue_table, step_counts, step_tables,
                                 yamamoto_identity_residual, yamamoto_sequence)
 from oracles import (IdealLattice, char_eval, ideal_inverse, is_squarefree,
                      kronecker, minus_cycles, norm_residue, orbit_shift_check,
@@ -197,8 +202,12 @@ class TestMinusCycles:
         # each delta with gcd(N(b), q) > 1 alone gives the Bernoulli product
         # for every chi mod q.  Both checks are needed: an error in the
         # kernel that does not depend on the rotation of the word leaves
-        # every cycle constant
+        # every cycle constant.  One step_tables call per (d, q) over the
+        # deltas of every cycle gives the same tables; in 501 of the 546
+        # calls the deltas have several norm forms mod q, so a sum shared
+        # across forms would show
         fields = cycles_checked = mixed = not_coprime = products = 0
+        mixed_forms = 0
         for d in filter(is_squarefree, range(2, 150)):
             F = make_field(d)
             D, f = F.discriminant, 1 if F.discriminant == d else 2
@@ -210,13 +219,16 @@ class TestMinusCycles:
                 want = [(chi, gen_bernoulli_b1(chi) * gen_bernoulli_b1(chi, D))
                         for chi in enumerate_characters(q)
                         if h_plus == 1 and math.gcd(q, D) == 1]
+                deltas, field_tables = [], []
                 for cycle in cycles:
                     tables, coprime = set(), set()
                     for P, Q in cycle:
                         if (P + math.isqrt(D)) // Q < 2:
                             continue        # delta < 2
                         # delta = (P + sqrt(D))/Q with N(b) = Q/2
-                        table = residue_table(QuadSurd(P, f, Q, d), q)
+                        deltas.append(QuadSurd(P, f, Q, d))
+                        table = residue_table(deltas[-1], q)
+                        field_tables.append(table)
                         unit = math.gcd(Q // 2, q) == 1
                         tables.add(table)
                         coprime.add(unit)
@@ -231,8 +243,68 @@ class TestMinusCycles:
                     assert len(tables) == 1, (d, q, cycle)
                     cycles_checked += 1
                     mixed += len(coprime) == 2
-        assert (fields, cycles_checked, mixed, not_coprime, products) == \
-            (91, 1374, 474, 1250, 276)
+                assert step_tables(deltas, q) == field_tables, (d, q)
+                mixed_forms += len({tuple(c % q for c in norm_form(delta))
+                                    for delta in deltas}) > 1
+        assert (fields, cycles_checked, mixed, not_coprime, products,
+                mixed_forms) == (91, 1374, 474, 1250, 276, 501)
+
+
+def _kernel_table(q, form, word):
+    """The residue table of form and word summed cell by cell with the
+    kernel, as residue_table sums it."""
+    u, v, w = form
+    table = [0] * q
+    for C in range(1, q + 1):
+        for D in range(1, q + 1):
+            a = (u * C * C + v * C * D + w * D * D) % q
+            if math.gcd(a, q) == 1:
+                table[a] += zeta12_times(q, C, D, word)
+    return tuple(table)
+
+
+_WORDS = st.lists(st.integers(2, 30), min_size=1, max_size=60).map(tuple)
+_FORMS = st.tuples(*[st.integers(-30, 30)] * 3)
+
+
+class TestStepTables:
+    """The step-matrix tables against the per-cell kernel: on any word and
+    any quadratic form, and on the reduced deltas of every narrow class
+    (TestMinusCycles)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12]),
+           members=st.lists(st.tuples(_FORMS, _WORDS), min_size=1,
+                            max_size=3))
+    # two forms that differ mod 5 and a third equal to the first mod 5
+    @example(q=5, members=[((1, 1, -1), (3,)), ((1, 0, 2), (4, 2, 2)),
+                           ((6, -4, 4), (2, 5))])
+    def test_fold_matches_kernel(self, q, members):
+        counts = [(form, step_counts(word, q)) for form, word in members]
+        for (_, word), (_, c) in zip(members, counts):
+            assert sum(n for n, _ in c.values()) == len(word)
+        assert fold_step_counts(counts, q) == \
+            [_kernel_table(q, form, word) for form, word in members]
+
+    def test_one_matrix_per_pass(self, monkeypatch):
+        # the cell sums held at once do not change the tables
+        deltas = [delta for _, delta in admissible(
+            BUILTIN_FAMILIES["yokoi"], 7, 3, range(6))]
+        want = [residue_table(delta, 7) for delta in deltas]
+        monkeypatch.setattr(shintani, "SUMS_HELD", 1)
+        assert step_tables(deltas, 7) == want
+
+    @pytest.mark.parametrize("delta,q,error", [
+        (QuadSurd(1, 1, 2, 5), 3, DeltaOutOfRange),
+        (QuadSurd(3, 1, 1, 5), 3, IncompatiblePair),
+        (QuadSurd(3, 1, 2, 5), 10 ** 4 + 1, BoundExceeded),
+    ])
+    def test_refuses_as_residue_table(self, delta, q, error):
+        with pytest.raises(error) as want:
+            residue_table(delta, q)
+        with pytest.raises(error) as got:
+            step_tables([QuadSurd(3, 1, 2, 5), delta], q)
+        assert str(got.value) == str(want.value)
 
 
 class TestIdentity:
