@@ -39,7 +39,7 @@ class PlusCF:
             (other.preperiod, other.period)
 
     def __repr__(self) -> str:
-        # family_instance quotes it in CFMismatch
+        # family_instance quotes it in SpecInconsistent
         return f"PlusCF(preperiod={self.preperiod}, period={self.period})"
 
 

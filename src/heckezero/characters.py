@@ -189,10 +189,6 @@ def _kronecker_raw(a: int, n: int) -> int:
     if n == 0:
         return 1 if a in (1, -1) else 0
     out = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            out = -out
     while n % 2 == 0:
         n //= 2
         if a % 2 == 0:

@@ -26,9 +26,8 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .cfrac import (MinusCF, PlusCF, evaluate_periodic, minus_expand,
                     plus_expand, plus_to_minus)
-from .errors import (CFMismatch, DeltaOutOfRange, HeckeZeroError,
-                     InternalInvariantError, NoAdmissibleN, NotSquarefree,
-                     ParseError, SpecInconsistent, ValidationError)
+from .errors import (HeckeZeroError, InternalInvariantError, ParseError,
+                     ValidationError)
 from .exact import (QuadSurd, cyclo_to_dict, quadsurd_to_dict,
                     rational_to_str)
 from .quadfield import check_radicand, class_numbers, make_field
@@ -56,9 +55,8 @@ def _cyclo_payload(x) -> dict:
 
 
 def load_family_config(name_or_path: str) -> FamilySpec:
-    from .linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
-                            empty_class_reason, family_instance,
-                            family_spec_from_dict)
+    from .linearity import (BUILTIN_FAMILIES, family_spec_from_dict,
+                            smallest_admissible_n)
     if name_or_path in BUILTIN_FAMILIES:
         return BUILTIN_FAMILIES[name_or_path]
     if not os.path.exists(name_or_path):
@@ -79,22 +77,10 @@ def load_family_config(name_or_path: str) -> FamilySpec:
         raise ParseError(f"cannot read family file {name_or_path!r}: "
                          f"{exc.strerror}") from exc
     spec = family_spec_from_dict(obj)
-    # a family with no n >= 1 at all is refused before any radicand is
-    # factored; otherwise the declared digits must hold at the first n >= 1
-    # that passes the radicand, n-constraint and reducedness checks and
-    # whose declared period is not degenerate
-    reason = empty_class_reason(spec, 1, 0, N_SEARCH_LIMIT)
-    if reason is not None:
-        raise NoAdmissibleN(f"no admissible n: {reason}")
-    for n in range(1, N_SEARCH_LIMIT + 1):
-        try:
-            family_instance(spec, n)
-        except CFMismatch as exc:
-            raise SpecInconsistent(str(exc)) from exc
-        except (NotSquarefree, DeltaOutOfRange):
-            continue
-        return spec
-    raise NoAdmissibleN(f"no admissible n up to {N_SEARCH_LIMIT}")
+    # a family with no member at all is refused before any radicand is
+    # factored, and the file's digits must hold at its first member
+    smallest_admissible_n(spec, 1, 0)
+    return spec
 
 
 def _parse_surd(text: str, d: int) -> QuadSurd:

@@ -19,8 +19,6 @@ class NotSquarefree(ValidationError):
     def __init__(self, n, prime=None):
         super().__init__(f"{n} is divisible by {prime}^2" if prime
                          else f"d = {n} must be > 1")
-        self.n = n
-        self.prime = prime
 
 
 class RationalInput(ValidationError):
@@ -48,10 +46,6 @@ class DeltaOutOfRange(ValidationError):
     """delta must satisfy delta > 2 and 0 < delta' < 1."""
 
 
-class CFMismatch(ValidationError):
-    """Declared continued-fraction digits disagree with the actual expansion."""
-
-
 class HypothesisFailed(HeckeZeroError):
     """The mod-q norm residues vary with k, so no closed form applies."""
 
@@ -73,4 +67,5 @@ class ParseError(ValidationError):
 
 
 class SpecInconsistent(ValidationError):
-    """A family file whose declared data is internally inconsistent."""
+    """A family whose declared plus digits disagree with the expansion of a
+    member's delta(n) - 1."""

@@ -313,13 +313,11 @@ def surd_sign(x: QuadSurd) -> int:
         return 1
     if a < 0 and b < 0:
         return -1
-    # opposite signs: compare a^2 against b^2 d; the sign is that of the
-    # dominant term
-    lhs, rhs = a * a, b * b * x.d
-    if lhs == rhs:
-        return 0
-    big_is_a = lhs > rhs
-    return (1 if a > 0 else -1) if big_is_a else (1 if b > 0 else -1)
+    # opposite signs: compare a^2 against b^2 d, never equal for d
+    # squarefree > 1; the sign is that of the dominant term
+    if a * a > b * b * x.d:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
 
 # ---------------------------------------------------------------------------

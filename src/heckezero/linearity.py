@@ -16,9 +16,9 @@ from typing import NamedTuple
 from .cfrac import (MinusCF, PlusCF, minus_length, minus_word, plus_expand,
                     plus_to_minus)
 from .characters import DirichletCharacter, chi_weights
-from .errors import (BoundExceeded, CFMismatch, DeltaOutOfRange,
-                     HypothesisFailed, InsufficientSamples, NoAdmissibleN,
-                     NotSquarefree, ParseError)
+from .errors import (BoundExceeded, DeltaOutOfRange, HypothesisFailed,
+                     InsufficientSamples, NoAdmissibleN, NotSquarefree,
+                     ParseError, SpecInconsistent)
 from .exact import (CycloElement, QuadSurd, cyclo_from_buckets, factorize,
                     residue_1q)
 from .kernels import KERNEL_STEP_BOUND
@@ -170,7 +170,9 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
     """Instantiate K_n as delta(n), checked against the family's declared
     radicand, n constraints, reducedness and plus digits.  An n whose
     declared period is degenerate (a digit below 1, or a power of a shorter
-    word) is not a member.
+    word) is not a member; a member whose plus expansion differs from the
+    declared digits is SpecInconsistent, since then the family does not
+    describe it.
 
     delta(n) is all the L-value needs: the field is Q(sqrt(delta.d)) and
     b_n = [1, delta(n)]^{-1}, whose norm form norm_form(delta) gives.
@@ -191,21 +193,23 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
                               f"period {expect} is degenerate")
     pcf = plus_expand(delta - 1)
     if pcf.period != expect:
-        raise CFMismatch(
+        raise SpecInconsistent(
             f"delta({n})-1 expands to {pcf}, family digits say {expect}")
     return delta
 
 
 def admissible(spec: FamilySpec, q: int, r: int, ks):
-    """Yield (k, delta(n)) for each k in ks whose n = qk + r >= 1 passes
-    family_instance, in the order of ks."""
+    """Yield (k, delta(n)) for each k in ks whose n = qk + r >= 1 is a
+    member, in the order of ks.  Non-members are skipped; a member whose
+    expansion disagrees with the declared digits stops the walk with
+    family_instance's SpecInconsistent."""
     for k in ks:
         n = q * k + r
         if n < 1:
             continue
         try:
             yield k, family_instance(spec, n)
-        except (NotSquarefree, DeltaOutOfRange, CFMismatch):
+        except (NotSquarefree, DeltaOutOfRange):
             continue
 
 

@@ -67,16 +67,11 @@ def _fundamental_unit(omega: QuadSurd) -> tuple[QuadSurd, int]:
     """
     _, period, y = surd_walk(omega, minus=False)
     # fixed point y = (m00*y + m01)/(m10*y + m11) for the period word;
-    # eps = m10*y + m11 is a unit of norm det = (-1)^len(period)
+    # eps = m10*y + m11 is a unit of norm det = (-1)^len(period), and
+    # eps > 1 since y > 1, m10 >= 1 and m11 >= 0 for plus digits
     _, _, m10, m11 = fold_moebius(period, plus=True)
     eps = y * m10 + m11
     norm = (-1) ** len(period)
-    if eps < 0:
-        eps = -eps
-    if eps < 1:
-        eps = eps.inverse()
-        if norm == -1:
-            eps = -eps
     if eps.norm() != norm or not eps > 1:
         raise InternalInvariantError("fundamental unit computation failed")
     return eps, norm

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from heckezero.cfrac import MinusCF, evaluate_periodic
 from heckezero.characters import (DirichletCharacter, ModPRealization,
-                                  _kronecker_raw, _unit_group)
+                                  _unit_group)
 from heckezero.errors import (IncompatiblePair, InternalInvariantError,
                               ValidationError)
 from heckezero.exact import (CycloElement, QuadSurd, Rational, bernoulli_poly,
@@ -410,10 +410,25 @@ def _is_fundamental(D: int) -> bool:
 
 
 def kronecker(D: int, b: int) -> int:
-    """Kronecker symbol (D/b) for a fundamental discriminant D."""
+    """Kronecker symbol (D/b) for a fundamental discriminant D and b >= 0,
+    multiplied out over the primes of b: Euler's criterion
+    D^((p-1)/2) mod p at odd p, and at p = 2 the rule (D/2) = 0 for even D,
+    1 for D = +-1 mod 8 and -1 for D = +-3 mod 8.  (D/0) is 1 at D = 1."""
     if not _is_fundamental(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    return _kronecker_raw(D, b)
+    if b < 0:
+        raise ValueError(f"b = {b} must be >= 0")
+    if b == 0:
+        return 1 if D == 1 else 0
+    out = 1
+    for p, e in factorize(b).items():
+        if p == 2:
+            sym = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+        else:
+            sym = pow(D, (p - 1) // 2, p)
+            sym = -1 if sym == p - 1 else sym
+        out *= sym ** e
+    return out
 
 
 def partial_zeta_zero_reference(q: int, C: int, D: int, mcf: MinusCF) -> Fraction:

@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from heckezero.characters import (DirichletCharacter, _unit_group,
-                                  b1_weights, chi_weights,
+from heckezero.characters import (DirichletCharacter, _kronecker_raw,
+                                  _unit_group, b1_weights, chi_weights,
                                   enumerate_characters, gen_bernoulli_b1,
                                   modp_realizations, odd_primitive)
 from heckezero.errors import BoundExceeded, ParseError
 from heckezero.exact import CycloElement, cyclo_from_buckets
 from heckezero.kernels import KERNEL_STEP_BOUND
-from oracles import (apply_realization, char_eval, char_invariants, char_logs,
-                     is_primitive, kronecker, zeta_power)
+from oracles import (_is_fundamental, apply_realization, char_eval,
+                     char_invariants, char_logs, is_primitive, kronecker,
+                     zeta_power)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 
@@ -200,6 +201,15 @@ class TestKronecker:
         assert kronecker(8, 3) == -1
         assert kronecker(8, 7) == 1
         assert kronecker(5, 5) == 0
+
+    def test_matches_package_symbol(self):
+        # the oracle multiplies Euler's criterion over the primes of a; the
+        # package runs the Jacobi reciprocity walk behind b1_weights
+        Ds = [D for D in range(1, 200) if _is_fundamental(D)]
+        assert len(Ds) == 61
+        for D in Ds:
+            for a in range(3 * D):
+                assert kronecker(D, a) == _kronecker_raw(D, a), (D, a)
 
     def test_periodicity_and_multiplicativity(self):
         for D in (5, 8, 12, 13):

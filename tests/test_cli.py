@@ -613,8 +613,33 @@ class TestFamilyFile:
         assert code == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "NoAdmissibleN",
-            "message": "no admissible n: 2^2 divides f(n) for every such n"}
+            "message": "no admissible n = 1k + 0: 2^2 divides f(n) for "
+                       "every such n"}
         assert square_prime.cache_info().misses == 0
+
+    @pytest.mark.parametrize("argv,n", [
+        (["linearity", "closed-form", "--chi", "q=3;gens=2:1", "--r", "2"], 5),
+        (["linearity", "hypothesis", "--chi", "q=3;gens=2:1", "--r", "1",
+          "--k", "0,2,4"], 7),
+        (["linearity", "verify", "--chi", "q=3;gens=2:1", "--r", "1",
+          "--k", "0,2,4,6"], 7),
+        (["biro", "oracle", "--chi", "q=3;gens=2:1", "--n", "7"], 7)],
+        ids=["closed-form", "hypothesis", "verify", "oracle"])
+    def test_mismatching_member_refused(self, argv, n, tmp_path, capsys):
+        # Yokoi's f and delta with the constant digit 1, which delta(n) - 1
+        # = [[n]] matches at n = 1 only: the file loads, and the first other
+        # member a command meets stops it
+        f = tmp_path / "const.json"
+        f.write_text(json.dumps(dict(YOKOI_FILE,
+                                     acf=[{"alpha": 0, "beta": 1}])))
+        square_prime.cache_clear()
+        code = main(argv[:2] + ["--family", str(f)] + argv[2:])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "SpecInconsistent"
+        assert doc["message"].startswith(f"delta({n})-1 expands to")
+        # f(1), f(2) and f(5) for closed-form: no walk over the class
+        assert square_prime.cache_info().misses <= 5
 
     def test_malformed_family(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
