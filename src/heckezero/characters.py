@@ -16,14 +16,24 @@ from .exact import CycloElement, cyclo_from_buckets, euler_phi, factorize
 from .kernels import KERNEL_STEP_BOUND
 
 
+class UnitGroup(NamedTuple):
+    """The unit group of Z/q on its canonical generators: units lists the
+    unit residues, and columns[i][j] is the exponent of gens[i] in
+    units[j], so units[j] = prod_i gens[i]^columns[i][j] mod q."""
+
+    gens: tuple[int, ...]
+    orders: tuple[int, ...]
+    units: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _unit_group(q: int):
-    """Canonical generating set of (Z/q)* and the discrete-log table.
+def _unit_group(q: int) -> UnitGroup:
+    """Canonical generating set of (Z/q)* and the discrete logs of its units.
 
     Generators: the smallest primitive root for each odd prime power factor,
     and the pair (-1, 5) at 2^k for k >= 3; each lifted by CRT to be 1 at the
-    other factors.  Returns (gens, orders, table) with table mapping each
-    unit residue to its exponent tuple.
+    other factors.
     """
     gens: list[int] = []
     orders: list[int] = []
@@ -47,7 +57,8 @@ def _unit_group(q: int):
         table[r % q] = exps
     if len(table) != euler_phi(q):
         raise InternalInvariantError(f"unit group of Z/{q} misgenerated")
-    return tuple(gens), tuple(orders), table
+    return UnitGroup(tuple(gens), tuple(orders), tuple(table),
+                     tuple(zip(*table.values())))
 
 
 def _primitive_root(pk: int) -> int:
@@ -77,7 +88,7 @@ class DirichletCharacter:
     __slots__ = ("modulus", "exponents")
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
-        _, orders, _ = _unit_group(modulus)
+        orders = _unit_group(modulus).orders
         if len(exponents) != len(orders):
             raise ValueError("wrong number of exponents")
         self.modulus = modulus
@@ -94,7 +105,7 @@ class DirichletCharacter:
 
     @property
     def order(self) -> int:
-        _, orders, _ = _unit_group(self.modulus)
+        orders = _unit_group(self.modulus).orders
         o = 1
         for e, n in zip(self.exponents, orders):
             o = math.lcm(o, n // math.gcd(e, n))
@@ -105,7 +116,7 @@ class DirichletCharacter:
                                   tuple(-e for e in self.exponents))
 
     def identifier(self) -> str:
-        gens, _, _ = _unit_group(self.modulus)
+        gens = _unit_group(self.modulus).gens
         pairs = ",".join(f"{g}:{e}" for g, e in zip(gens, self.exponents))
         return f"q={self.modulus};gens={pairs}"
 
@@ -127,7 +138,7 @@ class DirichletCharacter:
             raise BoundExceeded(
                 f"modulus q = {q}: q^2 kernel steps exceed "
                 f"{KERNEL_STEP_BOUND}")
-        gens, _, _ = _unit_group(q)
+        gens = _unit_group(q).gens
         exps: dict[int, int] = {}
         for g, e in pairs:
             if g not in gens:
@@ -140,7 +151,7 @@ class DirichletCharacter:
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) Dirichlet characters mod q."""
-    _, orders, _ = _unit_group(q)
+    orders = _unit_group(q).orders
     return [DirichletCharacter(q, exps)
             for exps in product(*(range(n) for n in orders))]
 
@@ -151,21 +162,25 @@ def chi_weights(chi: DirichletCharacter, table) -> list[int]:
 
     The one place a character meets data: every character sum builds a
     chi-free residue table and folds it here.  Entries at non-units, which
-    chi annihilates, are ignored.
+    chi annihilates, are ignored.  The exponent j of each unit is built one
+    generator column at a time from the cached discrete logs.
     """
     o = chi.order
-    _, orders, logs = _unit_group(chi.modulus)
-    # chi(g_i) = zeta_{n_i}^{e_i} = zeta_o^{e_i o / n_i}; o is a multiple of
-    # the order of every zeta_{n_i}^{e_i}, so each step is an integer
-    steps = []
-    for e, n in zip(chi.exponents, orders):
+    group = _unit_group(chi.modulus)
+    exps = [0] * len(group.units)
+    for e, n, column in zip(chi.exponents, group.orders, group.columns):
+        # chi(g_i) = zeta_{n_i}^{e_i} = zeta_o^{e_i o / n_i}; o is a
+        # multiple of the order of every zeta_{n_i}^{e_i}, so each step is
+        # an integer
         if e * o % n:
             raise InternalInvariantError(
                 "character phase not compatible with its order")
-        steps.append(e * o // n)
+        if e:
+            step = e * o // n
+            exps = [x + step * t for x, t in zip(exps, column)]
     weights = [0] * o
-    for a, t in logs.items():
-        weights[sum(s * x for s, x in zip(steps, t)) % o] += table[a]
+    for a, x in zip(group.units, exps):
+        weights[x % o] += table[a]
     return weights
 
 

@@ -1,7 +1,8 @@
 """Parametrized families of fields and the linearity machinery: instance
 construction and the walk over admissible members, the residue word
-(gamma, tau, Gamma and its minus word), the nu-sequence, per-cell
-closed-form coefficients, their character assembly, and the verifier that
+(gamma, tau, Gamma and its minus word), the nu-sequence and its
+coefficient pairs per (q, r), the closed-form coefficients of each cell
+evaluated a row at a time, their character assembly, and the verifier that
 pits the closed forms against the direct engine.
 """
 
@@ -256,47 +257,107 @@ def nu_sequence(rw: ResidueWord, C: int, D: int) -> list[int]:
     return X
 
 
-def closed_form_cd(spec: FamilySpec, rw: ResidueWord, C: int, D: int
-                   ) -> tuple[int, int]:
-    """The integers (q^2 A_CD(r), q^2 B_CD(r)), where (A + kB)/(12 q^2) =
-    Z(C, D) at n = qk + r, rw = residue_word(spec, q, r): the paper's
-    Bernoulli-value formula term for term on x = q*nu, with
+class ClosedFormPlan(NamedTuple):
+    """Everything of the closed forms at one (q, r) that no cell changes.
+
+    The nu recursion is linear in the seeds, so q nu_i = al*(-C) + be*D
+    mod q in every cell, with one pair (al, be) mod q per position i.  The
+    plan keeps the pairs of the positions the formula reads, Gamma_l - 1,
+    Gamma_l and Gamma_l + 1, beside the block constants built from
+    gamma_i, tau_i and the slopes alpha_i:
+    - ends, for l = 1 .. L: the pairs at Gamma_l - 1 and Gamma_l, and the
+      factors of b2(q nu_{Gamma_l}) in A and in B;
+    - blocks, for l = 0 .. L - 1: the pairs of q nu_{Gamma_l}, of dl
+      (q nu_{Gamma_l + 1} - q nu_{Gamma_l}) and of q nu_{Gamma_{l+1} - 1},
+      then gamma_i - 1, tau_i and alpha_i.
+    A0 is the part of A that no cell changes, and b1, b2 and full
+    tabulate b1(x), b2(x) and q(6q x - 6x^2 - q^2) at the residues x mod
+    q, 0 standing for q.
+    """
+
+    q: int
+    ends: tuple[tuple[int, ...], ...]
+    blocks: tuple[tuple[int, ...], ...]
+    A0: int
+    b1: tuple[int, ...]
+    b2: tuple[int, ...]
+    full: tuple[int, ...]
+
+
+def closed_form_plan(spec: FamilySpec, rw: ResidueWord) -> ClosedFormPlan:
+    """The ClosedFormPlan of rw = residue_word(spec, q, r): one pass over
+    the residue word runs nu_sequence's recursion on the coefficient pairs
+    of the seeds, nu_{-1} = (1, 0) and nu_0 = (0, 1)."""
+    q, gam, tau, Gamma = rw.q, rw.gamma, rw.tau, rw.Gamma
+    s, L = len(gam), len(Gamma) - 1
+    reads = {G + j for G in Gamma for j in (-1, 0, 1)}
+    prev, cur = (1 % q, 0), (0, 1 % q)
+    pair = {-1: prev, 0: cur}
+    for i, c in enumerate(rw.word.period, 1):
+        prev, cur = cur, ((c * cur[0] - prev[0]) % q,
+                          (c * cur[1] - prev[1]) % q)
+        if i in reads:
+            pair[i] = cur
+    ends = []
+    for l in range(1, L + 1):
+        i = 2 * l % s
+        ends.append((*pair[Gamma[l] - 1], *pair[Gamma[l]],
+                     q * tau[i] + gam[i] + 2, q * spec.alpha(i)))
+    blocks = []
+    for l in range(L):
+        i = (2 * l + 1) % s
+        (al, be), (al1, be1) = pair[Gamma[l]], pair[Gamma[l] + 1]
+        blocks.append((al, be, (al1 - al) % q, (be1 - be) % q,
+                       *pair[Gamma[l + 1] - 1], gam[i] - 1, tau[i],
+                       spec.alpha(i)))
+    reps = [x or q for x in range(q)]
+    return ClosedFormPlan(
+        q, tuple(ends), tuple(blocks),
+        -q * q * sum(gam[(2 * l + 1) % s] - 1 for l in range(L)),
+        tuple(2 * x - q for x in reps),
+        tuple(6 * x * x - 6 * q * x + q * q for x in reps),
+        tuple(q * (6 * q * x - 6 * x * x - q * q) for x in reps))
+
+
+def closed_form_row(plan: ClosedFormPlan, C: int, Ds) -> list[tuple[int, int]]:
+    """The integers (q^2 A_CD(r), q^2 B_CD(r)) of the cells (C, D), D in
+    Ds, where (A + kB)/(12 q^2) = Z(C, D) at n = qk + r: the paper's
+    Bernoulli-value formula term for term on x = q*nu in [1, q], with
     b1(x) = 2q B_1(x/q), b2(x) = 6q^2 B_2(x/q) and
     dl = q*<nu_{Gamma_l + 1} - nu_{Gamma_l}>.  Its floors y - <y> become dl
     (nu lies in (0, 1]) and (x + dl (g - 1) - 1) // q.
     """
-    q, gam, tau, Gamma = rw.q, rw.gamma, rw.tau, rw.Gamma
-    s = len(gam)
-    X = nu_sequence(rw, C, D)
+    q, b1, b2, full = plan.q, plan.b1, plan.b2, plan.full
+    c = -C % q
+    # the row's share of each pair: q nu = al*(-C) + be*D = off + be*D
+    ends = [(al0 * c % q, be0, al1 * c % q, be1, kA, kB)
+            for al0, be0, al1, be1, kA, kB in plan.ends]
+    blocks = [(al * c % q, be, ald * c % q, bed, ale * c % q, bee, g1, t, a)
+              for al, be, ald, bed, ale, bee, g1, t, a in plan.blocks]
+    out = []
+    for D in Ds:
+        A, B = plan.A0, 0
+        for om, bm, ox, bx, kA, kB in ends:
+            x = (bx * D + ox) % q
+            A += kA * b2[x] - 3 * b1[x] * b1[(bm * D + om) % q]
+            B += kB * b2[x]
+        for o0, b0, od, bd, oe, be, g1, t, a in blocks:
+            base = (b0 * D + o0) % q
+            y = (bd * D + od) % q
+            X, dl = base or q, y or q
+            A += (6 * (g1 * dl * dl
+                       + q * (q - 2 * dl) * ((X + dl * g1 - 1) // q))
+                  + b2[(be * D + oe) % q] - b2[base] + t * full[y])
+            B += a * full[y]
+        out.append((A, B))
+    return out
 
-    def nu(i: int) -> int:
-        return X[i + 1]
 
-    def b1(x: int) -> int:
-        return 2 * x - q
-
-    def b2(x: int) -> int:
-        return 6 * x * x - 6 * q * x + q * q
-
-    A = B = 0
-    for l in range(1, len(Gamma)):
-        x = nu(Gamma[l])
-        i = 2 * l % s
-        A += (-3 * b1(x) * b1(nu(Gamma[l] - 1))
-              + (q * tau[i] + gam[i] + 2) * b2(x))
-        B += q * spec.alpha(i) * b2(x)
-    for l in range(len(Gamma) - 1):
-        i = (2 * l + 1) % s
-        g = gam[i]
-        base = nu(Gamma[l])
-        dl = (nu(Gamma[l] + 1) - base - 1) % q + 1
-        full = q * (6 * q * dl - 6 * dl * dl - q * q)
-        A += (6 * ((g - 1) * dl * dl
-                   + q * (q - 2 * dl) * ((base + dl * (g - 1) - 1) // q))
-              + b2(nu(Gamma[l + 1] - 1)) - b2(base)
-              - q * q * (g - 1) + tau[i] * full)
-        B += spec.alpha(i) * full
-    return A, B
+def closed_form_cd(spec: FamilySpec, rw: ResidueWord, C: int, D: int
+                   ) -> tuple[int, int]:
+    """(q^2 A_CD(r), q^2 B_CD(r)) of the one cell (C, D), rw =
+    residue_word(spec, q, r): closed_form_row on a plan of its own."""
+    return closed_form_row(closed_form_plan(spec, rw), C, (D,))[0]
 
 
 def empty_class_reason(spec: FamilySpec, q: int, r: int, walk: int
@@ -385,9 +446,11 @@ class ClosedFormTable(NamedTuple):
 
 
 def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
-    """Tabulate closed_form_cd over [1, q]^2, summed per norm residue of the
-    norm form mod q that the 2q + 2 members from the smallest admissible
-    n = r mod q share.
+    """Tabulate the closed forms over [1, q]^2, summed per norm residue of
+    the norm form mod q that the 2q + 2 members from the smallest
+    admissible n = r mod q share.  One closed_form_plan of the residue word
+    serves every cell, and closed_form_row evaluates the cells one row
+    C at a time.
 
     Refuses q^2 * (length of the residue word) above KERNEL_STEP_BOUND
     before any member is built.
@@ -406,11 +469,13 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
         raise HypothesisFailed(
             f"norm residues mod {q} vary with k at r = {r}")
     u, v, w = form
+    plan = closed_form_plan(spec, rw)
+    Ds = range(1, q + 1)
     cells: dict[tuple[int, int], tuple[int, int]] = {}
     A_sums, B_sums = [0] * q, [0] * q
-    for C in range(1, q + 1):
-        for D in range(1, q + 1):
-            A, B = cells[(C, D)] = closed_form_cd(spec, rw, C, D)
+    for C in Ds:
+        for D, (A, B) in zip(Ds, closed_form_row(plan, C, Ds)):
+            cells[(C, D)] = A, B
             a = (u * C * C + v * C * D + w * D * D) % q
             A_sums[a] += A
             B_sums[a] += B

@@ -77,7 +77,17 @@ def partial_zeta_zero(q: int, C: int, D: int, mcf: MinusCF) -> Fraction:
 
 
 def check_delta_hypotheses(delta: QuadSurd) -> None:
-    if not (delta > 2 and 0 < delta.conj() < 1):
+    """Refuse delta = (a + b sqrt(d))/c unless delta > 2 and
+    0 < delta' < 1, decided on the integers: c > 0 and d is not a square,
+    so with b > 0 the conditions are a > b sqrt(d), a - c < b sqrt(d) and
+    2c - a < b sqrt(d), each side squared where both are positive.  b > 0
+    is needed, as delta - delta' > 1.
+    """
+    a, b, c = delta.a, delta.b, delta.c
+    bbd = b * b * delta.d
+    if not (b > 0 and a > 0 and a * a > bbd
+            and (a < c or (a - c) ** 2 < bbd)
+            and (2 * c < a or (2 * c - a) ** 2 < bbd)):
         raise DeltaOutOfRange(
             f"delta = {delta} must satisfy delta > 2 and 0 < delta' < 1")
 

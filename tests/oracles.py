@@ -12,7 +12,12 @@ and the Kronecker symbol, floor, ceiling and power of quadratic surds, the
 cycles of Zagier's reduced forms, one per narrow ideal class, and two
 class-number references: the plus-cycle count over a trial division of the
 whole range that quadfield.class_numbers narrowed to the reduced window,
-and Dirichlet's analytic class number formula.
+and Dirichlet's analytic class number formula.  Three routes back the
+integer paths of the family pipeline: the closed forms of each cell from
+its whole nu-sequence, with the table of them that
+linearity.closed_form_table replaced with coefficient pairs per (q, r);
+reducedness of delta by surd comparisons; and the chi-fold with one
+generator expression per unit residue.
 """
 
 from __future__ import annotations
@@ -20,14 +25,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from heckezero.cfrac import MinusCF, evaluate_periodic
 from heckezero.characters import (DirichletCharacter, ModPRealization,
                                   _unit_group)
-from heckezero.errors import (IncompatiblePair, InternalInvariantError,
+from heckezero.errors import (BoundExceeded, HypothesisFailed,
+                              IncompatiblePair, InternalInvariantError,
                               ValidationError)
 from heckezero.exact import (CycloElement, QuadSurd, Rational, bernoulli_poly,
                              factorize, residue_1q, square_prime)
+from heckezero.kernels import KERNEL_STEP_BOUND
+from heckezero.linearity import (ClosedFormTable, FamilySpec, ResidueWord,
+                                 admissible, common_norm_form, nu_sequence,
+                                 residue_word, smallest_admissible_n)
 from heckezero.quadfield import FieldData, field_discriminant
 from heckezero.shintani import lattice_unit_order, yamamoto_sequence
 
@@ -330,16 +341,37 @@ def zeta_power(order: int, e: int) -> CycloElement:
     return CycloElement(order, (0,) * (e % order) + (1,))
 
 
+def unit_logs(q: int) -> dict[int, tuple[int, ...]]:
+    """Each unit residue mod q mapped to its exponents over the canonical
+    generators, read row by row from the columns of characters._unit_group."""
+    group = _unit_group(q)
+    return {a: tuple(column[j] for column in group.columns)
+            for j, a in enumerate(group.units)}
+
+
+def chi_weights_per_residue(chi: DirichletCharacter, table) -> list[int]:
+    """characters.chi_weights as one generator expression per unit residue:
+    the zeta_o exponent of a is sum_i e_i t_i o / n_i over the discrete
+    logs t_i of a."""
+    o = chi.order
+    orders = _unit_group(chi.modulus).orders
+    steps = [e * o // n for e, n in zip(chi.exponents, orders)]
+    weights = [0] * o
+    for a, t in unit_logs(chi.modulus).items():
+        weights[sum(s * x for s, x in zip(steps, t)) % o] += table[a]
+    return weights
+
+
 def char_logs(chi: DirichletCharacter) -> list[int]:
     """Entry a (0 <= a < q) is the k with chi(a) = zeta_o^k, o = chi.order,
     or -1 when a is not a unit mod q.  With lam the exponent of (Z/q)* and
     t_i the discrete logs of a, chi(a) = zeta_lam^(sum e_i t_i lam/n_i),
     and o divides lam."""
     q, o = chi.modulus, chi.order
-    _, orders, logs = _unit_group(q)
+    orders = _unit_group(q).orders
     lam = math.lcm(*orders)
     out = [-1] * q
-    for a, t in logs.items():
+    for a, t in unit_logs(q).items():
         k = sum(e * x * (lam // n)
                 for e, x, n in zip(chi.exponents, t, orders)) % lam
         if k * o % lam:
@@ -469,3 +501,82 @@ def orbit_shift_check(F: FieldData, mcf: MinusCF, q: int,
         if any(shifted.x_at(j) != seq.x_at(m * i + j) for j in range(m)):
             return False
     return True
+
+
+def delta_reduced_by_surds(delta: QuadSurd) -> bool:
+    """delta > 2 and 0 < delta' < 1 by QuadSurd comparisons, the surd
+    arithmetic that shintani.check_delta_hypotheses replaced with integer
+    inequalities."""
+    return delta > 2 and 0 < delta.conj() < 1
+
+
+def closed_form_cd_reference(spec: FamilySpec, rw: ResidueWord, C: int,
+                             D: int) -> tuple[int, int]:
+    """(q^2 A_CD(r), q^2 B_CD(r)) from the whole nu_sequence of the cell,
+    the paper's Bernoulli-value formula term for term on x = q*nu, with
+    b1(x) = 2q B_1(x/q), b2(x) = 6q^2 B_2(x/q) and
+    dl = q*<nu_{Gamma_l + 1} - nu_{Gamma_l}>: the per-cell route that
+    linearity.closed_form_row replaced with coefficient pairs per (q, r).
+    """
+    q, gam, tau, Gamma = rw.q, rw.gamma, rw.tau, rw.Gamma
+    s = len(gam)
+    X = nu_sequence(rw, C, D)
+
+    def nu(i: int) -> int:
+        return X[i + 1]
+
+    def b1(x: int) -> int:
+        return 2 * x - q
+
+    def b2(x: int) -> int:
+        return 6 * x * x - 6 * q * x + q * q
+
+    A = B = 0
+    for l in range(1, len(Gamma)):
+        x = nu(Gamma[l])
+        i = 2 * l % s
+        A += (-3 * b1(x) * b1(nu(Gamma[l] - 1))
+              + (q * tau[i] + gam[i] + 2) * b2(x))
+        B += q * spec.alpha(i) * b2(x)
+    for l in range(len(Gamma) - 1):
+        i = (2 * l + 1) % s
+        g = gam[i]
+        base = nu(Gamma[l])
+        dl = (nu(Gamma[l] + 1) - base - 1) % q + 1
+        full = q * (6 * q * dl - 6 * dl * dl - q * q)
+        A += (6 * ((g - 1) * dl * dl
+                   + q * (q - 2 * dl) * ((base + dl * (g - 1) - 1) // q))
+              + b2(nu(Gamma[l + 1] - 1)) - b2(base)
+              - q * q * (g - 1) + tau[i] * full)
+        B += spec.alpha(i) * full
+    return A, B
+
+
+def closed_form_table_reference(spec: FamilySpec, q: int, r: int
+                                ) -> ClosedFormTable:
+    """linearity.closed_form_table with closed_form_cd_reference in every
+    cell, its refusals in the same order: the step bound, then the
+    members, then the shared norm form."""
+    rw = residue_word(spec, q, r)
+    if q * q * rw.word.m > KERNEL_STEP_BOUND:
+        raise BoundExceeded(
+            f"q^2 * {rw.word.m} = {q * q * rw.word.m} closed-form steps "
+            f"exceed {KERNEL_STEP_BOUND}")
+    n0, delta0 = smallest_admissible_n(spec, q, r)
+    k0 = (n0 - r) // q
+    window = admissible(spec, q, r, range(k0 + 1, k0 + 2 * q + 2))
+    form = common_norm_form(
+        q, chain([delta0], (delta for _, delta in window)))
+    if form is None:
+        raise HypothesisFailed(
+            f"norm residues mod {q} vary with k at r = {r}")
+    u, v, w = form
+    cells = {}
+    A_sums, B_sums = [0] * q, [0] * q
+    for C in range(1, q + 1):
+        for D in range(1, q + 1):
+            A, B = cells[(C, D)] = closed_form_cd_reference(spec, rw, C, D)
+            a = (u * C * C + v * C * D + w * D * D) % q
+            A_sums[a] += A
+            B_sums[a] += B
+    return ClosedFormTable(cells, tuple(A_sums), tuple(B_sums))

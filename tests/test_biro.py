@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckezero import biro, linearity
+from heckezero import biro
 from heckezero.biro import (SIEVE_WORK_BOUND, ConditionStarPair,
                             ResidueReport, condition_star_search,
                             factorization_oracle_check, residue_mod_p,
@@ -140,21 +140,23 @@ class TestResidue:
             assert rep.A_image == apply_realization(rep.realization, cf.A_chi)
             assert rep.B_image == apply_realization(rep.realization, cf.B_chi)
 
-    def test_closed_form_cd_calls(self, monkeypatch, capsys):
+    def test_closed_form_table_builds(self, monkeypatch, capsys):
         # one table per (q, r) for all pairs of that q: q = 5 and q = 7
-        # have pairs, so 5 * 5^2 + 7 * 7^2 cells
-        orig = linearity.closed_form_cd
+        # have pairs, so 5 + 7 tables
+        orig = biro.closed_form_table
         calls = []
 
         def counted(*args):
             calls.append(args)
             return orig(*args)
 
-        monkeypatch.setattr(linearity, "closed_form_cd", counted)
+        monkeypatch.setattr(biro, "closed_form_table", counted)
         assert main(["biro", "residues", "--family", "yokoi",
                      "--q-max", "7", "--p-max", "13"]) == 0
         capsys.readouterr()
-        assert len(calls) == 5 * 25 + 7 * 49 == 468
+        assert sorted(args[1:] for args in calls) == \
+            [(5, r) for r in range(5)] + [(7, r) for r in range(7)]
+        assert len(calls) == 5 + 7 == 12
 
 
 class TestOracle:

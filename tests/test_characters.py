@@ -14,8 +14,8 @@ from heckezero.errors import BoundExceeded, ParseError
 from heckezero.exact import CycloElement, cyclo_from_buckets
 from heckezero.kernels import KERNEL_STEP_BOUND
 from oracles import (_is_fundamental, apply_realization, char_eval,
-                     char_invariants, char_logs, is_primitive, kronecker,
-                     zeta_power)
+                     char_invariants, char_logs, chi_weights_per_residue,
+                     is_primitive, kronecker, zeta_power)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 
@@ -71,8 +71,7 @@ class TestEnumeration:
         # sum over the group of chi(a) is 0 unless a = 1 mod q; the sum is
         # taken in Q(zeta_lam), lam the exponent of (Z/q)*, which holds the
         # values of every chi mod q
-        _, orders, _ = _unit_group(q)
-        lam = math.lcm(*orders)
+        lam = math.lcm(*_unit_group(q).orders)
         chars = enumerate_characters(q)
         for a in range(2, q):
             s = CycloElement(lam, ())
@@ -87,7 +86,7 @@ class TestEnumeration:
 class TestExponents:
     @pytest.mark.parametrize("q", range(1, 31))
     def test_from_definition(self, q):
-        gens, orders, _ = _unit_group(q)
+        gens, orders, _, _ = _unit_group(q)
         for chi in enumerate_characters(q):
             o = chi.order
             exps = char_logs(chi)
@@ -133,6 +132,24 @@ class TestChiWeights:
                     termwise += char_eval(chi, a) * t[a]
                 assert cyclo_from_buckets(
                     chi.order, chi_weights(chi, t)) == termwise
+
+
+    def test_columns_equal_per_residue_fold(self):
+        # every character mod q <= 64, on the table 2^a, whose weights
+        # name the exponent of each unit, and on a seeded random table;
+        # composite q with two and three generators included (24, 40 and
+        # 56 have three)
+        rng = random.Random(64)
+        generators = set()
+        for q in range(1, 65):
+            generators.add(len(_unit_group(q).gens))
+            powers = [2 ** a for a in range(q)]
+            for chi in enumerate_characters(q):
+                noise = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(q)]
+                for t in (powers, noise):
+                    assert chi_weights(chi, t) == \
+                        chi_weights_per_residue(chi, t), chi.identifier()
+        assert generators == {0, 1, 2, 3}
 
 
 class TestInvariants:

@@ -10,8 +10,8 @@ from heckezero import cfrac, linearity
 from heckezero.cfrac import PlusCF, plus_to_minus
 from heckezero.characters import DirichletCharacter, enumerate_characters
 from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
-                              InsufficientSamples, NoAdmissibleN,
-                              NotSquarefree, ParseError)
+                              HeckeZeroError, InsufficientSamples,
+                              NoAdmissibleN, NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd, square_prime
 from heckezero.kernels import zeta12_times
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
@@ -23,7 +23,8 @@ from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  residue_word, smallest_admissible_n,
                                  verify_linearity)
 from heckezero.shintani import partial_zeta_zero, residue_table
-from oracles import is_squarefree
+from oracles import (closed_form_cd_reference, closed_form_table_reference,
+                     is_squarefree)
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
@@ -246,6 +247,52 @@ class TestClosedFormCD:
                         n = 3 * k + r
                         z = partial_zeta_zero(3, C, D, family_minus_cf(RDN, n))
                         assert A + k * B == 12 * 9 * z
+
+
+class TestClosedFormOracle:
+    """closed_form_table and closed_form_cd evaluate the formula from
+    coefficient pairs per (q, r); the references in tests/oracles.py run
+    the whole nu-sequence of every cell.  r runs over [-q, 2q), since the
+    CLI takes any r and such r verify."""
+
+    FAMILIES = [YOKOI, RDN, PAIRED, TRIPLE, QUAD, CHOWLA, N2P2, N2M1, N2M2]
+
+    @staticmethod
+    def outcome(build, spec, q, r):
+        try:
+            return build(spec, q, r)
+        except HeckeZeroError as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.name)
+    def test_table_equals_per_cell_reference(self, spec):
+        # every cell and every residue sum, and the same refusal wherever
+        # one is raised
+        built = refused = 0
+        for q in range(1, 10):
+            for r in range(-q, 2 * q):
+                got = self.outcome(linearity.closed_form_table, spec, q, r)
+                assert got == self.outcome(closed_form_table_reference,
+                                           spec, q, r), (q, r)
+                if isinstance(got, linearity.ClosedFormTable):
+                    built += 1
+                else:
+                    refused += 1
+        assert built + refused == 135
+        # TRIPLE and QUAD carry Yokoi's delta under other digits, so every
+        # member they reach is SpecInconsistent
+        assert (built == 0) == (spec in (TRIPLE, QUAD))
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.name)
+    def test_cells_equal_per_cell_reference(self, spec):
+        # the one-cell case, on every residue word, members or not
+        for q in range(1, 10):
+            for r in range(-q, 2 * q):
+                rw = residue_word(spec, q, r)
+                for C in range(1, q + 1):
+                    for D in range(1, q + 1):
+                        assert closed_form_cd(spec, rw, C, D) == \
+                            closed_form_cd_reference(spec, rw, C, D)
 
 
 class TestClosedFormChi:

@@ -26,8 +26,9 @@ from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
                                 partial_hecke_L_zero, partial_zeta_zero,
                                 residue_table, step_counts, step_tables,
                                 yamamoto_identity_residual, yamamoto_sequence)
-from oracles import (IdealLattice, char_eval, ideal_inverse, is_squarefree,
-                     kronecker, minus_cycles, norm_residue, orbit_shift_check,
+from oracles import (IdealLattice, char_eval, delta_reduced_by_surds,
+                     ideal_inverse, is_squarefree, kronecker, minus_cycles,
+                     norm_residue, orbit_shift_check,
                      partial_zeta_zero_reference)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")   # quadratic mod 3
@@ -113,6 +114,29 @@ class TestDeltaHypotheses:
             check_delta_hypotheses(QuadSurd(1, 1, 2, 5))    # < 2
         with pytest.raises(DeltaOutOfRange):
             check_delta_hypotheses(QuadSurd(0, 1, 1, 5))    # conj < 0
+
+    @given(st.integers(-100, 100), st.integers(-20, 20), st.integers(1, 40),
+           st.integers(2, 200).filter(lambda d: math.isqrt(d) ** 2 != d))
+    @example(40, 5, 29, 13)     # delta = 2.00096, delta' = 0.758
+    @example(32, 15, 29, 3)     # delta = 1.99934, delta' = 0.208
+    @example(73, 12, 29, 37)    # delta' = 0.00024, delta = 5.03
+    @example(67, 17, 29, 5)     # delta' = 0.99955, delta = 3.62
+    @example(70, 13, 29, 29)    # delta' = -0.00025, delta = 4.83
+    @example(79, 4, 40, 95)     # delta' = 1.00032, delta = 2.95, c < a < 2c
+    @example(5, 0, 2, 5)        # b = 0: delta = delta' = 5/2
+    @example(3, -1, 2, 5)       # b < 0: the conjugate of (3 + sqrt 5)/2
+    @settings(max_examples=500, deadline=None)
+    def test_integers_match_surd_comparison(self, a, b, c, d):
+        # the integer inequalities decide exactly what the QuadSurd
+        # comparisons decided, and refuse with the same message
+        delta = QuadSurd(a, b, c, d)
+        if delta_reduced_by_surds(delta):
+            check_delta_hypotheses(delta)
+        else:
+            with pytest.raises(DeltaOutOfRange) as info:
+                check_delta_hypotheses(delta)
+            assert str(info.value) == (
+                f"delta = {delta} must satisfy delta > 2 and 0 < delta' < 1")
 
 
 class TestHeckeL:
