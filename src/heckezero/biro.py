@@ -11,9 +11,9 @@ from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
-from .characters import (DirichletCharacter, ModPRealization, b1_weights,
-                         chi_weights, enumerate_characters, gen_bernoulli_b1,
-                         modp_realizations, odd_primitive)
+from .characters import (DirichletCharacter, ModPRealization, chi_weights,
+                         gen_bernoulli_b1, modp_realizations,
+                         odd_primitive_characters)
 from .errors import BoundExceeded, NarrowClassNotOne, ParseError
 from .exact import CycloElement, cyclo_from_buckets
 from .linearity import (BUILTIN_FAMILIES, ClosedFormTable, FamilySpec,
@@ -34,10 +34,6 @@ class ConditionStarPair(NamedTuple):
     realization: ModPRealization
     witness: int
 
-    def sort_key(self):
-        return (self.q, self.p, self.chi.identifier(),
-                self.realization.zeta_image)
-
 
 def sieve_work(q_max: int, p_max: int, residues: bool = False) -> int:
     """An upper estimate of the steps of condition_star_search(q_max, p_max),
@@ -45,8 +41,11 @@ def sieve_work(q_max: int, p_max: int, residues: bool = False) -> int:
 
     The search sieves the numbers up to p_max, then tabulates each of the
     fewer than q_max^2/4 characters of odd modulus q <= q_max (q_max
-    steps at most) and tests it against the primes up to p_max.  The
-    residue run adds, for every odd q <= q_max, q closed-form tables of q^2
+    steps at most) and tests it against the primes up to p_max.  This
+    over-estimates the search, which images a character only at the
+    primes p = 1 mod its order, and there once; the formula stays, so
+    the same runs are refused with the same messages.  The residue run
+    adds, for every odd q <= q_max, q closed-form tables of q^2
     cells with about q steps each: about q_max^5/10 steps in all.
     """
     work = p_max + q_max * q_max * (q_max + p_max) // 4
@@ -75,31 +74,77 @@ def _odd_primes(n: int) -> list[int]:
     return [p for p in range(3, n + 1, 2) if sieve[p]]
 
 
+def _units(o: int) -> list[int]:
+    """The j in [1, o) prime to o, ascending."""
+    return [j for j in range(1, o) if math.gcd(j, o) == 1]
+
+
+def _orbit(chi: DirichletCharacter, p: int) -> list[ModPRealization]:
+    """The realization zeta_o -> h^(1/j) for each j of _units(o),
+    o = chi.order, p = 1 mod o, with h the least element of order o mod p;
+    the first, j = 1, is the base realization at h itself.
+
+    The weights of chi^j are those of chi with zeta_o^i moved to zeta_o^(ij),
+    so chi^j at h^(1/j) has the image of chi at h: each character that
+    vanishes at h gives the pairs (chi^j, h^(1/j)), and every pair of the
+    order arises so, as (psi^k)^(1/k) at h^k for psi vanishing at h^k.
+    """
+    reals = modp_realizations(chi, p)
+    o, h = chi.order, reals[0].zeta_image
+    at = {real.zeta_image: real for real in reals}
+    return [at[pow(h, pow(j, -1, o), p)] for j in _units(o)]
+
+
 def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     """All (q, p, chi, realization) with odd q <= q_max, odd prime p <= p_max,
-    odd primitive chi of conductor q, and realization(sum a*chi(a)) = 0.
+    odd primitive chi of conductor q, and realization(sum a*chi(a)) = 0,
+    ordered by q, p, chi.identifier() and zeta_image.
 
-    sum a*chi(a) = q*B_{1,chi} is tested as the Horner image of its integer
-    weights; the realizations of each (order, p) are built once, and only
-    those of the current p are kept.
+    sum a*chi(a) = q*B_{1,chi} is the Horner image of its integer weights,
+    taken once per (chi, p) at the base realization of _orbit; the orbit
+    gives the pairs at the other realizations.  The orbit of each
+    (order, p) is built once, and the powers of one character per Galois
+    orbit once per modulus.
     """
     _check_sieve_work(q_max, p_max, residues=False)
-    chars = [(chi, chi.order, b1_weights(chi))
-             for q in range(3, q_max + 1, 2)
-             for chi in enumerate_characters(q)
-             if odd_primitive(chi)]
+    primes = _odd_primes(p_max)
+    orbits: dict[tuple[int, int], list[ModPRealization]] = {}
     out: list[ConditionStarPair] = []
-    for p in _odd_primes(p_max):
-        realizations: dict[int, list[ModPRealization]] = {}
-        for chi, o, weights in chars:
-            if (p - 1) % o:
+    for q in range(3, q_max + 1, 2):
+        # chars[i] has rank i in identifier order, and chars[i] ** j has
+        # rank powers[i][n] for the n-th j of _units(chars[i].order)
+        chars = sorted(odd_primitive_characters(q),
+                       key=DirichletCharacter.identifier)
+        rank = {chi: i for i, chi in enumerate(chars)}
+        powers: dict[int, list[int]] = {}
+        by_order: dict[int, list[tuple[int, list[int]]]] = {}
+        for i, chi in enumerate(chars):
+            o = chi.order
+            by_order.setdefault(o, []).append((i, chi_weights(chi, range(q))))
+            if i in powers:
                 continue
-            if o not in realizations:
-                realizations[o] = modp_realizations(chi, p)
-            for real in realizations[o]:
-                if real.image(weights) == 0:
-                    out.append(ConditionStarPair(chi.modulus, p, chi, real, 0))
-    out.sort(key=ConditionStarPair.sort_key)
+            # chi is the first of its Galois orbit; chi^j0 has the powers
+            # chi^(j0 j)
+            units = _units(o)
+            ranks = {j: rank[chi ** j] for j in units}
+            for j0, k in ranks.items():
+                powers[k] = [ranks[j0 * j % o] for j in units]
+        for p in primes:
+            found: dict[int, list[ModPRealization]] = {}
+            for o, group in by_order.items():
+                if (p - 1) % o:
+                    continue
+                if (o, p) not in orbits:
+                    orbits[o, p] = _orbit(chars[group[0][0]], p)
+                orbit = orbits[o, p]
+                base = orbit[0]
+                for i, weights in group:
+                    if base.image(weights) == 0:
+                        for k, real in zip(powers[i], orbit):
+                            found.setdefault(k, []).append(real)
+            for k in sorted(found):
+                out.extend(ConditionStarPair(q, p, chars[k], real, 0)
+                           for real in sorted(found[k]))
     return out
 
 

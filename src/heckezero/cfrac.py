@@ -189,6 +189,23 @@ def fold_moebius(word, plus: bool) -> tuple[int, int, int, int]:
     return m00, m01, m10, m11
 
 
+def fixes_plus_word(word, x: QuadSurd) -> bool:
+    """Whether x = (A + B sqrt(d))/c, B != 0, is the fixed point of the plus
+    word's fold: m10 x^2 + (m11 - m00) x = m01, its sqrt(d) part and its
+    rational part each multiplied by c^2.
+
+    For reduced x (x > 1, -1 < x' < 0) and a primitive word with digits
+    >= 1 this holds iff plus_expand(x).period == word: x = [word; x] with
+    x > 1 makes word repeated the expansion of x, and a reduced x has a
+    purely periodic one.
+    """
+    m00, m01, m10, m11 = fold_moebius(word, plus=True)
+    A, B, c = x.a, x.b, x.c
+    return (2 * m10 * A + (m11 - m00) * c == 0
+            and m10 * (A * A + B * B * x.d) + (m11 - m00) * A * c
+            == m01 * c * c)
+
+
 def evaluate_periodic(word: PlusCF | MinusCF) -> QuadSurd:
     """The exact quadratic surd fixed by an eventually periodic word."""
     plus = isinstance(word, PlusCF)

@@ -111,9 +111,13 @@ class DirichletCharacter:
             o = math.lcm(o, n // math.gcd(e, n))
         return o
 
-    def conjugate(self) -> DirichletCharacter:
+    def __pow__(self, k: int) -> DirichletCharacter:
+        """chi^k, with chi^k(a) = chi(a)^k."""
         return DirichletCharacter(self.modulus,
-                                  tuple(-e for e in self.exponents))
+                                  tuple(k * e for e in self.exponents))
+
+    def conjugate(self) -> DirichletCharacter:
+        return self ** -1
 
     def identifier(self) -> str:
         gens = _unit_group(self.modulus).gens
@@ -184,9 +188,10 @@ def chi_weights(chi: DirichletCharacter, table) -> list[int]:
     return weights
 
 
-def odd_primitive(chi: DirichletCharacter) -> bool:
-    """Whether chi, of odd modulus q, is odd and of conductor q, read off
-    its generator exponents.
+def odd_primitive_characters(q: int) -> list[DirichletCharacter]:
+    """The odd characters of conductor q, for odd q, in the order of
+    enumerate_characters(q), read off their generator exponents with q
+    factored once.
 
     At each p^k || q the generator g has even order phi = phi(p^k), so
     -1 = g^(phi/2) and chi(-1) = (-1)^(sum of the e_i).  chi has conductor
@@ -194,10 +199,11 @@ def odd_primitive(chi: DirichletCharacter) -> bool:
     for k >= 2 iff chi(g^(phi/p)) = zeta_p^e != 1, g^(phi/p) generating the
     kernel of reduction mod p^(k-1), i.e. iff p does not divide e.
     """
-    if sum(chi.exponents) % 2 == 0:
-        return False
-    return all(e % p if k > 1 else e for (p, k), e in
-               zip(sorted(factorize(chi.modulus).items()), chi.exponents))
+    powers = sorted(factorize(q).items())
+    return [chi for chi in enumerate_characters(q)
+            if sum(chi.exponents) % 2
+            and all(e % p if k > 1 else e
+                    for (p, k), e in zip(powers, chi.exponents))]
 
 
 def _kronecker_raw(a: int, n: int) -> int:

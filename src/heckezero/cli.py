@@ -196,8 +196,9 @@ def cmd_biro(args) -> dict:
     from .linearity import BUILTIN_FAMILIES
     if args.biro_cmd == "search":
         pairs = condition_star_search(args.q_max, args.p_max)
+        names = {chi: chi.identifier() for chi in {p.chi for p in pairs}}
         return {"q_max": args.q_max, "p_max": args.p_max,
-                "pairs": [{"q": p.q, "p": p.p, "chi": p.chi.identifier(),
+                "pairs": [{"q": p.q, "p": p.p, "chi": names[p.chi],
                            "zeta_image": p.realization.zeta_image,
                            "witness": p.witness} for p in pairs]}
     if args.biro_cmd == "residues":

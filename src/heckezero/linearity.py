@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .cfrac import (MinusCF, PlusCF, minus_length, minus_word, plus_expand,
-                    plus_to_minus)
+from .cfrac import (MinusCF, PlusCF, fixes_plus_word, minus_length,
+                    minus_word, plus_expand, plus_to_minus)
 from .characters import DirichletCharacter, chi_weights
 from .errors import (BoundExceeded, DeltaOutOfRange, HypothesisFailed,
                      InsufficientSamples, NoAdmissibleN, NotSquarefree,
@@ -186,16 +186,18 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
                      spec.w, f)
     check_delta_hypotheses(delta)
     # a plus expansion has digits >= 1 and a primitive period, one that
-    # equals none of its nontrivial rotations; no delta(n) matches any other
+    # equals none of its nontrivial rotations; no delta(n) matches any other.
+    # delta(n) - 1 is reduced, so a primitive word is its plus period iff
+    # the word's fold fixes it, decided on integers without the expansion
     expect = spec.digits(n)
     if min(expect) < 1 or expect in (expect[i:] + expect[:i]
                                      for i in range(1, len(expect))):
         raise DeltaOutOfRange(f"n = {n} is not a member: the declared "
                               f"period {expect} is degenerate")
-    pcf = plus_expand(delta - 1)
-    if pcf.period != expect:
-        raise SpecInconsistent(
-            f"delta({n})-1 expands to {pcf}, family digits say {expect}")
+    x = QuadSurd(delta.a - delta.c, delta.b, delta.c, f)      # delta - 1
+    if not fixes_plus_word(expect, x):
+        raise SpecInconsistent(f"delta({n})-1 expands to {plus_expand(x)}, "
+                               f"family digits say {expect}")
     return delta
 
 

@@ -6,8 +6,10 @@ product, inverse and norm behind the per-cell norm residue that
 quadfield.norm_form replaced), the Bernoulli-polynomial evaluation of
 Z(C, D) and the orbit-closure check of the cone recursion, character values
 as cyclotomic numbers, parity and the conductor search over the divisors of
-q (which characters.odd_primitive reads off the exponents), the reduction
-of a cyclotomic number along a mod-p realization, fundamental discriminants
+q (which characters.odd_primitive_characters reads off the exponents), the
+reduction of a cyclotomic number along a mod-p realization, the condition
+(*) search with one image per realization that biro.condition_star_search
+replaced with one image per character and prime, fundamental discriminants
 and the Kronecker symbol, floor, ceiling and power of quadratic surds, the
 cycles of Zagier's reduced forms, one per narrow ideal class, and two
 class-number references: the plus-cycle count over a trial division of the
@@ -28,8 +30,10 @@ from fractions import Fraction
 from itertools import chain
 
 from heckezero.cfrac import MinusCF, evaluate_periodic
+from heckezero.biro import ConditionStarPair, _check_sieve_work, _odd_primes
 from heckezero.characters import (DirichletCharacter, ModPRealization,
-                                  _unit_group)
+                                  _unit_group, b1_weights,
+                                  enumerate_characters, modp_realizations)
 from heckezero.errors import (BoundExceeded, HypothesisFailed,
                               IncompatiblePair, InternalInvariantError,
                               ValidationError)
@@ -424,6 +428,32 @@ def apply_realization(real: ModPRealization, x: CycloElement) -> int:
         acc = (acc + num * den * tp) % real.p
         tp = tp * t % real.p
     return acc
+
+
+def condition_star_search_reference(q_max: int, p_max: int
+                                    ) -> list[ConditionStarPair]:
+    """biro.condition_star_search with one image per realization: each odd
+    primitive chi (by the conductor search) tested at every realization of
+    its order at each p, and the pairs sorted on identifier strings."""
+    _check_sieve_work(q_max, p_max, residues=False)
+    chars = [(chi, chi.order, b1_weights(chi))
+             for q in range(3, q_max + 1, 2)
+             for chi in enumerate_characters(q)
+             if char_invariants(chi) == ("odd", q)]
+    out: list[ConditionStarPair] = []
+    for p in _odd_primes(p_max):
+        realizations: dict[int, list[ModPRealization]] = {}
+        for chi, o, weights in chars:
+            if (p - 1) % o:
+                continue
+            if o not in realizations:
+                realizations[o] = modp_realizations(chi, p)
+            for real in realizations[o]:
+                if real.image(weights) == 0:
+                    out.append(ConditionStarPair(chi.modulus, p, chi, real, 0))
+    out.sort(key=lambda pair: (pair.q, pair.p, pair.chi.identifier(),
+                               pair.realization.zeta_image))
+    return out
 
 
 def is_squarefree(n: int) -> bool:

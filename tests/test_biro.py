@@ -1,23 +1,28 @@
 """Pair search, residue congruences, and the L-value factorization oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heckezero import biro
 from heckezero.biro import (SIEVE_WORK_BOUND, ConditionStarPair,
                             ResidueReport, condition_star_search,
                             factorization_oracle_check, residue_mod_p,
                             residue_reports, sieve_work, yokoi_intro_ab)
-from heckezero.characters import (DirichletCharacter, b1_weights,
+from heckezero.characters import (DirichletCharacter, ModPRealization,
+                                  b1_weights, chi_weights,
                                   enumerate_characters, gen_bernoulli_b1,
-                                  modp_realizations)
+                                  modp_realizations, odd_primitive_characters)
 from heckezero.cli import main
 from heckezero.errors import NarrowClassNotOne, ParseError
 from heckezero.exact import CycloElement, cyclo_from_buckets
 from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_chi,
                                  closed_form_table)
-from oracles import apply_realization, char_invariants
+from oracles import (apply_realization, char_invariants,
+                     condition_star_search_reference)
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
@@ -74,7 +79,22 @@ class TestSearch:
         a = condition_star_search(7, 13)
         b = condition_star_search(7, 13)
         assert a == b
-        assert a == sorted(a, key=ConditionStarPair.sort_key)
+        assert a == sorted(a, key=lambda pair: (
+            pair.q, pair.p, pair.chi.identifier(),
+            pair.realization.zeta_image))
+
+    @pytest.mark.parametrize("p_max", [3, 13, 61, 211])
+    def test_matches_reference(self, p_max):
+        # the pairs, in order, of one image per realization and a sort on
+        # identifier strings, at every odd q_max <= 45
+        for q_max in range(3, 46, 2):
+            assert condition_star_search(q_max, p_max) == \
+                condition_star_search_reference(q_max, p_max), q_max
+
+    def test_matches_reference_99_1009(self):
+        pairs = condition_star_search(99, 1009)
+        assert len(pairs) == 10861
+        assert pairs == condition_star_search_reference(99, 1009)
 
     def test_kill_property(self):
         # every returned realization really sends q*B_{1,chi} to zero
@@ -91,6 +111,33 @@ class TestSearch:
         # refusals)
         assert sieve_work(45, 401) < SIEVE_WORK_BOUND // 10
         assert sieve_work(29, 61, residues=True) < SIEVE_WORK_BOUND // 4
+
+
+ODD_PRIMITIVE = [chi for q in range(3, 46, 2)
+                 for chi in odd_primitive_characters(q)]
+PRIMES = biro._odd_primes(2000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ODD_PRIMITIVE), st.data())
+@example(CHI3, None)
+@example(DirichletCharacter.from_identifier("q=7;gens=3:1"), None)
+def test_orbit_identity(chi, data):
+    # chi at h^k has the image of chi^k at h, for h of order o = chi.order
+    # mod p = 1 (mod o) and k prime to o; without data the first such p,
+    # every h and every k
+    o, weights = chi.order, chi_weights(chi, range(chi.modulus))
+    primes = [p for p in PRIMES if p % o == 1]
+    p = data.draw(st.sampled_from(primes)) if data else primes[0]
+    hs = [real.zeta_image for real in modp_realizations(chi, p)]
+    ks = [k for k in range(1, o) if math.gcd(k, o) == 1]
+    for h in [data.draw(st.sampled_from(hs))] if data else hs:
+        for k in [data.draw(st.sampled_from(ks))] if data else ks:
+            power = chi ** k
+            assert power.order == o
+            assert ModPRealization(p, o, pow(h, k, p)).image(weights) == \
+                ModPRealization(p, o, h).image(
+                    chi_weights(power, range(chi.modulus)))
 
 
 class TestResidue:
@@ -118,6 +165,13 @@ class TestResidue:
                     for r in range(pair.q)]
         assert len(unshared) > 100
         assert residue_reports(spec, 11, 61) == unshared
+
+    @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=lambda s: s.name)
+    def test_reports_on_reference_pairs(self, spec, monkeypatch):
+        reports = residue_reports(spec, 11, 61)
+        monkeypatch.setattr(biro, "condition_star_search",
+                            condition_star_search_reference)
+        assert residue_reports(spec, 11, 61) == reports
 
     @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=lambda s: s.name)
     def test_shared_tables_every_realization(self, spec, monkeypatch):

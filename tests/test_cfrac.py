@@ -1,12 +1,13 @@
 """Plus/minus continued fractions: expansion, conversion, evaluation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heckezero.cfrac import (MinusCF, PlusCF, delta_sequence,
-                             evaluate_periodic, minus_expand, minus_word,
-                             plus_expand, plus_to_minus, surd_walk)
+                             evaluate_periodic, fixes_plus_word, minus_expand,
+                             minus_word, plus_expand, plus_to_minus,
+                             surd_walk)
 from heckezero.errors import DegenerateWord, RationalInput
 from heckezero.exact import QuadSurd
 from heckezero.quadfield import make_field
@@ -117,6 +118,40 @@ class TestPlusExpand:
         p = plus_expand(x)
         if not p.preperiod:
             assert evaluate_periodic(p) == x
+
+
+def primitive(word: tuple[int, ...]) -> bool:
+    """Whether word equals none of its nontrivial rotations."""
+    return all(word[i:] + word[:i] != word for i in range(1, len(word)))
+
+
+class TestFixesPlusWord:
+    """The fixed-point identity that family_instance checks, against the
+    expansion: x is reduced, the value of a primitive period, and the word
+    is that period rotated, with digits bumped and perhaps one appended."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           st.integers(0, 5), st.lists(st.integers(-2, 2), max_size=6),
+           st.lists(st.integers(1, 9), max_size=1))
+    @example([1, 2], 0, [], [])             # the true period
+    @example([1, 2], 1, [], [])             # its rotation
+    @example([3, 1, 2], 2, [], [])
+    @example([1, 2], 0, [0, 1], [])         # a perturbed digit
+    @example([2, 5], 0, [], [2])            # a digit appended
+    @example([1], 0, [1], [4])              # (2, 4): the rational part holds
+    def test_matches_expansion(self, period, shift, bumps, extra):
+        period = tuple(period)
+        assume(primitive(period))
+        x = evaluate_periodic(PlusCF((), period))
+        pcf = plus_expand(x)
+        assert pcf.preperiod == ()              # x is reduced
+        s = shift % len(period)
+        word = period[s:] + period[:s]
+        word = tuple(max(1, a + b) for a, b in
+                     zip(word, bumps + [0] * len(word))) + tuple(extra)
+        assume(primitive(word))
+        assert fixes_plus_word(word, x) == (pcf.period == word)
 
 
 class TestMinusExpand:

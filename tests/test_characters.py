@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from heckezero import characters
 from heckezero.characters import (DirichletCharacter, _kronecker_raw,
                                   _unit_group, b1_weights, chi_weights,
                                   enumerate_characters, gen_bernoulli_b1,
-                                  modp_realizations, odd_primitive)
+                                  modp_realizations, odd_primitive_characters)
 from heckezero.errors import BoundExceeded, ParseError
-from heckezero.exact import CycloElement, cyclo_from_buckets
+from heckezero.exact import CycloElement, cyclo_from_buckets, factorize
 from heckezero.kernels import KERNEL_STEP_BOUND
 from oracles import (_is_fundamental, apply_realization, char_eval,
                      char_invariants, char_logs, chi_weights_per_residue,
@@ -169,17 +170,44 @@ class TestInvariants:
         # the divisors of q, for all 8151 characters of odd modulus q < 200
         count = 0
         for q in range(1, 200, 2):
-            for chi in enumerate_characters(q):
-                assert odd_primitive(chi) == \
-                    (char_invariants(chi) == ("odd", q)), chi.identifier()
-                count += 1
+            chars = enumerate_characters(q)
+            assert odd_primitive_characters(q) == \
+                [chi for chi in chars if char_invariants(chi) == ("odd", q)]
+            count += len(chars)
         assert count == 8151
+
+    def test_odd_primitive_factors_once(self, monkeypatch):
+        # one factorization per modulus, not one per character
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        enumerate_characters(45)            # caches the unit group
+        monkeypatch.setattr(characters, "factorize", counted)
+        assert len(odd_primitive_characters(45)) == 6
+        assert calls == [45]
 
     def test_imprimitive(self):
         # the character mod 9 induced from the quadratic mod 3
         chars = enumerate_characters(9)
         conds = sorted(char_invariants(c)[1] for c in chars)
         assert conds == [1, 3, 9, 9, 9, 9]
+
+    def test_power(self):
+        # (chi^k)(a) = chi(a)^k: the phases k*l/o of chi(a)^k and l'/o' of
+        # chi^k(a) agree mod 1
+        for q in (5, 9, 15, 16, 21):
+            for chi in enumerate_characters(q):
+                logs = char_logs(chi)
+                for k in (-1, 0, 2, 3, 7):
+                    power = chi ** k
+                    for a, log in enumerate(char_logs(power)):
+                        assert (log < 0) == (logs[a] < 0)
+                        assert log < 0 or (
+                            Fraction(k * logs[a], chi.order)
+                            - Fraction(log, power.order)).denominator == 1
 
     def test_conjugate(self):
         for chi in enumerate_characters(5):

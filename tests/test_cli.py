@@ -22,6 +22,7 @@ from heckezero.characters import DirichletCharacter
 from heckezero.cli import main
 from heckezero.errors import DeltaOutOfRange, HypothesisFailed
 from heckezero.exact import cyclo_to_dict, rational_to_str, square_prime
+from oracles import condition_star_search_reference
 from test_linearity import PAPER_FAMILY_FILES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -505,6 +506,20 @@ class TestBiro:
         pairs = doc["results"]["pairs"]
         assert len(pairs) == 2
         assert all(p["q"] == 5 and p["p"] == 5 for p in pairs)
+
+    def test_search_payload_matches_reference(self, capsys):
+        # the payload, key order included, of the pairs of one image per
+        # realization
+        code, doc = run_json(["biro", "search", "--q-max", "45",
+                              "--p-max", "61"], capsys)
+        assert code == 0
+        want = {"q_max": 45, "p_max": 61, "pairs": [
+            {"q": pair.q, "p": pair.p, "chi": pair.chi.identifier(),
+             "zeta_image": pair.realization.zeta_image,
+             "witness": pair.witness}
+            for pair in condition_star_search_reference(45, 61)]}
+        assert len(want["pairs"]) == 1050
+        assert json.dumps(doc["results"]) == json.dumps(want)
 
     def test_oracle(self, capsys):
         code, doc = run_json(["biro", "oracle", "--family", "yokoi",
