@@ -95,6 +95,17 @@ def _orbit(chi: DirichletCharacter, p: int) -> list[ModPRealization]:
     return [at[pow(h, pow(j, -1, o), p)] for j in _units(o)]
 
 
+def _power_weights(weights: list[int], j: int) -> list[int]:
+    """The weights of chi^j from those of chi, j prime to o = len(weights):
+    chi^j(a) = zeta_o^(i j) where chi(a) = zeta_o^i, so weight i moves to
+    i*j mod o, a permutation of the o slots."""
+    o = len(weights)
+    out = [0] * o
+    for i, w in enumerate(weights):
+        out[i * j % o] = w
+    return out
+
+
 def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     """All (q, p, chi, realization) with odd q <= q_max, odd prime p <= p_max,
     odd primitive chi of conductor q, and realization(sum a*chi(a)) = 0,
@@ -103,8 +114,9 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     sum a*chi(a) = q*B_{1,chi} is the Horner image of its integer weights,
     taken once per (chi, p) at the base realization of _orbit; the orbit
     gives the pairs at the other realizations.  The orbit of each
-    (order, p) is built once, and the powers of one character per Galois
-    orbit once per modulus.
+    (order, p) is built once, and the powers and weights of one character
+    per Galois orbit once per modulus: its table is folded once, and each
+    power's weights are _power_weights of the fold.
     """
     _check_sieve_work(q_max, p_max, residues=False)
     primes = _odd_primes(p_max)
@@ -119,16 +131,18 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
         powers: dict[int, list[int]] = {}
         by_order: dict[int, list[tuple[int, list[int]]]] = {}
         for i, chi in enumerate(chars):
-            o = chi.order
-            by_order.setdefault(o, []).append((i, chi_weights(chi, range(q))))
             if i in powers:
                 continue
             # chi is the first of its Galois orbit; chi^j0 has the powers
             # chi^(j0 j)
+            o = chi.order
             units = _units(o)
             ranks = {j: rank[chi ** j] for j in units}
+            weights = chi_weights(chi, range(q))
+            group = by_order.setdefault(o, [])
             for j0, k in ranks.items():
                 powers[k] = [ranks[j0 * j % o] for j in units]
+                group.append((k, _power_weights(weights, j0)))
         for p in primes:
             found: dict[int, list[ModPRealization]] = {}
             for o, group in by_order.items():

@@ -83,9 +83,10 @@ class DirichletCharacter:
     """Character of (Z/q)* given by one exponent per canonical generator.
 
     chi(g_i) = zeta_{n_i}^{e_i} where n_i is the order of generator g_i.
+    The order of chi and its hash are computed once, when it is built.
     """
 
-    __slots__ = ("modulus", "exponents")
+    __slots__ = ("modulus", "exponents", "order", "_hash")
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
         orders = _unit_group(modulus).orders
@@ -93,6 +94,10 @@ class DirichletCharacter:
             raise ValueError("wrong number of exponents")
         self.modulus = modulus
         self.exponents = tuple(e % n for e, n in zip(exponents, orders))
+        # chi(g_i) has order n_i / gcd(e_i, n_i), and chi the lcm of those
+        self.order = math.lcm(*(n // math.gcd(e, n)
+                                for e, n in zip(self.exponents, orders)))
+        self._hash = hash((modulus, self.exponents))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not DirichletCharacter:
@@ -101,15 +106,7 @@ class DirichletCharacter:
             (other.modulus, other.exponents)
 
     def __hash__(self):
-        return hash((self.modulus, self.exponents))
-
-    @property
-    def order(self) -> int:
-        orders = _unit_group(self.modulus).orders
-        o = 1
-        for e, n in zip(self.exponents, orders):
-            o = math.lcm(o, n // math.gcd(e, n))
-        return o
+        return self._hash
 
     def __pow__(self, k: int) -> DirichletCharacter:
         """chi^k, with chi^k(a) = chi(a)^k."""
@@ -190,8 +187,8 @@ def chi_weights(chi: DirichletCharacter, table) -> list[int]:
 
 def odd_primitive_characters(q: int) -> list[DirichletCharacter]:
     """The odd characters of conductor q, for odd q, in the order of
-    enumerate_characters(q), read off their generator exponents with q
-    factored once.
+    enumerate_characters(q), read off the generator exponents with q
+    factored once: only the exponent tuples that pass become characters.
 
     At each p^k || q the generator g has even order phi = phi(p^k), so
     -1 = g^(phi/2) and chi(-1) = (-1)^(sum of the e_i).  chi has conductor
@@ -200,10 +197,11 @@ def odd_primitive_characters(q: int) -> list[DirichletCharacter]:
     kernel of reduction mod p^(k-1), i.e. iff p does not divide e.
     """
     powers = sorted(factorize(q).items())
-    return [chi for chi in enumerate_characters(q)
-            if sum(chi.exponents) % 2
-            and all(e % p if k > 1 else e
-                    for (p, k), e in zip(powers, chi.exponents))]
+    orders = _unit_group(q).orders
+    return [DirichletCharacter(q, exps)
+            for exps in product(*(range(n) for n in orders))
+            if sum(exps) % 2
+            and all(e % p if k > 1 else e for (p, k), e in zip(powers, exps))]
 
 
 def _kronecker_raw(a: int, n: int) -> int:

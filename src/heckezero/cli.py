@@ -203,14 +203,16 @@ def cmd_biro(args) -> dict:
                            "witness": p.witness} for p in pairs]}
     if args.biro_cmd == "residues":
         spec = load_family_config(args.family)
+        reports = residue_reports(spec, args.q_max, args.p_max)
+        names = {chi: chi.identifier() for chi in {r.chi for r in reports}}
         return {"family": spec.name, "reports": [
             {"family": spec.name, "q": rep.chi.modulus,
              "p": rep.realization.p,
-             "chi": rep.chi.identifier(),
+             "chi": names[rep.chi],
              "zeta_image": rep.realization.zeta_image, "r": rep.r,
              "status": rep.status, "residue": rep.residue,
              "A_image": rep.A_image, "B_image": rep.B_image}
-            for rep in residue_reports(spec, args.q_max, args.p_max)]}
+            for rep in reports]}
     # oracle
     spec = load_family_config(args.family)
     if args.intro_ab and spec != BUILTIN_FAMILIES["yokoi"]:

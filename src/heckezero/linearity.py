@@ -521,17 +521,12 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     each minus word, read off the plus digits) add up to more than
     KERNEL_STEP_BOUND, before any table is built.  Each scaled value
     12 q^2 L is the chi-fold of the member's residue table, and
-    shintani.step_tables builds the tables of all members together: one
-    pass over each member's minus word maps its prefix step matrices M mod
-    q to counts, and the per-cell sums of each M are shared by every member
-    with the same norm form mod q.  The members of a sweep share their M,
-    since S(2)^q = I mod q, so the work is the summed word lengths plus,
-    per norm form, the distinct M times the unit cells, not q^2 * m per
-    member.  residue_table still runs the per-cell kernel for lvalue and
-    the oracle: with the step-matrix tables behind it, 30 s field-sweep
-    runs of perfbench on a 2-core Xeon completed about 4.5 times as many
-    items, and the benchmark's record, one row per item, raised their peak
-    RSS from 30.7 to 50-53 MiB, over its 10% bound (see the README).
+    shintani.step_tables builds the tables of all members together from
+    (norm form, minus word) pairs.  family_instance has validated each
+    member, and its declared digits are its plus period, so the word is
+    minus_word of the digits and no member is checked or expanded again.
+    The README's linearity paragraph gives the cost of the step-matrix
+    tables and why residue_table keeps the per-cell kernel.
     The line is fitted from the first two points and the verdicts are
     independent booleans: every remaining point on the line exactly; the
     fitted pair equals (A_chi, B_chi); the norm-residue hypothesis holds on
@@ -549,20 +544,22 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
             raise BoundExceeded(
                 f"the sampled members need over {KERNEL_STEP_BOUND} kernel "
                 f"steps (q^2 * m summed over {len(members) + 1} of them)")
-        members.append((k, delta))
-    used = [k for k, _ in members]
+        members.append((k, delta, digits))
+    used = [k for k, _, _ in members]
     if len(used) < 3:
         raise InsufficientSamples(
             f"need >= 3 admissible k with digits >= q, got {len(used)}")
+    inputs = [(norm_form(delta), minus_word(digits).period)
+              for _, delta, digits in members]
     vals = [cyclo_from_buckets(chi.order, chi_weights(chi, table))
-            for table in step_tables([delta for _, delta in members], q)]
+            for table in step_tables(inputs, q)]
     slope = (vals[1] - vals[0]) * Fraction(1, used[1] - used[0])
     intercept = vals[0] - slope * used[0]
     affine = all(v == intercept + slope * k
                  for k, v in zip(used[2:], vals[2:]))
     cf = closed_form_chi(spec, chi, r)
     match = intercept == cf.A_chi and slope == cf.B_chi
-    hyp = common_norm_form(q, (delta for _, delta in members)) is not None
+    hyp = len({tuple(c % q for c in form) for form, _ in inputs}) == 1
     return LinearityReport(tuple(used), tuple(k for k in ks if k not in used),
                            tuple(vals), intercept, slope, cf.A_chi, cf.B_chi,
                            affine, match, hyp)

@@ -112,8 +112,11 @@ def class_numbers(F: FieldData) -> tuple[int, int]:
     reduced exactly when (P, Q') is, and one of the two has a <= isqrt(N).
     Such an a gives Q <= sqrt(D - P^2) < sqrt(D) + P, so it is reduced
     exactly when a > (isqrt(D) - P)/2.  The trial division therefore starts
-    at that edge and keeps both states of each divisor untested: about
-    0.07 D divisions, where the whole range 1..isqrt(N) takes 0.2 D.
+    at that edge and keeps both states of each divisor untested, and for
+    odd N it tries odd a only.  N is always odd at D = 5 mod 8, odd for
+    every other P at D = 4d and never odd at D = 1 mod 8, so the divisions
+    number about 0.036 D, 0.054 D and 0.071 D, where the whole range
+    1..isqrt(N) takes 0.2 D.
 
     Each cofactor is kept because the walk checks every plus step against
     the enumeration: a cycle passes through states with a <= isqrt(N) and
@@ -126,7 +129,9 @@ def class_numbers(F: FieldData) -> tuple[int, int]:
     states = set()
     for P in range(2 - D % 2, s + 1, 2):
         N = (D - P * P) // 4
-        for a in range((s - P) // 2 + 1, math.isqrt(N) + 1):
+        lo, hi = (s - P) // 2 + 1, math.isqrt(N) + 1
+        # an odd N has only odd divisors
+        for a in range(lo | 1, hi, 2) if N % 2 else range(lo, hi):
             if N % a == 0:
                 states.update(((P, 2 * a), (P, 2 * N // a)))
     h = 0

@@ -163,16 +163,14 @@ def step_counts(word, q: int) -> dict[tuple[int, int, int, int], list[int]]:
 SUMS_HELD = 2 ** 16
 
 
-def step_tables(deltas, q: int) -> list[tuple[int, ...]]:
-    """residue_table(delta, q) for every delta, from step matrices: every
-    delta passes table_input, its minus word goes through step_counts, and
-    fold_step_counts builds all the tables together.
+def step_tables(inputs, q: int) -> list[tuple[int, ...]]:
+    """residue_table(delta, q) for each (norm form, minus word) pair of the
+    shape table_input(delta, q) returns, from step matrices: each word goes
+    through step_counts, and fold_step_counts builds all the tables
+    together.  The pairs come validated; none is checked again here.
     """
-    members = []
-    for delta in deltas:
-        form, digits = table_input(delta, q)
-        members.append((form, step_counts(digits, q)))
-    return fold_step_counts(members, q)
+    return fold_step_counts([(form, step_counts(word, q))
+                             for form, word in inputs], q)
 
 
 def fold_step_counts(members, q: int) -> list[tuple[int, ...]]:

@@ -5,9 +5,12 @@ program no longer runs: ideal lattices in Hermite normal form (the lattice
 product, inverse and norm behind the per-cell norm residue that
 quadfield.norm_form replaced), the Bernoulli-polynomial evaluation of
 Z(C, D) and the orbit-closure check of the cone recursion, character values
-as cyclotomic numbers, parity and the conductor search over the divisors of
-q (which characters.odd_primitive_characters reads off the exponents), the
-reduction of a cyclotomic number along a mod-p realization, the condition
+as cyclotomic numbers, the order of a character by an lcm loop on each
+read and the odd primitive filter over built characters (DirichletCharacter
+now stores its order when built, and odd_primitive_characters filters
+exponent tuples before it builds any), parity and the conductor search over
+the divisors of q (which characters.odd_primitive_characters reads off the
+exponents), the reduction of a cyclotomic number along a mod-p realization, the condition
 (*) search with one image per realization that biro.condition_star_search
 replaced with one image per character and prime, fundamental discriminants
 and the Kronecker symbol, floor, ceiling and power of quadratic surds, the
@@ -390,6 +393,25 @@ def char_eval(chi: DirichletCharacter, a: int) -> CycloElement:
     if k < 0:
         return CycloElement(chi.order, ())
     return zeta_power(chi.order, k)
+
+
+def character_order(chi: DirichletCharacter) -> int:
+    """The order of chi by the lcm loop the order property ran before
+    DirichletCharacter stored it: chi(g_i) has order n_i / gcd(e_i, n_i)."""
+    o = 1
+    for e, n in zip(chi.exponents, _unit_group(chi.modulus).orders):
+        o = math.lcm(o, n // math.gcd(e, n))
+    return o
+
+
+def odd_primitive_by_objects(q: int) -> list[DirichletCharacter]:
+    """characters.odd_primitive_characters as it ran before: every
+    character mod q is built, then filtered on its exponents."""
+    powers = sorted(factorize(q).items())
+    return [chi for chi in enumerate_characters(q)
+            if sum(chi.exponents) % 2
+            and all(e % p if k > 1 else e
+                    for (p, k), e in zip(powers, chi.exponents))]
 
 
 def char_invariants(chi: DirichletCharacter) -> tuple[str, int]:

@@ -140,6 +140,21 @@ def test_orbit_identity(chi, data):
                     chi_weights(power, range(chi.modulus)))
 
 
+def test_power_weights_fold_the_power():
+    # the search folds one character per Galois orbit: chi^j's weights are
+    # chi's moved from slot i to i*j mod o, for every odd primitive chi of
+    # modulus q <= 45 and every j prime to its order
+    count = 0
+    for chi in ODD_PRIMITIVE:
+        o, weights = chi.order, chi_weights(chi, range(chi.modulus))
+        for j in range(1, o):
+            if math.gcd(j, o) == 1:
+                assert biro._power_weights(weights, j) == \
+                    chi_weights(chi ** j, range(chi.modulus)), (chi, j)
+                count += 1
+    assert (len(ODD_PRIMITIVE), count) == (174, 1282)
+
+
 class TestResidue:
     def test_all_indeterminate_at_5_5(self):
         # q = p = 5 collapses both coefficient images to 0 for every residue

@@ -15,8 +15,9 @@ from heckezero.errors import BoundExceeded, ParseError
 from heckezero.exact import CycloElement, cyclo_from_buckets, factorize
 from heckezero.kernels import KERNEL_STEP_BOUND
 from oracles import (_is_fundamental, apply_realization, char_eval,
-                     char_invariants, char_logs, chi_weights_per_residue,
-                     is_primitive, kronecker, zeta_power)
+                     char_invariants, char_logs, character_order,
+                     chi_weights_per_residue, is_primitive, kronecker,
+                     odd_primitive_by_objects, zeta_power)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 
@@ -175,6 +176,21 @@ class TestInvariants:
                 [chi for chi in chars if char_invariants(chi) == ("odd", q)]
             count += len(chars)
         assert count == 8151
+
+    def test_stored_order_and_filter_match_old_routes(self):
+        # the order stored at construction against the lcm loop on read, for
+        # all 3004 characters of modulus q < 100, and the odd primitive
+        # filter on exponent tuples against the filter over built characters
+        count = 0
+        for q in range(1, 100):
+            chars = enumerate_characters(q)
+            assert [chi.order for chi in chars] == \
+                [character_order(chi) for chi in chars], q
+            if q % 2:
+                assert odd_primitive_characters(q) == \
+                    odd_primitive_by_objects(q), q
+            count += len(chars)
+        assert count == 3004
 
     def test_odd_primitive_factors_once(self, monkeypatch):
         # one factorization per modulus, not one per character

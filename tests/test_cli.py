@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckezero import acceptance, cli, linearity, quadfield
+from heckezero import acceptance, biro, cli, linearity, quadfield
 from heckezero.acceptance import CriterionResult
 from heckezero.biro import yokoi_intro_ab
 from heckezero.characters import DirichletCharacter
@@ -520,6 +520,30 @@ class TestBiro:
             for pair in condition_star_search_reference(45, 61)]}
         assert len(want["pairs"]) == 1050
         assert json.dumps(doc["results"]) == json.dumps(want)
+
+    def test_residues_name_each_character_once(self, monkeypatch, capsys):
+        # the payload names each character of the reports once, not once
+        # per report; the identifier calls of the search's sort are not
+        # counted
+        calls = []
+        reports = biro.residue_reports
+        identifier = DirichletCharacter.identifier
+
+        def counted_reports(*args):
+            out = reports(*args)
+            calls.clear()
+            return out
+
+        def counted(chi):
+            calls.append(chi)
+            return identifier(chi)
+        monkeypatch.setattr(biro, "residue_reports", counted_reports)
+        monkeypatch.setattr(DirichletCharacter, "identifier", counted)
+        code, doc = run_json(["biro", "residues", "--family", "yokoi",
+                              "--q-max", "7", "--p-max", "13"], capsys)
+        assert code == 0
+        names = [rep["chi"] for rep in doc["results"]["reports"]]
+        assert len(calls) == len(set(names)) < len(names)
 
     def test_oracle(self, capsys):
         code, doc = run_json(["biro", "oracle", "--family", "yokoi",

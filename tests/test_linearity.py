@@ -22,7 +22,7 @@ from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  hypothesis_check_norm, nu_sequence,
                                  residue_word, smallest_admissible_n,
                                  verify_linearity)
-from heckezero.shintani import partial_zeta_zero, residue_table
+from heckezero.shintani import partial_zeta_zero, residue_table, table_input
 from oracles import (closed_form_cd_reference, closed_form_table_reference,
                      is_squarefree)
 
@@ -335,6 +335,35 @@ class TestVerifyLinearity:
     def test_insufficient(self):
         with pytest.raises(InsufficientSamples):
             verify_linearity(YOKOI, CHI3, 1, [0, 2])
+
+    @pytest.mark.parametrize("spec,used", [
+        (YOKOI, 232), (RDN, 233), (PAIRED, 384), (N2P2, 384), (CHOWLA, 0),
+        (N2M1, 0), (N2M2, 0)], ids=lambda x: getattr(x, "name", None))
+    def test_words_from_declared_digits(self, spec, used, monkeypatch):
+        # the (norm form, minus word) pairs read off the declared digits of
+        # the members used are those of table_input, which expands delta
+        # itself, at q in {3, 5, 7, 11}, every r and k <= 20; a class with
+        # fewer than three members is refused before any table.  chowla,
+        # n2m1 and n2m2 have a digit 1 at every n, so no member is used
+        seen = []
+        monkeypatch.setattr(linearity, "step_tables",
+                            lambda inputs, q: seen.append(inputs) or
+                            [(0,) * q for _ in inputs])
+        members = 0
+        for q in (3, 5, 7, 11):
+            chi = enumerate_characters(q)[-1]
+            for r in range(q):
+                want = [table_input(delta, q) for k, delta in
+                        admissible(spec, q, r, range(21))
+                        if min(spec.digits(q * k + r)) >= q]
+                seen.clear()
+                try:
+                    verify_linearity(spec, chi, r, range(21))
+                except InsufficientSamples:
+                    assert len(want) < 3
+                assert seen == ([want] if len(want) >= 3 else []), (q, r)
+                members += len(want)
+        assert members == used
 
     def test_insufficient_before_any_table(self, monkeypatch):
         # two members, n = 9901 and 9923 with digits >= 11, are too few:

@@ -25,7 +25,8 @@ from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
                                 fold_step_counts, lattice_unit_order,
                                 partial_hecke_L_zero, partial_zeta_zero,
                                 residue_table, step_counts, step_tables,
-                                yamamoto_identity_residual, yamamoto_sequence)
+                                table_input, yamamoto_identity_residual,
+                                yamamoto_sequence)
 from oracles import (IdealLattice, char_eval, delta_reduced_by_surds,
                      ideal_inverse, is_squarefree, kronecker, minus_cycles,
                      norm_residue, orbit_shift_check,
@@ -267,7 +268,8 @@ class TestMinusCycles:
                     assert len(tables) == 1, (d, q, cycle)
                     cycles_checked += 1
                     mixed += len(coprime) == 2
-                assert step_tables(deltas, q) == field_tables, (d, q)
+                assert step_tables([table_input(delta, q) for delta in deltas],
+                                   q) == field_tables, (d, q)
                 mixed_forms += len({tuple(c % q for c in norm_form(delta))
                                     for delta in deltas}) > 1
         assert (fields, cycles_checked, mixed, not_coprime, products,
@@ -316,19 +318,27 @@ class TestStepTables:
             BUILTIN_FAMILIES["yokoi"], 7, 3, range(6))]
         want = [residue_table(delta, 7) for delta in deltas]
         monkeypatch.setattr(shintani, "SUMS_HELD", 1)
-        assert step_tables(deltas, 7) == want
+        assert step_tables([table_input(delta, 7) for delta in deltas],
+                           7) == want
 
     @pytest.mark.parametrize("delta,q,error", [
         (QuadSurd(1, 1, 2, 5), 3, DeltaOutOfRange),
         (QuadSurd(3, 1, 1, 5), 3, IncompatiblePair),
         (QuadSurd(3, 1, 2, 5), 10 ** 4 + 1, BoundExceeded),
     ])
-    def test_refuses_as_residue_table(self, delta, q, error):
+    def test_refuses_as_residue_table(self, delta, q, error, monkeypatch):
+        # step_tables takes pairs that table_input has validated, so a
+        # refusal comes before any table of the sweep is built
         with pytest.raises(error) as want:
             residue_table(delta, q)
+        tables = []
+        monkeypatch.setattr(shintani, "fold_step_counts",
+                            lambda *args: tables.append(args))
         with pytest.raises(error) as got:
-            step_tables([QuadSurd(3, 1, 2, 5), delta], q)
+            step_tables([table_input(d, q)
+                         for d in (QuadSurd(3, 1, 2, 5), delta)], q)
         assert str(got.value) == str(want.value)
+        assert tables == []
 
 
 class TestIdentity:
