@@ -24,7 +24,7 @@ from .exact import (CycloElement, QuadSurd, cyclo_from_buckets, factorize,
                     residue_1q)
 from .kernels import KERNEL_STEP_BOUND
 from .quadfield import check_radicand, norm_form
-from .shintani import check_delta_hypotheses, step_tables
+from .shintani import check_delta_hypotheses, form_tables
 
 N_SEARCH_LIMIT = 10_000
 
@@ -521,11 +521,11 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     each minus word, read off the plus digits) add up to more than
     KERNEL_STEP_BOUND, before any table is built.  Each scaled value
     12 q^2 L is the chi-fold of the member's residue table, and
-    shintani.step_tables builds the tables of all members together from
+    shintani.form_tables builds the tables of all members together from
     (norm form, minus word) pairs.  family_instance has validated each
     member, and its declared digits are its plus period, so the word is
     minus_word of the digits and no member is checked or expanded again.
-    The README's linearity paragraph gives the cost of the step-matrix
+    The README's linearity paragraph gives the cost of the form-walk
     tables and why residue_table keeps the per-cell kernel.
     The line is fitted from the first two points and the verdicts are
     independent booleans: every remaining point on the line exactly; the
@@ -552,7 +552,7 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     inputs = [(norm_form(delta), minus_word(digits).period)
               for _, delta, digits in members]
     vals = [cyclo_from_buckets(chi.order, chi_weights(chi, table))
-            for table in step_tables(inputs, q)]
+            for table in form_tables(inputs, q)]
     slope = (vals[1] - vals[0]) * Fraction(1, used[1] - used[0])
     intercept = vals[0] - slope * used[0]
     affine = all(v == intercept + slope * k

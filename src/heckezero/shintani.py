@@ -1,6 +1,7 @@
 """The L-value engine: the lattice-translation recursion, per-(C,D) partial
 zeta values at s=0, the chi-free residue table of the partial Hecke L-value
-and its fold, and the cone-ratio identity residual that selftest checks.
+and its fold, the same tables from the walk over the reduced forms mod q,
+and the cone-ratio identity residual that selftest checks.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def residue_table(delta: QuadSurd, q: int) -> tuple[int, ...]:
     T[a] = 0 at non-units, whose cells skip the kernel.  N(b) need not be
     prime to q: only N((C + D*delta)b) mod q enters.
 
-    Each cell runs the kernel over the whole word, q^2 * m steps; step_tables
-    computes the same table from the word's step matrices.
+    Each cell runs the kernel over the whole word, q^2 * m steps; form_tables
+    computes the same table from the forms the word walks through.
     """
     (u, v, w), digits = table_input(delta, q)
     unit = [math.gcd(a, q) == 1 for a in range(q)]
@@ -132,102 +133,88 @@ def residue_table(delta: QuadSurd, q: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def step_counts(word, q: int) -> dict[tuple[int, int, int, int], list[int]]:
-    """One pass over the minus word b_0 ... b_{m-1}: each prefix step matrix
-    M_i = S(b_i) ... S(b_0) mod q, S(b) = [[0, 1], [-1, b]], as
-    (m00, m01, m10, m11), mapped to [count, sum of the next digits b_{i+1}]
-    over the i < m with that prefix (b_m = b_0).
+def form_counts(form: tuple[int, int, int], word, q: int
+                ) -> dict[tuple[int, int, int], list[int]]:
+    """One pass over the minus word b_0 ... b_{m-1} of a norm form
+    (u, v, w): each form (A, B, C) mod q the walk meets after digit b_i,
+    mapped to [count, sum of the next digits b_{i+1}] over the i < m where
+    it is met (b_m = b_0).
 
-    After i + 1 kernel steps the state (X_i, X_{i+1}) of the cell (C, D) is
-    M_i (-C, D) mod q, and summand i + 1 is g + b_{i+1} h of that state
-    (the two terms of zeta12_times), so a cell's 12 q^2 Z(C, D) is
-    sum over M of count * g(M (-C, D)) + bsum * h(M (-C, D)).
+    The walk starts at (u, -v, w), whose value at (X, Y) = (-C, D) is the
+    cell's norm residue, and digit b pulls the form back through the
+    kernel step (X, Y) -> (Y, b Y - X), the inverse of S(b):
+    (A, B, C) -> (A b^2 + B b + C, -2 A b - B, A).  So the state
+    (X_i, X_{i+1}) of the cell (C, D) after i + 1 kernel steps is a point
+    where the form met after b_i takes the cell's norm residue, and
+    summand i + 1 of zeta12_times is g + b_{i+1} h of that state.  For a
+    reduced delta that form is norm_form(delta_{i+1}) with its middle
+    term negated, delta_{i+1} = 1/(b_i - delta_i): Zagier's reduced forms
+    of the cycle of delta, mod q.
     """
-    counts: dict[tuple[int, int, int, int], list[int]] = {}
-    m00, m01, m10, m11 = 1 % q, 0, 0, 1 % q
+    counts: dict[tuple[int, int, int], list[int]] = {}
+    u, v, w = form
+    A, B, C = u % q, -v % q, w % q
     nxt = iter(word[1:] + word[:1])
     for b in word:
-        m00, m01, m10, m11 = m10, m11, (b * m10 - m00) % q, (b * m11 - m01) % q
-        entry = counts.get((m00, m01, m10, m11))
+        A, B, C = (A * b * b + B * b + C) % q, (-2 * A * b - B) % q, A
+        entry = counts.get((A, B, C))
         if entry is None:
-            counts[m00, m01, m10, m11] = [1, next(nxt)]
+            counts[A, B, C] = [1, next(nxt)]
         else:
             entry[0] += 1
             entry[1] += next(nxt)
     return counts
 
 
-# step_tables holds the cell sums of at most this many (matrix, residue)
-# pairs at once: a long word of a large field can have over 10^4 distinct
-# step matrices mod q, whose sums would take tens of MiB
-SUMS_HELD = 2 ** 16
-
-
-def step_tables(inputs, q: int) -> list[tuple[int, ...]]:
+def form_tables(inputs, q: int) -> list[tuple[int, ...]]:
     """residue_table(delta, q) for each (norm form, minus word) pair of the
-    shape table_input(delta, q) returns, from step matrices: each word goes
-    through step_counts, and fold_step_counts builds all the tables
-    together.  The pairs come validated; none is checked again here.
+    shape table_input(delta, q) returns, from the form walk: the table is
+    T[a] = sum over f of bsum[f] H_f[a] - 3 count[f] G_f[a], (count, bsum)
+    = form_counts(form, word, q) and (G_f, H_f) = form_sums(f, q).  Over a
+    reduced cycle delta_1 ... delta_m this is Zagier's
+    sum_j ceil(delta_j) H_{f_j} - 3 G_{f_j} at level q, f_j the form of
+    delta_j; at q = 1 it is 12 zeta(0) = sum_j (b_j - 3).
+
+    The sums of each distinct form are built once, added into the table
+    of every member that meets the form and dropped.  The pairs come
+    validated; none is checked again here.
     """
-    return fold_step_counts([(form, step_counts(word, q))
-                             for form, word in inputs], q)
-
-
-def fold_step_counts(members, q: int) -> list[tuple[int, ...]]:
-    """The residue table of each (norm form, step_counts of its word mod q):
-    T[a] = sum over M of count[M] * G_M[a] + bsum[M] * H_M[a], where G_M[a]
-    and H_M[a] sum the g and h terms of zeta12_times at the states
-    M (-C, D) over the cells (C, D) of norm residue a, a a unit.
-
-    G_M and H_M depend on a member only through its form mod q, so they are
-    built once per (form mod q, M) for all members together: the work is
-    the distinct M times the unit cells per form, plus q per member and M.
-    """
-    members = [(tuple(c % q for c in form), counts)
-               for form, counts in members]
-    tables = [[0] * q for _ in members]
-    per_pass = max(1, SUMS_HELD // q)
-    for form in {form for form, _ in members}:
-        group = [(table, counts) for table, (f, counts)
-                 in zip(tables, members) if f == form]
-        mats = list({M for _, counts in group for M in counts})
-        for i in range(0, len(mats), per_pass):
-            sums = _cell_sums(form, mats[i:i + per_pass], q)
-            for table, counts in group:
-                for M, (g, h) in sums.items():
-                    if M in counts:
-                        cnt, bsum = counts[M]
-                        # g is 3 (2X - q)(2Y - q), Y = q - X_prev: -3 b1 b1
-                        for a in range(q):
-                            table[a] += bsum * h[a] - 3 * cnt * g[a]
+    tables = [[0] * q for _ in inputs]
+    uses: dict[tuple[int, int, int], list] = {}
+    for table, (form, word) in zip(tables, inputs):
+        for f, (count, bsum) in form_counts(form, word, q).items():
+            uses.setdefault(f, []).append((table, count, bsum))
+    for f, members in uses.items():
+        G, H = form_sums(f, q)
+        for table, count, bsum in members:
+            # g is 3 (2X - q)(2Y - q), Y = q - X_prev: -3 b1 b1
+            for a in range(q):
+                table[a] += bsum * H[a] - 3 * count * G[a]
     return [tuple(table) for table in tables]
 
 
-def _cell_sums(form: tuple[int, int, int], mats, q: int
-               ) -> dict[tuple[int, int, int, int], tuple[list[int], ...]]:
-    """M -> (G, H) for each step matrix M in mats: G[a] sums
-    b1(X_prev) b1(X) and H[a] sums b2(X) over the cells (C, D) in [1, q]^2
-    of unit norm residue a under form, (X_prev, X) = M (-C, D) mod q taken in
-    [1, q], b1(X) = 2X - q and b2(X) = 6X^2 - 6qX + q^2.  The cells are
-    streamed one row at a time.
+def form_sums(form: tuple[int, int, int], q: int
+              ) -> tuple[list[int], list[int]]:
+    """(G, H) of a form (A, B, C) mod q: G[a] sums b1(x) b1(y) and H[a]
+    sums b2(y) over the points (x, y) of [1, q]^2 where A x^2 + B x y +
+    C y^2 is the unit a mod q, with b1(x) = 2x - q and
+    b2(y) = 6y^2 - 6qy + q^2, the two terms of zeta12_times at the state
+    (X_prev, X) = (x, y).
     """
-    u, v, w = form
+    A, B, C = form
     unit = [math.gcd(a, q) == 1 for a in range(q)]
-    reps = [x or q for x in range(q)]
-    b1 = [2 * X - q for X in reps]
-    b2 = [6 * X * X - 6 * q * X + q * q for X in reps]
-    G = [[0] * q for _ in mats]
-    H = [[0] * q for _ in mats]
-    for C in range(1, q + 1):
-        row = [(D, a) for D in range(1, q + 1)
-               if unit[a := (u * C * C + v * C * D + w * D * D) % q]]
-        for (m00, m01, m10, m11), g, h in zip(mats, G, H):
-            prev0, cur0 = -m00 * C, -m10 * C
-            for D, a in row:
-                cur = (m11 * D + cur0) % q
-                g[a] += b1[(m01 * D + prev0) % q] * b1[cur]
-                h[a] += b2[cur]
-    return dict(zip(mats, zip(G, H)))
+    b1 = [2 * x - q for x in range(q + 1)]
+    b2 = [6 * y * y - 6 * q * y + q * q for y in range(q + 1)]
+    reps = range(1, q + 1)
+    G, H = [0] * q, [0] * q
+    for x in reps:
+        Ax2, Bx, b1x = A * x * x, B * x, b1[x]
+        for y in reps:
+            a = (Ax2 + (Bx + C * y) * y) % q
+            if unit[a]:
+                G[a] += b1x * b1[y]
+                H[a] += b2[y]
+    return G, H
 
 
 def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):

@@ -346,7 +346,7 @@ class TestVerifyLinearity:
         # fewer than three members is refused before any table.  chowla,
         # n2m1 and n2m2 have a digit 1 at every n, so no member is used
         seen = []
-        monkeypatch.setattr(linearity, "step_tables",
+        monkeypatch.setattr(linearity, "form_tables",
                             lambda inputs, q: seen.append(inputs) or
                             [(0,) * q for _ in inputs])
         members = 0
@@ -371,7 +371,7 @@ class TestVerifyLinearity:
         chi = DirichletCharacter.from_identifier("q=11;gens=2:1")
         assert len(list(admissible(YOKOI, 11, 1, [900, 902]))) == 2
         tables = []
-        monkeypatch.setattr(linearity, "step_tables",
+        monkeypatch.setattr(linearity, "form_tables",
                             lambda *args: tables.append(args))
         with pytest.raises(InsufficientSamples):
             verify_linearity(YOKOI, chi, 1, [900, 902])
@@ -383,7 +383,7 @@ class TestVerifyLinearity:
         # at n has n digits, and n = 55 is the first member above 50
         monkeypatch.setattr(cfrac, "WALK_DIGIT_BOUND", 50)
         tables = []
-        monkeypatch.setattr(linearity, "step_tables",
+        monkeypatch.setattr(linearity, "form_tables",
                             lambda *args: tables.append(args))
         with pytest.raises(BoundExceeded,
                            match="^the minus word has 55 digits, over 50$"):
@@ -405,7 +405,7 @@ class TestVerifyLinearity:
         monkeypatch.setattr(linearity, "KERNEL_STEP_BOUND", steps)
         assert verify_linearity(YOKOI, CHI3, 1, range(8)) == rep
         tables = []
-        monkeypatch.setattr(linearity, "step_tables",
+        monkeypatch.setattr(linearity, "form_tables",
                             lambda *args: tables.append(args))
         monkeypatch.setattr(linearity, "KERNEL_STEP_BOUND", steps - 1)
         with pytest.raises(BoundExceeded):

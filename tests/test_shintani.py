@@ -22,11 +22,10 @@ from heckezero.linearity import BUILTIN_FAMILIES, admissible, family_instance
 from heckezero.quadfield import (check_radicand, class_numbers,
                                  field_discriminant, make_field, norm_form)
 from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
-                                fold_step_counts, lattice_unit_order,
+                                form_counts, form_tables, lattice_unit_order,
                                 partial_hecke_L_zero, partial_zeta_zero,
-                                residue_table, step_counts, step_tables,
-                                table_input, yamamoto_identity_residual,
-                                yamamoto_sequence)
+                                residue_table, table_input,
+                                yamamoto_identity_residual, yamamoto_sequence)
 from oracles import (IdealLattice, char_eval, delta_reduced_by_surds,
                      ideal_inverse, is_squarefree, kronecker, minus_cycles,
                      norm_residue, orbit_shift_check,
@@ -227,10 +226,11 @@ class TestMinusCycles:
         # each delta with gcd(N(b), q) > 1 alone gives the Bernoulli product
         # for every chi mod q.  Both checks are needed: an error in the
         # kernel that does not depend on the rotation of the word leaves
-        # every cycle constant.  One step_tables call per (d, q) over the
+        # every cycle constant.  One form_tables call per (d, q) over the
         # deltas of every cycle gives the same tables; in 501 of the 546
-        # calls the deltas have several norm forms mod q, so a sum shared
-        # across forms would show
+        # calls the deltas have several norm forms mod q, so sums keyed by
+        # the wrong form (a member's norm form in place of the walked one)
+        # would show
         fields = cycles_checked = mixed = not_coprime = products = 0
         mixed_forms = 0
         for d in filter(is_squarefree, range(2, 150)):
@@ -268,12 +268,56 @@ class TestMinusCycles:
                     assert len(tables) == 1, (d, q, cycle)
                     cycles_checked += 1
                     mixed += len(coprime) == 2
-                assert step_tables([table_input(delta, q) for delta in deltas],
+                assert form_tables([table_input(delta, q) for delta in deltas],
                                    q) == field_tables, (d, q)
                 mixed_forms += len({tuple(c % q for c in norm_form(delta))
                                     for delta in deltas}) > 1
         assert (fields, cycles_checked, mixed, not_coprime, products,
                 mixed_forms) == (91, 1374, 474, 1250, 276, 501)
+
+    def test_walk_visits_reduced_forms(self):
+        # the form walk is Zagier's reduction: from each reduced delta > 2
+        # of squarefree d < 300, the j-th form form_counts walks is
+        # (u, -v, w) mod q of norm_form(delta_{j+1}), where delta_{j+1} =
+        # 1/(ceil(delta_j) - delta_j) is computed exactly.  Each step is
+        # one form_counts call from the form the walk reached, and the
+        # whole word's counts are those of the forms met
+        positions = 0
+        for d in filter(is_squarefree, range(2, 300)):
+            D = field_discriminant(d)
+            f = 1 if D == d else 2
+            for cycle in minus_cycles(d):
+                for P, Q in cycle:
+                    if (P + math.isqrt(D)) // Q < 2:
+                        continue        # delta < 2
+                    delta = QuadSurd(P, f, Q, d)
+                    word = minus_expand(delta).period
+                    forms, digits = [], []
+                    d_j = delta
+                    for _ in word:
+                        digits.append(
+                            (d_j.a + math.isqrt(d_j.b ** 2 * d)) // d_j.c + 1)
+                        d_j = (digits[-1] - d_j).inverse()
+                        forms.append(norm_form(d_j))
+                    assert (d_j, tuple(digits)) == (delta, word), delta
+                    for q in (*range(2, 10), 12):
+                        walked = [(u % q, -v % q, w % q)
+                                  for u, v, w in forms]
+                        A, B, C = walked[-1]     # delta_m = delta
+                        for b, want in zip(word, walked):
+                            [(form, entry)] = form_counts(
+                                (A, -B, C), (b,), q).items()
+                            assert (form, entry) == (want, [1, b]), delta
+                            A, B, C = form
+                        counts = {}
+                        for form, b in zip(walked, word[1:] + word[:1]):
+                            entry = counts.setdefault(form, [0, 0])
+                            entry[0] += 1
+                            entry[1] += b
+                        assert form_counts(norm_form(delta), word, q) == \
+                            counts, (delta, q)
+                        positions += len(word)
+        assert positions == 368271
 
 
 def _kernel_table(q, form, word):
@@ -294,7 +338,7 @@ _FORMS = st.tuples(*[st.integers(-30, 30)] * 3)
 
 
 class TestStepTables:
-    """The step-matrix tables against the per-cell kernel: on any word and
+    """The form-walk tables against the per-cell kernel: on any word and
     any quadratic form, and on the reduced deltas of every narrow class
     (TestMinusCycles)."""
 
@@ -306,20 +350,12 @@ class TestStepTables:
     @example(q=5, members=[((1, 1, -1), (3,)), ((1, 0, 2), (4, 2, 2)),
                            ((6, -4, 4), (2, 5))])
     def test_fold_matches_kernel(self, q, members):
-        counts = [(form, step_counts(word, q)) for form, word in members]
-        for (_, word), (_, c) in zip(members, counts):
-            assert sum(n for n, _ in c.values()) == len(word)
-        assert fold_step_counts(counts, q) == \
+        for form, word in members:
+            counts = form_counts(form, word, q).values()
+            assert sum(n for n, _ in counts) == len(word)
+            assert sum(bsum for _, bsum in counts) == sum(word)
+        assert form_tables(members, q) == \
             [_kernel_table(q, form, word) for form, word in members]
-
-    def test_one_matrix_per_pass(self, monkeypatch):
-        # the cell sums held at once do not change the tables
-        deltas = [delta for _, delta in admissible(
-            BUILTIN_FAMILIES["yokoi"], 7, 3, range(6))]
-        want = [residue_table(delta, 7) for delta in deltas]
-        monkeypatch.setattr(shintani, "SUMS_HELD", 1)
-        assert step_tables([table_input(delta, 7) for delta in deltas],
-                           7) == want
 
     @pytest.mark.parametrize("delta,q,error", [
         (QuadSurd(1, 1, 2, 5), 3, DeltaOutOfRange),
@@ -327,18 +363,19 @@ class TestStepTables:
         (QuadSurd(3, 1, 2, 5), 10 ** 4 + 1, BoundExceeded),
     ])
     def test_refuses_as_residue_table(self, delta, q, error, monkeypatch):
-        # step_tables takes pairs that table_input has validated, so a
-        # refusal comes before any table of the sweep is built
+        # form_tables takes pairs that table_input has validated, so a
+        # refusal comes before any form of the sweep is walked or summed
         with pytest.raises(error) as want:
             residue_table(delta, q)
-        tables = []
-        monkeypatch.setattr(shintani, "fold_step_counts",
-                            lambda *args: tables.append(args))
+        calls = []
+        for name in ("form_counts", "form_sums"):
+            monkeypatch.setattr(shintani, name,
+                                lambda *args: calls.append(args))
         with pytest.raises(error) as got:
-            step_tables([table_input(d, q)
+            form_tables([table_input(d, q)
                          for d in (QuadSurd(3, 1, 2, 5), delta)], q)
         assert str(got.value) == str(want.value)
-        assert tables == []
+        assert calls == []
 
 
 class TestIdentity:
