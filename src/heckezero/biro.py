@@ -79,31 +79,18 @@ def _units(o: int) -> list[int]:
     return [j for j in range(1, o) if math.gcd(j, o) == 1]
 
 
-def _orbit(chi: DirichletCharacter, p: int) -> list[ModPRealization]:
-    """The realization zeta_o -> h^(1/j) for each j of _units(o),
-    o = chi.order, p = 1 mod o, with h the least element of order o mod p;
-    the first, j = 1, is the base realization at h itself.
+def _realizations(chi: DirichletCharacter, p: int
+                  ) -> dict[int, ModPRealization]:
+    """The realization zeta_o -> h^e keyed by e, for each e of _units(o),
+    o = chi.order, p = 1 mod o, with h the least element of order o mod p.
 
-    The weights of chi^j are those of chi with zeta_o^i moved to zeta_o^(ij),
-    so chi^j at h^(1/j) has the image of chi at h: each character that
-    vanishes at h gives the pairs (chi^j, h^(1/j)), and every pair of the
-    order arises so, as (psi^k)^(1/k) at h^k for psi vanishing at h^k.
+    chi^a at h^b has the image of chi at h^(ab): the weights of chi^a are
+    those of chi moved from slot i to slot a*i.  So if Z holds the e with
+    chi vanishing at h^e, the pairs of chi^a are those at h^(e/a), e in Z.
     """
-    reals = modp_realizations(chi, p)
-    o, h = chi.order, reals[0].zeta_image
-    at = {real.zeta_image: real for real in reals}
-    return [at[pow(h, pow(j, -1, o), p)] for j in _units(o)]
-
-
-def _power_weights(weights: list[int], j: int) -> list[int]:
-    """The weights of chi^j from those of chi, j prime to o = len(weights):
-    chi^j(a) = zeta_o^(i j) where chi(a) = zeta_o^i, so weight i moves to
-    i*j mod o, a permutation of the o slots."""
-    o = len(weights)
-    out = [0] * o
-    for i, w in enumerate(weights):
-        out[i * j % o] = w
-    return out
+    o = chi.order
+    h = modp_realizations(chi, p)[0].zeta_image
+    return {e: ModPRealization(p, o, pow(h, e, p)) for e in _units(o)}
 
 
 def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
@@ -111,54 +98,43 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     odd primitive chi of conductor q, and realization(sum a*chi(a)) = 0,
     ordered by q, p, chi.identifier() and zeta_image.
 
-    sum a*chi(a) = q*B_{1,chi} is the Horner image of its integer weights,
-    taken once per (chi, p) at the base realization of _orbit; the orbit
-    gives the pairs at the other realizations.  The orbit of each
-    (order, p) is built once, and the powers and weights of one character
-    per Galois orbit once per modulus: its table is folded once, and each
-    power's weights are _power_weights of the fold.
+    sum a*chi(a) = q*B_{1,chi} is the Horner image of its integer weights.
+    Each Galois orbit {chi^a} of a modulus is folded once, at its first
+    character chi, and imaged at every h^e of _realizations per prime: one
+    image per character and prime.  The zero set Z of those e gives the
+    pairs (chi^a, h^(e/a)) of the whole orbit.
     """
     _check_sieve_work(q_max, p_max, residues=False)
     primes = _odd_primes(p_max)
-    orbits: dict[tuple[int, int], list[ModPRealization]] = {}
+    reals: dict[tuple[int, int], dict[int, ModPRealization]] = {}
     out: list[ConditionStarPair] = []
     for q in range(3, q_max + 1, 2):
-        # chars[i] has rank i in identifier order, and chars[i] ** j has
-        # rank powers[i][n] for the n-th j of _units(chars[i].order)
         chars = sorted(odd_primitive_characters(q),
                        key=DirichletCharacter.identifier)
         rank = {chi: i for i, chi in enumerate(chars)}
-        powers: dict[int, list[int]] = {}
-        by_order: dict[int, list[tuple[int, list[int]]]] = {}
+        seen: set[int] = set()
+        found: list[tuple[int, int, ModPRealization]] = []
         for i, chi in enumerate(chars):
-            if i in powers:
+            if i in seen:
                 continue
-            # chi is the first of its Galois orbit; chi^j0 has the powers
-            # chi^(j0 j)
+            # chi is the first of its orbit; chi^a has rank k for each
+            # (k, 1/a mod o) of powers
             o = chi.order
-            units = _units(o)
-            ranks = {j: rank[chi ** j] for j in units}
+            powers = [(rank[chi ** a], pow(a, -1, o)) for a in _units(o)]
+            seen.update(k for k, _ in powers)
             weights = chi_weights(chi, range(q))
-            group = by_order.setdefault(o, [])
-            for j0, k in ranks.items():
-                powers[k] = [ranks[j0 * j % o] for j in units]
-                group.append((k, _power_weights(weights, j0)))
-        for p in primes:
-            found: dict[int, list[ModPRealization]] = {}
-            for o, group in by_order.items():
+            for p in primes:
                 if (p - 1) % o:
                     continue
-                if (o, p) not in orbits:
-                    orbits[o, p] = _orbit(chars[group[0][0]], p)
-                orbit = orbits[o, p]
-                base = orbit[0]
-                for i, weights in group:
-                    if base.image(weights) == 0:
-                        for k, real in zip(powers[i], orbit):
-                            found.setdefault(k, []).append(real)
-            for k in sorted(found):
-                out.extend(ConditionStarPair(q, p, chars[k], real, 0)
-                           for real in sorted(found[k]))
+                if (o, p) not in reals:
+                    reals[o, p] = _realizations(chi, p)
+                at = reals[o, p]
+                for e, real in at.items():
+                    if real.image(weights) == 0:
+                        found.extend((p, k, at[e * inv % o])
+                                     for k, inv in powers)
+        out.extend(ConditionStarPair(q, p, chars[k], real, 0)
+                   for p, k, real in sorted(found))
     return out
 
 

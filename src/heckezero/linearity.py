@@ -391,12 +391,14 @@ def smallest_admissible_n(spec: FamilySpec, q: int, r: int
                           ) -> tuple[int, QuadSurd]:
     """(n, delta(n)) at the least admissible n = qk + r >= 1, k >= 0.  A
     class that empty_class_reason shows empty is refused before any
-    radicand is factored; any other is walked up to N_SEARCH_LIMIT."""
-    ks = range((N_SEARCH_LIMIT - r) // q + 1)
-    reason = empty_class_reason(spec, q, r, len(ks))
+    radicand is factored; any other is walked from its least n >= 1 up to
+    N_SEARCH_LIMIT."""
+    walk = (N_SEARCH_LIMIT - r) // q + 1    # the k >= 0 with n <= the limit
+    reason = empty_class_reason(spec, q, r, walk)
     if reason is not None:
         raise NoAdmissibleN(f"no admissible n = {q}k + {r}: {reason}")
-    for k, delta in admissible(spec, q, r, ks):
+    k0 = max(0, -((r - 1) // q))        # the least k with qk + r >= 1
+    for k, delta in admissible(spec, q, r, range(k0, walk)):
         return q * k + r, delta
     raise NoAdmissibleN(
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")

@@ -123,36 +123,46 @@ PRIMES = biro._odd_primes(2000)
 @example(CHI3, None)
 @example(DirichletCharacter.from_identifier("q=7;gens=3:1"), None)
 def test_orbit_identity(chi, data):
-    # chi at h^k has the image of chi^k at h, for h of order o = chi.order
-    # mod p = 1 (mod o) and k prime to o; without data the first such p,
-    # every h and every k
-    o, weights = chi.order, chi_weights(chi, range(chi.modulus))
+    # chi^a at h^b has the image of chi at h^(ab), for h of order o =
+    # chi.order mod p = 1 (mod o) and a, b prime to o; without data the
+    # first such p, every h and every a and b
+    o, q = chi.order, chi.modulus
     primes = [p for p in PRIMES if p % o == 1]
     p = data.draw(st.sampled_from(primes)) if data else primes[0]
     hs = [real.zeta_image for real in modp_realizations(chi, p)]
-    ks = [k for k in range(1, o) if math.gcd(k, o) == 1]
+    units = [a for a in range(1, o) if math.gcd(a, o) == 1]
+    weights = chi_weights(chi, range(q))
     for h in [data.draw(st.sampled_from(hs))] if data else hs:
-        for k in [data.draw(st.sampled_from(ks))] if data else ks:
-            power = chi ** k
+        for a in [data.draw(st.sampled_from(units))] if data else units:
+            power = chi ** a
             assert power.order == o
-            assert ModPRealization(p, o, pow(h, k, p)).image(weights) == \
-                ModPRealization(p, o, h).image(
-                    chi_weights(power, range(chi.modulus)))
+            power_weights = chi_weights(power, range(q))
+            for b in [data.draw(st.sampled_from(units))] if data else units:
+                assert ModPRealization(p, o, pow(h, b, p)).image(
+                    power_weights) == \
+                    ModPRealization(p, o, pow(h, a * b, p)).image(weights)
 
 
-def test_power_weights_fold_the_power():
-    # the search folds one character per Galois orbit: chi^j's weights are
-    # chi's moved from slot i to i*j mod o, for every odd primitive chi of
-    # modulus q <= 45 and every j prime to its order
-    count = 0
-    for chi in ODD_PRIMITIVE:
-        o, weights = chi.order, chi_weights(chi, range(chi.modulus))
-        for j in range(1, o):
-            if math.gcd(j, o) == 1:
-                assert biro._power_weights(weights, j) == \
-                    chi_weights(chi ** j, range(chi.modulus)), (chi, j)
-                count += 1
-    assert (len(ODD_PRIMITIVE), count) == (174, 1282)
+@pytest.mark.parametrize("q_max, p_max, images, folds",
+                         [(45, 61, 616, 43), (99, 1009, 21202, 133)])
+def test_search_work(monkeypatch, q_max, p_max, images, folds):
+    # one image per character and prime p = 1 mod its order, and one fold
+    # per Galois orbit: 43 folds serve the 174 characters of odd q <= 45
+    counts = {"image": 0, "fold": 0}
+    image, fold = ModPRealization.image, biro.chi_weights
+
+    def counted_image(self, weights):
+        counts["image"] += 1
+        return image(self, weights)
+
+    def counted_fold(chi, table):
+        counts["fold"] += 1
+        return fold(chi, table)
+
+    monkeypatch.setattr(ModPRealization, "image", counted_image)
+    monkeypatch.setattr(biro, "chi_weights", counted_fold)
+    condition_star_search(q_max, p_max)
+    assert counts == {"image": images, "fold": folds}
 
 
 class TestResidue:
@@ -270,6 +280,16 @@ class TestIntroNormalization:
                 if A == 0 and B == 0:
                     continue
                 assert rho == Fraction(1, 12 * q)
+
+    def test_proportionality(self):
+        # zeta_3 elements: one factor 2 for both coordinates, no common
+        # factor, and a zero reference coordinate against a nonzero one
+        def z(*buckets):
+            return cyclo_from_buckets(3, buckets)
+        ref = (z(1, 2, 0), z(0, 3, 0))
+        assert biro._proportionality((z(2, 4, 0), z(0, 6, 0)), ref) == 2
+        assert biro._proportionality((z(2, 4, 0), z(0, 9, 0)), ref) is None
+        assert biro._proportionality((z(2, 4, 0), z(1, 6, 0)), ref) is None
 
 
 @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=lambda s: s.name)

@@ -451,6 +451,20 @@ class TestLinearity:
         assert len(cells) == 9
         assert cells[0] == {"C": 1, "D": 1, "A_CD": "-4/3", "B_CD": "-4"}
 
+    def test_closed_form_far_below_zero(self, capsys):
+        # r = 2 - 3j, j = (10^25 + 2)/3, past any machine-sized count of k:
+        # the members are those of r = 2, at k + j
+        j = (10 ** 25 + 2) // 3
+        args = ["linearity", "closed-form", "--family", "yokoi",
+                "--chi", "q=3;gens=2:1", "--r"]
+        near = run_json(args + ["2"], capsys)[1]["results"]
+        code, doc = run_json(args + [str(2 - 3 * j)], capsys)
+        assert code == 0
+        far = doc["results"]
+        assert far["B_chi"] == near["B_chi"]
+        assert int(far["A_chi"]["value"]) == \
+            int(near["A_chi"]["value"]) - j * int(near["B_chi"]["value"])
+
     def test_verify_q11_member_builds(self, monkeypatch, capsys):
         # 10 samples, the walk to the smallest admissible n = 2 mod 11 and
         # the 2q + 2 = 24 members of the hypothesis window

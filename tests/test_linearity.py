@@ -506,6 +506,36 @@ class TestAdmissibility:
         assert members[0][1] == family_instance(YOKOI, 1)
         assert seen[:3] == [1, 4, 7]
 
+    def test_walk_starts_at_least_n(self, monkeypatch):
+        # the walk asks for no k with qk + r < 1, so a class far below 0
+        # costs what its least representative does
+        first = []
+        orig = linearity.admissible
+
+        def recorded(spec, q, r, ks):
+            first.append(q * ks[0] + r)
+            return orig(spec, q, r, ks)
+
+        monkeypatch.setattr(linearity, "admissible", recorded)
+        for q, r in [(3, -10 ** 9), (3, -7), (5, 0), (11, -3), (3, 1)]:
+            assert smallest_admissible_n(YOKOI, q, r) == \
+                smallest_admissible_n(YOKOI, q, r % q)
+        assert min(first) >= 1
+
+    @pytest.mark.parametrize("q, r", [(3, 1), (5, 2), (7, 3), (11, 4)])
+    @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=["yokoi", "rd-n2p1"])
+    def test_closed_forms_shift_with_r(self, spec, q, r):
+        # n = qk + r = q(k + j) + (r - qj): the class of r - qj holds the
+        # same members at k + j, so A + kB stays put, B with it, and A falls
+        # by j*B, in every cell and every norm residue
+        j = 10 ** 11
+        near = linearity.closed_form_table(spec, q, r)
+        far = linearity.closed_form_table(spec, q, r - q * j)
+        assert far.B == near.B
+        assert far.A == tuple(a - j * b for a, b in zip(near.A, near.B))
+        assert far.cells == {cell: (a - j * b, b)
+                             for cell, (a, b) in near.cells.items()}
+
     def test_smallest_member_built_once(self, monkeypatch):
         # the walk to the smallest admissible n = 7 mod 11 (k0 = 2, three
         # builds) hands its member on to the 2q + 2 = 24-member window
