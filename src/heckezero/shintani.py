@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
+from operator import length_hint
 
 from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
 from .characters import DirichletCharacter, chi_weights
@@ -150,19 +152,72 @@ def form_counts(form: tuple[int, int, int], word, q: int
     reduced delta that form is norm_form(delta_{i+1}) with its middle
     term negated, delta_{i+1} = 1/(b_i - delta_i): Zagier's reduced forms
     of the cycle of delta, mod q.
+
+    Runs of one digit b are counted, not walked: the step is a bijection
+    of the forms mod q, so the forms f_1, f_2, ... met along a run are
+    periodic from f_1 on, with period P dividing the order of S(b) mod q
+    (q for b = 2, as S(2)^q = I mod q).  The walk stops at the first
+    return to f_1.  Then the L digits of the run meet f_j L // P or
+    L // P + 1 times, each time followed by b, except that the run's last
+    form is followed by the digit after the run.  A run shorter than its
+    period is walked digit by digit, as is a run of length 1, at the cost
+    of one comparison with the next digit.
     """
     counts: dict[tuple[int, int, int], list[int]] = {}
     u, v, w = form
     A, B, C = u % q, -v % q, w % q
+    m = len(word)
+    digits = iter(word)
     nxt = iter(word[1:] + word[:1])
-    for b in word:
-        A, B, C = (A * b * b + B * b + C) % q, (-2 * A * b - B) % q, A
+    for b in digits:
+        A, B, C = ((A * b + B) * b + C) % q, (-2 * A * b - B) % q, A
+        c = next(nxt)
         entry = counts.get((A, B, C))
         if entry is None:
-            counts[A, B, C] = [1, next(nxt)]
+            counts[A, B, C] = entry = [1, c]
         else:
             entry[0] += 1
-            entry[1] += next(nxt)
+            entry[1] += c
+        if c != b:
+            continue
+        # a run of b starts at f_1 = (A, B, C): walk it to its end or back
+        # to f_1, whichever comes first
+        first, orbit = entry, [(A, B, C)]
+        for _ in digits:
+            A, B, C = ((A * b + B) * b + C) % q, (-2 * A * b - B) % q, A
+            c = next(nxt)
+            key = (A, B, C)
+            entry = counts.get(key)
+            if entry is first:
+                # the n digits of the run from this one on meet the orbit
+                # from f_1 again, cyclically: count them and skip them.
+                # An iterator over a sequence knows how many items are left
+                start = m - length_hint(digits)
+                for end in range(start, m):
+                    if word[end] != b:
+                        break
+                else:
+                    end = m
+                if end > start:
+                    next(islice(digits, end - start - 1, None))
+                    c = next(islice(nxt, end - start - 1, None))
+                n, period = end - start + 1, len(orbit)
+                for j, key in enumerate(orbit[:n]):
+                    times = (n - 1 - j) // period + 1
+                    entry = counts[key]
+                    entry[0] += times
+                    entry[1] += times * b
+                A, B, C = key = orbit[(n - 1) % period]
+                counts[key][1] += c - b
+                break
+            if entry is None:
+                counts[key] = [1, c]
+            else:
+                entry[0] += 1
+                entry[1] += c
+            orbit.append(key)
+            if c != b:
+                break
     return counts
 
 
@@ -170,7 +225,7 @@ def form_tables(inputs, q: int) -> list[tuple[int, ...]]:
     """residue_table(delta, q) for each (norm form, minus word) pair of the
     shape table_input(delta, q) returns, from the form walk: the table is
     T[a] = sum over f of bsum[f] H_f[a] - 3 count[f] G_f[a], (count, bsum)
-    = form_counts(form, word, q) and (G_f, H_f) = form_sums(f, q).  Over a
+    = form_counts(form, word, q) and (G_f, H_f) from form_sums.  Over a
     reduced cycle delta_1 ... delta_m this is Zagier's
     sum_j ceil(delta_j) H_{f_j} - 3 G_{f_j} at level q, f_j the form of
     delta_j; at q = 1 it is 12 zeta(0) = sum_j (b_j - 3).
@@ -184,8 +239,7 @@ def form_tables(inputs, q: int) -> list[tuple[int, ...]]:
     for table, (form, word) in zip(tables, inputs):
         for f, (count, bsum) in form_counts(form, word, q).items():
             uses.setdefault(f, []).append((table, count, bsum))
-    for f, members in uses.items():
-        G, H = form_sums(f, q)
+    for members, (G, H) in zip(uses.values(), form_sums(uses, q)):
         for table, count, bsum in members:
             # g is 3 (2X - q)(2Y - q), Y = q - X_prev: -3 b1 b1
             for a in range(q):
@@ -193,28 +247,51 @@ def form_tables(inputs, q: int) -> list[tuple[int, ...]]:
     return [tuple(table) for table in tables]
 
 
-def form_sums(form: tuple[int, int, int], q: int
-              ) -> tuple[list[int], list[int]]:
-    """(G, H) of a form (A, B, C) mod q: G[a] sums b1(x) b1(y) and H[a]
-    sums b2(y) over the points (x, y) of [1, q]^2 where A x^2 + B x y +
-    C y^2 is the unit a mod q, with b1(x) = 2x - q and
-    b2(y) = 6y^2 - 6qy + q^2, the two terms of zeta12_times at the state
-    (X_prev, X) = (x, y).
+def form_sums(forms, q: int):
+    """(G, H) of each form (A, B, C) mod q, in order, one pair at a time:
+    G[a] sums b1(x) b1(y) and H[a] sums b2(y) over the points (x, y) of
+    [1, q]^2 where A x^2 + B x y + C y^2 is the unit a mod q, with
+    b1(x) = 2x - q and b2(y) = 6y^2 - 6qy + q^2, the two terms of
+    zeta12_times at the state (X_prev, X) = (x, y).  The unit mask and
+    the b1, b2 tables are built once per call.
+
+    The cells s and -s are summed as one: the form takes the same value
+    at both, b2(q - y) = b2(y), and b1(q - x) = -b1(x) for 1 <= x < q.
+    So each column x < q/2 stands for itself and its mirror q - x at twice
+    the weight: G gets 2 b1(x) b1(y) at y < q, and nothing at y = q,
+    where the two terms cancel (b1(q) = q on both sides), and H gets
+    2 b2(y).  The columns x = q and, for even q, x = q/2 are their own
+    mirrors and are summed in full.  The rows of a column are walked by
+    differences, f(x, y + 1) - f(x, y) = B x + C (2y + 1).
     """
-    A, B, C = form
     unit = [math.gcd(a, q) == 1 for a in range(q)]
     b1 = [2 * x - q for x in range(q + 1)]
     b2 = [6 * y * y - 6 * q * y + q * q for y in range(q + 1)]
-    reps = range(1, q + 1)
-    G, H = [0] * q, [0] * q
-    for x in reps:
-        Ax2, Bx, b1x = A * x * x, B * x, b1[x]
-        for y in reps:
-            a = (Ax2 + (Bx + C * y) * y) % q
+    b1_in, b2_twice = b1[1:q], [2 * h for h in b2[1:q]]
+    own_mirror = [q] if q % 2 else [q // 2, q]
+    for A, B, C in forms:
+        G, H = [0] * q, [0] * q
+        C2 = 2 * C
+        for x in range(1, (q + 1) // 2):
+            Ax2, g = A * x * x, 2 * b1[x]
+            a, diff = Ax2, B * x + C
+            for b1y, h in zip(b1_in, b2_twice):
+                a = (a + diff) % q
+                diff += C2
+                if unit[a]:
+                    G[a] += g * b1y
+                    H[a] += h
+            a = Ax2 % q
             if unit[a]:
-                G[a] += b1x * b1[y]
-                H[a] += b2[y]
-    return G, H
+                H[a] += 2 * b2[q]
+        for x in own_mirror:
+            Ax2, Bx, g = A * x * x, B * x, b1[x]
+            for y in range(1, q + 1):
+                a = (Ax2 + (Bx + C * y) * y) % q
+                if unit[a]:
+                    G[a] += g * b1[y]
+                    H[a] += b2[y]
+        yield G, H
 
 
 def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):

@@ -14,7 +14,10 @@ exponents), the reduction of a cyclotomic number along a mod-p realization, the 
 (*) search with one image per realization that biro.condition_star_search
 replaced with one image per character and prime, fundamental discriminants
 and the Kronecker symbol, floor, ceiling and power of quadratic surds, the
-cycles of Zagier's reduced forms, one per narrow ideal class, and two
+cycles of Zagier's reduced forms, one per narrow ideal class, the form
+walk one digit at a time and the sums of a form over every cell (which
+shintani.form_counts and form_sums replaced with runs counted by their
+period and with the cells s and -s summed as one), and two
 class-number references: the plus-cycle count over a trial division of the
 whole range that quadfield.class_numbers narrowed to the reduced window,
 and Dirichlet's analytic class number formula.  Three routes back the
@@ -528,6 +531,50 @@ def partial_zeta_zero_reference(q: int, C: int, D: int, mcf: MinusCF) -> Fractio
         acc += (bernoulli_poly(1, seq.x_at(i)) * bernoulli_poly(1, seq.y_at(i))
                 + Fraction(b, 2) * bernoulli_poly(2, seq.x_at(i)))
     return acc
+
+
+def form_counts_stepwise(form: tuple[int, int, int], word, q: int
+                         ) -> dict[tuple[int, int, int], list[int]]:
+    """shintani.form_counts one digit at a time: each form (A, B, C) mod q
+    the walk from (u, -v, w) meets after digit b_i, mapped to [count, sum
+    of the next digits b_{i+1}] (b_m = b_0), with no run counted at once.
+    """
+    counts: dict[tuple[int, int, int], list[int]] = {}
+    u, v, w = form
+    A, B, C = u % q, -v % q, w % q
+    nxt = iter(word[1:] + word[:1])
+    for b in word:
+        A, B, C = (A * b * b + B * b + C) % q, (-2 * A * b - B) % q, A
+        entry = counts.get((A, B, C))
+        if entry is None:
+            counts[A, B, C] = [1, next(nxt)]
+        else:
+            entry[0] += 1
+            entry[1] += next(nxt)
+    return counts
+
+
+def form_sums_full(form: tuple[int, int, int], q: int
+                   ) -> tuple[list[int], list[int]]:
+    """(G, H) of a form (A, B, C) mod q over every cell of [1, q]^2, the
+    cells s and -s summed apart: G[a] sums b1(x) b1(y) and H[a] sums b2(y)
+    over the points (x, y) where A x^2 + B x y + C y^2 is the unit a mod q,
+    with b1(x) = 2x - q and b2(y) = 6y^2 - 6qy + q^2.
+    """
+    A, B, C = form
+    unit = [math.gcd(a, q) == 1 for a in range(q)]
+    b1 = [2 * x - q for x in range(q + 1)]
+    b2 = [6 * y * y - 6 * q * y + q * q for y in range(q + 1)]
+    reps = range(1, q + 1)
+    G, H = [0] * q, [0] * q
+    for x in reps:
+        Ax2, Bx, b1x = A * x * x, B * x, b1[x]
+        for y in reps:
+            a = (Ax2 + (Bx + C * y) * y) % q
+            if unit[a]:
+                G[a] += b1x * b1[y]
+                H[a] += b2[y]
+    return G, H
 
 
 def orbit_shift_check(F: FieldData, mcf: MinusCF, q: int,

@@ -22,14 +22,14 @@ from heckezero.linearity import BUILTIN_FAMILIES, admissible, family_instance
 from heckezero.quadfield import (check_radicand, class_numbers,
                                  field_discriminant, make_field, norm_form)
 from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
-                                form_counts, form_tables, lattice_unit_order,
-                                partial_hecke_L_zero, partial_zeta_zero,
-                                residue_table, table_input,
+                                form_counts, form_sums, form_tables,
+                                lattice_unit_order, partial_hecke_L_zero,
+                                partial_zeta_zero, residue_table, table_input,
                                 yamamoto_identity_residual, yamamoto_sequence)
 from oracles import (IdealLattice, char_eval, delta_reduced_by_surds,
-                     ideal_inverse, is_squarefree, kronecker, minus_cycles,
-                     norm_residue, orbit_shift_check,
-                     partial_zeta_zero_reference)
+                     form_counts_stepwise, form_sums_full, ideal_inverse,
+                     is_squarefree, kronecker, minus_cycles, norm_residue,
+                     orbit_shift_check, partial_zeta_zero_reference)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")   # quadratic mod 3
 
@@ -333,19 +333,28 @@ def _kernel_table(q, form, word):
     return tuple(table)
 
 
+def _runs_word(max_run):
+    """Words made of runs of one digit each, 2..30, of lengths 1..max_run."""
+    return st.lists(st.tuples(st.integers(2, 30), st.integers(1, max_run)),
+                    min_size=1, max_size=4).map(
+        lambda runs: tuple(b for b, n in runs for _ in range(n)))
+
+
 _WORDS = st.lists(st.integers(2, 30), min_size=1, max_size=60).map(tuple)
+_RUN_WORDS = _runs_word(36)
 _FORMS = st.tuples(*[st.integers(-30, 30)] * 3)
 
 
 class TestStepTables:
     """The form-walk tables against the per-cell kernel: on any word and
     any quadratic form, and on the reduced deltas of every narrow class
-    (TestMinusCycles)."""
+    (TestMinusCycles).  The run-length walk and the paired sums against
+    the walk one digit at a time and the sums over every cell."""
 
     @settings(max_examples=200, deadline=None)
     @given(q=st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12]),
-           members=st.lists(st.tuples(_FORMS, _WORDS), min_size=1,
-                            max_size=3))
+           members=st.lists(st.tuples(_FORMS, _WORDS | _RUN_WORDS),
+                            min_size=1, max_size=3))
     # two forms that differ mod 5 and a third equal to the first mod 5
     @example(q=5, members=[((1, 1, -1), (3,)), ((1, 0, 2), (4, 2, 2)),
                            ((6, -4, 4), (2, 5))])
@@ -356,6 +365,37 @@ class TestStepTables:
             assert sum(bsum for _, bsum in counts) == sum(word)
         assert form_tables(members, q) == \
             [_kernel_table(q, form, word) for form, word in members]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from([1, 2, 3, 4, 6, 9, 12]).flatmap(
+               lambda q: st.tuples(st.just(q), _runs_word(3 * q))),
+           form=_FORMS)
+    # one run of 2s that wraps onto its own first digit, from a form the
+    # 2-step fixes: period 1
+    @example(case=(9, (2,) * 20), form=(1, 2, 1))
+    # Yokoi words (n + 2, 2, ..., 2) from their norm form (1, n + 2, n):
+    # the run's forms have period 9 at q = 9 and period 6 at q = 12 for
+    # even n, so the runs of 19 and 25 digits go round their orbits more
+    # than twice
+    @example(case=(9, (22,) + (2,) * 19), form=(1, 22, 20))
+    @example(case=(12, (28,) + (2,) * 25), form=(1, 28, 26))
+    # no two equal neighbours: no run is longer than one digit
+    @example(case=(12, (2, 3, 2, 30, 5, 2, 4)), form=(3, -7, 5))
+    def test_runs_counted_as_walked(self, case, form):
+        # the run-length walk meets the same forms, in the same order, with
+        # the same counts and digit sums as the walk one digit at a time
+        q, word = case
+        assert list(form_counts(form, word, q).items()) == \
+            list(form_counts_stepwise(form, word, q).items())
+
+    def test_paired_sums_match_every_cell(self):
+        # every form mod q for q = 1..12: the even q have the self-paired
+        # column x = q/2, and the composite q have non-unit residues
+        for q in range(1, 13):
+            forms = [(A, B, C) for A in range(q) for B in range(q)
+                     for C in range(q)]
+            assert list(form_sums(forms, q)) == \
+                [form_sums_full(f, q) for f in forms], q
 
     @pytest.mark.parametrize("delta,q,error", [
         (QuadSurd(1, 1, 2, 5), 3, DeltaOutOfRange),
