@@ -68,10 +68,6 @@ class MinusCF:
             (other.preperiod, other.period, other.special_positions)
 
     @property
-    def purely_periodic(self) -> bool:
-        return not self.preperiod
-
-    @property
     def m(self) -> int:
         return len(self.period)
 

@@ -372,7 +372,7 @@ class CycloElement:
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(coeffs)
         if len(cs) > phi:
             cs = _cyclo_reduce(order, cs)
         elif len(cs) < phi:
@@ -481,7 +481,6 @@ def _cyclo_reduce(order: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, .
 
 
 def rational_to_str(x: Rational | int) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
         else str(x.numerator)
 

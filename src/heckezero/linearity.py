@@ -524,9 +524,10 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     KERNEL_STEP_BOUND, before any table is built.  Each scaled value
     12 q^2 L is the chi-fold of the member's residue table, and
     shintani.form_tables builds the tables of all members together from
-    (norm form, minus word) pairs.  family_instance has validated each
-    member, and its declared digits are its plus period, so the word is
-    minus_word of the digits and no member is checked or expanded again.
+    (norm form, plus period) pairs.  family_instance has validated each
+    member, and its declared digits are the plus period of delta - 1, so
+    they are the member's word as they stand: no member is checked or
+    expanded again, and no minus word is built.
     The README's linearity paragraph gives the cost of the form-walk
     tables and why residue_table keeps the per-cell kernel.
     The line is fitted from the first two points and the verdicts are
@@ -551,8 +552,7 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     if len(used) < 3:
         raise InsufficientSamples(
             f"need >= 3 admissible k with digits >= q, got {len(used)}")
-    inputs = [(norm_form(delta), minus_word(digits).period)
-              for _, delta, digits in members]
+    inputs = [(norm_form(delta), digits) for _, delta, digits in members]
     vals = [cyclo_from_buckets(chi.order, chi_weights(chi, table))
             for table in form_tables(inputs, q)]
     slope = (vals[1] - vals[0]) * Fraction(1, used[1] - used[0])

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
-from operator import length_hint
 
-from .cfrac import MinusCF, delta_sequence, evaluate_periodic, minus_expand
+from .cfrac import (MinusCF, delta_sequence, evaluate_periodic, minus_length,
+                    minus_word, plus_expand)
 from .characters import DirichletCharacter, chi_weights
 from .errors import BoundExceeded, DeltaOutOfRange, InternalInvariantError
 from .exact import QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos
@@ -97,21 +96,23 @@ def check_delta_hypotheses(delta: QuadSurd) -> None:
 
 def table_input(delta: QuadSurd, q: int
                 ) -> tuple[tuple[int, int, int], tuple[int, ...]]:
-    """(norm form, minus period) of delta for a table mod q, delta validated
-    once: reduced, [1, delta] an ideal of the maximal order (norm_form) and
-    q^2 * m within KERNEL_STEP_BOUND.
+    """(norm form, plus period of delta - 1) of delta for a table mod q,
+    delta validated once: reduced, [1, delta] an ideal of the maximal order
+    (norm_form) and q^2 * m within KERNEL_STEP_BOUND, m the length of the
+    minus period, which is minus_word of the plus period.  delta - 1 > 1
+    and -1 < (delta - 1)' < 0, so that plus expansion is purely periodic.
     """
     check_delta_hypotheses(delta)
     form = norm_form(delta)
-    mcf = minus_expand(delta)
-    if not mcf.purely_periodic:
+    plus = plus_expand(delta - 1)
+    if plus.preperiod:
         raise InternalInvariantError(
-            "reduced delta must have a purely periodic minus expansion")
-    if q * q * mcf.m > KERNEL_STEP_BOUND:
+            "reduced delta - 1 must have a purely periodic plus expansion")
+    m = minus_length(plus.period)
+    if q * q * m > KERNEL_STEP_BOUND:
         raise BoundExceeded(
-            f"q^2 * m = {q * q * mcf.m} kernel steps exceed "
-            f"{KERNEL_STEP_BOUND}")
-    return form, mcf.period
+            f"q^2 * m = {q * q * m} kernel steps exceed {KERNEL_STEP_BOUND}")
+    return form, plus.period
 
 
 def residue_table(delta: QuadSurd, q: int) -> tuple[int, ...]:
@@ -121,10 +122,12 @@ def residue_table(delta: QuadSurd, q: int) -> tuple[int, ...]:
     T[a] = 0 at non-units, whose cells skip the kernel.  N(b) need not be
     prime to q: only N((C + D*delta)b) mod q enters.
 
-    Each cell runs the kernel over the whole word, q^2 * m steps; form_tables
-    computes the same table from the forms the word walks through.
+    Each cell runs the kernel over the whole minus word, q^2 * m steps;
+    form_tables computes the same table from the forms the word walks
+    through.
     """
-    (u, v, w), digits = table_input(delta, q)
+    (u, v, w), plus = table_input(delta, q)
+    digits = minus_word(plus).period
     unit = [math.gcd(a, q) == 1 for a in range(q)]
     table = [0] * q
     for C in range(1, q + 1):
@@ -135,12 +138,13 @@ def residue_table(delta: QuadSurd, q: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def form_counts(form: tuple[int, int, int], word, q: int
+def form_counts(form: tuple[int, int, int], plus, q: int
                 ) -> dict[tuple[int, int, int], list[int]]:
-    """One pass over the minus word b_0 ... b_{m-1} of a norm form
-    (u, v, w): each form (A, B, C) mod q the walk meets after digit b_i,
-    mapped to [count, sum of the next digits b_{i+1}] over the i < m where
-    it is met (b_m = b_0).
+    """One pass over the plus period a_0 ... a_{s-1} of a norm form
+    (u, v, w), which stands for its minus word b_0 ... b_{m-1}
+    (cfrac.minus_word): each form (A, B, C) mod q the walk meets after
+    digit b_i, mapped to [count, sum of the next digits b_{i+1}] over the
+    i < m where it is met (b_m = b_0).
 
     The walk starts at (u, -v, w), whose value at (X, Y) = (-C, D) is the
     cell's norm residue, and digit b pulls the form back through the
@@ -153,79 +157,54 @@ def form_counts(form: tuple[int, int, int], word, q: int
     term negated, delta_{i+1} = 1/(b_i - delta_i): Zagier's reduced forms
     of the cycle of delta, mod q.
 
-    Runs of one digit b are counted, not walked: the step is a bijection
-    of the forms mod q, so the forms f_1, f_2, ... met along a run are
-    periodic from f_1 on, with period P dividing the order of S(b) mod q
-    (q for b = 2, as S(2)^q = I mod q).  The walk stops at the first
-    return to f_1.  Then the L digits of the run meet f_j L // P or
-    L // P + 1 times, each time followed by b, except that the run's last
-    form is followed by the digit after the run.  A run shorter than its
-    period is walked digit by digit, as is a run of length 1, at the cost
-    of one comparison with the next digit.
+    The minus word is read off the plus period, doubled when s is odd:
+    each pair (a_{2j}, a_{2j+1}) is the special digit a_{2j} + 2 and a run
+    of L = a_{2j+1} - 1 twos.  The special digit is one step.  S(2)^q = I
+    mod q, so the forms the run meets repeat with a period dividing q: the
+    walk takes min(L, q) steps with 2, and position i of the run is met
+    (L - 1 - i) // q + 1 times, each time followed by 2.  The run's last
+    position, or the special digit when L = 0, is followed by the next
+    special digit, cyclically.
     """
     counts: dict[tuple[int, int, int], list[int]] = {}
     u, v, w = form
     A, B, C = u % q, -v % q, w % q
-    m = len(word)
-    digits = iter(word)
-    nxt = iter(word[1:] + word[:1])
-    for b in digits:
-        A, B, C = ((A * b + B) * b + C) % q, (-2 * A * b - B) % q, A
-        c = next(nxt)
-        entry = counts.get((A, B, C))
+    if len(plus) % 2:
+        plus += plus
+    specials = plus[::2]
+    for a, n, c in zip(specials, plus[1::2], specials[1:] + specials[:1]):
+        b = a + 2
+        A, B, C = key = ((A * b + B) * b + C) % q, (-2 * A * b - B) % q, A
+        entry = counts.get(key)
         if entry is None:
-            counts[A, B, C] = entry = [1, c]
+            counts[key] = [1, 2]
         else:
             entry[0] += 1
-            entry[1] += c
-        if c != b:
-            continue
-        # a run of b starts at f_1 = (A, B, C): walk it to its end or back
-        # to f_1, whichever comes first
-        first, orbit = entry, [(A, B, C)]
-        for _ in digits:
-            A, B, C = ((A * b + B) * b + C) % q, (-2 * A * b - B) % q, A
-            c = next(nxt)
-            key = (A, B, C)
-            entry = counts.get(key)
-            if entry is first:
-                # the n digits of the run from this one on meet the orbit
-                # from f_1 again, cyclically: count them and skip them.
-                # An iterator over a sequence knows how many items are left
-                start = m - length_hint(digits)
-                for end in range(start, m):
-                    if word[end] != b:
-                        break
+            entry[1] += 2
+        run = n - 1
+        if run:
+            orbit = []
+            for i in range(min(run, q)):
+                A, B, C = key = (4 * A + 2 * B + C) % q, (-4 * A - B) % q, A
+                times = (run - 1 - i) // q + 1
+                entry = counts.get(key)
+                if entry is None:
+                    counts[key] = [times, 2 * times]
                 else:
-                    end = m
-                if end > start:
-                    next(islice(digits, end - start - 1, None))
-                    c = next(islice(nxt, end - start - 1, None))
-                n, period = end - start + 1, len(orbit)
-                for j, key in enumerate(orbit[:n]):
-                    times = (n - 1 - j) // period + 1
-                    entry = counts[key]
                     entry[0] += times
-                    entry[1] += times * b
-                A, B, C = key = orbit[(n - 1) % period]
-                counts[key][1] += c - b
-                break
-            if entry is None:
-                counts[key] = [1, c]
-            else:
-                entry[0] += 1
-                entry[1] += c
-            orbit.append(key)
-            if c != b:
-                break
+                    entry[1] += 2 * times
+                orbit.append(key)
+            A, B, C = key = orbit[(run - 1) % q]
+        # the last form is followed by the next special digit c + 2, not 2
+        counts[key][1] += c
     return counts
 
 
 def form_tables(inputs, q: int) -> list[tuple[int, ...]]:
-    """residue_table(delta, q) for each (norm form, minus word) pair of the
-    shape table_input(delta, q) returns, from the form walk: the table is
-    T[a] = sum over f of bsum[f] H_f[a] - 3 count[f] G_f[a], (count, bsum)
-    = form_counts(form, word, q) and (G_f, H_f) from form_sums.  Over a
+    """residue_table(delta, q) for each (norm form, plus period) pair of
+    the shape table_input(delta, q) returns, from the form walk: the table
+    is T[a] = sum over f of bsum[f] H_f[a] - 3 count[f] G_f[a], (count,
+    bsum) = form_counts(form, plus, q) and (G_f, H_f) from form_sums.  Over a
     reduced cycle delta_1 ... delta_m this is Zagier's
     sum_j ceil(delta_j) H_{f_j} - 3 G_{f_j} at level q, f_j the form of
     delta_j; at q = 1 it is 12 zeta(0) = sum_j (b_j - 3).
@@ -236,8 +215,8 @@ def form_tables(inputs, q: int) -> list[tuple[int, ...]]:
     """
     tables = [[0] * q for _ in inputs]
     uses: dict[tuple[int, int, int], list] = {}
-    for table, (form, word) in zip(tables, inputs):
-        for f, (count, bsum) in form_counts(form, word, q).items():
+    for table, (form, plus) in zip(tables, inputs):
+        for f, (count, bsum) in form_counts(form, plus, q).items():
             uses.setdefault(f, []).append((table, count, bsum))
     for members, (G, H) in zip(uses.values(), form_sums(uses, q)):
         for table, count, bsum in members:

@@ -15,9 +15,10 @@ exponents), the reduction of a cyclotomic number along a mod-p realization, the 
 replaced with one image per character and prime, fundamental discriminants
 and the Kronecker symbol, floor, ceiling and power of quadratic surds, the
 cycles of Zagier's reduced forms, one per narrow ideal class, the form
-walk one digit at a time and the sums of a form over every cell (which
-shintani.form_counts and form_sums replaced with runs counted by their
-period and with the cells s and -s summed as one), and two
+walk over the minus word one digit at a time and the sums of a form over
+every cell (which shintani.form_counts replaced with a walk over the plus
+period that counts each run of 2s by S(2)^q = I mod q, and form_sums
+with the cells s and -s summed as one), and two
 class-number references: the plus-cycle count over a trial division of the
 whole range that quadfield.class_numbers narrowed to the reduced window,
 and Dirichlet's analytic class number formula.  Three routes back the
@@ -535,9 +536,11 @@ def partial_zeta_zero_reference(q: int, C: int, D: int, mcf: MinusCF) -> Fractio
 
 def form_counts_stepwise(form: tuple[int, int, int], word, q: int
                          ) -> dict[tuple[int, int, int], list[int]]:
-    """shintani.form_counts one digit at a time: each form (A, B, C) mod q
-    the walk from (u, -v, w) meets after digit b_i, mapped to [count, sum
-    of the next digits b_{i+1}] (b_m = b_0), with no run counted at once.
+    """shintani.form_counts over a whole word, one digit at a time: each
+    form (A, B, C) mod q the walk from (u, -v, w) meets after digit b_i,
+    mapped to [count, sum of the next digits b_{i+1}] (b_m = b_0), with no
+    run counted at once.  shintani.form_counts(form, plus, q) must equal
+    it on the word minus_word(plus).period.
     """
     counts: dict[tuple[int, int, int], list[int]] = {}
     u, v, w = form

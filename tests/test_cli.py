@@ -173,6 +173,18 @@ class TestBoundary:
                              capsys, "BoundExceeded")
         assert "past 1000000 digits" in msg
 
+    def test_long_minus_word_refused_before_walk(self, capsys):
+        # Yokoi's member n = 1000001: delta - 1 has the plus period (n,),
+        # so its minus word of n digits is refused from one plus digit,
+        # before any minus digit is walked
+        n = 1000001
+        t0 = time.monotonic()
+        msg = self.run_error(["lvalue", "--d", str(n * n + 4), "--delta",
+                              f"{n + 2},1,2", "--chi", "q=1;gens="],
+                             capsys, "BoundExceeded")
+        assert time.monotonic() - t0 < 1.0
+        assert msg == "the minus word has 1000001 digits, over 1000000"
+
     def test_walk_refusal_memory(self):
         # the walk remembers one state besides its digits, so refusing at
         # WALK_DIGIT_BOUND peaks under 64 MiB.  The probe reads its own

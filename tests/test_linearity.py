@@ -340,11 +340,12 @@ class TestVerifyLinearity:
         (YOKOI, 232), (RDN, 233), (PAIRED, 384), (N2P2, 384), (CHOWLA, 0),
         (N2M1, 0), (N2M2, 0)], ids=lambda x: getattr(x, "name", None))
     def test_words_from_declared_digits(self, spec, used, monkeypatch):
-        # the (norm form, minus word) pairs read off the declared digits of
-        # the members used are those of table_input, which expands delta
-        # itself, at q in {3, 5, 7, 11}, every r and k <= 20; a class with
-        # fewer than three members is refused before any table.  chowla,
-        # n2m1 and n2m2 have a digit 1 at every n, so no member is used
+        # the (norm form, plus period) pairs read off the declared digits
+        # of the members used are those of table_input, which expands
+        # delta - 1 itself, at q in {3, 5, 7, 11}, every r and k <= 20; a
+        # class with fewer than three members is refused before any
+        # table.  chowla, n2m1 and n2m2 have a digit 1 at every n, so no
+        # member is used
         seen = []
         monkeypatch.setattr(linearity, "form_tables",
                             lambda inputs, q: seen.append(inputs) or

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckezero import exact, shintani
-from heckezero.cfrac import MinusCF, minus_expand
+from heckezero.cfrac import MinusCF, minus_expand, minus_word
 from heckezero.characters import (DirichletCharacter, chi_weights,
                                   enumerate_characters, gen_bernoulli_b1)
 from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
@@ -277,11 +277,12 @@ class TestMinusCycles:
 
     def test_walk_visits_reduced_forms(self):
         # the form walk is Zagier's reduction: from each reduced delta > 2
-        # of squarefree d < 300, the j-th form form_counts walks is
+        # of squarefree d < 300, the j-th form the walk meets is
         # (u, -v, w) mod q of norm_form(delta_{j+1}), where delta_{j+1} =
         # 1/(ceil(delta_j) - delta_j) is computed exactly.  Each step is
-        # one form_counts call from the form the walk reached, and the
-        # whole word's counts are those of the forms met
+        # one call of the digit-by-digit walker from the form the walk
+        # reached, and form_counts on the plus period of delta - 1 gives
+        # the counts of the forms met over the whole minus word
         positions = 0
         for d in filter(is_squarefree, range(2, 300)):
             D = field_discriminant(d)
@@ -300,12 +301,13 @@ class TestMinusCycles:
                         d_j = (digits[-1] - d_j).inverse()
                         forms.append(norm_form(d_j))
                     assert (d_j, tuple(digits)) == (delta, word), delta
+                    plus = table_input(delta, 1)[1]
                     for q in (*range(2, 10), 12):
                         walked = [(u % q, -v % q, w % q)
                                   for u, v, w in forms]
                         A, B, C = walked[-1]     # delta_m = delta
                         for b, want in zip(word, walked):
-                            [(form, entry)] = form_counts(
+                            [(form, entry)] = form_counts_stepwise(
                                 (A, -B, C), (b,), q).items()
                             assert (form, entry) == (want, [1, b]), delta
                             A, B, C = form
@@ -314,10 +316,34 @@ class TestMinusCycles:
                             entry = counts.setdefault(form, [0, 0])
                             entry[0] += 1
                             entry[1] += b
-                        assert form_counts(norm_form(delta), word, q) == \
+                        assert form_counts(norm_form(delta), plus, q) == \
                             counts, (delta, q)
                         positions += len(word)
         assert positions == 368271
+
+    def test_plus_period_gives_minus_word(self):
+        # table_input hands on the plus period of delta - 1, whose minus
+        # word is the minus period of delta itself, for every reduced
+        # delta > 2 of squarefree d < 300; residue_table, which runs the
+        # kernel over that word, gives the table of the expanded word at a
+        # prime and at a composite modulus
+        deltas = 0
+        for d in filter(is_squarefree, range(2, 300)):
+            D = field_discriminant(d)
+            f = 1 if D == d else 2
+            for cycle in minus_cycles(d):
+                for P, Q in cycle:
+                    if (P + math.isqrt(D)) // Q < 2:
+                        continue        # delta < 2
+                    delta = QuadSurd(P, f, Q, d)
+                    word = minus_expand(delta).period
+                    form, plus = table_input(delta, 1)
+                    assert minus_word(plus).period == word, delta
+                    for q in (3, 4):
+                        assert residue_table(delta, q) == \
+                            _kernel_table(q, form, word), (delta, q)
+                    deltas += 1
+        assert deltas == 1870
 
 
 def _kernel_table(q, form, word):
@@ -333,60 +359,56 @@ def _kernel_table(q, form, word):
     return tuple(table)
 
 
-def _runs_word(max_run):
-    """Words made of runs of one digit each, 2..30, of lengths 1..max_run."""
-    return st.lists(st.tuples(st.integers(2, 30), st.integers(1, max_run)),
-                    min_size=1, max_size=4).map(
-        lambda runs: tuple(b for b, n in runs for _ in range(n)))
-
-
-_WORDS = st.lists(st.integers(2, 30), min_size=1, max_size=60).map(tuple)
-_RUN_WORDS = _runs_word(36)
+_PLUS = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(tuple)
 _FORMS = st.tuples(*[st.integers(-30, 30)] * 3)
 
 
 class TestStepTables:
-    """The form-walk tables against the per-cell kernel: on any word and
-    any quadratic form, and on the reduced deltas of every narrow class
-    (TestMinusCycles).  The run-length walk and the paired sums against
-    the walk one digit at a time and the sums over every cell."""
+    """The form-walk tables against the per-cell kernel: on any plus period
+    and any quadratic form, and on the reduced deltas of every narrow class
+    (TestMinusCycles).  The walk over the plus period and the paired sums
+    against the walk over the minus word one digit at a time and the sums
+    over every cell.  The words are minus words of plus periods: a minus
+    word of a reduced delta opens with a digit over 2 and 2 is its only
+    repeated digit."""
 
     @settings(max_examples=200, deadline=None)
     @given(q=st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12]),
-           members=st.lists(st.tuples(_FORMS, _WORDS | _RUN_WORDS),
-                            min_size=1, max_size=3))
+           members=st.lists(st.tuples(_FORMS, _PLUS), min_size=1,
+                            max_size=3))
     # two forms that differ mod 5 and a third equal to the first mod 5
-    @example(q=5, members=[((1, 1, -1), (3,)), ((1, 0, 2), (4, 2, 2)),
-                           ((6, -4, 4), (2, 5))])
+    @example(q=5, members=[((1, 1, -1), (1,)), ((1, 0, 2), (2, 3)),
+                           ((6, -4, 4), (3, 1))])
     def test_fold_matches_kernel(self, q, members):
-        for form, word in members:
-            counts = form_counts(form, word, q).values()
+        words = [minus_word(plus).period for _, plus in members]
+        for (form, plus), word in zip(members, words):
+            counts = form_counts(form, plus, q).values()
             assert sum(n for n, _ in counts) == len(word)
             assert sum(bsum for _, bsum in counts) == sum(word)
         assert form_tables(members, q) == \
-            [_kernel_table(q, form, word) for form, word in members]
+            [_kernel_table(q, form, word)
+             for (form, _), word in zip(members, words)]
 
     @settings(max_examples=300, deadline=None)
-    @given(case=st.sampled_from([1, 2, 3, 4, 6, 9, 12]).flatmap(
-               lambda q: st.tuples(st.just(q), _runs_word(3 * q))),
+    @given(q=st.sampled_from([1, 2, 3, 4, 6, 9, 12]), plus=_PLUS,
            form=_FORMS)
-    # one run of 2s that wraps onto its own first digit, from a form the
-    # 2-step fixes: period 1
-    @example(case=(9, (2,) * 20), form=(1, 2, 1))
+    # a run of 19 twos at a form the 2-step fixes: period 1
+    @example(q=9, plus=(1, 20), form=(1, 4, 4))
     # Yokoi words (n + 2, 2, ..., 2) from their norm form (1, n + 2, n):
     # the run's forms have period 9 at q = 9 and period 6 at q = 12 for
     # even n, so the runs of 19 and 25 digits go round their orbits more
     # than twice
-    @example(case=(9, (22,) + (2,) * 19), form=(1, 22, 20))
-    @example(case=(12, (28,) + (2,) * 25), form=(1, 28, 26))
-    # no two equal neighbours: no run is longer than one digit
-    @example(case=(12, (2, 3, 2, 30, 5, 2, 4)), form=(3, -7, 5))
-    def test_runs_counted_as_walked(self, case, form):
-        # the run-length walk meets the same forms, in the same order, with
-        # the same counts and digit sums as the walk one digit at a time
-        q, word = case
-        assert list(form_counts(form, word, q).items()) == \
-            list(form_counts_stepwise(form, word, q).items())
+    @example(q=9, plus=(20,), form=(1, 22, 20))
+    @example(q=12, plus=(26,), form=(1, 28, 26))
+    # no run longer than one digit: (3, 2, 30, 5, 2)
+    @example(q=12, plus=(1, 2, 28, 1, 3, 2), form=(3, -7, 5))
+    def test_runs_counted_as_walked(self, q, plus, form):
+        # the walk over the plus period meets the same forms, in the same
+        # order, with the same counts and digit sums as the walk over the
+        # minus word one digit at a time
+        assert list(form_counts(form, plus, q).items()) == \
+            list(form_counts_stepwise(form, minus_word(plus).period,
+                                      q).items())
 
     def test_paired_sums_match_every_cell(self):
         # every form mod q for q = 1..12: the even q have the self-paired
