@@ -11,8 +11,8 @@ from itertools import islice
 from typing import NamedTuple
 
 from .biro import condition_star_search, residue_mod_p
-from .cfrac import (MinusCF, PlusCF, delta_sequence, evaluate_periodic,
-                    minus_expand, plus_to_minus)
+from .cfrac import (MinusCF, PlusCF, evaluate_periodic, minus_expand,
+                    plus_to_minus)
 from .characters import enumerate_characters, gen_bernoulli_b1
 from .errors import DegenerateWord, HeckeZeroError
 from .exact import QuadSurd
@@ -21,8 +21,9 @@ from .linearity import (BUILTIN_FAMILIES, admissible, closed_form_cd,
                         closed_form_table, family_minus_cf, nu_sequence,
                         residue_word, verify_linearity)
 from .quadfield import class_numbers, make_field
-from .shintani import (partial_hecke_L_zero, partial_zeta_zero,
-                       yamamoto_identity_residual, yamamoto_sequence)
+from .shintani import (delta_sequence, partial_hecke_L_zero,
+                       partial_zeta_zero, yamamoto_identity_residual,
+                       yamamoto_sequence)
 
 
 class CriterionResult(NamedTuple):

@@ -11,11 +11,10 @@ from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
-from .characters import (DirichletCharacter, ModPRealization, chi_weights,
-                         gen_bernoulli_b1, modp_realizations,
-                         odd_primitive_characters)
+from .characters import (CycloElement, DirichletCharacter, ModPRealization,
+                         chi_weights, cyclo_from_buckets, gen_bernoulli_b1,
+                         modp_realizations, odd_primitive_characters)
 from .errors import BoundExceeded, NarrowClassNotOne, ParseError
-from .exact import CycloElement, cyclo_from_buckets
 from .linearity import (BUILTIN_FAMILIES, ClosedFormTable, FamilySpec,
                         closed_form_chi, closed_form_table, family_instance)
 from .quadfield import class_numbers, field_discriminant, make_field

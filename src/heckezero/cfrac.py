@@ -1,18 +1,14 @@
 """Plus and minus continued fractions of quadratic surds, the plus-to-minus
-conversion, exact periodic evaluation, and the cone ratio sequence.
+conversion and exact periodic evaluation, on integers and surds alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (BoundExceeded, DegenerateWord, InternalInvariantError,
-                     ParseError, RationalInput, UnitMismatch)
+                     ParseError, RationalInput)
 from .exact import QuadSurd, squarefree_part
-
-if TYPE_CHECKING:
-    from .quadfield import FieldData
 
 # surd_walk and minus_length (so minus_word) refuse a word longer than this:
 # no family member below N_SEARCH_LIMIT needs more than 2*10^4 digits, and
@@ -220,35 +216,3 @@ def evaluate_periodic(word: PlusCF | MinusCF) -> QuadSurd:
         y = a + y.inverse() * (1 if plus else -1)
     return y
 
-
-class DeltaSequence(NamedTuple):
-    """Cone ratios delta_1..delta_m and the cumulative A_i = A_{i-1}/delta_i."""
-
-    deltas: tuple[QuadSurd, ...]
-    A: tuple[QuadSurd, ...]
-
-
-def delta_sequence(F: FieldData, mcf: MinusCF) -> DeltaSequence:
-    """delta_i from rotated-word evaluation, with the exact unit product check.
-
-    Evaluating each rotation independently (rather than iterating the cyclic
-    relation from delta_0) lets the relation delta_i = b_i - 1/delta_{i+1}
-    serve as a genuine cross-check in the test suite.  mcf is the purely
-    periodic expansion of the totally positive unit.
-    """
-    m = mcf.m
-    deltas = []
-    for i in range(1, m + 1):
-        di = evaluate_periodic(mcf.rotated(i))
-        if di.d != F.d:
-            raise UnitMismatch(
-                f"word evaluates in Q(sqrt({di.d})), not Q(sqrt({F.d}))")
-        deltas.append(di)
-    A = [QuadSurd.from_rational(1, F.d)]
-    for di in deltas:
-        A.append(A[-1] / di)
-    prod = A[0] / A[-1]
-    if prod != F.tp_fund_unit:
-        raise UnitMismatch(
-            f"product of cone ratios is {prod}, not the unit {F.tp_fund_unit}")
-    return DeltaSequence(tuple(deltas), tuple(A))

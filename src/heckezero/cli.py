@@ -17,22 +17,23 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Every command pays for the import of this module, so it loads only what
-# field, cf and lvalue all run (errors, exact, cfrac, quadfield); each
-# command imports the rest where it needs it.
+# field, cf and lvalue all run (errors, exact, cfrac, quadfield), all of it
+# on integers and surds; each command imports the rest where it needs it,
+# fractions and the chi-values of characters included.
 from . import __version__
 from .cfrac import (MinusCF, PlusCF, evaluate_periodic, minus_expand,
                     plus_expand, plus_to_minus)
 from .errors import (HeckeZeroError, InternalInvariantError, ParseError,
                      ValidationError)
-from .exact import (QuadSurd, cyclo_to_dict, quadsurd_to_dict,
-                    rational_to_str)
+from .exact import QuadSurd, quadsurd_to_dict, rational_to_str
 from .quadfield import check_radicand, class_numbers, make_field
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .linearity import FamilySpec
 
 DISPLAY_DIGITS = 30
@@ -46,8 +47,11 @@ def _decimal_display(x: Fraction) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
-def _cyclo_payload(x) -> dict:
-    out = cyclo_to_dict(x)
+def _cyclo_payload(to_dict, x) -> dict:
+    """to_dict(x) with the value and its decimal when x is rational.  The
+    command passes characters.cyclo_to_dict, imported once per command, as
+    an import inside a payload would run once per chi-value."""
+    out = to_dict(x)
     if x.is_rational():
         out["value"] = rational_to_str(x.as_rational())
         out["display_decimal_approx"] = _decimal_display(x.as_rational())
@@ -141,7 +145,7 @@ def cmd_cf(args) -> dict:
 
 
 def cmd_lvalue(args) -> dict:
-    from .characters import DirichletCharacter
+    from .characters import DirichletCharacter, cyclo_to_dict
     from .shintani import partial_hecke_L_zero
     check_radicand(args.d)
     delta = _parse_surd(args.delta, args.d)
@@ -149,11 +153,11 @@ def cmd_lvalue(args) -> dict:
     val = partial_hecke_L_zero(delta, chi)
     return {"d": args.d, "delta": quadsurd_to_dict(delta),
             "q": chi.modulus, "chi": chi.identifier(),
-            "value": _cyclo_payload(val)}
+            "value": _cyclo_payload(cyclo_to_dict, val)}
 
 
 def cmd_linearity(args) -> dict:
-    from .characters import DirichletCharacter
+    from .characters import DirichletCharacter, cyclo_to_dict
     from .linearity import (closed_form_chi, hypothesis_check_norm,
                             verify_linearity)
     spec = load_family_config(args.family)
@@ -163,12 +167,14 @@ def cmd_linearity(args) -> dict:
         ok = hypothesis_check_norm(spec, q, args.r, _parse_ints(args.k))
         return {"family": spec.name, "q": q, "r": args.r,
                 "hypothesis_holds": ok}
+    cyclo = functools.partial(_cyclo_payload, cyclo_to_dict)
     if args.lin_cmd == "closed-form":
+        from fractions import Fraction
         cf = closed_form_chi(spec, chi, args.r)
         return {
             "family": spec.name, "q": q, "chi": chi.identifier(), "r": args.r,
-            "A_chi": _cyclo_payload(cf.A_chi),
-            "B_chi": _cyclo_payload(cf.B_chi),
+            "A_chi": cyclo(cf.A_chi),
+            "B_chi": cyclo(cf.B_chi),
             "cells": [{"C": C, "D": D,
                        "A_CD": rational_to_str(Fraction(a, q * q)),
                        "B_CD": rational_to_str(Fraction(b, q * q))}
@@ -178,11 +184,11 @@ def cmd_linearity(args) -> dict:
     return {
         "family": spec.name, "q": q, "chi": chi.identifier(), "r": args.r,
         "k_used": list(rep.k_used), "k_skipped": list(rep.k_skipped),
-        "scaled_values": [_cyclo_payload(v) for v in rep.scaled_values],
-        "intercept": _cyclo_payload(rep.intercept),
-        "slope": _cyclo_payload(rep.slope),
-        "A_chi": _cyclo_payload(rep.A_chi),
-        "B_chi": _cyclo_payload(rep.B_chi),
+        "scaled_values": [cyclo(v) for v in rep.scaled_values],
+        "intercept": cyclo(rep.intercept),
+        "slope": cyclo(rep.slope),
+        "A_chi": cyclo(rep.A_chi),
+        "B_chi": cyclo(rep.B_chi),
         "verdicts": {"affine_exact": rep.affine_exact,
                      "closed_form_match": rep.closed_form_match,
                      "hypothesis_check": rep.hypothesis_check},
@@ -192,7 +198,7 @@ def cmd_linearity(args) -> dict:
 def cmd_biro(args) -> dict:
     from .biro import (condition_star_search, factorization_oracle_check,
                        residue_reports, yokoi_intro_ab)
-    from .characters import DirichletCharacter
+    from .characters import DirichletCharacter, cyclo_to_dict
     from .linearity import BUILTIN_FAMILIES
     if args.biro_cmd == "search":
         pairs = condition_star_search(args.q_max, args.p_max)
@@ -219,14 +225,15 @@ def cmd_biro(args) -> dict:
         # the double sums run over Yokoi's norm form D^2 - C^2 - rCD
         raise ParseError(f"--intro-ab needs the yokoi family, not {spec.name}")
     chi = DirichletCharacter.from_identifier(args.chi)
+    cyclo = functools.partial(_cyclo_payload, cyclo_to_dict)
     lhs, rhs, equal = factorization_oracle_check(spec, args.n, chi)
     out = {"family": spec.name, "n": args.n, "q": chi.modulus,
-           "chi": chi.identifier(), "lhs": _cyclo_payload(lhs),
-           "rhs": _cyclo_payload(rhs), "equal": equal}
+           "chi": chi.identifier(), "lhs": cyclo(lhs),
+           "rhs": cyclo(rhs), "equal": equal}
     if args.intro_ab:
         A, B, rho = yokoi_intro_ab(chi, args.n % chi.modulus)
-        out["intro_A"] = _cyclo_payload(A)
-        out["intro_B"] = _cyclo_payload(B)
+        out["intro_A"] = cyclo(A)
+        out["intro_B"] = cyclo(B)
         out["intro_proportionality"] = \
             rational_to_str(rho) if rho is not None else None
     return out

@@ -1,30 +1,24 @@
-"""Exact scalar arithmetic: rationals, quadratic surds, cyclotomic integers.
+"""Exact scalar arithmetic on integers and quadratic surds: residues,
+factorization, the surds (a + b*sqrt(d))/c with their exact sign, and the
+serialization of rationals and surds.
 
-All values are immutable and all operations are pure functions, so everything
-here is safe to use from parallel sweeps.
+Importing this module loads no fractions, as field and cf run on integers
+and surds alone: a surd's trace, norm and coordinates are rationals, and
+only the methods that return them import Fraction.  All values are
+immutable and all operations are pure functions, so everything here is safe
+to use from parallel sweeps.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .errors import BoundExceeded, InternalInvariantError
+from .errors import BoundExceeded
 
-Rational = Fraction
-
-
-def frac_pos(x: Rational | int) -> Fraction:
-    """Representative of x mod 1 in the half-open interval (0, 1].
-
-    Integers map to 1, not 0.  This is deliberate and load-bearing for the
-    cone recursions; a conventional fractional part is intentionally not
-    exported.
-    """
-    x = Fraction(x)
-    f = x - (x.numerator // x.denominator)
-    return Fraction(1) if f == 0 else f
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def residue_1q(m: int, q: int) -> int:
@@ -33,16 +27,6 @@ def residue_1q(m: int, q: int) -> int:
         raise ValueError("q must be positive")
     r = m % q
     return q if r == 0 else r
-
-
-def bernoulli_poly(k: int, x: Rational | int) -> Fraction:
-    """B_1(x) = x - 1/2 or B_2(x) = x^2 - x + 1/6."""
-    x = Fraction(x)
-    if k == 1:
-        return x - Fraction(1, 2)
-    if k == 2:
-        return x * x - x + Fraction(1, 6)
-    raise ValueError("only k in {1, 2} supported")
 
 
 # Trial division removes every prime up to this bound, so a number below its
@@ -218,8 +202,8 @@ class QuadSurd:
         return hash((self.a, self.b, self.c, self.d))
 
     @staticmethod
-    def from_rational(x: Rational | int, d: int) -> QuadSurd:
-        x = Fraction(x)
+    def from_rational(x: Fraction | int, d: int) -> QuadSurd:
+        # ints and Fractions both carry numerator and denominator
         return QuadSurd(x.numerator, 0, x.denominator, d)
 
     @staticmethod
@@ -233,9 +217,11 @@ class QuadSurd:
         return QuadSurd(self.a, -self.b, self.c, self.d)
 
     def trace(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(2 * self.a, self.c)
 
     def norm(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.a * self.a - self.b * self.b * self.d,
                         self.c * self.c)
 
@@ -294,6 +280,7 @@ class QuadSurd:
 
     def coords(self, omega: QuadSurd) -> tuple[Fraction, Fraction]:
         """Rational (u, v) with self = u + v*omega; omega must be irrational."""
+        from fractions import Fraction
         v = Fraction(self.b * omega.c, omega.b * self.c)
         u = Fraction(self.a, self.c) - v * Fraction(omega.a, omega.c)
         return u, v
@@ -321,166 +308,10 @@ def surd_sign(x: QuadSurd) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic integers
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(o: int) -> tuple[int, ...]:
-    """Coefficients (low degree first) of the o-th cyclotomic polynomial."""
-    if o == 1:
-        return (-1, 1)
-    # divide x^o - 1 by the product of Phi_e over proper divisors e of o
-    num = [0] * (o + 1)
-    num[0], num[o] = -1, 1
-    for e in range(1, o):
-        if o % e == 0:
-            num = _poly_div_exact(num, list(cyclotomic_polynomial(e)))
-    return tuple(num)
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        coef = num[i + len(den) - 1] // den[-1]
-        q[i] = coef
-        for j, dj in enumerate(den):
-            num[i + j] -= coef * dj
-    if any(num):
-        raise InternalInvariantError("inexact polynomial division")
-    return q
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    out = n
-    for p in factorize(n):
-        out -= out // p
-    return out
-
-
-class CycloElement:
-    """Element of Q(zeta_o) as phi(o) rational coordinates in the power basis.
-
-    Reduction modulo the o-th cyclotomic polynomial is canonical, so equal
-    elements always have equal coefficient tuples.  Arithmetic stays in one
-    field: an int or Fraction operand is read in Q(zeta_o), and elements of
-    different orders are refused.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs):
-        phi = euler_phi(order)
-        cs = tuple(coeffs)
-        if len(cs) > phi:
-            cs = _cyclo_reduce(order, cs)
-        elif len(cs) < phi:
-            cs = cs + (Fraction(0),) * (phi - len(cs))
-        self.order, self.coeffs = order, cs
-
-    @staticmethod
-    def from_rational(x: Rational | int, order: int = 1) -> CycloElement:
-        return CycloElement(order, (Fraction(x),))
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
-    def _coerce(self, other) -> CycloElement:
-        """other in self's field: a rational is read in Q(zeta_o),
-        o = self.order.  Every value a command builds lies in the field of
-        its one character, so two orders never meet."""
-        if not isinstance(other, CycloElement):
-            return CycloElement.from_rational(other, self.order)
-        if other.order != self.order:
-            raise ValueError(f"elements of Q(zeta_{self.order}) and "
-                             f"Q(zeta_{other.order}) mixed")
-        return other
-
-    def __add__(self, other) -> CycloElement:
-        b = self._coerce(other)
-        return CycloElement(self.order, tuple(
-            x + y for x, y in zip(self.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> CycloElement:
-        return CycloElement(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> CycloElement:
-        if isinstance(other, (int, Fraction)):
-            return CycloElement(self.order,
-                                tuple(c * other for c in self.coeffs))
-        b = self._coerce(other)
-        n = len(self.coeffs) + len(b.coeffs) - 1
-        conv = [Fraction(0)] * n
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        return CycloElement(self.order, tuple(conv))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return self.coeffs == self._coerce(other).coeffs
-
-    def __str__(self) -> str:
-        if self.is_rational():
-            return str(self.coeffs[0])
-        terms = [f"{c}*z{self.order}^{i}" for i, c in enumerate(self.coeffs)
-                 if c]
-        return " + ".join(terms) or "0"
-
-
-def cyclo_from_buckets(order: int, buckets, scale: Rational | int = 1
-                       ) -> CycloElement:
-    """scale * sum_k buckets[k] * zeta_order^k as one CycloElement.
-
-    Reduction mod the cyclotomic polynomial is linear and canonical, so
-    summing the weights of each power of zeta first and reducing once gives
-    the same coefficients as adding the terms one element at a time.
-    Integer buckets reduce in integers; only the phi(order) results meet
-    the scale.
-    """
-    scale = Fraction(scale)
-    return CycloElement(order, tuple(c * scale for c in
-                                     _cyclo_reduce(order, buckets)))
-
-
-def _cyclo_reduce(order: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    phi_poly = cyclotomic_polynomial(order)
-    deg = len(phi_poly) - 1
-    cs = list(coeffs)
-    for i in range(len(cs) - 1, deg - 1, -1):
-        coef = cs[i]
-        if coef:
-            for j in range(deg + 1):
-                cs[i - deg + j] -= coef * phi_poly[j]
-        cs.pop()
-    while len(cs) < deg:
-        cs.append(Fraction(0))
-    return tuple(cs)
-
-
-# ---------------------------------------------------------------------------
 # shared serialization (used verbatim by the CLI JSON schema)
 
 
-def rational_to_str(x: Rational | int) -> str:
+def rational_to_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
         else str(x.numerator)
 
@@ -488,6 +319,3 @@ def rational_to_str(x: Rational | int) -> str:
 def quadsurd_to_dict(x: QuadSurd) -> dict:
     return {"a": x.a, "b": x.b, "c": x.c, "d": x.d}
 
-
-def cyclo_to_dict(x: CycloElement) -> dict:
-    return {"order": x.order, "coeffs": [rational_to_str(c) for c in x.coeffs]}

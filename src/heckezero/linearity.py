@@ -16,12 +16,12 @@ from typing import NamedTuple
 
 from .cfrac import (MinusCF, PlusCF, fixes_plus_word, minus_length,
                     minus_word, plus_expand, plus_to_minus)
-from .characters import DirichletCharacter, chi_weights
+from .characters import (CycloElement, DirichletCharacter, chi_weights,
+                         cyclo_from_buckets)
 from .errors import (BoundExceeded, DeltaOutOfRange, HypothesisFailed,
                      InsufficientSamples, NoAdmissibleN, NotSquarefree,
                      ParseError, SpecInconsistent)
-from .exact import (CycloElement, QuadSurd, cyclo_from_buckets, factorize,
-                    residue_1q)
+from .exact import QuadSurd, factorize, residue_1q
 from .kernels import KERNEL_STEP_BOUND
 from .quadfield import check_radicand, norm_form
 from .shintani import check_delta_hypotheses, form_tables

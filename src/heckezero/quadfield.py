@@ -54,7 +54,7 @@ def make_field(d: int) -> FieldData:
     omega = QuadSurd(1, 1, 2, d) if d % 4 == 1 else QuadSurd.sqrt(d)
     eps0, norm = _fundamental_unit(omega)
     eps = eps0 if norm == 1 else eps0 * eps0
-    if not (eps > 1 and eps.conj() > 0 and eps.norm() == 1):
+    if not (eps > 1 and eps.conj() > 0 and _norm_is(eps, 1)):
         raise InternalInvariantError("totally positive unit contract broken")
     return FieldData(d, field_discriminant(d), omega, eps0, norm, eps)
 
@@ -72,9 +72,15 @@ def _fundamental_unit(omega: QuadSurd) -> tuple[QuadSurd, int]:
     _, _, m10, m11 = fold_moebius(period, plus=True)
     eps = y * m10 + m11
     norm = (-1) ** len(period)
-    if eps.norm() != norm or not eps > 1:
+    if not (_norm_is(eps, norm) and eps > 1):
         raise InternalInvariantError("fundamental unit computation failed")
     return eps, norm
+
+
+def _norm_is(x: QuadSurd, n: int) -> bool:
+    """Whether N(x) = n, on integers: (a^2 - b^2 d)/c^2 = n for
+    x = (a + b*sqrt(d))/c."""
+    return x.a * x.a - x.b * x.b * x.d == n * x.c * x.c
 
 
 def norm_form(delta: QuadSurd) -> tuple[int, int, int]:

@@ -1,21 +1,47 @@
-"""The L-value engine: the lattice-translation recursion, per-(C,D) partial
-zeta values at s=0, the chi-free residue table of the partial Hecke L-value
-and its fold, the same tables from the walk over the reduced forms mod q,
-and the cone-ratio identity residual that selftest checks.
+"""The L-value engine: the chi-free residue table of the partial Hecke
+L-value at s=0 on the integer cone kernel, its fold into Q(zeta_o), and the
+same tables from the walk over the reduced forms mod q.  Beside it, on
+Fractions, the oracles that selftest checks: the lattice-translation
+recursion with per-(C,D) partial zeta values, and the cone-ratio identity
+residual with the cone ratio sequence it reads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
-from .cfrac import (MinusCF, delta_sequence, evaluate_periodic, minus_length,
-                    minus_word, plus_expand)
-from .characters import DirichletCharacter, chi_weights
-from .errors import BoundExceeded, DeltaOutOfRange, InternalInvariantError
-from .exact import QuadSurd, bernoulli_poly, cyclo_from_buckets, frac_pos
+from .cfrac import (MinusCF, evaluate_periodic, minus_length, minus_word,
+                    plus_expand)
+from .characters import DirichletCharacter, chi_weights, cyclo_from_buckets
+from .errors import (BoundExceeded, DeltaOutOfRange, InternalInvariantError,
+                     UnitMismatch)
+from .exact import QuadSurd
 from .kernels import KERNEL_STEP_BOUND, zeta12_times
 from .quadfield import FieldData, norm_form
+
+
+def frac_pos(x: Fraction | int) -> Fraction:
+    """Representative of x mod 1 in the half-open interval (0, 1].
+
+    Integers map to 1, not 0.  This is deliberate and load-bearing for the
+    cone recursions; a conventional fractional part is intentionally not
+    exported.
+    """
+    x = Fraction(x)
+    f = x - (x.numerator // x.denominator)
+    return Fraction(1) if f == 0 else f
+
+
+def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
+    """B_1(x) = x - 1/2 or B_2(x) = x^2 - x + 1/6."""
+    x = Fraction(x)
+    if k == 1:
+        return x - Fraction(1, 2)
+    if k == 2:
+        return x * x - x + Fraction(1, 6)
+    raise ValueError("only k in {1, 2} supported")
 
 
 class YamamotoSeq:
@@ -312,6 +338,39 @@ def lattice_unit_order(F: FieldData, delta: QuadSurd, q: int) -> int:
                       c * m00 + d * m10, c * m01 + d * m11)
         a, b, c, d = a % q, b % q, c % q, d % q
     raise InternalInvariantError("unit matrix order not found mod q")
+
+
+class DeltaSequence(NamedTuple):
+    """Cone ratios delta_1..delta_m and the cumulative A_i = A_{i-1}/delta_i."""
+
+    deltas: tuple[QuadSurd, ...]
+    A: tuple[QuadSurd, ...]
+
+
+def delta_sequence(F: FieldData, mcf: MinusCF) -> DeltaSequence:
+    """delta_i from rotated-word evaluation, with the exact unit product check.
+
+    Evaluating each rotation independently (rather than iterating the cyclic
+    relation from delta_0) lets the relation delta_i = b_i - 1/delta_{i+1}
+    serve as a genuine cross-check in the test suite.  mcf is the purely
+    periodic expansion of the totally positive unit.
+    """
+    m = mcf.m
+    deltas = []
+    for i in range(1, m + 1):
+        di = evaluate_periodic(mcf.rotated(i))
+        if di.d != F.d:
+            raise UnitMismatch(
+                f"word evaluates in Q(sqrt({di.d})), not Q(sqrt({F.d}))")
+        deltas.append(di)
+    A = [QuadSurd.from_rational(1, F.d)]
+    for di in deltas:
+        A.append(A[-1] / di)
+    prod = A[0] / A[-1]
+    if prod != F.tp_fund_unit:
+        raise UnitMismatch(
+            f"product of cone ratios is {prod}, not the unit {F.tp_fund_unit}")
+    return DeltaSequence(tuple(deltas), tuple(A))
 
 
 def yamamoto_identity_residual(F: FieldData, mcf: MinusCF, q: int,

@@ -38,20 +38,20 @@ from itertools import chain
 
 from heckezero.cfrac import MinusCF, evaluate_periodic
 from heckezero.biro import ConditionStarPair, _check_sieve_work, _odd_primes
-from heckezero.characters import (DirichletCharacter, ModPRealization,
-                                  _unit_group, b1_weights,
+from heckezero.characters import (CycloElement, DirichletCharacter,
+                                  ModPRealization, _unit_group, b1_weights,
                                   enumerate_characters, modp_realizations)
 from heckezero.errors import (BoundExceeded, HypothesisFailed,
                               IncompatiblePair, InternalInvariantError,
                               ValidationError)
-from heckezero.exact import (CycloElement, QuadSurd, Rational, bernoulli_poly,
-                             factorize, residue_1q, square_prime)
+from heckezero.exact import QuadSurd, factorize, residue_1q, square_prime
 from heckezero.kernels import KERNEL_STEP_BOUND
 from heckezero.linearity import (ClosedFormTable, FamilySpec, ResidueWord,
                                  admissible, common_norm_form, nu_sequence,
                                  residue_word, smallest_admissible_n)
 from heckezero.quadfield import FieldData, field_discriminant
-from heckezero.shintani import lattice_unit_order, yamamoto_sequence
+from heckezero.shintani import (bernoulli_poly, lattice_unit_order,
+                                yamamoto_sequence)
 
 
 class NotAnIdeal(ValidationError):
@@ -79,7 +79,8 @@ class IdealLattice:
                     f"ideal {name} must be positive, got {getattr(self, name)}")
 
     @staticmethod
-    def from_rows(rows: list[tuple[Rational, Rational]]) -> IdealLattice:
+    def from_rows(rows: list[tuple[Fraction | int, Fraction | int]]
+                  ) -> IdealLattice:
         """Lattice generated by vectors u + v*omega given as (u, v) pairs."""
         rows = [(Fraction(u), Fraction(v)) for u, v in rows]
         den = 1

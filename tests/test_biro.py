@@ -12,13 +12,13 @@ from heckezero.biro import (SIEVE_WORK_BOUND, ConditionStarPair,
                             ResidueReport, condition_star_search,
                             factorization_oracle_check, residue_mod_p,
                             residue_reports, sieve_work, yokoi_intro_ab)
-from heckezero.characters import (DirichletCharacter, ModPRealization,
-                                  b1_weights, chi_weights,
-                                  enumerate_characters, gen_bernoulli_b1,
-                                  modp_realizations, odd_primitive_characters)
+from heckezero.characters import (CycloElement, DirichletCharacter,
+                                  ModPRealization, b1_weights, chi_weights,
+                                  cyclo_from_buckets, enumerate_characters,
+                                  gen_bernoulli_b1, modp_realizations,
+                                  odd_primitive_characters)
 from heckezero.cli import main
 from heckezero.errors import NarrowClassNotOne, ParseError
-from heckezero.exact import CycloElement, cyclo_from_buckets
 from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_chi,
                                  closed_form_table)
 from oracles import (apply_realization, char_invariants,

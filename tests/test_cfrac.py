@@ -4,13 +4,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heckezero.cfrac import (MinusCF, PlusCF, delta_sequence,
-                             evaluate_periodic, fixes_plus_word, minus_expand,
-                             minus_word, plus_expand, plus_to_minus,
-                             surd_walk)
+from heckezero.cfrac import (MinusCF, PlusCF, evaluate_periodic,
+                             fixes_plus_word, minus_expand, minus_word,
+                             plus_expand, plus_to_minus, surd_walk)
 from heckezero.errors import DegenerateWord, RationalInput
 from heckezero.exact import QuadSurd
 from heckezero.quadfield import make_field
+from heckezero.shintani import delta_sequence
 from oracles import is_squarefree, surd_ceil, surd_floor, surd_walk_by_table
 
 

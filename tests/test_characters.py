@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from heckezero import characters
-from heckezero.characters import (DirichletCharacter, _kronecker_raw,
-                                  _unit_group, b1_weights, chi_weights,
+from heckezero.characters import (CycloElement, DirichletCharacter,
+                                  _kronecker_raw, _unit_group, b1_weights,
+                                  chi_weights, cyclo_from_buckets,
                                   enumerate_characters, gen_bernoulli_b1,
                                   modp_realizations, odd_primitive_characters)
 from heckezero.errors import BoundExceeded, ParseError
-from heckezero.exact import CycloElement, cyclo_from_buckets, factorize
+from heckezero.exact import factorize
 from heckezero.kernels import KERNEL_STEP_BOUND
 from oracles import (_is_fundamental, apply_realization, char_eval,
                      char_invariants, char_logs, character_order,

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from heckezero import acceptance, biro, cli, linearity, quadfield
 from heckezero.acceptance import CriterionResult
 from heckezero.biro import yokoi_intro_ab
-from heckezero.characters import DirichletCharacter
+from heckezero.characters import DirichletCharacter, cyclo_to_dict
 from heckezero.cli import main
 from heckezero.errors import DeltaOutOfRange, HypothesisFailed
-from heckezero.exact import cyclo_to_dict, rational_to_str, square_prime
+from heckezero.exact import rational_to_str, square_prime
 from oracles import condition_star_search_reference
 from test_linearity import PAPER_FAMILY_FILES
 
@@ -832,14 +832,18 @@ SHARED = {"heckezero", "heckezero.cli", "heckezero.errors", "heckezero.exact",
 DEFERRED = {"csv", "heckezero.characters", "heckezero.kernels",
             "heckezero.shintani", "heckezero.linearity", "heckezero.biro",
             "heckezero.acceptance"}
+# rational arithmetic: field and cf run on integers and surds and never load
+# it; it comes with the chi-values of characters and their decimal display
+RATIONAL = {"fractions", "decimal"}
 
 
 def test_cli_import_generates_no_code():
     # every command pays for this import: it generates no dataclass methods
-    # (loads neither dataclasses nor inspect), and it loads none of the
-    # modules a command imports for itself (test_console_script_selftest
-    # runs the one that loads the acceptance suite).  Some interpreters load
-    # inspect at start-up, so only what the import adds counts.
+    # (loads neither dataclasses nor inspect), it loads no rational
+    # arithmetic, and it loads none of the modules a command imports for
+    # itself (test_console_script_selftest runs the one that loads the
+    # acceptance suite).  Some interpreters load inspect at start-up, so
+    # only what the import adds counts.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -851,7 +855,7 @@ def test_cli_import_generates_no_code():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "heckezero.cli" in added
-    assert added & ({"dataclasses", "inspect"} | DEFERRED) == set()
+    assert added & ({"dataclasses", "inspect"} | RATIONAL | DEFERRED) == set()
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -860,18 +864,20 @@ def test_cli_import_generates_no_code():
     (["cf", "convert", "--plus", "1,2"], set()),
     (["cf", "eval", "--word", "3"], set()),
     (LVALUE_ARGS, {"heckezero.characters", "heckezero.kernels",
-                   "heckezero.shintani"}),
+                   "heckezero.shintani"} | RATIONAL),
 ], ids=["field", "cf-expand", "cf-convert", "cf-eval", "lvalue"])
 def test_command_loads_only_what_it_runs(argv, extra):
     # out of process, so no other test has loaded a module first: field and
-    # cf run on the shared modules alone, and lvalue adds the character
-    # layer and the cone kernel but neither linearity nor biro
+    # cf run on the shared modules alone, with no rational arithmetic, and
+    # lvalue adds the character layer, with fractions and the decimal
+    # display of its rational value, and the cone kernel, but neither
+    # linearity nor biro
     probe = (
         "import sys\n"
         "from heckezero.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, *sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('heckezero', 'csv')))\n")
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0]"
+        " in ('heckezero', 'csv', 'fractions', 'decimal')))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-W", "error", "-c", probe, *argv],
                           env=env, capture_output=True, text=True, timeout=60)

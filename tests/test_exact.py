@@ -1,4 +1,6 @@
-"""Scalar arithmetic: rationals on (0,1], surds, cyclotomic integers."""
+"""Scalar arithmetic: surds, factorization and serialization (exact), the
+rationals on (0,1] and Bernoulli polynomials of the oracles (shintani), and
+cyclotomic numbers (characters)."""
 
 import math
 import random
@@ -9,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckezero.characters import (CycloElement, cyclo_from_buckets,
+                                  cyclo_to_dict, euler_phi)
 from heckezero.errors import BoundExceeded, NoAdmissibleN
-from heckezero.exact import (CycloElement, QuadSurd, bernoulli_poly,
-                             cyclo_from_buckets, cyclo_to_dict, euler_phi,
-                             factorize, frac_pos, quadsurd_to_dict,
+from heckezero.exact import (QuadSurd, factorize, quadsurd_to_dict,
                              rational_to_str, residue_1q, square_prime,
                              squarefree_part, surd_sign)
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  smallest_admissible_n)
+from heckezero.shintani import bernoulli_poly, frac_pos
 from oracles import is_squarefree, surd_ceil, surd_floor, surd_pow, zeta_power
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 13, 15, 29, 53, 229]
@@ -163,6 +166,17 @@ class TestQuadSurd:
         # equal only to a surd of the class: d counts, numbers do not
         assert QuadSurd(1, 0, 1, 5) != QuadSurd(1, 0, 1, 2)
         assert QuadSurd(1, 0, 1, 5) != 1
+
+    def test_from_rational(self):
+        # from_rational reads numerator and denominator, which ints and
+        # Fractions both carry
+        want = QuadSurd(3, 0, 1, 5)
+        for x in (3, Fraction(3), Fraction(6, 2)):
+            y = QuadSurd.from_rational(x, 5)
+            assert y == want and (y.a, y.b, y.c, y.d) == (3, 0, 1, 5)
+        y = QuadSurd.from_rational(Fraction(-1, 3), 7)
+        assert (y.a, y.b, y.c, y.d) == (-1, 0, 3, 7)
+        assert QuadSurd.sqrt(7) + Fraction(-1, 3) == QuadSurd(-1, 3, 3, 7)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError, match="zero denominator"):

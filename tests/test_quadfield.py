@@ -8,8 +8,8 @@ import pytest
 from heckezero.errors import (BoundExceeded, IncompatiblePair, NotSquarefree,
                               ValidationError)
 from heckezero.exact import QuadSurd
-from heckezero.quadfield import (CLASS_NUMBER_BOUND, class_numbers,
-                                 make_field, norm_form)
+from heckezero.quadfield import (CLASS_NUMBER_BOUND, _norm_is,
+                                 class_numbers, make_field, norm_form)
 from heckezero.shintani import lattice_unit_order
 from oracles import (IdealLattice, class_number_analytic,
                      class_numbers_full_scan, ideal_inverse, ideal_norm,
@@ -62,6 +62,23 @@ class TestMakeField:
             assert eps == F.fund_unit * F.fund_unit
         else:
             assert eps == F.fund_unit
+
+    def test_unit_norms_on_integers(self):
+        # make_field checks the norms of its units on integers,
+        # a^2 - b^2 d == N c^2; at every d that check, the Fraction norm
+        # and fund_unit_norm agree, and the totally positive unit has norm 1
+        fields = 0
+        for d in range(2, 2000):
+            if not is_squarefree(d):
+                continue
+            F = make_field(d)
+            eps, tp = F.fund_unit, F.tp_fund_unit
+            for n in (1, -1):
+                assert _norm_is(eps, n) == (eps.norm() == n) \
+                    == (F.fund_unit_norm == n), (d, n)
+            assert _norm_is(tp, 1) and tp.norm() == 1, d
+            fields += 1
+        assert fields == 1214
 
     def test_discriminant(self):
         assert make_field(5).discriminant == 5

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from heckezero import exact, shintani
 from heckezero.cfrac import MinusCF, minus_expand, minus_word
-from heckezero.characters import (DirichletCharacter, chi_weights,
+from heckezero.characters import (CycloElement, DirichletCharacter,
+                                  chi_weights, cyclo_from_buckets,
                                   enumerate_characters, gen_bernoulli_b1)
 from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
                               IncompatiblePair, InternalInvariantError,
                               NotSquarefree)
-from heckezero.exact import CycloElement, QuadSurd, cyclo_from_buckets
+from heckezero.exact import QuadSurd
 from heckezero.kernels import zeta12_times
 from heckezero.linearity import BUILTIN_FAMILIES, admissible, family_instance
 from heckezero.quadfield import (check_radicand, class_numbers,
