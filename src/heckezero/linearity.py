@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import reprlib
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 from .cfrac import (MinusCF, PlusCF, fixes_plus_word, minus_length,
@@ -23,7 +22,7 @@ from .errors import (BoundExceeded, DeltaOutOfRange, HypothesisFailed,
                      ParseError, SpecInconsistent)
 from .exact import QuadSurd, factorize, residue_1q
 from .kernels import KERNEL_STEP_BOUND
-from .quadfield import check_radicand, norm_form
+from .quadfield import check_radicand, norm_form, primitive_form
 from .shintani import check_delta_hypotheses, form_tables
 
 N_SEARCH_LIMIT = 10_000
@@ -373,18 +372,21 @@ def empty_class_reason(spec: FamilySpec, q: int, r: int, walk: int
     mod p^2, so when p^2 divides f(qk + r) for k < p^2 no radicand of the
     class is squarefree; p runs over 2 and the primes dividing q.
     """
-    nc = spec.n_constraints
-    period = math.lcm(2, *(m for m, _ in nc.forbidden_residues))
-    span = period // math.gcd(q, period)
-    if span <= walk:
-        k0 = max(0, -((r - 1) // q))    # the least k with qk + r >= 1
-        if not any(nc.admits(q * k + r) for k in range(k0, k0 + span)):
-            return "the family's n constraints reject every such n"
+    k0, span = _class_period(spec, q, r)
+    if span <= walk and not any(spec.n_constraints.admits(q * k + r)
+                                for k in range(k0, k0 + span)):
+        return "the family's n constraints reject every such n"
     for p in sorted({2, *factorize(q)}):
         if p * p <= walk and all(spec.f(q * k + r) % (p * p) == 0
                                  for k in range(p * p)):
             return f"{p}^2 divides f(n) for every such n"
     return None
+
+
+def _class_period(spec: FamilySpec, q: int, r: int) -> tuple[int, int]:
+    """(the least k with qk + r >= 1, the period in k of admits(qk + r))"""
+    M = math.lcm(2, *(m for m, _ in spec.n_constraints.forbidden_residues))
+    return max(0, -((r - 1) // q)), M // math.gcd(q, M)
 
 
 def smallest_admissible_n(spec: FamilySpec, q: int, r: int
@@ -397,8 +399,8 @@ def smallest_admissible_n(spec: FamilySpec, q: int, r: int
     reason = empty_class_reason(spec, q, r, walk)
     if reason is not None:
         raise NoAdmissibleN(f"no admissible n = {q}k + {r}: {reason}")
-    k0 = max(0, -((r - 1) // q))        # the least k with qk + r >= 1
-    for k, delta in admissible(spec, q, r, range(k0, walk)):
+    for k, delta in admissible(spec, q, r,
+                               range(_class_period(spec, q, r)[0], walk)):
         return q * k + r, delta
     raise NoAdmissibleN(
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")
@@ -451,28 +453,36 @@ class ClosedFormTable(NamedTuple):
 
 def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
     """Tabulate the closed forms over [1, q]^2, summed per norm residue of
-    the norm form mod q that the 2q + 2 members from the smallest
-    admissible n = r mod q share.  One closed_form_plan of the residue word
-    serves every cell, and closed_form_row evaluates the cells one row
-    C at a time.
+    the norm form mod q that every member n = qk + r shares.  One
+    closed_form_plan of the residue word serves every cell, and
+    closed_form_row evaluates the cells one row C at a time.
 
-    Refuses q^2 * (length of the residue word) above KERNEL_STEP_BOUND
-    before any member is built.
+    norm_form(delta(n)) = primitive_form(u(n), v(n), w, f(n)) = (w^2, 2wu,
+    u^2 - v^2 f)/g with g | w^2, so mod q it reads n mod w^2 q, or k mod
+    w^2; admits reads k mod span (_class_period).  So all members share the
+    smallest one's form if every admitted n does over lcm(w^2, span) values
+    of k from it; an admitted non-member can only refuse more.  Refuses, in
+    this order: q^2 * (length of the residue word) or that period above
+    KERNEL_STEP_BOUND; NoAdmissibleN or SpecInconsistent
+    (smallest_admissible_n); IncompatiblePair (norm_form); HypothesisFailed.
     """
     rw = residue_word(spec, q, r)
     if q * q * rw.word.m > KERNEL_STEP_BOUND:
         raise BoundExceeded(
             f"q^2 * {rw.word.m} = {q * q * rw.word.m} closed-form steps "
             f"exceed {KERNEL_STEP_BOUND}")
+    period = math.lcm(spec.w ** 2, _class_period(spec, q, r)[1])
+    if period > KERNEL_STEP_BOUND:
+        raise BoundExceeded(
+            f"class period {period} exceeds {KERNEL_STEP_BOUND}")
     n0, delta0 = smallest_admissible_n(spec, q, r)
-    k0 = (n0 - r) // q
-    window = admissible(spec, q, r, range(k0 + 1, k0 + 2 * q + 2))
-    form = common_norm_form(
-        q, chain([delta0], (delta for _, delta in window)))
-    if form is None:
-        raise HypothesisFailed(
-            f"norm residues mod {q} vary with k at r = {r}")
-    u, v, w = form
+    u, v, w = form = tuple(c % q for c in norm_form(delta0))
+    for n in range(n0, n0 + q * period, q):
+        x = primitive_form(_poly(spec.u_coeffs, n), _poly(spec.v_coeffs, n),
+                           spec.w, spec.f(n))
+        if spec.n_constraints.admits(n) and form != tuple(c % q for c in x):
+            raise HypothesisFailed(
+                f"norm residues mod {q} vary with k at r = {r}")
     plan = closed_form_plan(spec, rw)
     Ds = range(1, q + 1)
     cells: dict[tuple[int, int], tuple[int, int]] = {}

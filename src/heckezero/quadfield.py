@@ -83,20 +83,26 @@ def _norm_is(x: QuadSurd, n: int) -> bool:
     return x.a * x.a - x.b * x.b * x.d == n * x.c * x.c
 
 
+def primitive_form(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """The primitive minimal polynomial (c^2, 2ac, a^2 - b^2 d)/g of
+    (a + b*sqrt(d))/c, c >= 1, g the gcd of the three.  It runs on the
+    integers alone, so d need not be squarefree."""
+    u, v, w = c * c, 2 * a * c, a * a - b * b * d
+    g = math.gcd(u, v, w)
+    return u // g, v // g, w // g
+
+
 def norm_form(delta: QuadSurd) -> tuple[int, int, int]:
     """Integers (u, v, w) with N(b * (C + D*delta)) = u C^2 + v CD + w D^2,
     where b = [1, delta]^{-1}.
 
-    For delta = (a + b*sqrt(d))/c this is the primitive minimal polynomial
-    of delta, (c^2, 2ac, a^2 - b^2 d)/g with g the gcd of the three.  Its
+    This is primitive_form(delta.a, delta.b, delta.c, delta.d).  Its
     discriminant v^2 - 4uw equals the field discriminant exactly when
     [1, delta] is an ideal of the maximal order; then b is an integral
     ideal with N(b) = u.  Any other delta raises IncompatiblePair.
     """
-    a, b, c, d = delta.a, delta.b, delta.c, delta.d
-    u, v, w = c * c, 2 * a * c, a * a - b * b * d
-    g = math.gcd(u, v, w)
-    u, v, w = u // g, v // g, w // g
+    d = delta.d
+    u, v, w = primitive_form(delta.a, delta.b, delta.c, d)
     if v * v - 4 * u * w != field_discriminant(d):
         raise IncompatiblePair(
             f"[1, {delta}] is not an ideal of the maximal order of "

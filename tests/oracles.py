@@ -658,8 +658,10 @@ def closed_form_cd_reference(spec: FamilySpec, rw: ResidueWord, C: int,
 def closed_form_table_reference(spec: FamilySpec, q: int, r: int
                                 ) -> ClosedFormTable:
     """linearity.closed_form_table with closed_form_cd_reference in every
-    cell, its refusals in the same order: the step bound, then the
-    members, then the shared norm form."""
+    cell and the hypothesis sampled, not proven: the smallest member and
+    the 2q + 1 members after it must share one norm form mod q.  Its
+    refusals come in the same order: the step bound, then the members,
+    then the shared norm form."""
     rw = residue_word(spec, q, r)
     if q * q * rw.word.m > KERNEL_STEP_BOUND:
         raise BoundExceeded(

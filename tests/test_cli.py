@@ -20,10 +20,10 @@ from heckezero.acceptance import CriterionResult
 from heckezero.biro import yokoi_intro_ab
 from heckezero.characters import DirichletCharacter, cyclo_to_dict
 from heckezero.cli import main
-from heckezero.errors import DeltaOutOfRange, HypothesisFailed
+from heckezero.errors import DeltaOutOfRange
 from heckezero.exact import rational_to_str, square_prime
 from oracles import condition_star_search_reference
-from test_linearity import PAPER_FAMILY_FILES
+from test_linearity import EVEN_FAMILY_FILE, PAPER_FAMILY_FILES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -478,8 +478,9 @@ class TestLinearity:
             int(near["A_chi"]["value"]) - j * int(near["B_chi"]["value"])
 
     def test_verify_q11_member_builds(self, monkeypatch, capsys):
-        # 10 samples, the walk to the smallest admissible n = 2 mod 11 and
-        # the 2q + 2 = 24 members of the hypothesis window
+        # 10 samples and the closed forms' walk to the smallest admissible
+        # n = 2 mod 11 (n = 2 is even, n = 13 is the member); the norm
+        # forms of the rest of the class take no build
         orig = linearity.family_instance
         calls = []
 
@@ -492,7 +493,7 @@ class TestLinearity:
                               "--chi", "q=11;gens=2:1", "--r", "2",
                               "--k", "0,1,2,3,4,5,6,7,8,9"], capsys)
         assert code == 0 and doc["results"]["verdicts"]["closed_form_match"]
-        assert len(calls) <= 36
+        assert calls == [2 + 11 * k for k in range(10)] + [2, 13]
 
     def test_hypothesis(self, capsys):
         code, doc = run_json(["linearity", "hypothesis", "--family", "yokoi",
@@ -502,24 +503,35 @@ class TestLinearity:
         assert doc["results"] == {"family": "yokoi", "q": 3, "r": 1,
                                   "hypothesis_holds": True}
 
-    def test_hypothesis_failure(self, monkeypatch, capsys):
-        # a norm form whose w moves with k at n = 3k + r (Yokoi's delta(n)
-        # has a = n + 2), so members of one residue class differ mod 3
-        norm_form = linearity.norm_form
-
-        def varying(delta):
-            u, v, w = norm_form(delta)
-            return u, v, w + delta.a // 3
-        monkeypatch.setattr(linearity, "norm_form", varying)
-        with pytest.raises(HypothesisFailed):
-            linearity.closed_form_table(linearity.BUILTIN_FAMILIES["yokoi"],
-                                        3, 1)
-        args = ["--family", "yokoi", "--chi", "q=3;gens=2:1", "--r", "1",
-                "--k", "0,1,2,3,4,5,6,7"]
-        code, doc = run_json(["linearity", "hypothesis", *args], capsys)
-        assert code == 0
-        assert doc["results"]["hypothesis_holds"] is False
-        assert main(["linearity", "verify", *args]) == 2
+    def test_hypothesis_failure(self, tmp_path, monkeypatch, capsys):
+        # n^2 + 1 at even n, delta(n) = (n + 1 + sqrt f)/2 and delta - 1 =
+        # [[n - 1, 1, 1]]: the norm form (1, n + 1, n/2) moves mod 4 with k
+        # at n = 4k + r, so no closed form holds
+        (tmp_path / "even.json").write_text(json.dumps(EVEN_FAMILY_FILE))
+        monkeypatch.chdir(tmp_path)
+        for r in ("0", "2"):
+            args = ["--family", "even.json", "--chi", "q=4;gens=3:1",
+                    "--r", r]
+            assert main(["linearity", "closed-form", *args]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and \
+                json.loads(err)["error"] == "HypothesisFailed"
+            code, doc = run_json(["linearity", "hypothesis", *args,
+                                  "--k", "0,1,2,3,4,5,6,7"], capsys)
+            assert code == 0
+            assert doc["results"]["hypothesis_holds"] is False
+        # 9n^2 - 3 at even n, delta(n) = (3n + 1 + sqrt f)/2 and delta - 1 =
+        # [[3n - 1, 2, n - 1, 2]]: its digits reach q = 2, so verify gets as
+        # far as the closed forms, which refuse the class n = 2k
+        (tmp_path / "n9m3.json").write_text(json.dumps({
+            "name": "9n2m3-even", "f_coeffs": [-3, 0, 9],
+            "delta": {"u_coeffs": [1, 3], "v_coeffs": [1], "w": 2},
+            "acf": [{"alpha": a, "beta": b}
+                    for a, b in ((3, -1), (0, 2), (1, -1), (0, 2))],
+            "n_constraints": {"parity": "even"}}))
+        assert main(["linearity", "verify", "--family", "n9m3.json",
+                     "--chi", "q=2;gens=", "--r", "0",
+                     "--k", "0,1,2,3,4,5,6,7"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err)["error"] == "HypothesisFailed"
 

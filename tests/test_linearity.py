@@ -14,6 +14,7 @@ from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
                               NoAdmissibleN, NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd, square_prime
 from heckezero.kernels import zeta12_times
+from heckezero.quadfield import primitive_form
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  FamilySpec, NConstraints, admissible,
                                  closed_form_cd, closed_form_chi,
@@ -66,6 +67,19 @@ PAPER_FAMILY_FILES = {
 }
 CHOWLA, N2P2, N2M1, N2M2 = map(family_spec_from_dict,
                                PAPER_FAMILY_FILES.values())
+# two refusals of the closed forms: n^2 + 1 at even n with delta(n) =
+# (n + 1 + sqrt f)/2 and [[n - 1, 1, 1]], whose norm form (1, n + 1, n/2)
+# moves mod q = 4 with k (HypothesisFailed at r = 0 and 2); and at odd n
+# with delta(n) = (n + 2 + sqrt f)/2 and [[n, 4n]], where [1, delta] is no
+# ideal of the maximal order (IncompatiblePair)
+EVEN_FAMILY_FILE = dict(
+    _family("n2p1-even", [1, 0, 1], [1, 1], [1], 2,
+            [(1, -1), (0, 1), (0, 1)]),
+    n_constraints={"parity": "even"})
+EVEN = family_spec_from_dict(EVEN_FAMILY_FILE)
+ODD_UNIDEAL = family_spec_from_dict(dict(
+    _family("n2p1-odd", [1, 0, 1], [2, 1], [1], 2, [(1, 0), (4, 0)]),
+    n_constraints={"parity": "odd"}))
 
 
 def first_with_digits_at_least_q(spec, q, r):
@@ -255,7 +269,8 @@ class TestClosedFormOracle:
     the whole nu-sequence of every cell.  r runs over [-q, 2q), since the
     CLI takes any r and such r verify."""
 
-    FAMILIES = [YOKOI, RDN, PAIRED, TRIPLE, QUAD, CHOWLA, N2P2, N2M1, N2M2]
+    FAMILIES = [YOKOI, RDN, PAIRED, TRIPLE, QUAD, CHOWLA, N2P2, N2M1, N2M2,
+                EVEN, ODD_UNIDEAL]
 
     @staticmethod
     def outcome(build, spec, q, r):
@@ -268,7 +283,7 @@ class TestClosedFormOracle:
     def test_table_equals_per_cell_reference(self, spec):
         # every cell and every residue sum, and the same refusal wherever
         # one is raised
-        built = refused = 0
+        built, refused = 0, set()
         for q in range(1, 10):
             for r in range(-q, 2 * q):
                 got = self.outcome(linearity.closed_form_table, spec, q, r)
@@ -277,11 +292,17 @@ class TestClosedFormOracle:
                 if isinstance(got, linearity.ClosedFormTable):
                     built += 1
                 else:
-                    refused += 1
-        assert built + refused == 135
+                    refused.add((q, r, got[0]))
+        assert built + len(refused) == 135
         # TRIPLE and QUAD carry Yokoi's delta under other digits, so every
-        # member they reach is SpecInconsistent
-        assert (built == 0) == (spec in (TRIPLE, QUAD))
+        # member they reach is SpecInconsistent; no member of ODD_UNIDEAL
+        # is an ideal basis
+        assert (built == 0) == (spec in (TRIPLE, QUAD, ODD_UNIDEAL))
+        if spec is EVEN:
+            assert {(4, 0, "HypothesisFailed"),
+                    (4, 2, "HypothesisFailed")} <= refused
+        if spec is ODD_UNIDEAL:
+            assert (3, 1, "IncompatiblePair") in refused
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.name)
     def test_cells_equal_per_cell_reference(self, spec):
@@ -539,7 +560,8 @@ class TestAdmissibility:
 
     def test_smallest_member_built_once(self, monkeypatch):
         # the walk to the smallest admissible n = 7 mod 11 (k0 = 2, three
-        # builds) hands its member on to the 2q + 2 = 24-member window
+        # builds) is all the table builds: the norm forms of the rest of
+        # the class come from the family's polynomials
         seen = []
         orig = linearity.family_instance
 
@@ -549,11 +571,11 @@ class TestAdmissibility:
 
         monkeypatch.setattr(linearity, "family_instance", counted)
         linearity.closed_form_table(RDN, 11, 7)
-        assert len(seen) == 26 and len(set(seen)) == 26
+        assert seen == [7, 18, 29]
         seen.clear()
         chi = DirichletCharacter.from_identifier("q=11;gens=2:1")
         verify_linearity(RDN, chi, 7, range(10))
-        assert len(seen) == 36
+        assert len(seen) == 13
 
     @pytest.mark.parametrize("q, r", [(2, 0), (2, 2), (4, 0), (4, 2), (4, 6)])
     @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=["yokoi", "rd-n2p1"])
@@ -628,3 +650,32 @@ class TestAdmissibility:
 
     def test_hypothesis_check(self):
         assert hypothesis_check_norm(YOKOI, 3, 1, range(0, 8))
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+           v=st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+           f=st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+           w=st.integers(1, 4), q=st.integers(1, 12), r=st.integers(-12, 24))
+    # here k mod w does not decide the form mod q, k mod w^2 does
+    @example(u=[-3, -3], v=[1], f=[-3, -3], w=2, q=2, r=1)
+    def test_form_mod_q_reads_k_mod_w2(self, u, v, f, w, q, r):
+        # the lemma of closed_form_table, on integers: the primitive
+        # minimal polynomial of (u(n) + v(n) sqrt f(n))/w, reduced mod q at
+        # n = qk + r, depends on k mod w^2 alone
+        def form(k):
+            n = q * k + r
+            u_n, v_n, f_n = (sum(c * n ** i for i, c in enumerate(p))
+                             for p in (u, v, f))
+            return tuple(c % q for c in primitive_form(u_n, v_n, w, f_n))
+        for k in range(w * w, 4 * w * w):
+            assert form(k) == form(k % (w * w)), k
+
+    @pytest.mark.parametrize("spec", [
+        RDN._replace(w=10 ** 5),
+        RDN._replace(n_constraints=NConstraints("odd", ((10 ** 9 + 7, 0),)))])
+    def test_long_class_period_refused_unbuilt(self, spec, monkeypatch):
+        # w^2 or a forbidden modulus makes the period of k that proves the
+        # hypothesis longer than KERNEL_STEP_BOUND: refused up front
+        monkeypatch.setattr(linearity, "family_instance", None)
+        with pytest.raises(BoundExceeded, match="class period"):
+            linearity.closed_form_table(spec, 3, 1)
