@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+from contextlib import suppress
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -18,11 +19,11 @@ from .cfrac import (MinusCF, PlusCF, fixes_plus_word, minus_length,
 from .characters import (CycloElement, DirichletCharacter, chi_weights,
                          cyclo_from_buckets)
 from .errors import (BoundExceeded, DeltaOutOfRange, HypothesisFailed,
-                     InsufficientSamples, NoAdmissibleN, NotSquarefree,
-                     ParseError, SpecInconsistent)
-from .exact import QuadSurd, factorize, residue_1q
+                     IncompatiblePair, InsufficientSamples, NoAdmissibleN,
+                     NotSquarefree, ParseError, SpecInconsistent)
+from .exact import QuadSurd, factorize, residue_1q, square_prime
 from .kernels import KERNEL_STEP_BOUND
-from .quadfield import check_radicand, norm_form, primitive_form
+from .quadfield import check_radicand, ideal_form, norm_form
 from .shintani import check_delta_hypotheses, form_tables
 
 N_SEARCH_LIMIT = 10_000
@@ -65,6 +66,15 @@ class FamilySpec(NamedTuple):
 
     def f(self, n: int) -> int:
         return _poly(self.f_coeffs, n)
+
+    def surd(self, n: int) -> tuple[int, int, int, int]:
+        return (_poly(self.u_coeffs, n), _poly(self.v_coeffs, n), self.w,
+                self.f(n))
+
+    def fits(self, n: int) -> bool:
+        """Whether the fold of digits(n) fixes delta(n) - 1, on integers."""
+        u, v, w, f = self.surd(n)
+        return fixes_plus_word(self.digits(n), u - w, v, w, f)
 
     def a(self, i: int, n: int) -> int:
         alpha, beta = self.acf[i % self.s]
@@ -177,12 +187,11 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
     delta(n) is all the L-value needs: the field is Q(sqrt(delta.d)) and
     b_n = [1, delta(n)]^{-1}, whose norm form norm_form(delta) gives.
     """
-    f = spec.f(n)
+    u, v, w, f = spec.surd(n)
     check_radicand(f)
     if not spec.n_constraints.admits(n):
         raise DeltaOutOfRange(f"n = {n} violates the family's n constraints")
-    delta = QuadSurd(_poly(spec.u_coeffs, n), _poly(spec.v_coeffs, n),
-                     spec.w, f)
+    delta = QuadSurd(u, v, w, f)
     check_delta_hypotheses(delta)
     # a plus expansion has digits >= 1 and a primitive period, one that
     # equals none of its nontrivial rotations; no delta(n) matches any other.
@@ -193,9 +202,9 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
                                      for i in range(1, len(expect))):
         raise DeltaOutOfRange(f"n = {n} is not a member: the declared "
                               f"period {expect} is degenerate")
-    x = QuadSurd(delta.a - delta.c, delta.b, delta.c, f)      # delta - 1
-    if not fixes_plus_word(expect, x):
-        raise SpecInconsistent(f"delta({n})-1 expands to {plus_expand(x)}, "
+    if not spec.fits(n):
+        raise SpecInconsistent(f"delta({n})-1 expands to "
+                               f"{plus_expand(delta - 1)}, "
                                f"family digits say {expect}")
     return delta
 
@@ -372,21 +381,18 @@ def empty_class_reason(spec: FamilySpec, q: int, r: int, walk: int
     mod p^2, so when p^2 divides f(qk + r) for k < p^2 no radicand of the
     class is squarefree; p runs over 2 and the primes dividing q.
     """
-    k0, span = _class_period(spec, q, r)
-    if span <= walk and not any(spec.n_constraints.admits(q * k + r)
-                                for k in range(k0, k0 + span)):
-        return "the family's n constraints reject every such n"
+    nc = spec.n_constraints
+    period = math.lcm(2, *(m for m, _ in nc.forbidden_residues))
+    span = period // math.gcd(q, period)
+    if span <= walk:
+        k0 = max(0, -((r - 1) // q))    # the least k with qk + r >= 1
+        if not any(nc.admits(q * k + r) for k in range(k0, k0 + span)):
+            return "the family's n constraints reject every such n"
     for p in sorted({2, *factorize(q)}):
         if p * p <= walk and all(spec.f(q * k + r) % (p * p) == 0
                                  for k in range(p * p)):
             return f"{p}^2 divides f(n) for every such n"
     return None
-
-
-def _class_period(spec: FamilySpec, q: int, r: int) -> tuple[int, int]:
-    """(the least k with qk + r >= 1, the period in k of admits(qk + r))"""
-    M = math.lcm(2, *(m for m, _ in spec.n_constraints.forbidden_residues))
-    return max(0, -((r - 1) // q)), M // math.gcd(q, M)
 
 
 def smallest_admissible_n(spec: FamilySpec, q: int, r: int
@@ -399,8 +405,8 @@ def smallest_admissible_n(spec: FamilySpec, q: int, r: int
     reason = empty_class_reason(spec, q, r, walk)
     if reason is not None:
         raise NoAdmissibleN(f"no admissible n = {q}k + {r}: {reason}")
-    for k, delta in admissible(spec, q, r,
-                               range(_class_period(spec, q, r)[0], walk)):
+    k0 = max(0, -((r - 1) // q))        # the least k with qk + r >= 1
+    for k, delta in admissible(spec, q, r, range(k0, walk)):
         return q * k + r, delta
     raise NoAdmissibleN(
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")
@@ -457,32 +463,49 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
     closed_form_plan of the residue word serves every cell, and
     closed_form_row evaluates the cells one row C at a time.
 
-    norm_form(delta(n)) = primitive_form(u(n), v(n), w, f(n)) = (w^2, 2wu,
-    u^2 - v^2 f)/g with g | w^2, so mod q it reads n mod w^2 q, or k mod
-    w^2; admits reads k mod span (_class_period).  So all members share the
-    smallest one's form if every admitted n does over lcm(w^2, span) values
-    of k from it; an admitted non-member can only refuse more.  Refuses, in
-    this order: q^2 * (length of the residue word) or that period above
-    KERNEL_STEP_BOUND; NoAdmissibleN or SpecInconsistent
-    (smallest_admissible_n); IncompatiblePair (norm_form); HypothesisFailed.
+    ideal_form(*spec.surd(n)) = (w^2, 2wu, u^2 - v^2 f)/g, g | w^2, mod q
+    reads n mod w^2 q, and its check 2wv/g = 1 or 2 by f mod 4 reads n mod
+    4 for constant v; any other v passes at finitely many n and is refused
+    outright.  So with M = q lcm(w^2, 4) the n = r mod q in [n0, n0 + M)
+    decide every member's form, n0 the smallest member.  Skipped is an n
+    whose class mod M the parity, a forbidden modulus dividing M or a
+    square dividing gcd(f(n), M) empties; other non-members can only refuse
+    more.  spec.fits(n) is two polynomial identities in n of degree below
+    D, so the D n from n0 decide every member's digits.  After the step
+    bound and smallest_admissible_n, the first member up to N_SEARCH_LIMIT
+    that fails names a failure; if none does, the failing n's own refusal
+    stands.
     """
     rw = residue_word(spec, q, r)
     if q * q * rw.word.m > KERNEL_STEP_BOUND:
         raise BoundExceeded(
             f"q^2 * {rw.word.m} = {q * q * rw.word.m} closed-form steps "
             f"exceed {KERNEL_STEP_BOUND}")
-    period = math.lcm(spec.w ** 2, _class_period(spec, q, r)[1])
-    if period > KERNEL_STEP_BOUND:
-        raise BoundExceeded(
-            f"class period {period} exceeds {KERNEL_STEP_BOUND}")
     n0, delta0 = smallest_admissible_n(spec, q, r)
     u, v, w = form = tuple(c % q for c in norm_form(delta0))
-    for n in range(n0, n0 + q * period, q):
-        x = primitive_form(_poly(spec.u_coeffs, n), _poly(spec.v_coeffs, n),
-                           spec.w, spec.f(n))
-        if spec.n_constraints.admits(n) and form != tuple(c % q for c in x):
+    M = q * math.lcm(spec.w ** 2, 4)
+    nc = NConstraints(spec.n_constraints.parity, tuple(
+        x for x in spec.n_constraints.forbidden_residues if M % x[0] == 0))
+    D = spec.s + max(2 * len(spec.u_coeffs),
+                     2 * len(spec.v_coeffs) + len(spec.f_coeffs))
+    try:
+        if any(spec.v_coeffs[1:]):
+            raise IncompatiblePair("[1, delta(n)] is an ideal basis at "
+                                   "finitely many n only: v(n) moves")
+        if not all(spec.fits(n) for n in range(n0, n0 + D)):
+            raise SpecInconsistent(f"the family digits fix delta(n)-1 at "
+                                   f"fewer than {D} n")
+        if not all(tuple(c % q for c in ideal_form(*spec.surd(n))) == form
+                   for n in range(n0, n0 + M, q) if nc.admits(n)
+                   and not square_prime(math.gcd(spec.f(n), M))):
             raise HypothesisFailed(
                 f"norm residues mod {q} vary with k at r = {r}")
+    except (IncompatiblePair, HypothesisFailed, SpecInconsistent):
+        with suppress(InsufficientSamples):
+            common_norm_form(q, (delta for _, delta in admissible(
+                spec, q, r,
+                range((n0 - r) // q, (N_SEARCH_LIMIT - r) // q + 1))))
+        raise
     plan = closed_form_plan(spec, rw)
     Ds = range(1, q + 1)
     cells: dict[tuple[int, int], tuple[int, int]] = {}

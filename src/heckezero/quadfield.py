@@ -92,22 +92,26 @@ def primitive_form(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     return u // g, v // g, w // g
 
 
-def norm_form(delta: QuadSurd) -> tuple[int, int, int]:
-    """Integers (u, v, w) with N(b * (C + D*delta)) = u C^2 + v CD + w D^2,
-    where b = [1, delta]^{-1}.
-
-    This is primitive_form(delta.a, delta.b, delta.c, delta.d).  Its
-    discriminant v^2 - 4uw equals the field discriminant exactly when
-    [1, delta] is an ideal of the maximal order; then b is an integral
-    ideal with N(b) = u.  Any other delta raises IncompatiblePair.
-    """
-    d = delta.d
-    u, v, w = primitive_form(delta.a, delta.b, delta.c, d)
+def ideal_form(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """primitive_form(a, b, c, d), refused with IncompatiblePair unless its
+    discriminant v^2 - 4uw is field_discriminant(d).  For squarefree d that
+    holds exactly when [1, (a + b*sqrt(d))/c] is an ideal of the maximal
+    order; a d that is not squarefree is held to d or 4d all the same."""
+    u, v, w = primitive_form(a, b, c, d)
     if v * v - 4 * u * w != field_discriminant(d):
         raise IncompatiblePair(
-            f"[1, {delta}] is not an ideal of the maximal order of "
-            f"Q(sqrt({d}))")
+            f"[1, {QuadSurd(a, b, c, d)}] is not an ideal of the maximal "
+            f"order of Q(sqrt({d}))")
     return u, v, w
+
+
+def norm_form(delta: QuadSurd) -> tuple[int, int, int]:
+    """Integers (u, v, w) with N(b * (C + D*delta)) = u C^2 + v CD + w D^2,
+    where b = [1, delta]^{-1}: the primitive minimal polynomial of delta,
+    which ideal_form refuses unless [1, delta] is an ideal of the maximal
+    order.  Then b is an integral ideal with N(b) = u.
+    """
+    return ideal_form(delta.a, delta.b, delta.c, delta.d)
 
 
 def class_numbers(F: FieldData) -> tuple[int, int]:

@@ -151,7 +151,8 @@ class TestFixesPlusWord:
         word = tuple(max(1, a + b) for a, b in
                      zip(word, bumps + [0] * len(word))) + tuple(extra)
         assume(primitive(word))
-        assert fixes_plus_word(word, x) == (pcf.period == word)
+        assert fixes_plus_word(word, x.a, x.b, x.c, x.d) == \
+            (pcf.period == word)
 
 
 class TestMinusExpand:

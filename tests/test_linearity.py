@@ -14,7 +14,7 @@ from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
                               NoAdmissibleN, NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd, square_prime
 from heckezero.kernels import zeta12_times
-from heckezero.quadfield import primitive_form
+from heckezero.quadfield import field_discriminant, primitive_form
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  FamilySpec, NConstraints, admissible,
                                  closed_form_cd, closed_form_chi,
@@ -80,6 +80,16 @@ EVEN = family_spec_from_dict(EVEN_FAMILY_FILE)
 ODD_UNIDEAL = family_spec_from_dict(dict(
     _family("n2p1-odd", [1, 0, 1], [2, 1], [1], 2, [(1, 0), (4, 0)]),
     n_constraints={"parity": "odd"}))
+# rd-n2p1 at every n: its even members, such as delta(4) = 5 + sqrt 17, are
+# no ideal bases, which a class of odd and even n meets (IncompatiblePair)
+RDN_ANY_N = RDN._replace(name="rd-n2p1-any-n", n_constraints=NConstraints())
+# rd-n2p1 with its digit 2n frozen at n = 1: delta(1) - 1 = 1 + sqrt 2 is
+# [[2]], every later member is SpecInconsistent
+RDN_DIGIT_2 = RDN._replace(name="rd-n2p1-digit-2", acf=((0, 2),))
+# n^2 - 4 at every n, delta(n) = (n + sqrt f)/2 and [[n - 2, 1]]: 4 | f(n) at
+# even n, so its members are odd n, as if a parity constraint said so
+N2M4_ANY_N = FamilySpec("n2m4-any-n", (-4, 0, 1), (0, 1), (1,), 2,
+                        ((1, -2), (0, 1)))
 
 
 def first_with_digits_at_least_q(spec, q, r):
@@ -270,7 +280,7 @@ class TestClosedFormOracle:
     CLI takes any r and such r verify."""
 
     FAMILIES = [YOKOI, RDN, PAIRED, TRIPLE, QUAD, CHOWLA, N2P2, N2M1, N2M2,
-                EVEN, ODD_UNIDEAL]
+                EVEN, ODD_UNIDEAL, RDN_ANY_N, RDN_DIGIT_2]
 
     @staticmethod
     def outcome(build, spec, q, r):
@@ -295,14 +305,17 @@ class TestClosedFormOracle:
                     refused.add((q, r, got[0]))
         assert built + len(refused) == 135
         # TRIPLE and QUAD carry Yokoi's delta under other digits, so every
-        # member they reach is SpecInconsistent; no member of ODD_UNIDEAL
-        # is an ideal basis
-        assert (built == 0) == (spec in (TRIPLE, QUAD, ODD_UNIDEAL))
+        # member they reach is SpecInconsistent, as is every member of
+        # RDN_DIGIT_2 but n = 1; no member of ODD_UNIDEAL is an ideal basis
+        assert (built == 0) == (spec in (TRIPLE, QUAD, ODD_UNIDEAL,
+                                         RDN_DIGIT_2))
         if spec is EVEN:
             assert {(4, 0, "HypothesisFailed"),
                     (4, 2, "HypothesisFailed")} <= refused
-        if spec is ODD_UNIDEAL:
+        if spec in (ODD_UNIDEAL, RDN_ANY_N):
             assert (3, 1, "IncompatiblePair") in refused
+        if spec is RDN_DIGIT_2:
+            assert (2, 1, "SpecInconsistent") in refused
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.name)
     def test_cells_equal_per_cell_reference(self, spec):
@@ -661,21 +674,94 @@ class TestAdmissibility:
     def test_form_mod_q_reads_k_mod_w2(self, u, v, f, w, q, r):
         # the lemma of closed_form_table, on integers: the primitive
         # minimal polynomial of (u(n) + v(n) sqrt f(n))/w, reduced mod q at
-        # n = qk + r, depends on k mod w^2 alone
-        def form(k):
+        # n = qk + r, depends on k mod w^2 alone; for constant v, whether
+        # its discriminant is field_discriminant(f(n)) depends on k mod
+        # lcm(w^2, 4), wherever f(n) != 0
+        def shape(k):
             n = q * k + r
             u_n, v_n, f_n = (sum(c * n ** i for i, c in enumerate(p))
                              for p in (u, v, f))
-            return tuple(c % q for c in primitive_form(u_n, v_n, w, f_n))
+            a, b, c = primitive_form(u_n, v_n, w, f_n)
+            return ((a % q, b % q, c % q),
+                    b * b - 4 * a * c == field_discriminant(f_n), f_n)
         for k in range(w * w, 4 * w * w):
-            assert form(k) == form(k % (w * w)), k
+            assert shape(k)[0] == shape(k % (w * w))[0], k
+        period = math.lcm(w * w, 4)
+        for k in range(period, 4 * period):
+            (_, ok, f_n), (_, ok0, f0) = shape(k), shape(k % period)
+            assert len(v) > 1 or not f_n * f0 or ok == ok0, k
 
-    @pytest.mark.parametrize("spec", [
-        RDN._replace(w=10 ** 5),
-        RDN._replace(n_constraints=NConstraints("odd", ((10 ** 9 + 7, 0),)))])
-    def test_long_class_period_refused_unbuilt(self, spec, monkeypatch):
-        # w^2 or a forbidden modulus makes the period of k that proves the
-        # hypothesis longer than KERNEL_STEP_BOUND: refused up front
-        monkeypatch.setattr(linearity, "family_instance", None)
-        with pytest.raises(BoundExceeded, match="class period"):
-            linearity.closed_form_table(spec, 3, 1)
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+           v=st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+           f=st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+           w=st.integers(1, 4),
+           acf=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                        min_size=1, max_size=3))
+    @example(u=[2, 1], v=[1], f=[4, 0, 1], w=2, acf=[(1, 0)])     # Yokoi
+    @example(u=[1, 1], v=[1], f=[1, 0, 1], w=1, acf=[(0, 2)])     # n = 1
+    def test_fits_is_a_polynomial_identity(self, u, v, f, w, acf):
+        # the digit check of closed_form_table: fits(n) holds at fewer
+        # than D integers n unless it holds at all of them
+        spec = FamilySpec("random", tuple(f), tuple(u), tuple(v), w,
+                          tuple(acf))
+        D = spec.s + max(2 * len(u), 2 * len(v) + len(f))
+        hits = sum(spec.fits(n) for n in range(-20, 20))
+        assert hits == 40 or hits < D
+
+    def test_period_reads_parity_not_forbidden_moduli(self, monkeypatch):
+        # a forbidden modulus, however large, does not lengthen the period:
+        # at q = 3 the n of M = 3 lcm(1, 4) = 12 are 1, 4, 7 and 10, and
+        # ideal_form reads the odd ones, 1 and 7, the forbidden 7 included
+        # since its modulus does not divide M
+        seen = []
+        orig = linearity.ideal_form
+
+        def counted(a, b, c, d):
+            seen.append(d)
+            return orig(a, b, c, d)
+
+        monkeypatch.setattr(linearity, "ideal_form", counted)
+        spec = RDN._replace(
+            n_constraints=NConstraints("odd", ((10 ** 9 + 7, 7),)))
+        assert linearity.closed_form_table(spec, 3, 1) == \
+            linearity.closed_form_table(RDN, 3, 1)
+        assert seen == [RDN.f(1), RDN.f(7)] * 2
+
+    def test_moving_v_refused(self):
+        # v(n) = n: delta(1) = 2 + sqrt 2 is rd-n2p1's, but 2wv/g, which an
+        # ideal basis holds at 1 or 2, grows with n; no other odd n up to
+        # the search limit is a member to name
+        spec = RDN._replace(v_coeffs=(0, 1))
+        with pytest.raises(HeckeZeroError, match=r"v\(n\) moves") as exc:
+            linearity.closed_form_table(spec, 2, 1)
+        assert type(exc.value).__name__ == "IncompatiblePair"
+
+    @pytest.mark.parametrize("q, r", [(3, 1), (3, 2), (4, 1), (5, 4)])
+    def test_period_skips_forbidden_classes(self, q, r):
+        # n = 0 mod 2 forbidden says what parity "odd" says, and 2 divides
+        # M, so the even n of the period, no ideal bases here, are skipped
+        spec = RDN._replace(n_constraints=NConstraints(None, ((2, 0),)))
+        assert linearity.closed_form_table(spec, q, r) == \
+            linearity.closed_form_table(RDN, q, r)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_period_skips_classes_without_members(self, q, monkeypatch):
+        # 4 | f(n) at every even n of n^2 - 4, so ideal_form reads odd n
+        # only and the tables are those of the family with parity "odd".
+        # At q = 1 the 2q + 2 n from the smallest member, 5 to 8, hold one
+        # member (45 = f(7) is not squarefree): too few for the sampled
+        # check of closed_form_table_reference, none too few for the period
+        seen = []
+        orig = linearity.ideal_form
+
+        def counted(a, b, c, d):
+            seen.append(a)                  # u(n) = n
+            return orig(a, b, c, d)
+
+        monkeypatch.setattr(linearity, "ideal_form", counted)
+        odd = N2M4_ANY_N._replace(n_constraints=NConstraints("odd"))
+        for r in range(1, 2 * q, 2 if q % 2 == 0 else 1):
+            assert linearity.closed_form_table(N2M4_ANY_N, q, r) == \
+                linearity.closed_form_table(odd, q, r)
+        assert seen and all(n % 2 == 1 for n in seen)
