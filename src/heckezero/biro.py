@@ -12,11 +12,12 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .characters import (CycloElement, DirichletCharacter, ModPRealization,
-                         chi_weights, cyclo_from_buckets, gen_bernoulli_b1,
-                         modp_realizations, odd_primitive_characters)
+                         b1_table, chi_coords, chi_sum, chi_weights,
+                         cyclo_value, modp_realizations,
+                         odd_primitive_characters, unit_product)
 from .errors import BoundExceeded, NarrowClassNotOne, ParseError
 from .linearity import (BUILTIN_FAMILIES, ClosedFormTable, FamilySpec,
-                        closed_form_chi, closed_form_table, family_instance)
+                        closed_form_table, family_instance)
 from .quadfield import class_numbers, field_discriminant, make_field
 from .shintani import partial_hecke_L_zero
 
@@ -193,8 +194,8 @@ def factorization_oracle_check(spec: FamilySpec, n: int,
     """Compare the cone-engine value against the Bernoulli-number product
     B_{1,chi} * B_{1,chi*chi_D} for a narrow-class-number-one member.
 
-    The sign between them is +1, fixed by the d = 5, q = 3 oracle (2/3 on
-    both sides).
+    The product is one chi-fold of the unit_product of the b1_tables.  The
+    sign between them is +1, fixed by the d = 5, q = 3 oracle (2/3 each).
     """
     delta = family_instance(spec, n)
     _, h_plus = class_numbers(make_field(delta.d))
@@ -202,8 +203,9 @@ def factorization_oracle_check(spec: FamilySpec, n: int,
         raise NarrowClassNotOne(
             f"h+({delta.d}) = {h_plus}; the single-class oracle does not apply")
     lhs = partial_hecke_L_zero(delta, chi)
-    rhs = gen_bernoulli_b1(chi) * gen_bernoulli_b1(
-        chi, field_discriminant(delta.d))
+    q, disc = chi.modulus, field_discriminant(delta.d)
+    rhs = chi_sum(chi, unit_product(b1_table(q), b1_table(q, disc), q),
+                  Fraction(1, q * q * disc))
     return lhs, rhs, lhs == rhs
 
 
@@ -221,24 +223,24 @@ def yokoi_intro_ab(chi: DirichletCharacter, r: int
             ceil_term = -((D - r * C) // q)        # ceil((rC - D) / q)
             A_table[a] += ceil_term * (C - q)
             B_table[a] += C * (C - q)
-    A = cyclo_from_buckets(chi.order, chi_weights(chi, A_table))
-    B = cyclo_from_buckets(chi.order, chi_weights(chi, B_table))
-    cf = closed_form_chi(BUILTIN_FAMILIES["yokoi"], chi, r)
-    rho = _proportionality((A, B), (cf.A_chi, cf.B_chi))
-    return A, B, rho
+    A, B = chi_coords(chi, A_table), chi_coords(chi, B_table)
+    table = closed_form_table(BUILTIN_FAMILIES["yokoi"], q, r)
+    rho = _proportionality(
+        (A, B), (chi_coords(chi, table.A), chi_coords(chi, table.B)))
+    return cyclo_value(chi.order, A), cyclo_value(chi.order, B), rho
 
 
 def _proportionality(pair, ref) -> Fraction | None:
     """The rational rho with pair = rho * ref componentwise, if one exists;
-    all four elements have one order."""
+    all four are integer coordinates of one order."""
     rho: Fraction | None = None
     for x, y in zip(pair, ref):
-        for cx, cy in zip(x.coeffs, y.coeffs):
+        for cx, cy in zip(x, y):
             if cy == 0:
                 if cx != 0:
                     return None
                 continue
-            cand = Fraction(cx) / Fraction(cy)
+            cand = Fraction(cx, cy)
             if rho is None:
                 rho = cand
             elif rho != cand:

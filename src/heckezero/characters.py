@@ -237,25 +237,38 @@ def gen_bernoulli_b1(chi: DirichletCharacter, disc: int = 1) -> CycloElement:
     psi = chi * (disc/.) of modulus f = q*disc.
 
     disc is a positive fundamental discriminant; the default 1 gives
-    B_{1,chi}.  The sum is b1_weights(chi, disc) reduced once.
+    B_{1,chi}.  The sum is the chi-fold of b1_table(q, disc).
     """
-    f = chi.modulus * disc
-    return cyclo_from_buckets(chi.order, b1_weights(chi, disc), Fraction(1, f))
+    q = chi.modulus
+    return chi_sum(chi, b1_table(q, disc), Fraction(1, q * disc))
 
 
-def b1_weights(chi: DirichletCharacter, disc: int = 1) -> list[int]:
-    """The integers w_j = sum a*(disc/a) over a = 1..q*disc with
-    chi(a) = zeta_o^j, o = chi.order: f*B_{1,psi} = sum_j w_j zeta_o^j.
+def b1_table(q: int, disc: int = 1) -> list[int]:
+    """Entry a (0 <= a < q) is the sum of b*(disc/b) over the b = a mod q
+    in [1, q*disc]: its chi-fold is f*B_{1,psi}, f = q*disc, for every
+    character chi mod q.
 
     (disc/.) is a character mod disc, read from a table of one period.
     disc is 1 or field_discriminant of a checked radicand.
     """
-    q = chi.modulus
     kron = [_kronecker_raw(disc, a) for a in range(disc)]
     table = [0] * q
     for a in range(1, q * disc + 1):
         table[a % q] += a * kron[a % disc]
-    return chi_weights(chi, table)
+    return table
+
+
+def unit_product(s, t, q: int) -> list[int]:
+    """u[c] = sum s[a]*t[b] over the units a, b mod q with ab = c mod q:
+    chi is multiplicative on the units and 0 off them, so for every chi
+    mod q the chi-fold of u is the product of those of s and t."""
+    units = _unit_group(q).units
+    out = [0] * q
+    for a in units:
+        if s[a]:
+            for b in units:
+                out[a * b % q] += s[a] * t[b]
+    return out
 
 
 class ModPRealization(NamedTuple):
@@ -273,8 +286,8 @@ class ModPRealization(NamedTuple):
         """The image of sum_j weights[j] * zeta_o^j for integer weights, by
         Horner's rule at zeta_image.  zeta_image has order exactly o, so it
         is a root of the o-th cyclotomic polynomial mod p and the weights
-        need no reduction first: this is the image of the reduced
-        cyclo_from_buckets(o, weights) as well."""
+        need no reduction first: this is the image of their reduced
+        coordinates as well."""
         t, p = self.zeta_image, self.p
         acc = 0
         for w in reversed(weights):
@@ -342,28 +355,15 @@ def euler_phi(n: int) -> int:
 
 
 class CycloElement:
-    """Element of Q(zeta_o) as phi(o) rational coordinates in the power basis.
-
-    Reduction modulo the o-th cyclotomic polynomial is canonical, so equal
-    elements always have equal coefficient tuples.  Arithmetic stays in one
-    field: an int or Fraction operand is read in Q(zeta_o), and elements of
-    different orders are refused.
-    """
+    """Element of Q(zeta_o) as its phi(o) rational coordinates in the power
+    basis, reduced mod the o-th cyclotomic polynomial.  A plain value that
+    cyclo_value builds: sums and products of chi-values are taken on the
+    integer tables before the one fold, so it has no arithmetic."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        phi = euler_phi(order)
-        cs = tuple(coeffs)
-        if len(cs) > phi:
-            cs = _cyclo_reduce(order, cs)
-        elif len(cs) < phi:
-            cs = cs + (Fraction(0),) * (phi - len(cs))
-        self.order, self.coeffs = order, cs
-
-    @staticmethod
-    def from_rational(x: Fraction | int, order: int = 1) -> CycloElement:
-        return CycloElement(order, (Fraction(x),))
+        self.order, self.coeffs = order, tuple(coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -373,52 +373,12 @@ class CycloElement:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def _coerce(self, other) -> CycloElement:
-        """other in self's field: a rational is read in Q(zeta_o),
-        o = self.order.  Every value a command builds lies in the field of
-        its one character, so two orders never meet."""
-        if not isinstance(other, CycloElement):
-            return CycloElement.from_rational(other, self.order)
-        if other.order != self.order:
-            raise ValueError(f"elements of Q(zeta_{self.order}) and "
-                             f"Q(zeta_{other.order}) mixed")
-        return other
-
-    def __add__(self, other) -> CycloElement:
-        b = self._coerce(other)
-        return CycloElement(self.order, tuple(
-            x + y for x, y in zip(self.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> CycloElement:
-        return CycloElement(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> CycloElement:
-        if isinstance(other, (int, Fraction)):
-            return CycloElement(self.order,
-                                tuple(c * other for c in self.coeffs))
-        b = self._coerce(other)
-        n = len(self.coeffs) + len(b.coeffs) - 1
-        conv = [Fraction(0)] * n
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        return CycloElement(self.order, tuple(conv))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, CycloElement):
             return NotImplemented
-        return self.coeffs == self._coerce(other).coeffs
+        return (self.order, self.coeffs) == (other.order, other.coeffs)
 
     def __str__(self) -> str:
         if self.is_rational():
@@ -428,22 +388,29 @@ class CycloElement:
         return " + ".join(terms) or "0"
 
 
-def cyclo_from_buckets(order: int, buckets, scale: Fraction | int = 1
-                       ) -> CycloElement:
-    """scale * sum_k buckets[k] * zeta_order^k as one CycloElement.
+def chi_coords(chi: DirichletCharacter, table) -> tuple[int, ...]:
+    """The integer coordinates of sum_a chi(a)*table[a] in Q(zeta_o),
+    o = chi.order: its chi_weights reduced once.  The reduction is linear
+    and canonical, so adding or scaling tables adds or scales these."""
+    return _cyclo_reduce(chi.order, chi_weights(chi, table))
 
-    Reduction mod the cyclotomic polynomial is linear and canonical, so
-    summing the weights of each power of zeta first and reducing once gives
-    the same coefficients as adding the terms one element at a time.
-    Integer buckets reduce in integers; only the phi(order) results meet
-    the scale.
-    """
+
+def cyclo_value(order: int, coords, scale: Fraction | int = 1
+                ) -> CycloElement:
+    """scale * sum_j coords[j] * zeta_order^j for reduced integer
+    coordinates: the one place a CycloElement is built."""
     scale = Fraction(scale)
-    return CycloElement(order, tuple(c * scale for c in
-                                     _cyclo_reduce(order, buckets)))
+    return CycloElement(order, tuple(c * scale for c in coords))
 
 
-def _cyclo_reduce(order: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def chi_sum(chi: DirichletCharacter, table, scale: Fraction | int = 1
+            ) -> CycloElement:
+    """scale * sum_a chi(a)*table[a] for an integer table over the residues
+    mod chi.modulus."""
+    return cyclo_value(chi.order, chi_coords(chi, table), scale)
+
+
+def _cyclo_reduce(order: int, coeffs) -> tuple[int, ...]:
     phi_poly = cyclotomic_polynomial(order)
     deg = len(phi_poly) - 1
     cs = list(coeffs)
@@ -454,7 +421,7 @@ def _cyclo_reduce(order: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, .
                 cs[i - deg + j] -= coef * phi_poly[j]
         cs.pop()
     while len(cs) < deg:
-        cs.append(Fraction(0))
+        cs.append(0)
     return tuple(cs)
 
 

@@ -157,8 +157,8 @@ def cmd_lvalue(args) -> dict:
 
 
 def cmd_linearity(args) -> dict:
-    from .characters import DirichletCharacter, cyclo_to_dict
-    from .linearity import (closed_form_chi, hypothesis_check_norm,
+    from .characters import DirichletCharacter, chi_sum, cyclo_to_dict
+    from .linearity import (closed_form_table, hypothesis_check_norm,
                             verify_linearity)
     spec = load_family_config(args.family)
     chi = DirichletCharacter.from_identifier(args.chi)
@@ -170,15 +170,15 @@ def cmd_linearity(args) -> dict:
     cyclo = functools.partial(_cyclo_payload, cyclo_to_dict)
     if args.lin_cmd == "closed-form":
         from fractions import Fraction
-        cf = closed_form_chi(spec, chi, args.r)
+        table = closed_form_table(spec, q, args.r)
         return {
             "family": spec.name, "q": q, "chi": chi.identifier(), "r": args.r,
-            "A_chi": cyclo(cf.A_chi),
-            "B_chi": cyclo(cf.B_chi),
+            "A_chi": cyclo(chi_sum(chi, table.A)),
+            "B_chi": cyclo(chi_sum(chi, table.B)),
             "cells": [{"C": C, "D": D,
                        "A_CD": rational_to_str(Fraction(a, q * q)),
                        "B_CD": rational_to_str(Fraction(b, q * q))}
-                      for (C, D), (a, b) in sorted(cf.cells.items())],
+                      for (C, D), (a, b) in sorted(table.cells.items())],
         }
     rep = verify_linearity(spec, chi, args.r, _parse_ints(args.k))
     return {

@@ -2,7 +2,7 @@
 construction and the walk over admissible members, the residue word
 (gamma, tau, Gamma and its minus word), the nu-sequence and its
 coefficient pairs per (q, r), the closed-form coefficients of each cell
-evaluated a row at a time, their character assembly, and the verifier that
+evaluated a row at a time and summed per norm residue, and the verifier that
 pits the closed forms against the direct engine.
 """
 
@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .cfrac import (MinusCF, PlusCF, fixes_plus_word, minus_length,
                     minus_word, plus_expand, plus_to_minus)
-from .characters import (CycloElement, DirichletCharacter, chi_weights,
-                         cyclo_from_buckets)
+from .characters import (CycloElement, DirichletCharacter, chi_coords,
+                         chi_sum, cyclo_value)
 from .errors import (BoundExceeded, DeltaOutOfRange, HypothesisFailed,
                      IncompatiblePair, InsufficientSamples, NoAdmissibleN,
                      NotSquarefree, ParseError, SpecInconsistent)
@@ -412,14 +412,6 @@ def smallest_admissible_n(spec: FamilySpec, q: int, r: int
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")
 
 
-class ClosedFormAB(NamedTuple):
-    """Character-assembled closed forms with the per-cell table kept."""
-
-    cells: dict[tuple[int, int], tuple[int, int]]   # q^2 (A_CD, B_CD)
-    A_chi: CycloElement
-    B_chi: CycloElement
-
-
 def common_norm_form(q: int, deltas) -> tuple[int, int, int] | None:
     """The norm form mod q shared by every delta, or None at the first that
     differs; InsufficientSamples with fewer than two deltas.
@@ -519,20 +511,6 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
     return ClosedFormTable(cells, tuple(A_sums), tuple(B_sums))
 
 
-def closed_form_chi(spec: FamilySpec, chi: DirichletCharacter, r: int
-                    ) -> ClosedFormAB:
-    """Assemble A_chi(r), B_chi(r) = sum_{C,D} F_CD(r) * q^2 * (A_CD, B_CD)
-    for q = chi.modulus.
-
-    F_CD is the character value of the norm residue; closed_form_table
-    holds everything that does not depend on chi.
-    """
-    table = closed_form_table(spec, chi.modulus, r)
-    return ClosedFormAB(
-        table.cells, cyclo_from_buckets(chi.order, chi_weights(chi, table.A)),
-        cyclo_from_buckets(chi.order, chi_weights(chi, table.B)))
-
-
 class LinearityReport(NamedTuple):
     k_used: tuple[int, ...]
     k_skipped: tuple[int, ...]
@@ -563,10 +541,11 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     expanded again, and no minus word is built.
     The README's linearity paragraph gives the cost of the form-walk
     tables and why residue_table keeps the per-cell kernel.
-    The line is fitted from the first two points and the verdicts are
-    independent booleans: every remaining point on the line exactly; the
-    fitted pair equals (A_chi, B_chi); the norm-residue hypothesis holds on
-    the members used.
+    The line is fitted from the first two points on the integer
+    coordinates of the chi-folds, which the fold keeps linear, and the
+    verdicts are independent booleans: every remaining point on the line
+    exactly; the fitted pair equals the folds of closed_form_table's A and
+    B; the norm-residue hypothesis holds on the members used.
     """
     q = chi.modulus
     ks = sorted(set(k_list))
@@ -586,15 +565,20 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
         raise InsufficientSamples(
             f"need >= 3 admissible k with digits >= q, got {len(used)}")
     inputs = [(norm_form(delta), digits) for _, delta, digits in members]
-    vals = [cyclo_from_buckets(chi.order, chi_weights(chi, table))
-            for table in form_tables(inputs, q)]
-    slope = (vals[1] - vals[0]) * Fraction(1, used[1] - used[0])
-    intercept = vals[0] - slope * used[0]
-    affine = all(v == intercept + slope * k
-                 for k, v in zip(used[2:], vals[2:]))
-    cf = closed_form_chi(spec, chi, r)
-    match = intercept == cf.A_chi and slope == cf.B_chi
+    coords = [chi_coords(chi, table) for table in form_tables(inputs, q)]
+    (k0, k1), (c0, c1) = used[:2], coords[:2]
+    dk, s = k1 - k0, [y - x for x, y in zip(c0, c1)]
+    affine = all(dk * (y - x) == (k - k0) * sj
+                 for k, c in zip(used[2:], coords[2:])
+                 for x, y, sj in zip(c0, c, s))
+    o = chi.order
+    slope = cyclo_value(o, s, Fraction(1, dk))
+    intercept = cyclo_value(o, [dk * x - k0 * sj for x, sj in zip(c0, s)],
+                            Fraction(1, dk))
+    table = closed_form_table(spec, q, r)
+    A_chi, B_chi = chi_sum(chi, table.A), chi_sum(chi, table.B)
+    match = intercept == A_chi and slope == B_chi
     hyp = len({tuple(c % q for c in form) for form, _ in inputs}) == 1
     return LinearityReport(tuple(used), tuple(k for k in ks if k not in used),
-                           tuple(vals), intercept, slope, cf.A_chi, cf.B_chi,
-                           affine, match, hyp)
+                           tuple(cyclo_value(o, c) for c in coords),
+                           intercept, slope, A_chi, B_chi, affine, match, hyp)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .cfrac import (MinusCF, evaluate_periodic, minus_length, minus_word,
                     plus_expand)
-from .characters import DirichletCharacter, chi_weights, cyclo_from_buckets
+from .characters import DirichletCharacter, chi_sum
 from .errors import (BoundExceeded, DeltaOutOfRange, InternalInvariantError,
                      UnitMismatch)
 from .exact import QuadSurd
@@ -305,9 +305,7 @@ def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
     12*q^2, q = chi.modulus.
     """
     q = chi.modulus
-    return cyclo_from_buckets(chi.order,
-                              chi_weights(chi, residue_table(delta, q)),
-                              Fraction(1, 12 * q * q))
+    return chi_sum(chi, residue_table(delta, q), Fraction(1, 12 * q * q))
 
 
 def lattice_unit_order(F: FieldData, delta: QuadSurd, q: int) -> int:

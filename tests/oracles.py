@@ -5,10 +5,12 @@ program no longer runs: ideal lattices in Hermite normal form (the lattice
 product, inverse and norm behind the per-cell norm residue that
 quadfield.norm_form replaced), the Bernoulli-polynomial evaluation of
 Z(C, D) and the orbit-closure check of the cone recursion, character values
-as cyclotomic numbers, the order of a character by an lcm loop on each
-read and the odd primitive filter over built characters (DirichletCharacter
-now stores its order when built, and odd_primitive_characters filters
-exponent tuples before it builds any), parity and the conductor search over
+and their sums and products as weight vectors over Z[x]/(x^o - 1), reduced
+to coordinates in Q(zeta_o) only to be compared, the order of a character
+by an lcm loop on each read and the odd primitive filter over built
+characters (DirichletCharacter now stores its order when built, and
+odd_primitive_characters filters exponent tuples before it builds any),
+parity and the conductor search over
 the divisors of q (which characters.odd_primitive_characters reads off the
 exponents), the reduction of a cyclotomic number along a mod-p realization, the condition
 (*) search with one image per realization that biro.condition_star_search
@@ -39,8 +41,9 @@ from itertools import chain
 from heckezero.cfrac import MinusCF, evaluate_periodic
 from heckezero.biro import ConditionStarPair, _check_sieve_work, _odd_primes
 from heckezero.characters import (CycloElement, DirichletCharacter,
-                                  ModPRealization, _unit_group, b1_weights,
-                                  enumerate_characters, modp_realizations)
+                                  ModPRealization, _cyclo_reduce, _unit_group,
+                                  b1_table, chi_weights, enumerate_characters,
+                                  modp_realizations)
 from heckezero.errors import (BoundExceeded, HypothesisFailed,
                               IncompatiblePair, InternalInvariantError,
                               ValidationError)
@@ -348,9 +351,53 @@ def class_number_analytic(F: FieldData) -> float:
     return -total / (2 * log_eps)
 
 
-def zeta_power(order: int, e: int) -> CycloElement:
-    """zeta_order^e."""
-    return CycloElement(order, (0,) * (e % order) + (1,))
+def zeta_power(order: int, e: int) -> list[int]:
+    """zeta_order^e as a weight vector over Z[x]/(x^order - 1)."""
+    out = [0] * order
+    out[e % order] = 1
+    return out
+
+
+def cyclic_product(x: list, y: list) -> list:
+    """The product of two weight vectors of one order o in Z[x]/(x^o - 1):
+    their cyclic convolution."""
+    o = len(x)
+    out = [0] * o
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[(i + j) % o] += a * b
+    return out
+
+
+def char_sum(chi: DirichletCharacter, terms) -> list:
+    """sum c*chi(a) over the (a, c) of terms, a any integer, as a weight
+    vector over Z[x]/(x^o - 1), o = chi.order: each term adds c at the
+    exponent char_logs gives a, and nothing off the units."""
+    q, logs = chi.modulus, char_logs(chi)
+    out = [0] * chi.order
+    for a, c in terms:
+        if logs[a % q] >= 0:
+            out[logs[a % q]] += c
+    return out
+
+
+def reduced(order: int, weights) -> tuple:
+    """The coordinates of sum_j weights[j] zeta_order^j in the power basis
+    of Q(zeta_order), to compare with CycloElement.coeffs: the weight
+    vector's one reduction mod the cyclotomic polynomial."""
+    return _cyclo_reduce(order, weights)
+
+
+def bernoulli_product_reference(chi: DirichletCharacter, disc: int) -> tuple:
+    """The coordinates of B_{1,chi} * B_{1,chi*(disc/.)}: each factor summed
+    term by term over a = 1..f, f its modulus, and the two multiplied by
+    cyclic convolution."""
+    q = chi.modulus
+    b1 = [char_sum(chi, ((a, Fraction(a * kronecker(D, a), q * D))
+                         for a in range(1, q * D + 1)))
+          for D in (1, disc)]
+    return reduced(chi.order, cyclic_product(*b1))
 
 
 def unit_logs(q: int) -> dict[int, tuple[int, ...]]:
@@ -392,11 +439,12 @@ def char_logs(chi: DirichletCharacter) -> list[int]:
     return out
 
 
-def char_eval(chi: DirichletCharacter, a: int) -> CycloElement:
-    """chi(a) as an exact cyclotomic number (0 off the units)."""
+def char_eval(chi: DirichletCharacter, a: int) -> list[int]:
+    """chi(a) as a weight vector over Z[x]/(x^o - 1), o = chi.order: a
+    power of zeta_o, or 0 off the units."""
     k = char_logs(chi)[a % chi.modulus]
     if k < 0:
-        return CycloElement(chi.order, ())
+        return [0] * chi.order
     return zeta_power(chi.order, k)
 
 
@@ -442,14 +490,19 @@ def is_primitive(chi: DirichletCharacter) -> bool:
     return char_invariants(chi)[1] == chi.modulus
 
 
-def apply_realization(real: ModPRealization, x: CycloElement) -> int:
+def apply_realization(real: ModPRealization, x) -> int:
     """The image of x in Z/p along zeta_{real.order} -> real.zeta_image,
-    coefficient by coefficient; x.order must divide real.order."""
-    if real.order % x.order:
-        raise ValueError(f"cannot reduce order-{x.order} element")
-    t = pow(real.zeta_image, real.order // x.order, real.p)
+    coefficient by coefficient, for a CycloElement x or a weight vector x
+    over Z[x]/(x^o - 1), o = len(x); its order must divide real.order.
+    zeta_image is a root of x^o - 1 and of the o-th cyclotomic polynomial,
+    so weights and reduced coordinates have one image."""
+    order, coeffs = (x.order, x.coeffs) if isinstance(x, CycloElement) \
+        else (len(x), x)
+    if real.order % order:
+        raise ValueError(f"cannot reduce order-{order} element")
+    t = pow(real.zeta_image, real.order // order, real.p)
     acc, tp = 0, 1
-    for c in x.coeffs:
+    for c in map(Fraction, coeffs):
         num = c.numerator % real.p
         den = pow(c.denominator, -1, real.p)
         acc = (acc + num * den * tp) % real.p
@@ -463,7 +516,7 @@ def condition_star_search_reference(q_max: int, p_max: int
     primitive chi (by the conductor search) tested at every realization of
     its order at each p, and the pairs sorted on identifier strings."""
     _check_sieve_work(q_max, p_max, residues=False)
-    chars = [(chi, chi.order, b1_weights(chi))
+    chars = [(chi, chi.order, chi_weights(chi, b1_table(q)))
              for q in range(3, q_max + 1, 2)
              for chi in enumerate_characters(q)
              if char_invariants(chi) == ("odd", q)]

@@ -13,16 +13,15 @@ from heckezero.biro import (SIEVE_WORK_BOUND, ConditionStarPair,
                             factorization_oracle_check, residue_mod_p,
                             residue_reports, sieve_work, yokoi_intro_ab)
 from heckezero.characters import (CycloElement, DirichletCharacter,
-                                  ModPRealization, b1_weights, chi_weights,
-                                  cyclo_from_buckets, enumerate_characters,
-                                  gen_bernoulli_b1, modp_realizations,
-                                  odd_primitive_characters)
+                                  ModPRealization, b1_table, chi_sum,
+                                  chi_weights, enumerate_characters,
+                                  modp_realizations, odd_primitive_characters)
 from heckezero.cli import main
 from heckezero.errors import NarrowClassNotOne, ParseError
-from heckezero.linearity import (BUILTIN_FAMILIES, closed_form_chi,
-                                 closed_form_table)
-from oracles import (apply_realization, char_invariants,
-                     condition_star_search_reference)
+from heckezero.linearity import BUILTIN_FAMILIES, closed_form_table
+from heckezero.quadfield import field_discriminant
+from oracles import (apply_realization, bernoulli_product_reference,
+                     char_invariants, condition_star_search_reference)
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
@@ -30,8 +29,8 @@ CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 
 
 def char_sum_a(chi: DirichletCharacter) -> CycloElement:
-    """sum a*chi(a) over a = 1..q from the search's integer weights."""
-    return cyclo_from_buckets(chi.order, b1_weights(chi))
+    """sum a*chi(a) over a = 1..q from the search's integer table."""
+    return chi_sum(chi, b1_table(chi.modulus))
 
 
 def _every_realization() -> list[ConditionStarPair]:
@@ -99,8 +98,7 @@ class TestSearch:
     def test_kill_property(self):
         # every returned realization really sends q*B_{1,chi} to zero
         for p in condition_star_search(7, 13):
-            assert apply_realization(
-                p.realization, gen_bernoulli_b1(p.chi) * p.q) == 0
+            assert apply_realization(p.realization, char_sum_a(p.chi)) == 0
 
     def test_bad_bounds(self):
         with pytest.raises(ParseError):
@@ -202,7 +200,7 @@ class TestResidue:
     def test_shared_tables_every_realization(self, spec, monkeypatch):
         # the search's own pairs above give only indeterminate reports, so
         # feed every realization, killing or not, to see nonzero images;
-        # they must also match the reduced CycloElements of closed_form_chi
+        # they must also match the reduced chi-folds of closed_form_table
         pairs = _every_realization()
         monkeypatch.setattr(biro, "condition_star_search",
                             lambda q_max, p_max: pairs)
@@ -211,13 +209,16 @@ class TestResidue:
             residue_mod_p(pair, r, closed_form_table(spec, pair.q, r))
             for pair in pairs for r in range(pair.q)]
         assert {rep.status for rep in shared} >= {"determined", "vacuous"}
-        cfs = {}
+        tables = {}
         for rep in shared:
-            if (rep.chi, rep.r) not in cfs:
-                cfs[(rep.chi, rep.r)] = closed_form_chi(spec, rep.chi, rep.r)
-            cf = cfs[(rep.chi, rep.r)]
-            assert rep.A_image == apply_realization(rep.realization, cf.A_chi)
-            assert rep.B_image == apply_realization(rep.realization, cf.B_chi)
+            q = rep.chi.modulus
+            if (q, rep.r) not in tables:
+                tables[q, rep.r] = closed_form_table(spec, q, rep.r)
+            table = tables[q, rep.r]
+            assert rep.A_image == apply_realization(
+                rep.realization, chi_sum(rep.chi, table.A))
+            assert rep.B_image == apply_realization(
+                rep.realization, chi_sum(rep.chi, table.B))
 
     def test_closed_form_table_builds(self, monkeypatch, capsys):
         # one table per (q, r) for all pairs of that q: q = 5 and q = 7
@@ -252,6 +253,21 @@ class TestOracle:
         lhs, rhs, ok = factorization_oracle_check(YOKOI, 1, triv)
         assert ok and lhs == 0 and rhs == 0
 
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 13, 17])
+    def test_rhs_is_termwise_product(self, n):
+        # the unit_product of the two b1 tables, folded once, against the
+        # two Bernoulli numbers summed term by term and multiplied by
+        # cyclic convolution: every chi mod q <= 12 at the Yokoi members
+        # with h+ = 1, composite q and gcd(q, D) > 1 (D = 5 at n = 1)
+        # included; the cone engine's value equals it at every one
+        D = field_discriminant(n * n + 4)
+        for q in range(1, 13):
+            for chi in enumerate_characters(q):
+                lhs, rhs, ok = factorization_oracle_check(YOKOI, n, chi)
+                assert rhs.order == chi.order
+                assert rhs.coeffs == bernoulli_product_reference(chi, D)
+                assert ok and lhs == rhs
+
     def test_rejects_narrow_class(self):
         # find the first family member whose narrow class number exceeds 1
         # and check the gate fires on it
@@ -282,14 +298,12 @@ class TestIntroNormalization:
                 assert rho == Fraction(1, 12 * q)
 
     def test_proportionality(self):
-        # zeta_3 elements: one factor 2 for both coordinates, no common
+        # coordinates in Q(zeta_3): one factor 2 for both, no common
         # factor, and a zero reference coordinate against a nonzero one
-        def z(*buckets):
-            return cyclo_from_buckets(3, buckets)
-        ref = (z(1, 2, 0), z(0, 3, 0))
-        assert biro._proportionality((z(2, 4, 0), z(0, 6, 0)), ref) == 2
-        assert biro._proportionality((z(2, 4, 0), z(0, 9, 0)), ref) is None
-        assert biro._proportionality((z(2, 4, 0), z(1, 6, 0)), ref) is None
+        ref = ((1, 2), (0, 3))
+        assert biro._proportionality(((2, 4), (0, 6)), ref) == 2
+        assert biro._proportionality(((2, 4), (0, 9)), ref) is None
+        assert biro._proportionality(((2, 4), (1, 6)), ref) is None
 
 
 @pytest.mark.parametrize("spec", [YOKOI, RDN], ids=lambda s: s.name)
@@ -305,7 +319,7 @@ class TestEvenCharactersVanish:
 
     def test_closed_forms_zero(self, spec):
         # both families admit odd n only, so n = qk + r with q and r even
-        # has no member and closed_form_chi raises NoAdmissibleN there
+        # has no member and closed_form_table raises NoAdmissibleN there
         assert spec.n_constraints.parity == "odd"
         checked = skipped = 0
         for q in range(3, 16):
@@ -316,8 +330,8 @@ class TestEvenCharactersVanish:
                     if q % 2 == 0 and r % 2 == 0:
                         skipped += 1
                         continue
-                    cf = closed_form_chi(spec, chi, r)
-                    assert cf.A_chi == 0 and cf.B_chi == 0, \
-                        (chi.identifier(), r)
+                    table = closed_form_table(spec, q, r)
+                    assert chi_sum(chi, table.A) == 0 and \
+                        chi_sum(chi, table.B) == 0, (chi.identifier(), r)
                     checked += 1
         assert (checked, skipped) == (310, 56)

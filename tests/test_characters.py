@@ -5,20 +5,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckezero import characters
 from heckezero.characters import (CycloElement, DirichletCharacter,
-                                  _kronecker_raw, _unit_group, b1_weights,
-                                  chi_weights, cyclo_from_buckets,
+                                  _kronecker_raw, _unit_group, b1_table,
+                                  chi_coords, chi_sum, chi_weights,
                                   enumerate_characters, gen_bernoulli_b1,
-                                  modp_realizations, odd_primitive_characters)
+                                  modp_realizations, odd_primitive_characters,
+                                  unit_product)
 from heckezero.errors import BoundExceeded, ParseError
 from heckezero.exact import factorize
 from heckezero.kernels import KERNEL_STEP_BOUND
 from oracles import (_is_fundamental, apply_realization, char_eval,
-                     char_invariants, char_logs, character_order,
-                     chi_weights_per_residue, is_primitive, kronecker,
-                     odd_primitive_by_objects, zeta_power)
+                     char_invariants, char_logs, char_sum, character_order,
+                     chi_weights_per_residue, cyclic_product, is_primitive,
+                     kronecker, odd_primitive_by_objects, reduced, zeta_power)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")
 
@@ -66,8 +69,8 @@ class TestEnumeration:
         for chi in enumerate_characters(q):
             for a in range(1, q + 1):
                 for b in range(1, q + 1):
-                    assert char_eval(chi, a * b) == \
-                        char_eval(chi, a) * char_eval(chi, b)
+                    assert char_eval(chi, a * b) == cyclic_product(
+                        char_eval(chi, a), char_eval(chi, b))
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 15])
     def test_orthogonality(self, q):
@@ -77,13 +80,13 @@ class TestEnumeration:
         lam = math.lcm(*_unit_group(q).orders)
         chars = enumerate_characters(q)
         for a in range(2, q):
-            s = CycloElement(lam, ())
+            s = [0] * lam
             for chi in chars:
                 k = char_logs(chi)[a]
                 if k >= 0:
-                    s = s + zeta_power(lam, k * lam // chi.order)
+                    s[k * lam // chi.order] += 1
             expect = len(chars) if a % q == 1 else 0
-            assert s == expect
+            assert reduced(lam, s) == reduced(lam, [expect])
 
 
 class TestExponents:
@@ -130,11 +133,8 @@ class TestChiWeights:
         for chi in enumerate_characters(q):
             for _ in range(2):
                 t = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(q)]
-                termwise = CycloElement(chi.order, ())
-                for a in range(q):
-                    termwise += char_eval(chi, a) * t[a]
-                assert cyclo_from_buckets(
-                    chi.order, chi_weights(chi, t)) == termwise
+                termwise = char_sum(chi, enumerate(t))
+                assert chi_coords(chi, t) == reduced(chi.order, termwise)
 
 
     def test_columns_equal_per_residue_fold(self):
@@ -230,11 +230,11 @@ class TestInvariants:
         for chi in enumerate_characters(5):
             cc = chi.conjugate()
             for a in range(1, 6):
-                prod = char_eval(chi, a) * char_eval(cc, a)
-                if char_eval(chi, a) == 0:
-                    assert prod == 0
+                prod = cyclic_product(char_eval(chi, a), char_eval(cc, a))
+                if not any(char_eval(chi, a)):
+                    assert not any(prod)
                 else:
-                    assert prod == 1
+                    assert prod == zeta_power(chi.order, 0)
 
 
 class TestBernoulli:
@@ -254,6 +254,30 @@ class TestBernoulli:
         for chi in enumerate_characters(q):
             if char_invariants(chi)[0] == "even" and chi.order > 1:
                 assert gen_bernoulli_b1(chi) == 0
+
+
+class TestUnitProduct:
+    @given(st.integers(1, 16).flatmap(lambda q: st.tuples(
+        st.just(q),
+        st.lists(st.integers(-50, 50), min_size=q, max_size=q),
+        st.lists(st.integers(-50, 50), min_size=q, max_size=q))))
+    @settings(max_examples=80, deadline=None)
+    def test_fold_of_product_is_product_of_folds(self, q_s_t):
+        # entries at non-units too, which chi annihilates: the reference
+        # multiplies the two termwise folds by cyclic convolution
+        q, s, t = q_s_t
+        u = unit_product(s, t, q)
+        for chi in enumerate_characters(q):
+            want = cyclic_product(char_sum(chi, enumerate(s)),
+                                  char_sum(chi, enumerate(t)))
+            assert chi_coords(chi, u) == reduced(chi.order, want)
+
+    def test_skips_non_units(self):
+        # mod 12 only 1, 5, 7 and 11 are units: a table on the non-units
+        # multiplies to nothing.  Their products would land on non-units,
+        # which every fold ignores, so only this pins the phi(q)^2 loop
+        s = [0 if math.gcd(a, 12) == 1 else 1 for a in range(12)]
+        assert unit_product(s, list(range(12)), 12) == [0] * 12
 
 
 class TestKronecker:
@@ -298,11 +322,12 @@ class TestRealizations:
         chi5 = DirichletCharacter.from_identifier("q=5;gens=2:1")
         for real in modp_realizations(chi5, 13):
             p = real.p
-            x = char_eval(chi5, 2) + char_eval(chi5, 3) * 7
-            y = char_eval(chi5, 4) - 2
-            assert apply_realization(real, x * y) == \
+            x = char_sum(chi5, ((2, 1), (3, 7)))
+            y = char_sum(chi5, ((4, 1), (1, -2)))
+            assert apply_realization(real, cyclic_product(x, y)) == \
                 apply_realization(real, x) * apply_realization(real, y) % p
-            assert apply_realization(real, x + y) == \
+            assert apply_realization(
+                real, [a + b for a, b in zip(x, y)]) == \
                 (apply_realization(real, x) + apply_realization(real, y)) % p
 
     @pytest.mark.parametrize("p", [2] + _odd_primes(211))
@@ -332,8 +357,10 @@ class TestRealizations:
             for chi in enumerate_characters(q):
                 if char_invariants(chi) != ("odd", q):
                     continue
-                weights = b1_weights(chi)
-                total = gen_bernoulli_b1(chi) * q
+                weights = chi_weights(chi, b1_table(q))
+                total = chi_sum(chi, b1_table(q))
+                assert total.coeffs == tuple(
+                    q * c for c in gen_bernoulli_b1(chi).coeffs)
                 for p in _odd_primes(61):
                     for real in modp_realizations(chi, p):
                         assert real.image(weights) == \

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from heckezero import acceptance, biro, cli, linearity, quadfield
 from heckezero.acceptance import CriterionResult
 from heckezero.biro import yokoi_intro_ab
-from heckezero.characters import DirichletCharacter, cyclo_to_dict
+from heckezero.characters import (DirichletCharacter, chi_sum,
+                                  cyclo_to_dict)
 from heckezero.cli import main
 from heckezero.errors import DeltaOutOfRange
 from heckezero.exact import rational_to_str, square_prime
@@ -665,10 +666,11 @@ class TestFamilyFile:
         code, doc = run_json(["linearity", "closed-form", "--family", str(f),
                               "--chi", chi, "--r", "1"], capsys)
         assert code == 0
-        cf = linearity.closed_form_chi(
-            linearity.family_spec_from_dict(obj),
-            DirichletCharacter.from_identifier(chi), 1)
-        for key, want in (("A_chi", cf.A_chi), ("B_chi", cf.B_chi)):
+        table = linearity.closed_form_table(
+            linearity.family_spec_from_dict(obj), 5, 1)
+        character = DirichletCharacter.from_identifier(chi)
+        for key, t in (("A_chi", table.A), ("B_chi", table.B)):
+            want = chi_sum(character, t)
             got = doc["results"][key]
             assert {k: got[k] for k in ("order", "coeffs")} == \
                 cyclo_to_dict(want)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckezero.characters import (CycloElement, cyclo_from_buckets,
-                                  cyclo_to_dict, euler_phi)
+from heckezero.characters import (CycloElement, DirichletCharacter,
+                                  chi_coords, chi_sum, cyclo_to_dict,
+                                  enumerate_characters, euler_phi)
 from heckezero.errors import BoundExceeded, NoAdmissibleN
 from heckezero.exact import (QuadSurd, factorize, quadsurd_to_dict,
                              rational_to_str, residue_1q, square_prime,
@@ -20,7 +21,7 @@ from heckezero.exact import (QuadSurd, factorize, quadsurd_to_dict,
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  smallest_admissible_n)
 from heckezero.shintani import bernoulli_poly, frac_pos
-from oracles import is_squarefree, surd_ceil, surd_floor, surd_pow, zeta_power
+from oracles import is_squarefree, surd_ceil, surd_floor, surd_pow
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 13, 15, 29, 53, 229]
 
@@ -233,69 +234,47 @@ class TestQuadSurd:
 
 
 class TestCycloElement:
+    """The fold that builds every CycloElement: chi_coords reduces a
+    table's weights once, and chi_sum scales the coordinates once."""
+
+    CHI5 = DirichletCharacter.from_identifier("q=5;gens=2:1")   # 2 -> z4
+    CHI7 = DirichletCharacter.from_identifier("q=7;gens=3:2")   # 3 -> z3
+
     def test_canonical_reduction(self):
-        # zeta_4^2 = -1, zeta_3^2 = -1 - zeta_3
-        assert zeta_power(4, 2) == -1
-        z3 = zeta_power(3, 1)
-        assert z3 * z3 == CycloElement(3, (Fraction(-1), Fraction(-1)))
+        # zeta_4^2 = chi5(4) = -1, zeta_3^2 = chi7(2) = -1 - zeta_3
+        assert chi_coords(self.CHI5, [0, 0, 0, 0, 1]) == (-1, 0)
+        assert chi_coords(self.CHI7, [0, 0, 1, 0, 0, 0, 0]) == (-1, -1)
 
     def test_reduced_on_construction(self):
-        # 1 + z3 + z3^2 = 0; a short tuple is padded to phi(order) entries
-        assert CycloElement(3, (1, 1, 1)).coeffs == (0, 0)
-        assert CycloElement(5, (2,)).coeffs == (2, 0, 0, 0)
+        # 1 + z3 + z3^2 = chi7(1) + chi7(3) + chi7(2) = 0; an order-5
+        # character gives phi(5) = 4 integer coordinates
+        assert chi_coords(self.CHI7, [0, 1, 1, 1, 0, 0, 0]) == (0, 0)
+        chi11 = DirichletCharacter.from_identifier("q=11;gens=2:2")
+        assert chi11.order == 5
+        got = chi_coords(chi11, [0, 2] + [0] * 9)
+        assert got == (2, 0, 0, 0) and {type(c) for c in got} == {int}
 
-    def test_roots_of_unity(self):
-        for o in (1, 2, 3, 4, 5, 6, 8, 12):
-            z = zeta_power(o, 1)
-            prod = CycloElement.from_rational(1, o)
-            for _ in range(o):
-                prod = prod * z
-            assert prod == 1
-            assert len(z.coeffs) == euler_phi(o)
-
-    def test_orders_never_mix(self):
-        # a rational operand is read in the element's own field; two
-        # different orders are refused, even where both fields are Q
-        z2 = zeta_power(2, 1)
-        assert z2 == -1 and (z2 + 1).order == 2
-        for a, b in ((zeta_power(4, 1), z2), (CycloElement(1, (1,)), z2)):
-            with pytest.raises(ValueError, match="mixed"):
-                a * b
-            with pytest.raises(ValueError, match="mixed"):
-                a - b
-
-    @given(st.sampled_from([3, 4, 5, 6, 8]),
-           st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-           st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-           st.lists(st.integers(-5, 5), min_size=1, max_size=4))
-    @settings(max_examples=60)
-    def test_ring_axioms(self, o, xs, ys, zs):
-        x = CycloElement(o, tuple(Fraction(v) for v in xs))
-        y = CycloElement(o, tuple(Fraction(v) for v in ys))
-        z = CycloElement(o, tuple(Fraction(v) for v in zs))
-        assert x * (y + z) == x * y + x * z
-        assert (x * y) * z == x * (y * z)
-        assert x + y == y + x and x * y == y * x
-
-    def test_numeric_comparison(self):
-        assert CycloElement.from_rational(Fraction(2, 3), 4) == Fraction(2, 3)
-
-    @given(st.integers(1, 12).flatmap(
-        lambda o: st.tuples(st.just(o),
-                            st.lists(st.integers(-10**6, 10**6),
-                                     min_size=o, max_size=o))),
+    @given(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 21])
+           .flatmap(lambda q: st.tuples(
+               st.sampled_from(enumerate_characters(q)),
+               st.lists(st.integers(-10**6, 10**6), min_size=q, max_size=q))),
            st.fractions(max_denominator=50))
     @settings(max_examples=60)
-    def test_buckets_equal_termwise_sum(self, o_buckets, scale):
-        # one reduction of the summed weights equals adding each weighted
-        # power of zeta as its own canonical element
-        o, buckets = o_buckets
-        want = CycloElement(o, ())
-        for k, wgt in enumerate(buckets):
-            want = want + zeta_power(o, k) * (wgt * scale)
-        got = cyclo_from_buckets(o, buckets, scale)
-        assert got.order == want.order and got.coeffs == want.coeffs
-        assert zeta_power(4, 1) != 1
+    def test_buckets_equal_termwise_sum(self, chi_table, scale):
+        # one fold of the table equals the sum of the canonical
+        # coordinates of each residue's own table, weighted by its entry,
+        # and chi_sum scales those coordinates once
+        chi, table = chi_table
+        q = chi.modulus
+        want = [0] * euler_phi(chi.order)
+        for a, wgt in enumerate(table):
+            unit = chi_coords(chi, [int(a == b) for b in range(q)])
+            want = [x + wgt * y for x, y in zip(want, unit)]
+        assert chi_coords(chi, table) == tuple(want)
+        got = chi_sum(chi, table, scale)
+        assert got.order == chi.order
+        assert got.coeffs == tuple(c * scale for c in want)
+        assert chi_sum(self.CHI5, [0, 0, 1, 0, 0]) != 1
 
 
 class TestSerialization:

@@ -148,3 +148,27 @@ def test_unit_group_read_in_characters_only():
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "characters.py"
             and "_unit_group" in names(ast.parse(path.read_text()))] == []
+
+
+def test_cyclo_element_is_a_plain_value():
+    # every chi-value is one fold of an integer table: CycloElement defines
+    # no arithmetic, subclasses nothing (a tuple would add by
+    # concatenating), and only characters builds one
+    tree = ast.parse((PACKAGE / "characters.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "CycloElement")
+    defined = {node.name for node in cls.body
+               if isinstance(node, ast.FunctionDef)} | {
+        target.id for node in cls.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)}
+    arithmetic = {f"__{p}{op}__" for p in ("", "r", "i") for op in (
+        "add", "sub", "mul", "truediv", "floordiv", "mod", "pow", "matmul")}
+    assert defined & (arithmetic | {"__neg__", "__pos__"}) == set()
+    assert cls.bases == []
+
+    def builds(path):
+        return any(isinstance(node, ast.Call) and "CycloElement" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text())))
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "characters.py" and builds(path)] == []

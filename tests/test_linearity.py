@@ -1,6 +1,7 @@
 """Families, closed forms per cell, and the affine-in-n verification."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from heckezero import cfrac, linearity
 from heckezero.cfrac import PlusCF, plus_to_minus
-from heckezero.characters import DirichletCharacter, enumerate_characters
+from heckezero.characters import (DirichletCharacter, chi_sum,
+                                  enumerate_characters)
 from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
                               HeckeZeroError, InsufficientSamples,
                               NoAdmissibleN, NotSquarefree, ParseError)
@@ -17,7 +19,7 @@ from heckezero.kernels import zeta12_times
 from heckezero.quadfield import field_discriminant, primitive_form
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  FamilySpec, NConstraints, admissible,
-                                 closed_form_cd, closed_form_chi,
+                                 closed_form_cd, closed_form_table,
                                  empty_class_reason, family_instance,
                                  family_minus_cf, family_spec_from_dict,
                                  hypothesis_check_norm, nu_sequence,
@@ -331,15 +333,15 @@ class TestClosedFormOracle:
 
 class TestClosedFormChi:
     def test_q3_quadratic(self):
-        cf = closed_form_chi(YOKOI, CHI3, 1)
-        # scaled pair q^2 * (A, B) summed with character weights
-        # the closed form must reproduce the direct L-values
+        table = closed_form_table(YOKOI, 3, 1)
+        # the chi-fold of the scaled pair q^2 * (A, B) over 12 q^2 must
+        # reproduce the direct L-values
         for k in (0, 2, 4):
             n = 3 * k + 1
             from heckezero.shintani import partial_hecke_L_zero
-            lhs = partial_hecke_L_zero(family_instance(YOKOI, n),
-                                       CHI3) * (12 * 9)
-            rhs = cf.A_chi + cf.B_chi * k
+            lhs = partial_hecke_L_zero(family_instance(YOKOI, n), CHI3)
+            rhs = chi_sum(CHI3, [a + k * b for a, b in zip(table.A, table.B)],
+                          Fraction(1, 12 * 9))
             assert lhs == rhs
 
     def test_no_admissible_n_path(self):
@@ -359,6 +361,24 @@ class TestVerifyLinearity:
     def test_rd_q3(self):
         rep = verify_linearity(RDN, CHI3, 1, range(0, 12))
         assert rep.affine_exact and rep.closed_form_match
+
+    @pytest.mark.parametrize("member,verdicts", [
+        (2, (False, True)), (0, (False, False))])
+    def test_verdicts_can_fail(self, member, verdicts, monkeypatch):
+        # 1 added at the unit 1 of one member's table: the third member
+        # leaves the line the first two fit, which still matches the closed
+        # forms; a moved first member moves the fitted line itself
+        tables = linearity.form_tables
+
+        def perturbed(inputs, q):
+            out = [list(t) for t in tables(inputs, q)]
+            out[member][1] += 1
+            return out
+
+        monkeypatch.setattr(linearity, "form_tables", perturbed)
+        rep = verify_linearity(YOKOI, CHI3, 1, range(0, 8))
+        assert rep.k_used == (2, 4, 6) and rep.hypothesis_check
+        assert (rep.affine_exact, rep.closed_form_match) == verdicts
 
     def test_order_independence(self):
         ks = [6, 0, 2, 4, 2]

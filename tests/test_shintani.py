@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from heckezero import exact, shintani
 from heckezero.cfrac import MinusCF, minus_expand, minus_word
-from heckezero.characters import (CycloElement, DirichletCharacter,
-                                  chi_weights, cyclo_from_buckets,
+from heckezero.characters import (DirichletCharacter, chi_sum,
                                   enumerate_characters, gen_bernoulli_b1)
 from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
                               IncompatiblePair, InternalInvariantError,
@@ -27,10 +26,11 @@ from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
                                 lattice_unit_order, partial_hecke_L_zero,
                                 partial_zeta_zero, residue_table, table_input,
                                 yamamoto_identity_residual, yamamoto_sequence)
-from oracles import (IdealLattice, char_eval, delta_reduced_by_surds,
-                     form_counts_stepwise, form_sums_full, ideal_inverse,
-                     is_squarefree, kronecker, minus_cycles, norm_residue,
-                     orbit_shift_check, partial_zeta_zero_reference)
+from oracles import (IdealLattice, bernoulli_product_reference, char_sum,
+                     delta_reduced_by_surds, form_counts_stepwise,
+                     form_sums_full, ideal_inverse, is_squarefree, kronecker,
+                     minus_cycles, norm_residue, orbit_shift_check,
+                     partial_zeta_zero_reference, reduced)
 
 CHI3 = DirichletCharacter.from_identifier("q=3;gens=2:1")   # quadratic mod 3
 
@@ -153,10 +153,9 @@ class TestHeckeL:
         # 2/3 = (-1/3) * (-2) with the two first Bernoulli numbers; the
         # second is B_{1, chi*chi_5}, summed here term by term mod 15
         assert gen_bernoulli_b1(CHI3) == Fraction(-1, 3)
-        acc = CycloElement(CHI3.order, ())
-        for a in range(1, 16):
-            acc = acc + char_eval(CHI3, a) * (a * kronecker(5, a))
-        assert gen_bernoulli_b1(CHI3, 5) == acc * Fraction(1, 15)
+        acc = char_sum(CHI3, ((a, Fraction(a * kronecker(5, a), 15))
+                              for a in range(1, 16)))
+        assert gen_bernoulli_b1(CHI3, 5).coeffs == reduced(CHI3.order, acc)
         assert gen_bernoulli_b1(CHI3, 5) == Fraction(-2)
 
     def test_rejects_incompatible_pair(self):
@@ -242,7 +241,7 @@ class TestMinusCycles:
             assert len(cycles) == h_plus, d
             fields += 1
             for q in range(2, 8):
-                want = [(chi, gen_bernoulli_b1(chi) * gen_bernoulli_b1(chi, D))
+                want = [(chi, bernoulli_product_reference(chi, D))
                         for chi in enumerate_characters(q)
                         if h_plus == 1 and math.gcd(q, D) == 1]
                 deltas, field_tables = [], []
@@ -262,9 +261,8 @@ class TestMinusCycles:
                             continue
                         not_coprime += 1
                         for chi, value in want:
-                            assert cyclo_from_buckets(
-                                chi.order, chi_weights(chi, table),
-                                Fraction(1, 12 * q * q)) == value, (d, q)
+                            assert chi_sum(chi, table, Fraction(
+                                1, 12 * q * q)).coeffs == value, (d, q)
                             products += 1
                     assert len(tables) == 1, (d, q, cycle)
                     cycles_checked += 1
@@ -496,9 +494,9 @@ def _engine_case(name, n):
 
 class TestBucketedEngine:
     """The bucketed sum against the per-cell reference: the lattice norm
-    residue, char_eval and the Bernoulli-polynomial Z(C, D), one
-    CycloElement addition per cell.  q <= 12 takes in composite moduli with
-    annihilated cells and characters of order 4, 6 and 10."""
+    residue and the Bernoulli-polynomial Z(C, D) of each cell, summed
+    termwise by char_sum and reduced once.  q <= 12 takes in composite
+    moduli with annihilated cells and characters of order 4, 6 and 10."""
 
     @pytest.mark.parametrize("name,n", ENGINE_CASES)
     def test_every_character_mod_q_up_to_12(self, name, n):
@@ -510,14 +508,10 @@ class TestBucketedEngine:
                       partial_zeta_zero_reference(q, C, D, mcf))
                      for C in range(1, q + 1) for D in range(1, q + 1)]
             for chi in chars:
-                want = CycloElement(chi.order, ())
-                for res, z in cells:
-                    val = char_eval(chi, res)
-                    if val != 0:
-                        want = want + val * z
+                want = reduced(chi.order, char_sum(chi, cells))
                 got = partial_hecke_L_zero(delta, chi)
-                assert got.order == want.order
-                assert got.coeffs == want.coeffs, (q, chi.identifier())
+                assert got.order == chi.order
+                assert got.coeffs == want, (q, chi.identifier())
 
 
 def _count_calls(monkeypatch, module, name):
