@@ -4,12 +4,13 @@ of Q(zeta_o) in the power basis, generalized Bernoulli numbers twisted by a
 real quadratic character, and mod-p realizations.
 
 Every command that prints a chi-value loads this module, and with it
-fractions; field and cf load neither.
+fractions and decimal; field and cf load none of them.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -425,5 +426,19 @@ def _cyclo_reduce(order: int, coeffs) -> tuple[int, ...]:
     return tuple(cs)
 
 
+DISPLAY_DIGITS = 30
+
+
 def cyclo_to_dict(x: CycloElement) -> dict:
-    return {"order": x.order, "coeffs": [rational_to_str(c) for c in x.coeffs]}
+    """The payload of a chi-value: its order and exact coordinates, and,
+    when x is rational, its value and a 30-significant-digit decimal
+    rendering that is never authoritative."""
+    out = {"order": x.order, "coeffs": [rational_to_str(c) for c in x.coeffs]}
+    if x.is_rational():
+        r = x.as_rational()
+        out["value"] = rational_to_str(r)
+        with localcontext() as ctx:
+            ctx.prec = DISPLAY_DIGITS
+            out["display_decimal_approx"] = str(
+                Decimal(r.numerator) / Decimal(r.denominator))
+    return out

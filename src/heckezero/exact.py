@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, ParseError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -308,7 +308,8 @@ def surd_sign(x: QuadSurd) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared serialization (used verbatim by the CLI JSON schema)
+# shared serialization (used verbatim by the CLI JSON schema), and the comma
+# lists of integers the CLI reads
 
 
 def rational_to_str(x: Fraction | int) -> str:
@@ -319,3 +320,10 @@ def rational_to_str(x: Fraction | int) -> str:
 def quadsurd_to_dict(x: QuadSurd) -> dict:
     return {"a": x.a, "b": x.b, "c": x.c, "d": x.d}
 
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ParseError(
+            f"expected comma-separated integers, got {text!r}") from None

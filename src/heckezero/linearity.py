@@ -1,14 +1,17 @@
-"""Parametrized families of fields and the linearity machinery: instance
-construction and the walk over admissible members, the residue word
-(gamma, tau, Gamma and its minus word), the nu-sequence and its
-coefficient pairs per (q, r), the closed-form coefficients of each cell
-evaluated a row at a time and summed per norm residue, and the verifier that
-pits the closed forms against the direct engine.
+"""Parametrized families of fields, builtin or read from a JSON file, and
+the linearity machinery: instance construction and the walk over
+admissible members, the residue word (gamma, tau, Gamma and its minus
+word), the nu-sequence and its coefficient pairs per (q, r), the
+closed-form coefficients of each cell evaluated a row at a time and summed
+per norm residue, and the verifier that pits the closed forms against the
+direct engine.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import reprlib
 from contextlib import suppress
 from fractions import Fraction
@@ -145,6 +148,34 @@ def family_spec_from_dict(obj) -> FamilySpec:
         _integers(_field(delta, "u_coeffs"), "u_coeffs"),
         _integers(_field(delta, "v_coeffs"), "v_coeffs"), w, acf,
         NConstraints(parity, forbidden))
+
+
+def load_family_config(name_or_path: str) -> FamilySpec:
+    """A builtin family by name, or the family of a JSON file."""
+    if name_or_path in BUILTIN_FAMILIES:
+        return BUILTIN_FAMILIES[name_or_path]
+    if not os.path.exists(name_or_path):
+        raise ParseError(f"no builtin family or file named {name_or_path!r}")
+    try:
+        with open(name_or_path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{name_or_path}:{exc.lineno}:{exc.colno}: "
+                         f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name_or_path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the digit limit, or nesting past the stack
+        raise ParseError(f"{name_or_path}: unreadable JSON ({exc})") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read family file {name_or_path!r}: "
+                         f"{exc.strerror}") from exc
+    spec = family_spec_from_dict(obj)
+    # a family with no member at all is refused before any radicand is
+    # factored, and the file's digits must hold at its first member
+    smallest_admissible_n(spec, 1, 0)
+    return spec
 
 
 def _object(x, what: str) -> dict:

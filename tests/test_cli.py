@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckezero import acceptance, biro, cli, linearity, quadfield
+from heckezero import (acceptance, biro, cli, linearity, quadfield,
+                       shintani)
 from heckezero.acceptance import CriterionResult
 from heckezero.biro import yokoi_intro_ab
 from heckezero.characters import (DirichletCharacter, chi_sum,
@@ -30,6 +31,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 LVALUE_ARGS = ["lvalue", "--d", "5", "--delta", "3,1,2",
                "--chi", "q=3;gens=2:1"]
+NO_TABLE = {"error": "ValidationError",
+            "message": "this payload has no flat table to export as csv"}
 YOKOI_FILE = {"name": "yokoi-file", "f_coeffs": [4, 0, 1],
               "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": 2},
               "acf": [{"alpha": 1, "beta": 0}],
@@ -637,6 +640,22 @@ class TestOutputOptions:
         assert len(lines) == 3          # header + two pairs
         assert "q" in lines[0]
 
+    def test_csv_refused_before_the_command_runs(self, monkeypatch, capsys):
+        # an lvalue payload has no table, so the engine never runs
+        def engine(*args):
+            raise AssertionError("the L-value was computed")
+        monkeypatch.setattr(shintani, "partial_hecke_L_zero", engine)
+        assert main(LVALUE_ARGS + ["--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == NO_TABLE
+
+    def test_csv_of_an_empty_table_refused(self, capsys):
+        # biro search has a table, but no pair below these bounds
+        assert main(["biro", "search", "--q-max", "3", "--p-max", "3",
+                     "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == NO_TABLE
+
 
 class TestFamilyFile:
     def test_json_family(self, tmp_path, capsys):
@@ -671,9 +690,7 @@ class TestFamilyFile:
         character = DirichletCharacter.from_identifier(chi)
         for key, t in (("A_chi", table.A), ("B_chi", table.B)):
             want = chi_sum(character, t)
-            got = doc["results"][key]
-            assert {k: got[k] for k in ("order", "coeffs")} == \
-                cyclo_to_dict(want)
+            assert doc["results"][key] == cyclo_to_dict(want)
 
     @pytest.mark.parametrize("name,n", [("chowla", 1), ("n2m2", 2)])
     def test_degenerate_period_not_a_member(self, name, n):
@@ -845,7 +862,7 @@ SHARED = {"heckezero", "heckezero.cli", "heckezero.errors", "heckezero.exact",
           "heckezero.cfrac", "heckezero.quadfield"}
 DEFERRED = {"csv", "heckezero.characters", "heckezero.kernels",
             "heckezero.shintani", "heckezero.linearity", "heckezero.biro",
-            "heckezero.acceptance"}
+            "heckezero.acceptance", "heckezero.commands"}
 # rational arithmetic: field and cf run on integers and surds and never load
 # it; it comes with the chi-values of characters and their decimal display
 RATIONAL = {"fractions", "decimal"}
@@ -879,13 +896,23 @@ def test_cli_import_generates_no_code():
     (["cf", "eval", "--word", "3"], set()),
     (LVALUE_ARGS, {"heckezero.characters", "heckezero.kernels",
                    "heckezero.shintani"} | RATIONAL),
-], ids=["field", "cf-expand", "cf-convert", "cf-eval", "lvalue"])
+    (["linearity", "verify", "--family", "yokoi", "--chi", "q=3;gens=2:1",
+      "--r", "1", "--k", "0,1,2,3,4,5,6,7"],
+     {"heckezero.characters", "heckezero.kernels", "heckezero.shintani",
+      "heckezero.linearity", "heckezero.commands"} | RATIONAL),
+    (["biro", "search", "--q-max", "7", "--p-max", "13"],
+     {"heckezero.characters", "heckezero.kernels", "heckezero.shintani",
+      "heckezero.linearity", "heckezero.biro", "heckezero.commands"}
+     | RATIONAL),
+], ids=["field", "cf-expand", "cf-convert", "cf-eval", "lvalue",
+        "linearity-verify", "biro-search"])
 def test_command_loads_only_what_it_runs(argv, extra):
     # out of process, so no other test has loaded a module first: field and
     # cf run on the shared modules alone, with no rational arithmetic, and
     # lvalue adds the character layer, with fractions and the decimal
     # display of its rational value, and the cone kernel, but neither
-    # linearity nor biro
+    # linearity nor biro; linearity and biro add their handlers' module,
+    # commands, and their own layers, but not the acceptance suite
     probe = (
         "import sys\n"
         "from heckezero.cli import main\n"

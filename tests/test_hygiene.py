@@ -46,13 +46,13 @@ def unreached_defs(sources: dict[str, str]) -> list[str]:
     of reached classes, as "module.Class.name", that no command reaches;
     sources maps each module name of the package to its text.
 
-    The roots are cli.main, the cli.cmd_* functions (run_command looks them
-    up by name) and every module-level statement that is not a def, a class
-    or an import.  Reached code reaches each top-level def or class that it
-    names, in its own module or through `from .m import x`.  A reached class
-    reaches its bases, its class-level statements and its dunder methods;
-    any other method is reached once reached code names it as an attribute
-    (`.name`), on whatever object.
+    The roots are cli.main, the cmd_* functions of cli and commands
+    (run_command looks them up by name) and every module-level statement
+    that is not a def, a class or an import.  Reached code reaches each
+    top-level def or class that it names, in its own module or through
+    `from .m import x`.  A reached class reaches its bases, its class-level
+    statements and its dunder methods; any other method is reached once
+    reached code names it as an attribute (`.name`), on whatever object.
     """
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     defs, aliases, stack = {}, {}, []
@@ -68,8 +68,8 @@ def unreached_defs(sources: dict[str, str]) -> list[str]:
                         for node in ast.walk(tree)
                         if isinstance(node, ast.ImportFrom) and node.level == 1
                         for alias in node.names}
-    reached = {key for key in defs if key[0] == "cli" and (
-        key[1] == "main" or key[1].startswith("cmd_"))}
+    reached = {key for key in defs if key == ("cli", "main") or (
+        key[0] in ("cli", "commands") and key[1].startswith("cmd_"))}
     stack += [(key[0], defs[key]) for key in reached]
     # pending[name]: (module, class, method node) of reached classes whose
     # method `name` no reached code has named yet
@@ -121,9 +121,12 @@ def test_scan_finds_unreached():
              "def via_unnamed(): pass\n"
              "def via_dunder(): pass\n"
              "TABLE = K().m\n",
+        "commands": "def cmd_y(): pass\n"
+                    "def helper(): pass\n",
     }
     assert unreached_defs(sources) == ["a.K.unnamed", "a.dead",
-                                       "a.via_unnamed", "cli.helper"]
+                                       "a.via_unnamed", "cli.helper",
+                                       "commands.helper"]
 
 
 def test_every_definition_reached():
@@ -172,3 +175,15 @@ def test_cyclo_element_is_a_plain_value():
             for node in ast.walk(ast.parse(path.read_text())))
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "characters.py" and builds(path)] == []
+
+
+def test_no_module_imports_cli():
+    # `python -m heckezero.cli` runs cli as __main__, so a module of the
+    # package that imported cli would compile and run a second copy of it
+    def imports_cli(path):
+        return any(isinstance(node, ast.ImportFrom) and node.level == 1 and (
+            node.module == "cli" or node.module is None
+            and "cli" in {alias.name for alias in node.names})
+            for node in ast.walk(ast.parse(path.read_text())))
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if imports_cli(path)] == []
