@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .biro import condition_star_search, residue_mod_p
 from .cfrac import (MinusCF, PlusCF, evaluate_periodic, minus_expand,
-                    plus_to_minus)
+                    minus_word, plus_to_minus)
 from .characters import enumerate_characters, gen_bernoulli_b1
 from .errors import DegenerateWord, HeckeZeroError
 from .exact import QuadSurd
@@ -227,6 +227,8 @@ def criterion_10() -> CriterionResult:
                         (BUILTIN_FAMILIES["rd-n2p1"], 5)):
             for r in range(q):
                 rw = residue_word(spec, q, r)
+                word = minus_word(rw.gamma)
+                Gamma = word.special_positions + (word.m,)
                 ns = list(islice((q * k + r for k, _ in admissible(
                     spec, q, r, range(200 // q))
                     if min(spec.digits(q * k + r)) >= q), 2))
@@ -243,7 +245,7 @@ def criterion_10() -> CriterionResult:
                             g = rw.gamma[(2 * j + 1) % spec.s]
                             for i in range(g + 1):
                                 if q * seq.x_at(S[j] + i) != \
-                                        X[rw.Gamma[j] + i + 1]:
+                                        X[Gamma[j] + i + 1]:
                                     return False, (f"bridge broken q={q} "
                                                    f"r={r} n={n} j={j} i={i}")
                         # in-block period-q equality

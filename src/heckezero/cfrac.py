@@ -129,10 +129,19 @@ def minus_expand(x: QuadSurd) -> MinusCF:
     return MinusCF(preperiod, period)
 
 
+def period_blocks(s: int) -> list[tuple[int, int, int]]:
+    """The blocks of the minus word of a plus period a of length s, in
+    order: (i, i + 1, i + 2) mod s for i = 0, 2, 4, ..., the period read
+    once for even s and twice for odd s.  Block (i, j, k) is the special
+    digit a_i + 2 and a run of a_j - 1 twos; a_k + 2 follows it."""
+    return [(i % s, (i + 1) % s, (i + 2) % s)
+            for i in range(0, s * (1 + s % 2), 2)]
+
+
 def minus_length(a: tuple[int, ...]) -> int:
     """The length m of minus_word(a), read off the plus period a without
     building the word; BoundExceeded when m exceeds WALK_DIGIT_BOUND."""
-    m = sum(a) if len(a) % 2 else sum(a[1::2])
+    m = sum(a[j] for _, j, _ in period_blocks(len(a)))
     if m > WALK_DIGIT_BOUND:
         raise BoundExceeded(
             f"the minus word has {m} digits, over {WALK_DIGIT_BOUND}")
@@ -141,30 +150,28 @@ def minus_length(a: tuple[int, ...]) -> int:
 
 def minus_word(a: tuple[int, ...]) -> MinusCF:
     """The minus word of value + 1 for the purely periodic plus period a,
-    uncertified.
-
-    With s = len(a), the minus period is m = a_1 + a_3 + ... + a_{s-1} for
-    even s and a_0 + ... + a_{s-1} for odd s; digits are a_{2j} + 2 at the
-    positions S_j = S_{j-1} + a_{2j-1} (S_0 = 0, j below s for odd s and
-    below s/2 for even s) and 2 elsewhere.  All a-indices wrap mod s.
-    BoundExceeded when m exceeds WALK_DIGIT_BOUND.
+    uncertified: the blocks of period_blocks, each the special digit
+    a_i + 2 at its special position S followed by a_j - 1 twos, so the next
+    block starts at S + a_j (S_0 = 0).  BoundExceeded when the length
+    exceeds WALK_DIGIT_BOUND.
     """
-    s = len(a)
-    m = minus_length(a)
-    positions = [0]
-    for j in range(1, s if s % 2 else s // 2):
-        positions.append(positions[-1] + a[(2 * j - 1) % s])
-    digits = [2] * m
-    for j, S in enumerate(positions):
-        digits[S] = a[(2 * j) % s] + 2
+    digits = [2] * minus_length(a)
+    positions, S = [], 0
+    for i, j, _ in period_blocks(len(a)):
+        positions.append(S)
+        digits[S] = a[i] + 2
+        S += a[j]
     return MinusCF((), tuple(digits), special_positions=tuple(positions))
 
 
 def plus_to_minus(p: PlusCF) -> MinusCF:
-    """minus_word of a purely periodic plus word, certified: the minus value
-    must equal the plus value + 1."""
+    """minus_word of a purely periodic plus word, certified on integers:
+    the minus value must equal the plus value + 1, so y = x + 1 put into
+    the minus fold's quadratic must give a multiple of the plus fold's."""
     out = minus_word(p.period)
-    if evaluate_periodic(out) != evaluate_periodic(p) + 1:
+    A, B, C = fold_quadratic(out.period, plus=False)
+    a, b, c = fold_quadratic(p.period, plus=True)
+    if A * b != (2 * A + B) * a or A * c != (A + B + C) * a:
         raise InternalInvariantError("plus_to_minus certification failed")
     return out
 
@@ -181,9 +188,17 @@ def fold_moebius(word, plus: bool) -> tuple[int, int, int, int]:
     return m00, m01, m10, m11
 
 
+def fold_quadratic(word, plus: bool) -> tuple[int, int, int]:
+    """(m10, m11 - m00, -m01) of fold_moebius: m10 y^2 + (m11 - m00) y - m01
+    vanishes at the fixed points of the fold, and for a periodic word (m10
+    > 0) the word's value is the larger root."""
+    m00, m01, m10, m11 = fold_moebius(word, plus)
+    return m10, m11 - m00, -m01
+
+
 def fixes_plus_word(word, A: int, B: int, c: int, d: int) -> bool:
     """Whether x = (A + B sqrt(d))/c, B != 0, is the fixed point of the plus
-    word's fold: m10 x^2 + (m11 - m00) x = m01, its sqrt(d) part and its
+    word's fold: fold_quadratic at x vanishes, its sqrt(d) part and its
     rational part each multiplied by c^2.  It runs on the integers alone,
     so d need not be squarefree.
 
@@ -192,18 +207,15 @@ def fixes_plus_word(word, A: int, B: int, c: int, d: int) -> bool:
     x > 1 makes word repeated the expansion of x, and a reduced x has a
     purely periodic one.
     """
-    m00, m01, m10, m11 = fold_moebius(word, plus=True)
-    return (2 * m10 * A + (m11 - m00) * c == 0
-            and m10 * (A * A + B * B * d) + (m11 - m00) * A * c
-            == m01 * c * c)
+    P, Q, R = fold_quadratic(word, plus=True)
+    return (2 * P * A + Q * c == 0
+            and P * (A * A + B * B * d) + Q * A * c + R * c * c == 0)
 
 
 def evaluate_periodic(word: PlusCF | MinusCF) -> QuadSurd:
     """The exact quadratic surd fixed by an eventually periodic word."""
     plus = isinstance(word, PlusCF)
-    m00, m01, m10, m11 = fold_moebius(word.period, plus)
-    # fixed point of y = (m00 y + m01)/(m10 y + m11)
-    A, B, C = m10, m11 - m00, -m01
+    A, B, C = fold_quadratic(word.period, plus)
     disc = B * B - 4 * A * C
     if disc <= 0:
         raise DegenerateWord("no real quadratic fixed point")

@@ -1,10 +1,9 @@
 """Parametrized families of fields, builtin or read from a JSON file, and
 the linearity machinery: instance construction and the walk over
-admissible members, the residue word (gamma, tau, Gamma and its minus
-word), the nu-sequence and its coefficient pairs per (q, r), the
-closed-form coefficients of each cell evaluated a row at a time and summed
-per norm residue, and the verifier that pits the closed forms against the
-direct engine.
+admissible members, the residue word (gamma and tau), the nu-sequence
+and its coefficient pairs per (q, r), the closed-form coefficients of
+each cell evaluated a row at a time and summed per norm residue, and the
+verifier that pits the closed forms against the direct engine.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cfrac import (MinusCF, PlusCF, fixes_plus_word, minus_length,
-                    minus_word, plus_expand, plus_to_minus)
+                    minus_word, period_blocks, plus_expand, plus_to_minus)
 from .characters import (CycloElement, DirichletCharacter, chi_coords,
                          chi_sum, cyclo_value)
 from .errors import (BoundExceeded, DeltaOutOfRange, HypothesisFailed,
@@ -262,28 +261,21 @@ def family_minus_cf(spec: FamilySpec, n: int) -> MinusCF:
 
 
 class ResidueWord(NamedTuple):
-    """The residue-level shadow of the family's words at n = qk + r.
-
-    a_i(r) = q tau_i + gamma_i with gamma_i in [1, q]; word is the minus
-    word of the plus period gamma, with digits gamma_{2j} + 2 at the block
-    boundaries Gamma_j and 2 elsewhere, and Gamma ends with Gamma_L, the
-    length of word.
+    """The residue-level shadow of the family's words at n = qk + r:
+    a_i(r) = q tau_i + gamma_i with gamma_i in [1, q].  The residue word is
+    minus_word(gamma), whose blocks (cfrac.period_blocks) start at
+    Gamma_0 = 0 < Gamma_1 < ... and close at Gamma_L, its length.
     """
 
     q: int
     gamma: tuple[int, ...]
     tau: tuple[int, ...]
-    word: MinusCF
-    Gamma: tuple[int, ...]
 
 
 def residue_word(spec: FamilySpec, q: int, r: int) -> ResidueWord:
     a = spec.digits(r)
     gamma = tuple(residue_1q(x, q) for x in a)
-    word = minus_word(gamma)
-    return ResidueWord(q, gamma,
-                       tuple((x - g) // q for x, g in zip(a, gamma)),
-                       word, word.special_positions + (word.m,))
+    return ResidueWord(q, gamma, tuple((x - g) // q for x, g in zip(a, gamma)))
 
 
 def nu_sequence(rw: ResidueWord, C: int, D: int) -> list[int]:
@@ -293,7 +285,7 @@ def nu_sequence(rw: ResidueWord, C: int, D: int) -> list[int]:
     """
     q = rw.q
     X = [(q - C - 1) % q + 1, (D - 1) % q + 1]
-    for c in rw.word.period:
+    for c in minus_word(rw.gamma).period:
         X.append((c * X[-1] - X[-2] - 1) % q + 1)
     return X
 
@@ -303,21 +295,17 @@ class ClosedFormPlan(NamedTuple):
 
     The nu recursion is linear in the seeds, so q nu_i = al*(-C) + be*D
     mod q in every cell, with one pair (al, be) mod q per position i.  The
-    plan keeps the pairs of the positions the formula reads, Gamma_l - 1,
-    Gamma_l and Gamma_l + 1, beside the block constants built from
-    gamma_i, tau_i and the slopes alpha_i:
-    - ends, for l = 1 .. L: the pairs at Gamma_l - 1 and Gamma_l, and the
-      factors of b2(q nu_{Gamma_l}) in A and in B;
-    - blocks, for l = 0 .. L - 1: the pairs of q nu_{Gamma_l}, of dl
-      (q nu_{Gamma_l + 1} - q nu_{Gamma_l}) and of q nu_{Gamma_{l+1} - 1},
-      then gamma_i - 1, tau_i and alpha_i.
+    plan keeps one record per block l = 0 .. L - 1 of the residue word:
+    the pairs of q nu_{Gamma_l}, of dl (q nu_{Gamma_l + 1} - q
+    nu_{Gamma_l}), of q nu_{Gamma_{l+1} - 1} and of q nu_{Gamma_{l+1}},
+    then the run's gamma_j - 1, tau_j and alpha_j, and the factors of
+    b2(q nu_{Gamma_{l+1}}) in A and in B from the next special digit k.
     A0 is the part of A that no cell changes, and b1, b2 and full
     tabulate b1(x), b2(x) and q(6q x - 6x^2 - q^2) at the residues x mod
     q, 0 standing for q.
     """
 
     q: int
-    ends: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, ...], ...]
     A0: int
     b1: tuple[int, ...]
@@ -326,35 +314,27 @@ class ClosedFormPlan(NamedTuple):
 
 
 def closed_form_plan(spec: FamilySpec, rw: ResidueWord) -> ClosedFormPlan:
-    """The ClosedFormPlan of rw = residue_word(spec, q, r): one pass over
-    the residue word runs nu_sequence's recursion on the coefficient pairs
-    of the seeds, nu_{-1} = (1, 0) and nu_0 = (0, 1)."""
-    q, gam, tau, Gamma = rw.q, rw.gamma, rw.tau, rw.Gamma
-    s, L = len(gam), len(Gamma) - 1
-    reads = {G + j for G in Gamma for j in (-1, 0, 1)}
+    """The ClosedFormPlan of rw = residue_word(spec, q, r): one walk over
+    the blocks of the residue word, each the special digit gamma_i + 2 and
+    gamma_j - 1 twos, runs nu_sequence's recursion on the coefficient
+    pairs of the seeds, nu_{-1} = (1, 0) and nu_0 = (0, 1)."""
+    q, gam, tau = rw.q, rw.gamma, rw.tau
     prev, cur = (1 % q, 0), (0, 1 % q)
-    pair = {-1: prev, 0: cur}
-    for i, c in enumerate(rw.word.period, 1):
-        prev, cur = cur, ((c * cur[0] - prev[0]) % q,
-                          (c * cur[1] - prev[1]) % q)
-        if i in reads:
-            pair[i] = cur
-    ends = []
-    for l in range(1, L + 1):
-        i = 2 * l % s
-        ends.append((*pair[Gamma[l] - 1], *pair[Gamma[l]],
-                     q * tau[i] + gam[i] + 2, q * spec.alpha(i)))
-    blocks = []
-    for l in range(L):
-        i = (2 * l + 1) % s
-        (al, be), (al1, be1) = pair[Gamma[l]], pair[Gamma[l] + 1]
-        blocks.append((al, be, (al1 - al) % q, (be1 - be) % q,
-                       *pair[Gamma[l + 1] - 1], gam[i] - 1, tau[i],
-                       spec.alpha(i)))
+    blocks, A0 = [], 0
+    for i, j, k in period_blocks(len(gam)):
+        walk = [cur]    # the pairs at Gamma_l .. Gamma_{l+1}
+        for c in (gam[i] + 2,) + (2,) * (gam[j] - 1):
+            prev, cur = cur, ((c * cur[0] - prev[0]) % q,
+                              (c * cur[1] - prev[1]) % q)
+            walk.append(cur)
+        (al, be), (al1, be1) = walk[:2]
+        blocks.append((al, be, (al1 - al) % q, (be1 - be) % q, *prev, *cur,
+                       gam[j] - 1, tau[j], spec.alpha(j),
+                       q * tau[k] + gam[k] + 2, q * spec.alpha(k)))
+        A0 -= q * q * (gam[j] - 1)
     reps = [x or q for x in range(q)]
     return ClosedFormPlan(
-        q, tuple(ends), tuple(blocks),
-        -q * q * sum(gam[(2 * l + 1) % s] - 1 for l in range(L)),
+        q, tuple(blocks), A0,
         tuple(2 * x - q for x in reps),
         tuple(6 * x * x - 6 * q * x + q * q for x in reps),
         tuple(q * (6 * q * x - 6 * x * x - q * q) for x in reps))
@@ -371,25 +351,23 @@ def closed_form_row(plan: ClosedFormPlan, C: int, Ds) -> list[tuple[int, int]]:
     q, b1, b2, full = plan.q, plan.b1, plan.b2, plan.full
     c = -C % q
     # the row's share of each pair: q nu = al*(-C) + be*D = off + be*D
-    ends = [(al0 * c % q, be0, al1 * c % q, be1, kA, kB)
-            for al0, be0, al1, be1, kA, kB in plan.ends]
-    blocks = [(al * c % q, be, ald * c % q, bed, ale * c % q, bee, g1, t, a)
-              for al, be, ald, bed, ale, bee, g1, t, a in plan.blocks]
+    blocks = [(al * c % q, be, ald * c % q, bed, ale * c % q, bee,
+               aln * c % q, ben, *rest)
+              for al, be, ald, bed, ale, bee, aln, ben, *rest in plan.blocks]
     out = []
     for D in Ds:
         A, B = plan.A0, 0
-        for om, bm, ox, bx, kA, kB in ends:
-            x = (bx * D + ox) % q
-            A += kA * b2[x] - 3 * b1[x] * b1[(bm * D + om) % q]
-            B += kB * b2[x]
-        for o0, b0, od, bd, oe, be, g1, t, a in blocks:
+        for o0, b0, od, bd, oe, be, on, bn, g1, t, a, kA, kB in blocks:
             base = (b0 * D + o0) % q
             y = (bd * D + od) % q
+            e = (be * D + oe) % q
+            x = (bn * D + on) % q
             X, dl = base or q, y or q
             A += (6 * (g1 * dl * dl
                        + q * (q - 2 * dl) * ((X + dl * g1 - 1) // q))
-                  + b2[(be * D + oe) % q] - b2[base] + t * full[y])
-            B += a * full[y]
+                  + b2[e] - b2[base] + t * full[y]
+                  + kA * b2[x] - 3 * b1[x] * b1[e])
+            B += a * full[y] + kB * b2[x]
         out.append((A, B))
     return out
 
@@ -408,17 +386,17 @@ def empty_class_reason(spec: FamilySpec, q: int, r: int, walk: int
     number of radicands the search it saves would factor, is skipped.
 
     (i) admits depends on n mod lcm(2, forbidden moduli) only, so one
-    period of the class decides it.  (ii) f(q(k + p^2) + r) = f(qk + r)
-    mod p^2, so when p^2 divides f(qk + r) for k < p^2 no radicand of the
-    class is squarefree; p runs over 2 and the primes dividing q.
+    period of the class, each n lifted to its residue plus the modulus,
+    decides it.  (ii) f(q(k + p^2) + r) = f(qk + r) mod p^2, so when p^2
+    divides f(qk + r) for k < p^2 no radicand of the class is squarefree;
+    p runs over 2 and the primes dividing q.
     """
     nc = spec.n_constraints
     period = math.lcm(2, *(m for m, _ in nc.forbidden_residues))
     span = period // math.gcd(q, period)
-    if span <= walk:
-        k0 = max(0, -((r - 1) // q))    # the least k with qk + r >= 1
-        if not any(nc.admits(q * k + r) for k in range(k0, k0 + span)):
-            return "the family's n constraints reject every such n"
+    if span <= walk and not any(nc.admits((q * k + r) % period + period)
+                                for k in range(span)):
+        return "the family's n constraints reject every such n"
     for p in sorted({2, *factorize(q)}):
         if p * p <= walk and all(spec.f(q * k + r) % (p * p) == 0
                                  for k in range(p * p)):
@@ -500,10 +478,10 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
     stands.
     """
     rw = residue_word(spec, q, r)
-    if q * q * rw.word.m > KERNEL_STEP_BOUND:
-        raise BoundExceeded(
-            f"q^2 * {rw.word.m} = {q * q * rw.word.m} closed-form steps "
-            f"exceed {KERNEL_STEP_BOUND}")
+    m = minus_length(rw.gamma)
+    if q * q * m > KERNEL_STEP_BOUND:
+        raise BoundExceeded(f"q^2 * {m} = {q * q * m} closed-form steps "
+                            f"exceed {KERNEL_STEP_BOUND}")
     n0, delta0 = smallest_admissible_n(spec, q, r)
     u, v, w = form = tuple(c % q for c in norm_form(delta0))
     M = q * math.lcm(spec.w ** 2, 4)

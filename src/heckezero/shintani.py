@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cfrac import (MinusCF, evaluate_periodic, minus_length, minus_word,
-                    plus_expand)
+                    period_blocks, plus_expand)
 from .characters import DirichletCharacter, chi_sum
 from .errors import (BoundExceeded, DeltaOutOfRange, InternalInvariantError,
                      UnitMismatch)
@@ -183,46 +183,32 @@ def form_counts(form: tuple[int, int, int], plus, q: int
     term negated, delta_{i+1} = 1/(b_i - delta_i): Zagier's reduced forms
     of the cycle of delta, mod q.
 
-    The minus word is read off the plus period, doubled when s is odd:
-    each pair (a_{2j}, a_{2j+1}) is the special digit a_{2j} + 2 and a run
-    of L = a_{2j+1} - 1 twos.  The special digit is one step.  S(2)^q = I
+    The minus word is read off the plus period in the blocks of
+    cfrac.period_blocks: block (i, j, k) is the special digit a_i + 2 and a
+    run of L = a_j - 1 twos.  The special digit is one step.  S(2)^q = I
     mod q, so the forms the run meets repeat with a period dividing q: the
-    walk takes min(L, q) steps with 2, and position i of the run is met
-    (L - 1 - i) // q + 1 times, each time followed by 2.  The run's last
+    walk takes min(L, q) steps with 2, and position t of the run is met
+    (L - 1 - t) // q + 1 times, each time followed by 2.  The run's last
     position, or the special digit when L = 0, is followed by the next
-    special digit, cyclically.
+    special digit a_k + 2.
     """
     counts: dict[tuple[int, int, int], list[int]] = {}
     u, v, w = form
     A, B, C = u % q, -v % q, w % q
-    if len(plus) % 2:
-        plus += plus
-    specials = plus[::2]
-    for a, n, c in zip(specials, plus[1::2], specials[1:] + specials[:1]):
-        b = a + 2
-        A, B, C = key = ((A * b + B) * b + C) % q, (-2 * A * b - B) % q, A
-        entry = counts.get(key)
-        if entry is None:
-            counts[key] = [1, 2]
-        else:
-            entry[0] += 1
-            entry[1] += 2
-        run = n - 1
-        if run:
-            orbit = []
-            for i in range(min(run, q)):
-                A, B, C = key = (4 * A + 2 * B + C) % q, (-4 * A - B) % q, A
-                times = (run - 1 - i) // q + 1
-                entry = counts.get(key)
-                if entry is None:
-                    counts[key] = [times, 2 * times]
-                else:
-                    entry[0] += times
-                    entry[1] += 2 * times
-                orbit.append(key)
-            A, B, C = key = orbit[(run - 1) % q]
-        # the last form is followed by the next special digit c + 2, not 2
-        counts[key][1] += c
+    for i, j, k in period_blocks(len(plus)):
+        run = plus[j] - 1
+        # the special digit once, then run position t - 1 at step t
+        b, times, orbit = plus[i] + 2, 1, []
+        for t in range(min(run, q) + 1):
+            A, B, C = key = ((A * b + B) * b + C) % q, (-2 * A * b - B) % q, A
+            entry = counts.setdefault(key, [0, 0])
+            entry[0] += times
+            entry[1] += 2 * times
+            orbit.append(key)
+            b, times = 2, (run - 1 - t) // q + 1
+        A, B, C = key = orbit[(run - 1) % q + 1 if run else 0]
+        # the last form is followed by a_k + 2, not 2
+        counts[key][1] += plus[k]
     return counts
 
 

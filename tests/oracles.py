@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from heckezero.cfrac import MinusCF, evaluate_periodic
+from heckezero.cfrac import MinusCF, evaluate_periodic, minus_word
 from heckezero.biro import ConditionStarPair, _check_sieve_work, _odd_primes
 from heckezero.characters import (CycloElement, DirichletCharacter,
                                   ModPRealization, _cyclo_reduce, _unit_group,
@@ -674,8 +674,10 @@ def closed_form_cd_reference(spec: FamilySpec, rw: ResidueWord, C: int,
     dl = q*<nu_{Gamma_l + 1} - nu_{Gamma_l}>: the per-cell route that
     linearity.closed_form_row replaced with coefficient pairs per (q, r).
     """
-    q, gam, tau, Gamma = rw.q, rw.gamma, rw.tau, rw.Gamma
+    q, gam, tau = rw.q, rw.gamma, rw.tau
     s = len(gam)
+    word = minus_word(gam)
+    Gamma = word.special_positions + (word.m,)
     X = nu_sequence(rw, C, D)
 
     def nu(i: int) -> int:
@@ -716,10 +718,10 @@ def closed_form_table_reference(spec: FamilySpec, q: int, r: int
     refusals come in the same order: the step bound, then the members,
     then the shared norm form."""
     rw = residue_word(spec, q, r)
-    if q * q * rw.word.m > KERNEL_STEP_BOUND:
-        raise BoundExceeded(
-            f"q^2 * {rw.word.m} = {q * q * rw.word.m} closed-form steps "
-            f"exceed {KERNEL_STEP_BOUND}")
+    m = minus_word(rw.gamma).m
+    if q * q * m > KERNEL_STEP_BOUND:
+        raise BoundExceeded(f"q^2 * {m} = {q * q * m} closed-form steps "
+                            f"exceed {KERNEL_STEP_BOUND}")
     n0, delta0 = smallest_admissible_n(spec, q, r)
     k0 = (n0 - r) // q
     window = admissible(spec, q, r, range(k0 + 1, k0 + 2 * q + 2))

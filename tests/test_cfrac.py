@@ -4,10 +4,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from heckezero import cfrac
 from heckezero.cfrac import (MinusCF, PlusCF, evaluate_periodic,
-                             fixes_plus_word, minus_expand, minus_word,
-                             plus_expand, plus_to_minus, surd_walk)
-from heckezero.errors import DegenerateWord, RationalInput
+                             fixes_plus_word, minus_expand, minus_length,
+                             minus_word, plus_expand, plus_to_minus,
+                             surd_walk)
+from heckezero.errors import (DegenerateWord, InternalInvariantError,
+                              RationalInput)
 from heckezero.exact import QuadSurd
 from heckezero.quadfield import make_field
 from heckezero.shintani import delta_sequence
@@ -207,6 +210,44 @@ class TestPlusToMinus:
         m2 = minus_expand(x + 1)
         assert m1.period == m2.period
         assert minus_word(p.period) == m1
+
+
+    @pytest.mark.parametrize("plus", [(2, 3), (1, 1, 4),
+                                      tuple(i % 9 + 1 for i in range(121))],
+                             ids=["s2", "s3", "s121"])
+    def test_certificate_catches_one_wrong_digit(self, plus, monkeypatch):
+        right = cfrac.minus_word
+
+        def wrong(a):
+            w = right(a)
+            i = len(w.period) // 2
+            return MinusCF((), w.period[:i] + (w.period[i] + 1,)
+                           + w.period[i + 1:], w.special_positions)
+
+        assert plus_to_minus(PlusCF((), plus)) == right(plus)
+        monkeypatch.setattr(cfrac, "minus_word", wrong)
+        with pytest.raises(InternalInvariantError):
+            plus_to_minus(PlusCF((), plus))
+
+
+class TestPeriodBlocks:
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=9))
+    @example([1])
+    @example([12, 1, 1])
+    @settings(max_examples=100)
+    def test_special_digits_at_the_cumulative_runs(self, a):
+        a = tuple(a)
+        word = minus_word(a)
+        assert minus_length(a) == len(word.period)
+        # an odd period is read twice; the special digits are a_0 + 2,
+        # a_2 + 2, ... of that reading and the runs a_1, a_3, ... end
+        # each block
+        read = a + a if len(a) % 2 else a
+        starts = [sum(read[1:2 * l:2]) for l in range(len(read) // 2)]
+        assert [p for p, b in enumerate(word.period) if b > 2] == starts
+        assert [word.period[p] for p in starts] == [x + 2 for x in read[::2]]
+        assert word.special_positions == tuple(starts)
+        assert plus_to_minus(PlusCF((), a)) == word
 
 
 class TestDeltaSequence:

@@ -419,6 +419,20 @@ class TestCF:
         assert res["minus_period"] == [4, 2, 2]
         assert res["special_positions"] == [0]
 
+    @pytest.mark.parametrize("plus", [
+        "8,7,4,3,5,4,8,3,5,6,9,5,3,7,6,3,9,9,8,9,"
+        "3,7,9,7,5,1,4,6,9,9,5,8,3,8,5,1,7,4,8,7",
+        ",".join(str(i % 9 + 1) for i in range(121))], ids=["s40", "s121"])
+    def test_convert_long_word(self, plus, capsys):
+        # the certificate compares the two folds' quadratics on integers
+        # and factors neither discriminant (60 and 157 digits for the plus
+        # folds), which rho may fail to split
+        code, doc = run_json(["cf", "convert", "--plus", plus], capsys)
+        a = [int(x) for x in plus.split(",")]
+        assert code == 0
+        assert len(doc["results"]["minus_period"]) == (
+            sum(a) if len(a) % 2 else sum(a[1::2]))
+
     @pytest.mark.parametrize("d,surd,preperiod,period", [
         ("5", "3,1,2", [2], [1]), ("7", "0,1", [2], [1, 1, 1, 4])])
     def test_expand_plus(self, d, surd, preperiod, period, capsys):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckezero import cfrac, linearity
-from heckezero.cfrac import PlusCF, plus_to_minus
+from heckezero.cfrac import PlusCF, minus_word, plus_to_minus
 from heckezero.characters import (DirichletCharacter, chi_sum,
                                   enumerate_characters)
 from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
@@ -18,8 +18,8 @@ from heckezero.exact import QuadSurd, square_prime
 from heckezero.kernels import zeta12_times
 from heckezero.quadfield import field_discriminant, primitive_form
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
-                                 FamilySpec, NConstraints, admissible,
-                                 closed_form_cd, closed_form_table,
+                                 FamilySpec, NConstraints, ResidueWord,
+                                 admissible, closed_form_cd, closed_form_table,
                                  empty_class_reason, family_instance,
                                  family_minus_cf, family_spec_from_dict,
                                  hypothesis_check_norm, nu_sequence,
@@ -197,11 +197,14 @@ class TestResidueWord:
                     for i in range(spec.s):
                         assert 1 <= rw.gamma[i] <= q
                         assert spec.a(i, r) == rw.gamma[i] + rw.tau[i] * q
-                    # the word is the certified conversion of gamma, and
-                    # Gamma its special positions closed by its length
-                    word = plus_to_minus(PlusCF((), rw.gamma))
-                    assert rw.word == word
-                    assert rw.Gamma == word.special_positions + (word.m,)
+                    # the residue word is the certified conversion of gamma
+                    word = minus_word(rw.gamma)
+                    assert plus_to_minus(PlusCF((), rw.gamma)) == word
+                    # one block per special digit: s of them for odd s,
+                    # which reads the period twice, and s/2 for even s
+                    assert len(word.special_positions) == (
+                        spec.s if spec.s % 2 else spec.s // 2)
+        assert ResidueWord._fields == ("q", "gamma", "tau")
 
 
 class TestNuSequence:
@@ -215,11 +218,12 @@ class TestNuSequence:
         q, r = 3, 1
         rw = residue_word(YOKOI, q, r)
         mcf = family_minus_cf(YOKOI, first_with_digits_at_least_q(YOKOI, q, r))
+        steps = len(minus_word(rw.gamma).special_positions) + 1
         for C in range(1, q + 1):
             for D in range(1, q + 1):
                 X = nu_sequence(rw, C, D)
-                seq = yamamoto_sequence(q, C, D, mcf, steps=len(rw.Gamma))
-                for i in range(min(len(rw.Gamma), 3)):
+                seq = yamamoto_sequence(q, C, D, mcf, steps=steps)
+                for i in range(min(steps, 3)):
                     assert X[i + 1] == q * seq.x_at(i)
 
 
