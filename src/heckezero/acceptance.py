@@ -236,7 +236,7 @@ def criterion_10() -> CriterionResult:
                     mcf = family_minus_cf(spec, n)
                     samples = [(1, 1), (1, q), (q, 1), (2 % q + 1, 2 % q + 1)]
                     for C, D in samples:
-                        # sequence invariants are enforced in __post_init__
+                        # YamamotoSeq.__init__ enforces the sequence invariants
                         seq = yamamoto_sequence(q, C, D, mcf)
                         X = nu_sequence(rw, C, D)
                         S = mcf.special_positions

@@ -45,8 +45,10 @@ def sieve_work(q_max: int, p_max: int, residues: bool = False) -> int:
     over-estimates the search, which images a character only at the
     primes p = 1 mod its order, and there once; the formula stays, so
     the same runs are refused with the same messages.  The residue run
-    adds, for every odd q <= q_max, q closed-form tables of q^2
-    cells with about q steps each: about q_max^5/10 steps in all.
+    adds, for every odd q <= q_max, q closed-form tables, each one walk of
+    its residue word, then one step per block of it in each of q^2 cells;
+    q_max^5/10, set when a cell took about q steps, over-estimates this
+    and stays for the same reason.
     """
     work = p_max + q_max * q_max * (q_max + p_max) // 4
     if residues:

@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         pl.add_argument("--family", required=True)
         pl.add_argument("--chi", required=True)
         pl.add_argument("--r", type=int, required=True)
-        if name != "closed-form":
+        if name == "verify":
             pl.add_argument("--k", required=True,
                             help="comma-separated k samples")
 

@@ -9,11 +9,10 @@ import sys
 from fractions import Fraction
 
 from .characters import DirichletCharacter, chi_sum, cyclo_to_dict
-from .errors import ParseError
+from .errors import HypothesisFailed, ParseError
 from .exact import parse_ints, rational_to_str
-from .linearity import (BUILTIN_FAMILIES, closed_form_table,
-                        hypothesis_check_norm, load_family_config,
-                        verify_linearity)
+from .linearity import (BUILTIN_FAMILIES, class_norm_form, closed_form_table,
+                        load_family_config, verify_linearity)
 
 
 def cmd_linearity(args) -> dict:
@@ -21,7 +20,11 @@ def cmd_linearity(args) -> dict:
     chi = DirichletCharacter.from_identifier(args.chi)
     q = chi.modulus
     if args.lin_cmd == "hypothesis":
-        ok = hypothesis_check_norm(spec, q, args.r, parse_ints(args.k))
+        try:
+            class_norm_form(spec, q, args.r)
+            ok = True
+        except HypothesisFailed:
+            ok = False
         return {"family": spec.name, "q": q, "r": args.r,
                 "hypothesis_holds": ok}
     if args.lin_cmd == "closed-form":

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import reprlib
-from contextlib import suppress
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -421,48 +420,10 @@ def smallest_admissible_n(spec: FamilySpec, q: int, r: int
         f"no admissible n = {q}k + {r} up to {N_SEARCH_LIMIT}")
 
 
-def common_norm_form(q: int, deltas) -> tuple[int, int, int] | None:
-    """The norm form mod q shared by every delta, or None at the first that
-    differs; InsufficientSamples with fewer than two deltas.
-
-    u C^2 + v CD + w D^2 mod q read at (1, q), (q, 1) and (1, 1) gives u, w
-    and u + v + w mod q, so two norm residue tables over [1, q]^2 agree
-    exactly when the forms agree mod q.
-    """
-    forms = []
-    for delta in deltas:
-        forms.append(tuple(c % q for c in norm_form(delta)))
-        if forms[-1] != forms[0]:
-            return None
-    if len(forms) < 2:
-        raise InsufficientSamples("need at least 2 admissible k")
-    return forms[0]
-
-
-def hypothesis_check_norm(spec: FamilySpec, q: int, r: int, k_list) -> bool:
-    """Is the norm residue table over [1,q]^2 the same for every sampled k?"""
-    return common_norm_form(
-        q, (delta for _, delta in admissible(spec, q, r, k_list))) is not None
-
-
-class ClosedFormTable(NamedTuple):
-    """The character-free half of the closed forms at one (q, r).
-
-    cells holds every q^2 (A_CD, B_CD); A[a] and B[a] sum the cells whose
-    norm residue u C^2 + v CD + w D^2 is a mod q, (u, v, w) the norm form
-    mod q of the members n = r mod q.
-    """
-
-    cells: dict[tuple[int, int], tuple[int, int]]
-    A: tuple[int, ...]
-    B: tuple[int, ...]
-
-
-def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
-    """Tabulate the closed forms over [1, q]^2, summed per norm residue of
-    the norm form mod q that every member n = qk + r shares.  One
-    closed_form_plan of the residue word serves every cell, and
-    closed_form_row evaluates the cells one row C at a time.
+def class_norm_form(spec: FamilySpec, q: int, r: int) -> tuple[int, int, int]:
+    """The norm form (u, v, w) mod q that every member n = qk + r shares,
+    proven for the whole class on integers; HypothesisFailed when the
+    members' forms differ.
 
     ideal_form(*spec.surd(n)) = (w^2, 2wu, u^2 - v^2 f)/g, g | w^2, mod q
     reads n mod w^2 q, and its check 2wv/g = 1 or 2 by f mod 4 reads n mod
@@ -472,18 +433,12 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
     whose class mod M the parity, a forbidden modulus dividing M or a
     square dividing gcd(f(n), M) empties; other non-members can only refuse
     more.  spec.fits(n) is two polynomial identities in n of degree below
-    D, so the D n from n0 decide every member's digits.  After the step
-    bound and smallest_admissible_n, the first member up to N_SEARCH_LIMIT
-    that fails names a failure; if none does, the failing n's own refusal
-    stands.
+    D, so the D n from n0 decide every member's digits.  After
+    smallest_admissible_n, the first member up to N_SEARCH_LIMIT that fails
+    names a failure; if none does, the failing n's own refusal stands.
     """
-    rw = residue_word(spec, q, r)
-    m = minus_length(rw.gamma)
-    if q * q * m > KERNEL_STEP_BOUND:
-        raise BoundExceeded(f"q^2 * {m} = {q * q * m} closed-form steps "
-                            f"exceed {KERNEL_STEP_BOUND}")
     n0, delta0 = smallest_admissible_n(spec, q, r)
-    u, v, w = form = tuple(c % q for c in norm_form(delta0))
+    form = tuple(c % q for c in norm_form(delta0))
     M = q * math.lcm(spec.w ** 2, 4)
     nc = NConstraints(spec.n_constraints.parity, tuple(
         x for x in spec.n_constraints.forbidden_residues if M % x[0] == 0))
@@ -502,11 +457,40 @@ def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
             raise HypothesisFailed(
                 f"norm residues mod {q} vary with k at r = {r}")
     except (IncompatiblePair, HypothesisFailed, SpecInconsistent):
-        with suppress(InsufficientSamples):
-            common_norm_form(q, (delta for _, delta in admissible(
-                spec, q, r,
-                range((n0 - r) // q, (N_SEARCH_LIMIT - r) // q + 1))))
+        for _, delta in admissible(spec, q, r, range(
+                (n0 - r) // q, (N_SEARCH_LIMIT - r) // q + 1)):
+            if tuple(c % q for c in norm_form(delta)) != form:
+                break
         raise
+    return form
+
+
+class ClosedFormTable(NamedTuple):
+    """The character-free half of the closed forms at one (q, r).
+
+    cells holds every q^2 (A_CD, B_CD); A[a] and B[a] sum the cells whose
+    norm residue u C^2 + v CD + w D^2 is a mod q, (u, v, w) =
+    class_norm_form(spec, q, r).
+    """
+
+    cells: dict[tuple[int, int], tuple[int, int]]
+    A: tuple[int, ...]
+    B: tuple[int, ...]
+
+
+def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
+    """Tabulate the closed forms over [1, q]^2, summed per norm residue of
+    class_norm_form, the norm form mod q that every member n = qk + r
+    shares.  One closed_form_plan of the residue word serves every cell,
+    and closed_form_row evaluates the cells one row C at a time.  The step
+    bound refuses before any member is built.
+    """
+    rw = residue_word(spec, q, r)
+    m = minus_length(rw.gamma)
+    if q * q * m > KERNEL_STEP_BOUND:
+        raise BoundExceeded(f"q^2 * {m} = {q * q * m} closed-form steps "
+                            f"exceed {KERNEL_STEP_BOUND}")
+    u, v, w = class_norm_form(spec, q, r)
     plan = closed_form_plan(spec, rw)
     Ds = range(1, q + 1)
     cells: dict[tuple[int, int], tuple[int, int]] = {}
@@ -554,7 +538,8 @@ def verify_linearity(spec: FamilySpec, chi: DirichletCharacter, r: int,
     coordinates of the chi-folds, which the fold keeps linear, and the
     verdicts are independent booleans: every remaining point on the line
     exactly; the fitted pair equals the folds of closed_form_table's A and
-    B; the norm-residue hypothesis holds on the members used.
+    B; the members used share one norm form mod q, a cross-check of
+    class_norm_form on them.
     """
     q = chi.modulus
     ks = sorted(set(k_list))

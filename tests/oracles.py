@@ -26,7 +26,8 @@ whole range that quadfield.class_numbers narrowed to the reduced window,
 and Dirichlet's analytic class number formula.  Three routes back the
 integer paths of the family pipeline: the closed forms of each cell from
 its whole nu-sequence, with the table of them that
-linearity.closed_form_table replaced with coefficient pairs per (q, r);
+linearity.closed_form_table replaced with coefficient pairs per (q, r)
+and the shared norm form sampled where linearity.class_norm_form proves it;
 reducedness of delta by surd comparisons; and the chi-fold with one
 generator expression per unit residue.
 """
@@ -45,14 +46,14 @@ from heckezero.characters import (CycloElement, DirichletCharacter,
                                   b1_table, chi_weights, enumerate_characters,
                                   modp_realizations)
 from heckezero.errors import (BoundExceeded, HypothesisFailed,
-                              IncompatiblePair, InternalInvariantError,
-                              ValidationError)
+                              IncompatiblePair, InsufficientSamples,
+                              InternalInvariantError, ValidationError)
 from heckezero.exact import QuadSurd, factorize, residue_1q, square_prime
 from heckezero.kernels import KERNEL_STEP_BOUND
 from heckezero.linearity import (ClosedFormTable, FamilySpec, ResidueWord,
-                                 admissible, common_norm_form, nu_sequence,
-                                 residue_word, smallest_admissible_n)
-from heckezero.quadfield import FieldData, field_discriminant
+                                 admissible, nu_sequence, residue_word,
+                                 smallest_admissible_n)
+from heckezero.quadfield import FieldData, field_discriminant, norm_form
 from heckezero.shintani import (bernoulli_poly, lattice_unit_order,
                                 yamamoto_sequence)
 
@@ -708,6 +709,24 @@ def closed_form_cd_reference(spec: FamilySpec, rw: ResidueWord, C: int,
               - q * q * (g - 1) + tau[i] * full)
         B += spec.alpha(i) * full
     return A, B
+
+
+def common_norm_form(q: int, deltas) -> tuple[int, int, int] | None:
+    """The norm form mod q shared by every delta, or None at the first that
+    differs; InsufficientSamples with fewer than two deltas.
+
+    u C^2 + v CD + w D^2 mod q read at (1, q), (q, 1) and (1, 1) gives u, w
+    and u + v + w mod q, so two norm residue tables over [1, q]^2 agree
+    exactly when the forms agree mod q.
+    """
+    forms = []
+    for delta in deltas:
+        forms.append(tuple(c % q for c in norm_form(delta)))
+        if forms[-1] != forms[0]:
+            return None
+    if len(forms) < 2:
+        raise InsufficientSamples("need at least 2 admissible k")
+    return forms[0]
 
 
 def closed_form_table_reference(spec: FamilySpec, q: int, r: int

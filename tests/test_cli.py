@@ -258,8 +258,8 @@ class TestBoundary:
         else:
             path.write_bytes(contents)
         msg = self.run_error(["linearity", "hypothesis", "--family",
-                              str(path), "--chi", "q=3;gens=2:1", "--r", "1",
-                              "--k", "0,1,2"], capsys, "ParseError")
+                              str(path), "--chi", "q=3;gens=2:1", "--r", "1"],
+                             capsys, "ParseError")
         assert text in msg and len(msg) < 500
 
     @pytest.mark.parametrize("target", ["adir", "no/such/dir/x.jsonl"],
@@ -300,7 +300,7 @@ class TestBoundary:
         (["cf", "convert", "--plus", "0,1"], "ParseError",
          "periodic plus digits must be >= 1"),
         (["linearity", "hypothesis", "--family", "w0.json",
-          "--chi", "q=3;gens=2:1", "--r", "1", "--k", "0,1"], "ParseError",
+          "--chi", "q=3;gens=2:1", "--r", "1"], "ParseError",
          "w must be a positive integer"),
         (["biro", "search", "--q-max", "2", "--p-max", "5"], "ParseError",
          "bounds must be at least 3"),
@@ -313,9 +313,10 @@ class TestBoundary:
          "bad character identifier 'q=3;gens=2'"),
         (LVALUE_ARGS[:-1] + ["q=3;gens=2:1:5"], "ParseError",
          "bad character identifier 'q=3;gens=2:1:5'"),
+        # the hypothesis is proven for the whole class, not sampled at k
         (["linearity", "hypothesis", "--family", "yokoi",
           "--chi", "q=3;gens=2:1", "--r", "1", "--k", "0"],
-         "InsufficientSamples", "need at least 2 admissible k"),
+         "ParseError", "--k"),
     ], ids=["radicand", "empty-digits", "bad-digit", "minus-digit",
             "plus-digit", "family-w0", "search-bounds", "intro-ab-family",
             "chi-generator-twice", "chi-pair-short", "chi-pair-long",
@@ -515,8 +516,7 @@ class TestLinearity:
 
     def test_hypothesis(self, capsys):
         code, doc = run_json(["linearity", "hypothesis", "--family", "yokoi",
-                              "--chi", "q=3;gens=2:1", "--r", "1",
-                              "--k", "0,1,2,3,4"], capsys)
+                              "--chi", "q=3;gens=2:1", "--r", "1"], capsys)
         assert code == 0
         assert doc["results"] == {"family": "yokoi", "q": 3, "r": 1,
                                   "hypothesis_holds": True}
@@ -524,18 +524,18 @@ class TestLinearity:
     def test_hypothesis_failure(self, tmp_path, monkeypatch, capsys):
         # n^2 + 1 at even n, delta(n) = (n + 1 + sqrt f)/2 and delta - 1 =
         # [[n - 1, 1, 1]]: the norm form (1, n + 1, n/2) moves mod 4 with k
-        # at n = 4k + r, so no closed form holds
+        # at n = 4k + r and at n = 8k + 2, so no closed form holds; the
+        # even k at r = 0, or k = 0 .. 3 at q = 8, share one form
         (tmp_path / "even.json").write_text(json.dumps(EVEN_FAMILY_FILE))
         monkeypatch.chdir(tmp_path)
-        for r in ("0", "2"):
-            args = ["--family", "even.json", "--chi", "q=4;gens=3:1",
-                    "--r", r]
+        for chi, r in (("q=4;gens=3:1", "0"), ("q=4;gens=3:1", "2"),
+                       ("q=8;gens=7:1,5:1", "2")):
+            args = ["--family", "even.json", "--chi", chi, "--r", r]
             assert main(["linearity", "closed-form", *args]) == 2
             out, err = capsys.readouterr()
             assert out == "" and \
                 json.loads(err)["error"] == "HypothesisFailed"
-            code, doc = run_json(["linearity", "hypothesis", *args,
-                                  "--k", "0,1,2,3,4,5,6,7"], capsys)
+            code, doc = run_json(["linearity", "hypothesis", *args], capsys)
             assert code == 0
             assert doc["results"]["hypothesis_holds"] is False
         # 9n^2 - 3 at even n, delta(n) = (3n + 1 + sqrt f)/2 and delta - 1 =
@@ -729,8 +729,7 @@ class TestFamilyFile:
 
     @pytest.mark.parametrize("argv,n", [
         (["linearity", "closed-form", "--chi", "q=3;gens=2:1", "--r", "2"], 5),
-        (["linearity", "hypothesis", "--chi", "q=3;gens=2:1", "--r", "1",
-          "--k", "0,2,4"], 7),
+        (["linearity", "hypothesis", "--chi", "q=3;gens=2:1", "--r", "1"], 7),
         (["linearity", "verify", "--chi", "q=3;gens=2:1", "--r", "1",
           "--k", "0,2,4,6"], 7),
         (["biro", "oracle", "--chi", "q=3;gens=2:1", "--n", "7"], 7)],

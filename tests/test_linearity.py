@@ -16,13 +16,14 @@ from heckezero.errors import (BoundExceeded, DeltaOutOfRange,
                               NoAdmissibleN, NotSquarefree, ParseError)
 from heckezero.exact import QuadSurd, square_prime
 from heckezero.kernels import zeta12_times
-from heckezero.quadfield import field_discriminant, primitive_form
+from heckezero.quadfield import (field_discriminant, norm_form,
+                                 primitive_form)
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  FamilySpec, NConstraints, ResidueWord,
-                                 admissible, closed_form_cd, closed_form_table,
-                                 empty_class_reason, family_instance,
-                                 family_minus_cf, family_spec_from_dict,
-                                 hypothesis_check_norm, nu_sequence,
+                                 admissible, class_norm_form, closed_form_cd,
+                                 closed_form_table, empty_class_reason,
+                                 family_instance, family_minus_cf,
+                                 family_spec_from_dict, nu_sequence,
                                  residue_word, smallest_admissible_n,
                                  verify_linearity)
 from heckezero.shintani import partial_zeta_zero, residue_table, table_input
@@ -298,17 +299,29 @@ class TestClosedFormOracle:
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.name)
     def test_table_equals_per_cell_reference(self, spec):
         # every cell and every residue sum, and the same refusal wherever
-        # one is raised
+        # one is raised; wherever the step bound does not refuse,
+        # class_norm_form refuses as the table does or gives the form the
+        # table sums by
         built, refused = 0, set()
         for q in range(1, 10):
             for r in range(-q, 2 * q):
                 got = self.outcome(linearity.closed_form_table, spec, q, r)
                 assert got == self.outcome(closed_form_table_reference,
                                            spec, q, r), (q, r)
+                form = self.outcome(class_norm_form, spec, q, r)
                 if isinstance(got, linearity.ClosedFormTable):
                     built += 1
+                    u, v, w = form
+                    A, B = [0] * q, [0] * q
+                    for (C, D), (a, b) in got.cells.items():
+                        x = (u * C * C + v * C * D + w * D * D) % q
+                        A[x] += a
+                        B[x] += b
+                    assert (tuple(A), tuple(B)) == (got.A, got.B), (q, r)
                 else:
                     refused.add((q, r, got[0]))
+                    if "closed-form steps exceed" not in got[1]:
+                        assert form == got, (q, r)
         assert built + len(refused) == 135
         # TRIPLE and QUAD carry Yokoi's delta under other digits, so every
         # member they reach is SpecInconsistent, as is every member of
@@ -686,7 +699,10 @@ class TestAdmissibility:
                     and spec.f(n) > 1 and is_squarefree(spec.f(n))] == []
 
     def test_hypothesis_check(self):
-        assert hypothesis_check_norm(YOKOI, 3, 1, range(0, 8))
+        # Yokoi's members n = 3k + 1 share the form (1, 0, 1) mod 3
+        forms = {tuple(c % 3 for c in norm_form(delta))
+                 for _, delta in admissible(YOKOI, 3, 1, range(0, 8))}
+        assert forms == {class_norm_form(YOKOI, 3, 1)} == {(1, 0, 1)}
 
     @settings(max_examples=300, deadline=None)
     @given(u=st.lists(st.integers(-9, 9), min_size=1, max_size=3),
