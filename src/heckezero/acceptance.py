@@ -17,7 +17,7 @@ from .characters import enumerate_characters, gen_bernoulli_b1
 from .errors import DegenerateWord, HeckeZeroError
 from .exact import QuadSurd
 from .kernels import zeta12_times
-from .linearity import (BUILTIN_FAMILIES, admissible, closed_form_cd,
+from .linearity import (BUILTIN_FAMILIES, admissible, closed_form_cells,
                         closed_form_table, family_minus_cf, nu_sequence,
                         residue_word, verify_linearity)
 from .quadfield import class_numbers, make_field
@@ -146,7 +146,7 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     def run():
         yok = BUILTIN_FAMILIES["yokoi"]
-        A, B = closed_form_cd(yok, residue_word(yok, 3, 1), 1, 1)
+        A, B = closed_form_cells(yok, residue_word(yok, 3, 1))[0][0]
         if (A, B) != (-12, -36):
             return False, f"closed form gave ({A}, {B}), want (-12, -36)"
         for k, n in ((0, 1), (2, 7), (4, 13)):
@@ -227,6 +227,7 @@ def criterion_10() -> CriterionResult:
                         (BUILTIN_FAMILIES["rd-n2p1"], 5)):
             for r in range(q):
                 rw = residue_word(spec, q, r)
+                grid = closed_form_cells(spec, rw)
                 word = minus_word(rw.gamma)
                 Gamma = word.special_positions + (word.m,)
                 ns = list(islice((q * k + r for k, _ in admissible(
@@ -259,9 +260,8 @@ def criterion_10() -> CriterionResult:
                                     return False, (f"period broken q={q} "
                                                    f"n={n} j={j} i={i}")
                     # every cell's closed form against the kernel
-                    for C in range(1, q + 1):
-                        for D in range(1, q + 1):
-                            A, B = closed_form_cd(spec, rw, C, D)
+                    for C, row in enumerate(grid, 1):
+                        for D, (A, B) in enumerate(row, 1):
                             if A + (n - r) // q * B != zeta12_times(
                                     q, C, D, list(mcf.period)):
                                 return False, (f"{spec.name} closed form "

@@ -218,6 +218,8 @@ def yokoi_intro_ab(chi: DirichletCharacter, r: int
     Yokoi's family when one exists.
     """
     q = chi.modulus
+    # the table's bounds refuse before the q^2 double sums run
+    table = closed_form_table(BUILTIN_FAMILIES["yokoi"], q, r)
     A_table, B_table = [0] * q, [0] * q
     for C in range(q):
         for D in range(q):
@@ -226,7 +228,6 @@ def yokoi_intro_ab(chi: DirichletCharacter, r: int
             A_table[a] += ceil_term * (C - q)
             B_table[a] += C * (C - q)
     A, B = chi_coords(chi, A_table), chi_coords(chi, B_table)
-    table = closed_form_table(BUILTIN_FAMILIES["yokoi"], q, r)
     rho = _proportionality(
         (A, B), (chi_coords(chi, table.A), chi_coords(chi, table.B)))
     return cyclo_value(chi.order, A), cyclo_value(chi.order, B), rho

@@ -36,7 +36,8 @@ def cmd_linearity(args) -> dict:
             "cells": [{"C": C, "D": D,
                        "A_CD": rational_to_str(Fraction(a, q * q)),
                        "B_CD": rational_to_str(Fraction(b, q * q))}
-                      for (C, D), (a, b) in sorted(table.cells.items())],
+                      for C, row in enumerate(table.cells, 1)
+                      for D, (a, b) in enumerate(row, 1)],
         }
     rep = verify_linearity(spec, chi, args.r, parse_ints(args.k))
     return {

@@ -1,8 +1,8 @@
 """Parametrized families of fields, builtin or read from a JSON file, and
 the linearity machinery: instance construction and the walk over
 admissible members, the residue word (gamma and tau), the nu-sequence
-and its coefficient pairs per (q, r), the closed-form coefficients of
-each cell evaluated a row at a time and summed per norm residue, and the
+and its coefficient pairs per (q, r), the grid of closed-form
+coefficients of every cell and its sums per norm residue, and the
 verifier that pits the closed forms against the direct engine.
 """
 
@@ -28,6 +28,8 @@ from .quadfield import check_radicand, ideal_form, norm_form
 from .shintani import check_delta_hypotheses, form_tables
 
 N_SEARCH_LIMIT = 10_000
+# the most q^2 cells of a closed-form table, q <= 707: about 0.5 KiB each
+CELL_BOUND = 5 * 10 ** 5
 
 
 class NConstraints(NamedTuple):
@@ -289,34 +291,28 @@ def nu_sequence(rw: ResidueWord, C: int, D: int) -> list[int]:
     return X
 
 
-class ClosedFormPlan(NamedTuple):
-    """Everything of the closed forms at one (q, r) that no cell changes.
+def closed_form_cells(spec: FamilySpec, rw: ResidueWord
+                      ) -> list[list[tuple[int, int]]]:
+    """The integers (q^2 A_CD(r), q^2 B_CD(r)) of every cell, rw =
+    residue_word(spec, q, r), in rows C = 1 .. q of cells D = 1 .. q,
+    where (A + kB)/(12 q^2) = Z(C, D) at n = qk + r: the paper's
+    Bernoulli-value formula term for term on x = q*nu in [1, q], with
+    b1(x) = 2q B_1(x/q), b2(x) = 6q^2 B_2(x/q) and
+    dl = q*<nu_{Gamma_l + 1} - nu_{Gamma_l}>.  Its floors y - <y> become dl
+    (nu lies in (0, 1]) and (x + dl (g - 1) - 1) // q.
 
     The nu recursion is linear in the seeds, so q nu_i = al*(-C) + be*D
-    mod q in every cell, with one pair (al, be) mod q per position i.  The
-    plan keeps one record per block l = 0 .. L - 1 of the residue word:
-    the pairs of q nu_{Gamma_l}, of dl (q nu_{Gamma_l + 1} - q
-    nu_{Gamma_l}), of q nu_{Gamma_{l+1} - 1} and of q nu_{Gamma_{l+1}},
-    then the run's gamma_j - 1, tau_j and alpha_j, and the factors of
+    mod q in every cell, with one pair (al, be) mod q per position i.  One
+    walk over the blocks of the residue word, each the special digit
+    gamma_i + 2 and gamma_j - 1 twos, runs nu_sequence's recursion on the
+    pairs of the seeds, nu_{-1} = (1, 0) and nu_0 = (0, 1), and keeps per
+    block l the pairs of q nu_{Gamma_l}, of dl, of q nu_{Gamma_{l+1} - 1}
+    and of q nu_{Gamma_{l+1}}, then the run's gamma_j - 1, its factors
+    -q tau_j and -q alpha_j of b2(dl) in A and in B, and the factors of
     b2(q nu_{Gamma_{l+1}}) in A and in B from the next special digit k.
-    A0 is the part of A that no cell changes, and b1, b2 and full
-    tabulate b1(x), b2(x) and q(6q x - 6x^2 - q^2) at the residues x mod
-    q, 0 standing for q.
+    A0 is the part of A that no cell changes; b1 and b2 are tabled at the
+    residues x mod q, 0 standing for q.
     """
-
-    q: int
-    blocks: tuple[tuple[int, ...], ...]
-    A0: int
-    b1: tuple[int, ...]
-    b2: tuple[int, ...]
-    full: tuple[int, ...]
-
-
-def closed_form_plan(spec: FamilySpec, rw: ResidueWord) -> ClosedFormPlan:
-    """The ClosedFormPlan of rw = residue_word(spec, q, r): one walk over
-    the blocks of the residue word, each the special digit gamma_i + 2 and
-    gamma_j - 1 twos, runs nu_sequence's recursion on the coefficient
-    pairs of the seeds, nu_{-1} = (1, 0) and nu_0 = (0, 1)."""
     q, gam, tau = rw.q, rw.gamma, rw.tau
     prev, cur = (1 % q, 0), (0, 1 % q)
     blocks, A0 = [], 0
@@ -328,54 +324,36 @@ def closed_form_plan(spec: FamilySpec, rw: ResidueWord) -> ClosedFormPlan:
             walk.append(cur)
         (al, be), (al1, be1) = walk[:2]
         blocks.append((al, be, (al1 - al) % q, (be1 - be) % q, *prev, *cur,
-                       gam[j] - 1, tau[j], spec.alpha(j),
+                       gam[j] - 1, -q * tau[j], -q * spec.alpha(j),
                        q * tau[k] + gam[k] + 2, q * spec.alpha(k)))
         A0 -= q * q * (gam[j] - 1)
     reps = [x or q for x in range(q)]
-    return ClosedFormPlan(
-        q, tuple(blocks), A0,
-        tuple(2 * x - q for x in reps),
-        tuple(6 * x * x - 6 * q * x + q * q for x in reps),
-        tuple(q * (6 * q * x - 6 * x * x - q * q) for x in reps))
-
-
-def closed_form_row(plan: ClosedFormPlan, C: int, Ds) -> list[tuple[int, int]]:
-    """The integers (q^2 A_CD(r), q^2 B_CD(r)) of the cells (C, D), D in
-    Ds, where (A + kB)/(12 q^2) = Z(C, D) at n = qk + r: the paper's
-    Bernoulli-value formula term for term on x = q*nu in [1, q], with
-    b1(x) = 2q B_1(x/q), b2(x) = 6q^2 B_2(x/q) and
-    dl = q*<nu_{Gamma_l + 1} - nu_{Gamma_l}>.  Its floors y - <y> become dl
-    (nu lies in (0, 1]) and (x + dl (g - 1) - 1) // q.
-    """
-    q, b1, b2, full = plan.q, plan.b1, plan.b2, plan.full
-    c = -C % q
-    # the row's share of each pair: q nu = al*(-C) + be*D = off + be*D
-    blocks = [(al * c % q, be, ald * c % q, bed, ale * c % q, bee,
-               aln * c % q, ben, *rest)
-              for al, be, ald, bed, ale, bee, aln, ben, *rest in plan.blocks]
-    out = []
-    for D in Ds:
-        A, B = plan.A0, 0
-        for o0, b0, od, bd, oe, be, on, bn, g1, t, a, kA, kB in blocks:
-            base = (b0 * D + o0) % q
-            y = (bd * D + od) % q
-            e = (be * D + oe) % q
-            x = (bn * D + on) % q
-            X, dl = base or q, y or q
-            A += (6 * (g1 * dl * dl
-                       + q * (q - 2 * dl) * ((X + dl * g1 - 1) // q))
-                  + b2[e] - b2[base] + t * full[y]
-                  + kA * b2[x] - 3 * b1[x] * b1[e])
-            B += a * full[y] + kB * b2[x]
-        out.append((A, B))
-    return out
-
-
-def closed_form_cd(spec: FamilySpec, rw: ResidueWord, C: int, D: int
-                   ) -> tuple[int, int]:
-    """(q^2 A_CD(r), q^2 B_CD(r)) of the one cell (C, D), rw =
-    residue_word(spec, q, r): closed_form_row on a plan of its own."""
-    return closed_form_row(closed_form_plan(spec, rw), C, (D,))[0]
+    b1 = [2 * x - q for x in reps]
+    b2 = [6 * x * x - 6 * q * x + q * q for x in reps]
+    grid = []
+    for C in range(1, q + 1):
+        c = -C % q
+        # the row's share of each pair: q nu = al*(-C) + be*D = off + be*D
+        shares = [(al * c % q, be, ald * c % q, bed, ale * c % q, bee,
+                   aln * c % q, ben, *rest)
+                  for al, be, ald, bed, ale, bee, aln, ben, *rest in blocks]
+        row = []
+        for D in range(1, q + 1):
+            A, B = A0, 0
+            for o0, b0, od, bd, oe, be, on, bn, g1, t, a, kA, kB in shares:
+                base = (b0 * D + o0) % q
+                y = (bd * D + od) % q
+                e = (be * D + oe) % q
+                x = (bn * D + on) % q
+                X, dl = base or q, y or q
+                A += (6 * (g1 * dl * dl
+                           + q * (q - 2 * dl) * ((X + dl * g1 - 1) // q))
+                      + b2[e] - b2[base] + t * b2[y]
+                      + kA * b2[x] - 3 * b1[x] * b1[e])
+                B += a * b2[y] + kB * b2[x]
+            row.append((A, B))
+        grid.append(row)
+    return grid
 
 
 def empty_class_reason(spec: FamilySpec, q: int, r: int, walk: int
@@ -468,12 +446,12 @@ def class_norm_form(spec: FamilySpec, q: int, r: int) -> tuple[int, int, int]:
 class ClosedFormTable(NamedTuple):
     """The character-free half of the closed forms at one (q, r).
 
-    cells holds every q^2 (A_CD, B_CD); A[a] and B[a] sum the cells whose
-    norm residue u C^2 + v CD + w D^2 is a mod q, (u, v, w) =
-    class_norm_form(spec, q, r).
+    cells is closed_form_cells' grid of every q^2 (A_CD, B_CD); A[a] and
+    B[a] sum the cells whose norm residue u C^2 + v CD + w D^2 is a mod q,
+    (u, v, w) = class_norm_form(spec, q, r).
     """
 
-    cells: dict[tuple[int, int], tuple[int, int]]
+    cells: list[list[tuple[int, int]]]
     A: tuple[int, ...]
     B: tuple[int, ...]
 
@@ -481,23 +459,22 @@ class ClosedFormTable(NamedTuple):
 def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
     """Tabulate the closed forms over [1, q]^2, summed per norm residue of
     class_norm_form, the norm form mod q that every member n = qk + r
-    shares.  One closed_form_plan of the residue word serves every cell,
-    and closed_form_row evaluates the cells one row C at a time.  The step
-    bound refuses before any member is built.
+    shares.  The step bound, then CELL_BOUND on the q^2 cells the table
+    holds, refuse before any member is built.
     """
     rw = residue_word(spec, q, r)
     m = minus_length(rw.gamma)
     if q * q * m > KERNEL_STEP_BOUND:
         raise BoundExceeded(f"q^2 * {m} = {q * q * m} closed-form steps "
                             f"exceed {KERNEL_STEP_BOUND}")
+    if q * q > CELL_BOUND:
+        raise BoundExceeded(f"q^2 = {q * q} closed-form cells exceed "
+                            f"{CELL_BOUND}")
     u, v, w = class_norm_form(spec, q, r)
-    plan = closed_form_plan(spec, rw)
-    Ds = range(1, q + 1)
-    cells: dict[tuple[int, int], tuple[int, int]] = {}
+    cells = closed_form_cells(spec, rw)
     A_sums, B_sums = [0] * q, [0] * q
-    for C in Ds:
-        for D, (A, B) in zip(Ds, closed_form_row(plan, C, Ds)):
-            cells[(C, D)] = A, B
+    for C, row in enumerate(cells, 1):
+        for D, (A, B) in enumerate(row, 1):
             a = (u * C * C + v * C * D + w * D * D) % q
             A_sums[a] += A
             B_sums[a] += B

@@ -50,9 +50,9 @@ from heckezero.errors import (BoundExceeded, HypothesisFailed,
                               InternalInvariantError, ValidationError)
 from heckezero.exact import QuadSurd, factorize, residue_1q, square_prime
 from heckezero.kernels import KERNEL_STEP_BOUND
-from heckezero.linearity import (ClosedFormTable, FamilySpec, ResidueWord,
-                                 admissible, nu_sequence, residue_word,
-                                 smallest_admissible_n)
+from heckezero.linearity import (CELL_BOUND, ClosedFormTable, FamilySpec,
+                                 ResidueWord, admissible, nu_sequence,
+                                 residue_word, smallest_admissible_n)
 from heckezero.quadfield import FieldData, field_discriminant, norm_form
 from heckezero.shintani import (bernoulli_poly, lattice_unit_order,
                                 yamamoto_sequence)
@@ -667,13 +667,13 @@ def delta_reduced_by_surds(delta: QuadSurd) -> bool:
     return delta > 2 and 0 < delta.conj() < 1
 
 
-def closed_form_cd_reference(spec: FamilySpec, rw: ResidueWord, C: int,
-                             D: int) -> tuple[int, int]:
+def closed_form_cell_reference(spec: FamilySpec, rw: ResidueWord, C: int,
+                               D: int) -> tuple[int, int]:
     """(q^2 A_CD(r), q^2 B_CD(r)) from the whole nu_sequence of the cell,
     the paper's Bernoulli-value formula term for term on x = q*nu, with
     b1(x) = 2q B_1(x/q), b2(x) = 6q^2 B_2(x/q) and
     dl = q*<nu_{Gamma_l + 1} - nu_{Gamma_l}>: the per-cell route that
-    linearity.closed_form_row replaced with coefficient pairs per (q, r).
+    linearity.closed_form_cells replaced with coefficient pairs per (q, r).
     """
     q, gam, tau = rw.q, rw.gamma, rw.tau
     s = len(gam)
@@ -731,16 +731,19 @@ def common_norm_form(q: int, deltas) -> tuple[int, int, int] | None:
 
 def closed_form_table_reference(spec: FamilySpec, q: int, r: int
                                 ) -> ClosedFormTable:
-    """linearity.closed_form_table with closed_form_cd_reference in every
+    """linearity.closed_form_table with closed_form_cell_reference in every
     cell and the hypothesis sampled, not proven: the smallest member and
     the 2q + 1 members after it must share one norm form mod q.  Its
-    refusals come in the same order: the step bound, then the members,
-    then the shared norm form."""
+    refusals come in the same order: the step bound, the cell bound, then
+    the members, then the shared norm form."""
     rw = residue_word(spec, q, r)
     m = minus_word(rw.gamma).m
     if q * q * m > KERNEL_STEP_BOUND:
         raise BoundExceeded(f"q^2 * {m} = {q * q * m} closed-form steps "
                             f"exceed {KERNEL_STEP_BOUND}")
+    if q * q > CELL_BOUND:
+        raise BoundExceeded(f"q^2 = {q * q} closed-form cells exceed "
+                            f"{CELL_BOUND}")
     n0, delta0 = smallest_admissible_n(spec, q, r)
     k0 = (n0 - r) // q
     window = admissible(spec, q, r, range(k0 + 1, k0 + 2 * q + 2))
@@ -750,11 +753,11 @@ def closed_form_table_reference(spec: FamilySpec, q: int, r: int
         raise HypothesisFailed(
             f"norm residues mod {q} vary with k at r = {r}")
     u, v, w = form
-    cells = {}
+    cells = [[closed_form_cell_reference(spec, rw, C, D)
+              for D in range(1, q + 1)] for C in range(1, q + 1)]
     A_sums, B_sums = [0] * q, [0] * q
-    for C in range(1, q + 1):
-        for D in range(1, q + 1):
-            A, B = cells[(C, D)] = closed_form_cd_reference(spec, rw, C, D)
+    for C, row in enumerate(cells, 1):
+        for D, (A, B) in enumerate(row, 1):
             a = (u * C * C + v * C * D + w * D * D) % q
             A_sums[a] += A
             B_sums[a] += B

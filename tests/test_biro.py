@@ -17,7 +17,7 @@ from heckezero.characters import (CycloElement, DirichletCharacter,
                                   chi_weights, enumerate_characters,
                                   modp_realizations, odd_primitive_characters)
 from heckezero.cli import main
-from heckezero.errors import NarrowClassNotOne, ParseError
+from heckezero.errors import BoundExceeded, NarrowClassNotOne, ParseError
 from heckezero.linearity import BUILTIN_FAMILIES, closed_form_table
 from heckezero.quadfield import field_discriminant
 from oracles import (apply_realization, bernoulli_product_reference,
@@ -296,6 +296,19 @@ class TestIntroNormalization:
                 if A == 0 and B == 0:
                     continue
                 assert rho == Fraction(1, 12 * q)
+
+    def test_cell_bound_refuses_before_double_sums(self):
+        # q = 709 has 502,681 cells, over CELL_BOUND.  The double sums take
+        # r * C at every C, so an r that refuses products shows that the
+        # closed-form table refuses before they run
+        class NoProducts(int):
+            def __mul__(self, other):
+                raise AssertionError("the double sums ran")
+
+        chi = DirichletCharacter.from_identifier("q=709;gens=")
+        with pytest.raises(BoundExceeded, match="^q\\^2 = 502681 closed-form "
+                           "cells exceed 500000$"):
+            yokoi_intro_ab(chi, NoProducts(1))
 
     def test_proportionality(self):
         # coordinates in Q(zeta_3): one factor 2 for both, no common

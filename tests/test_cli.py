@@ -152,6 +152,9 @@ class TestBoundary:
         # q^2 * 1007 = 1.03e9 closed-form steps, before any member is built
         ["linearity", "closed-form", "--family", "yokoi",
          "--chi", "q=1009;gens=11:1", "--r", "1007"],
+        # q^2 * 2 = 1.0e6 steps are in budget, its 502,681 cells are not
+        ["linearity", "closed-form", "--family", "yokoi",
+         "--chi", "q=709;gens=", "--r", "1"],
         # radicands over CLASS_NUMBER_BOUND, refused before the unit
         ["field", "--d", "1000000000039"],
         ["field", "--d", "10000000019"],
@@ -162,8 +165,8 @@ class TestBoundary:
          "--chi", "q=11;gens=2:1", "--r", "1",
          "--k", ",".join(map(str, range(1000)))],
     ], ids=["lvalue-q200003", "lvalue-q1000000007", "closed-form-q1009",
-            "field-d1e12", "field-d1e10", "convert-long-word",
-            "verify-k1000"])
+            "closed-form-q709", "field-d1e12", "field-d1e10",
+            "convert-long-word", "verify-k1000"])
     def test_modulus_and_table_budgets(self, args, capsys):
         t0 = time.monotonic()
         self.run_error(args, capsys, "BoundExceeded")

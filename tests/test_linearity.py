@@ -20,15 +20,16 @@ from heckezero.quadfield import (field_discriminant, norm_form,
                                  primitive_form)
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  FamilySpec, NConstraints, ResidueWord,
-                                 admissible, class_norm_form, closed_form_cd,
-                                 closed_form_table, empty_class_reason,
-                                 family_instance, family_minus_cf,
-                                 family_spec_from_dict, nu_sequence,
-                                 residue_word, smallest_admissible_n,
-                                 verify_linearity)
+                                 admissible, class_norm_form,
+                                 closed_form_cells, closed_form_table,
+                                 empty_class_reason, family_instance,
+                                 family_minus_cf, family_spec_from_dict,
+                                 nu_sequence, residue_word,
+                                 smallest_admissible_n, verify_linearity)
 from heckezero.shintani import partial_zeta_zero, residue_table, table_input
-from oracles import (closed_form_cd_reference, closed_form_table_reference,
-                     is_squarefree)
+import oracles
+from oracles import (closed_form_cell_reference,
+                     closed_form_table_reference, is_squarefree)
 
 YOKOI = BUILTIN_FAMILIES["yokoi"]
 RDN = BUILTIN_FAMILIES["rd-n2p1"]
@@ -230,7 +231,7 @@ class TestNuSequence:
 
 class TestClosedFormCD:
     def test_oracle_cell(self):
-        A, B = closed_form_cd(YOKOI, residue_word(YOKOI, 3, 1), 1, 1)
+        A, B = closed_form_cells(YOKOI, residue_word(YOKOI, 3, 1))[0][0]
         assert (A, B) == (-12, -36)     # 9 * (-4/3, -4)
 
     @pytest.mark.parametrize("spec", [YOKOI, PAIRED, TRIPLE, QUAD],
@@ -241,14 +242,13 @@ class TestClosedFormCD:
         # n = qk + r whose digits are >= q, admissible or not
         checked = 0
         for r in range(q):
-            rw = residue_word(spec, q, r)
+            grid = closed_form_cells(spec, residue_word(spec, q, r))
             words = {k: family_minus_cf(spec, q * k + r).period
                      for k in range(5)
                      if min(spec.digits(q * k + r)) >= q}
             assert len(words) >= 3
-            for C in range(1, q + 1):
-                for D in range(1, q + 1):
-                    A, B = closed_form_cd(spec, rw, C, D)
+            for C, row in enumerate(grid, 1):
+                for D, (A, B) in enumerate(row, 1):
                     for k, word in words.items():
                         assert A + k * B == zeta12_times(q, C, D, word)
                         checked += 1
@@ -257,10 +257,9 @@ class TestClosedFormCD:
     @pytest.mark.parametrize("q", [3, 5])
     def test_matches_finite_differences(self, q):
         for r in range(q):
-            for C in range(1, q + 1):
-                for D in range(1, q + 1):
-                    A, B = closed_form_cd(YOKOI, residue_word(YOKOI, q, r),
-                                          C, D)
+            grid = closed_form_cells(YOKOI, residue_word(YOKOI, q, r))
+            for C, row in enumerate(grid, 1):
+                for D, (A, B) in enumerate(row, 1):
                     for k in (0, 1, 3):
                         n = q * k + r
                         if min(YOKOI.digits(n)) < q:
@@ -271,9 +270,9 @@ class TestClosedFormCD:
 
     def test_rd_family_cell(self):
         for r in range(3):
-            for C in range(1, 4):
-                for D in range(1, 4):
-                    A, B = closed_form_cd(RDN, residue_word(RDN, 3, r), C, D)
+            grid = closed_form_cells(RDN, residue_word(RDN, 3, r))
+            for C, row in enumerate(grid, 1):
+                for D, (A, B) in enumerate(row, 1):
                     for k in (2, 4):
                         n = 3 * k + r
                         z = partial_zeta_zero(3, C, D, family_minus_cf(RDN, n))
@@ -281,7 +280,7 @@ class TestClosedFormCD:
 
 
 class TestClosedFormOracle:
-    """closed_form_table and closed_form_cd evaluate the formula from
+    """closed_form_table and closed_form_cells evaluate the formula from
     coefficient pairs per (q, r); the references in tests/oracles.py run
     the whole nu-sequence of every cell.  r runs over [-q, 2q), since the
     CLI takes any r and such r verify."""
@@ -313,10 +312,11 @@ class TestClosedFormOracle:
                     built += 1
                     u, v, w = form
                     A, B = [0] * q, [0] * q
-                    for (C, D), (a, b) in got.cells.items():
-                        x = (u * C * C + v * C * D + w * D * D) % q
-                        A[x] += a
-                        B[x] += b
+                    for C, row in enumerate(got.cells, 1):
+                        for D, (a, b) in enumerate(row, 1):
+                            x = (u * C * C + v * C * D + w * D * D) % q
+                            A[x] += a
+                            B[x] += b
                     assert (tuple(A), tuple(B)) == (got.A, got.B), (q, r)
                 else:
                     refused.add((q, r, got[0]))
@@ -336,16 +336,33 @@ class TestClosedFormOracle:
         if spec is RDN_DIGIT_2:
             assert (2, 1, "SpecInconsistent") in refused
 
+    def test_cell_bound(self, monkeypatch):
+        # q^2 = 9 cells at CELL_BOUND are tabled; one below it both tables
+        # refuse, before any member is built
+        table = closed_form_table(YOKOI, 3, 1)
+        for module in (linearity, oracles):
+            monkeypatch.setattr(module, "CELL_BOUND", 9)
+        assert closed_form_table(YOKOI, 3, 1) == table
+        assert closed_form_table_reference(YOKOI, 3, 1) == table
+        built = []
+        monkeypatch.setattr(linearity, "family_instance",
+                            lambda *args: built.append(args))
+        for module in (linearity, oracles):
+            monkeypatch.setattr(module, "CELL_BOUND", 8)
+        want = ("BoundExceeded", "q^2 = 9 closed-form cells exceed 8")
+        assert self.outcome(closed_form_table, YOKOI, 3, 1) == want
+        assert self.outcome(closed_form_table_reference, YOKOI, 3, 1) == want
+        assert built == []
+
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.name)
     def test_cells_equal_per_cell_reference(self, spec):
-        # the one-cell case, on every residue word, members or not
+        # the whole grid, on every residue word, members or not
         for q in range(1, 10):
             for r in range(-q, 2 * q):
                 rw = residue_word(spec, q, r)
-                for C in range(1, q + 1):
-                    for D in range(1, q + 1):
-                        assert closed_form_cd(spec, rw, C, D) == \
-                            closed_form_cd_reference(spec, rw, C, D)
+                assert closed_form_cells(spec, rw) == [
+                    [closed_form_cell_reference(spec, rw, C, D)
+                     for D in range(1, q + 1)] for C in range(1, q + 1)]
 
 
 class TestClosedFormChi:
@@ -537,10 +554,9 @@ class TestEvenPeriod:
                     continue
                 words[k] = list(family_minus_cf(PAIRED, q * k + r).period)
             assert len(words) >= 2
-            for C in range(1, q + 1):
-                for D in range(1, q + 1):
-                    A, B = closed_form_cd(PAIRED,
-                                          residue_word(PAIRED, q, r), C, D)
+            grid = closed_form_cells(PAIRED, residue_word(PAIRED, q, r))
+            for C, row in enumerate(grid, 1):
+                for D, (A, B) in enumerate(row, 1):
                     for k, word in words.items():
                         assert A + k * B == zeta12_times(q, C, D, word)
 
@@ -605,8 +621,8 @@ class TestAdmissibility:
         far = linearity.closed_form_table(spec, q, r - q * j)
         assert far.B == near.B
         assert far.A == tuple(a - j * b for a, b in zip(near.A, near.B))
-        assert far.cells == {cell: (a - j * b, b)
-                             for cell, (a, b) in near.cells.items()}
+        assert far.cells == [[(a - j * b, b) for a, b in row]
+                             for row in near.cells]
 
     def test_smallest_member_built_once(self, monkeypatch):
         # the walk to the smallest admissible n = 7 mod 11 (k0 = 2, three
