@@ -251,7 +251,7 @@ def criterion_10() -> CriterionResult:
                                                    f"r={r} n={n} j={j} i={i}")
                         # in-block period-q equality
                         for j in range(1, len(S) + 1):
-                            a = spec.a(2 * j - 1, n)
+                            a = spec.digits(n)[(2 * j - 1) % spec.s]
                             if a < q:
                                 continue
                             for i in range(a - q + 1):

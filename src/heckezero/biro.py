@@ -15,7 +15,8 @@ from .characters import (CycloElement, DirichletCharacter, ModPRealization,
                          b1_table, chi_coords, chi_sum, chi_weights,
                          cyclo_value, modp_realizations,
                          odd_primitive_characters, unit_product)
-from .errors import BoundExceeded, NarrowClassNotOne, ParseError
+from .errors import (BoundExceeded, HypothesisFailed, NarrowClassNotOne,
+                     NoAdmissibleN, ParseError)
 from .linearity import (BUILTIN_FAMILIES, ClosedFormTable, FamilySpec,
                         closed_form_table, family_instance)
 from .quadfield import class_numbers, field_discriminant, make_field
@@ -178,15 +179,22 @@ def residue_reports(spec: FamilySpec, q_max: int, p_max: int
                     ) -> list[ResidueReport]:
     """residue_mod_p for every pair of condition_star_search(q_max, p_max)
     and every r mod its q, in that order.  The pairs come sorted by q, so
-    the q tables of one q are built once and dropped at the next q."""
+    the q tables of one q are built once and dropped at the next q.  A
+    class refused for no member (NoAdmissibleN) or no closed form
+    (HypothesisFailed) gets no report; any other refusal ends the run."""
     _check_sieve_work(q_max, p_max, residues=True)
     out: list[ResidueReport] = []
     for q, group in groupby(condition_star_search(q_max, p_max),
                             key=attrgetter("q")):
-        tables = [closed_form_table(spec, q, r) for r in range(q)]
+        tables = {}
+        for r in range(q):
+            try:
+                tables[r] = closed_form_table(spec, q, r)
+            except (NoAdmissibleN, HypothesisFailed):
+                continue
         for pair in group:
-            out.extend(residue_mod_p(pair, r, tables[r])
-                       for r in range(q))
+            out.extend(residue_mod_p(pair, r, table)
+                       for r, table in tables.items())
     return out
 
 

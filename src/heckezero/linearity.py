@@ -32,26 +32,11 @@ N_SEARCH_LIMIT = 10_000
 CELL_BOUND = 5 * 10 ** 5
 
 
-class NConstraints(NamedTuple):
-    """Admissibility filters on the family parameter n."""
-
-    parity: str | None = None          # "odd", "even" or None
-    forbidden_residues: tuple[tuple[int, int], ...] = ()
-
-    def admits(self, n: int) -> bool:
-        if n < 1:
-            return False
-        if self.parity == "odd" and n % 2 == 0:
-            return False
-        if self.parity == "even" and n % 2 == 1:
-            return False
-        return all(n % m != r % m for m, r in self.forbidden_residues)
-
-
 class FamilySpec(NamedTuple):
     """A family K_n with f(n) under the radical, delta(n) = (u(n)+v(n)sqrt(f))/w,
     and plus continued fraction delta(n)-1 = [[a_0(n), ..., a_{s-1}(n)]] with
-    a_i(n) = alpha_i*n + beta_i.  w >= 1 and acf is not empty, as
+    a_i(n) = alpha_i*n + beta_i.  Each pair (m, r) of forbidden says
+    n != r mod m.  w >= 1, acf is not empty and every m >= 1, as
     family_spec_from_dict checks.
     """
 
@@ -61,7 +46,7 @@ class FamilySpec(NamedTuple):
     v_coeffs: tuple[int, ...]
     w: int
     acf: tuple[tuple[int, int], ...]
-    n_constraints: NConstraints = NConstraints()
+    forbidden: tuple[tuple[int, int], ...] = ()
 
     @property
     def s(self) -> int:
@@ -79,9 +64,8 @@ class FamilySpec(NamedTuple):
         u, v, w, f = self.surd(n)
         return fixes_plus_word(self.digits(n), u - w, v, w, f)
 
-    def a(self, i: int, n: int) -> int:
-        alpha, beta = self.acf[i % self.s]
-        return alpha * n + beta
+    def admits(self, n: int) -> bool:
+        return n >= 1 and all(n % m != r % m for m, r in self.forbidden)
 
     def alpha(self, i: int) -> int:
         return self.acf[i % self.s][0]
@@ -102,20 +86,21 @@ BUILTIN_FAMILIES = {
     "yokoi": FamilySpec(
         name="yokoi", f_coeffs=(4, 0, 1),
         u_coeffs=(2, 1), v_coeffs=(1,), w=2,
-        acf=((1, 0),), n_constraints=NConstraints(parity="odd")),
+        acf=((1, 0),), forbidden=((2, 0),)),    # odd n
     "rd-n2p1": FamilySpec(
         name="rd-n2p1", f_coeffs=(1, 0, 1),
         u_coeffs=(1, 1), v_coeffs=(1,), w=1,
-        acf=((2, 0),), n_constraints=NConstraints(parity="odd")),
+        acf=((2, 0),), forbidden=((2, 0),)),    # odd n
 }
 
 
 def family_spec_from_dict(obj) -> FamilySpec:
     """Parse and check the JSON object form {name, f_coeffs, delta: {u_coeffs,
     v_coeffs, w}, acf: [{alpha, beta}, ...], n_constraints: {parity,
-    forbidden_residues}}, n_constraints and its fields optional.  Every
-    field is checked for shape, type and range here; a bad one is a
-    ParseError.
+    forbidden_residues}}, n_constraints and its fields optional.  Parity
+    "odd" is the forbidden residue 0 mod 2 and "even" is 1 mod 2, listed
+    ahead of forbidden_residues.  Every field is checked for shape, type
+    and range here; a bad one is a ParseError.
     """
     top = _object(obj, "a family description")
     delta = _object(_field(top, "delta"), "delta")
@@ -143,11 +128,12 @@ def family_spec_from_dict(obj) -> FamilySpec:
         if len(pair) != 2 or pair[0] < 1:
             raise ParseError(f"forbidden residue {list(pair)} must be "
                              f"[m, r] with modulus m >= 1")
+    if parity is not None:
+        forbidden = ((2, int(parity == "even")),) + forbidden
     return FamilySpec(
         name, _integers(_field(top, "f_coeffs"), "f_coeffs"),
         _integers(_field(delta, "u_coeffs"), "u_coeffs"),
-        _integers(_field(delta, "v_coeffs"), "v_coeffs"), w, acf,
-        NConstraints(parity, forbidden))
+        _integers(_field(delta, "v_coeffs"), "v_coeffs"), w, acf, forbidden)
 
 
 def load_family_config(name_or_path: str) -> FamilySpec:
@@ -220,7 +206,7 @@ def family_instance(spec: FamilySpec, n: int) -> QuadSurd:
     """
     u, v, w, f = spec.surd(n)
     check_radicand(f)
-    if not spec.n_constraints.admits(n):
+    if not spec.admits(n):
         raise DeltaOutOfRange(f"n = {n} violates the family's n constraints")
     delta = QuadSurd(u, v, w, f)
     check_delta_hypotheses(delta)
@@ -362,16 +348,15 @@ def empty_class_reason(spec: FamilySpec, q: int, r: int, walk: int
     exact check decides it.  A check that takes more than `walk` steps, the
     number of radicands the search it saves would factor, is skipped.
 
-    (i) admits depends on n mod lcm(2, forbidden moduli) only, so one
+    (i) admits depends on n mod lcm(forbidden moduli) only, so one
     period of the class, each n lifted to its residue plus the modulus,
     decides it.  (ii) f(q(k + p^2) + r) = f(qk + r) mod p^2, so when p^2
     divides f(qk + r) for k < p^2 no radicand of the class is squarefree;
     p runs over 2 and the primes dividing q.
     """
-    nc = spec.n_constraints
-    period = math.lcm(2, *(m for m, _ in nc.forbidden_residues))
+    period = math.lcm(*(m for m, _ in spec.forbidden))
     span = period // math.gcd(q, period)
-    if span <= walk and not any(nc.admits((q * k + r) % period + period)
+    if span <= walk and not any(spec.admits((q * k + r) % period + period)
                                 for k in range(span)):
         return "the family's n constraints reject every such n"
     for p in sorted({2, *factorize(q)}):
@@ -408,18 +393,18 @@ def class_norm_form(spec: FamilySpec, q: int, r: int) -> tuple[int, int, int]:
     4 for constant v; any other v passes at finitely many n and is refused
     outright.  So with M = q lcm(w^2, 4) the n = r mod q in [n0, n0 + M)
     decide every member's form, n0 the smallest member.  Skipped is an n
-    whose class mod M the parity, a forbidden modulus dividing M or a
-    square dividing gcd(f(n), M) empties; other non-members can only refuse
-    more.  spec.fits(n) is two polynomial identities in n of degree below
-    D, so the D n from n0 decide every member's digits.  After
+    whose class mod M a forbidden modulus dividing M or a square dividing
+    gcd(f(n), M) empties; other non-members can only refuse more.
+    spec.fits(n) is two polynomial identities in n of degree below D, so
+    the D n from n0 decide every member's digits.  After
     smallest_admissible_n, the first member up to N_SEARCH_LIMIT that fails
     names a failure; if none does, the failing n's own refusal stands.
     """
     n0, delta0 = smallest_admissible_n(spec, q, r)
     form = tuple(c % q for c in norm_form(delta0))
     M = q * math.lcm(spec.w ** 2, 4)
-    nc = NConstraints(spec.n_constraints.parity, tuple(
-        x for x in spec.n_constraints.forbidden_residues if M % x[0] == 0))
+    mod_M = spec._replace(forbidden=tuple(
+        x for x in spec.forbidden if M % x[0] == 0))
     D = spec.s + max(2 * len(spec.u_coeffs),
                      2 * len(spec.v_coeffs) + len(spec.f_coeffs))
     try:
@@ -430,7 +415,7 @@ def class_norm_form(spec: FamilySpec, q: int, r: int) -> tuple[int, int, int]:
             raise SpecInconsistent(f"the family digits fix delta(n)-1 at "
                                    f"fewer than {D} n")
         if not all(tuple(c % q for c in ideal_form(*spec.surd(n))) == form
-                   for n in range(n0, n0 + M, q) if nc.admits(n)
+                   for n in range(n0, n0 + M, q) if mod_M.admits(n)
                    and not square_prime(math.gcd(spec.f(n), M))):
             raise HypothesisFailed(
                 f"norm residues mod {q} vary with k at r = {r}")
@@ -459,13 +444,14 @@ class ClosedFormTable(NamedTuple):
 def closed_form_table(spec: FamilySpec, q: int, r: int) -> ClosedFormTable:
     """Tabulate the closed forms over [1, q]^2, summed per norm residue of
     class_norm_form, the norm form mod q that every member n = qk + r
-    shares.  The step bound, then CELL_BOUND on the q^2 cells the table
-    holds, refuse before any member is built.
+    shares.  The step bound on the q^2 * blocks steps of closed_form_cells
+    (its walk takes q per block at most), then CELL_BOUND on the q^2 cells
+    the table holds, refuse before any member is built.
     """
     rw = residue_word(spec, q, r)
-    m = minus_length(rw.gamma)
-    if q * q * m > KERNEL_STEP_BOUND:
-        raise BoundExceeded(f"q^2 * {m} = {q * q * m} closed-form steps "
+    b = len(period_blocks(spec.s))
+    if q * q * b > KERNEL_STEP_BOUND:
+        raise BoundExceeded(f"q^2 * {b} = {q * q * b} closed-form steps "
                             f"exceed {KERNEL_STEP_BOUND}")
     if q * q > CELL_BOUND:
         raise BoundExceeded(f"q^2 = {q * q} closed-form cells exceed "

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from heckezero.cfrac import MinusCF, evaluate_periodic, minus_word
+from heckezero.cfrac import (MinusCF, evaluate_periodic, minus_word,
+                             period_blocks)
 from heckezero.biro import ConditionStarPair, _check_sieve_work, _odd_primes
 from heckezero.characters import (CycloElement, DirichletCharacter,
                                   ModPRealization, _cyclo_reduce, _unit_group,
@@ -737,9 +738,9 @@ def closed_form_table_reference(spec: FamilySpec, q: int, r: int
     refusals come in the same order: the step bound, the cell bound, then
     the members, then the shared norm form."""
     rw = residue_word(spec, q, r)
-    m = minus_word(rw.gamma).m
-    if q * q * m > KERNEL_STEP_BOUND:
-        raise BoundExceeded(f"q^2 * {m} = {q * q * m} closed-form steps "
+    b = len(period_blocks(spec.s))
+    if q * q * b > KERNEL_STEP_BOUND:
+        raise BoundExceeded(f"q^2 * {b} = {q * q * b} closed-form steps "
                             f"exceed {KERNEL_STEP_BOUND}")
     if q * q > CELL_BOUND:
         raise BoundExceeded(f"q^2 = {q * q} closed-form cells exceed "

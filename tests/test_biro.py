@@ -1,7 +1,9 @@
 """Pair search, residue congruences, and the L-value factorization oracle."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from heckezero.characters import (CycloElement, DirichletCharacter,
 from heckezero.cli import main
 from heckezero.errors import BoundExceeded, NarrowClassNotOne, ParseError
 from heckezero.linearity import BUILTIN_FAMILIES, closed_form_table
-from heckezero.quadfield import field_discriminant
+from heckezero.quadfield import class_numbers, field_discriminant, make_field
 from oracles import (apply_realization, bernoulli_product_reference,
                      char_invariants, condition_star_search_reference)
 
@@ -220,6 +222,15 @@ class TestResidue:
             assert rep.B_image == apply_realization(
                 rep.realization, chi_sum(rep.chi, table.B))
 
+    def test_empty_class_skipped(self):
+        # forbidding n = 0 mod 5 empties the class 5k + 0 of Yokoi's family:
+        # its two reports go, and the run goes on to q = 7
+        spec = YOKOI._replace(forbidden=((2, 0), (5, 0)))
+        want = [rep for rep in residue_reports(YOKOI, 7, 13)
+                if (rep.chi.modulus, rep.r) != (5, 0)]
+        assert len(want) == 29
+        assert residue_reports(spec, 7, 13) == want
+
     def test_closed_form_table_builds(self, monkeypatch, capsys):
         # one table per (q, r) for all pairs of that q: q = 5 and q = 7
         # have pairs, so 5 + 7 tables
@@ -237,6 +248,37 @@ class TestResidue:
         assert sorted(args[1:] for args in calls) == \
             [(5, r) for r in range(5)] + [(7, r) for r in range(7)]
         assert len(calls) == 5 + 7 == 12
+
+
+class TestSieveDecides:
+    """The search's own pairs at q = 47 and 51, p = 5, where the residue
+    congruences first decide anything: every class of (47, zeta -> 4) has a
+    determined residue, and 24 classes of two pairs at q = 51 are vacuous.
+    The Yokoi members below 200 with h = h+ = 1 obey all of them."""
+
+    MEMBERS = (1, 3, 5, 7, 13, 17)
+
+    def test_members_obey_the_reports(self):
+        assert all(class_numbers(make_field(YOKOI.f(n))) == (1, 1)
+                   for n in self.MEMBERS)
+        counts = {}
+        for q, pairs in groupby(condition_star_search(51, 5),
+                                key=lambda pair: pair.q):
+            if q < 47:
+                continue
+            tables = [closed_form_table(YOKOI, q, r) for r in range(q)]
+            for pair in pairs:
+                reps = [residue_mod_p(pair, r, tables[r]) for r in range(q)]
+                counts[pair.chi.identifier(), pair.realization.zeta_image] = \
+                    Counter(rep.status for rep in reps)
+                for n in self.MEMBERS:
+                    rep = reps[n % q]
+                    assert rep.status != "vacuous", (pair, n)
+                    assert rep.status != "determined" or \
+                        rep.residue == n % pair.p, (pair, n)
+        assert counts["q=47;gens=5:23", 4] == {"determined": 47}
+        assert counts["q=51;gens=35:1,37:12", 3]["vacuous"] == 24
+        assert counts["q=51;gens=35:1,37:4", 2]["vacuous"] == 24
 
 
 class TestOracle:
@@ -333,7 +375,7 @@ class TestEvenCharactersVanish:
     def test_closed_forms_zero(self, spec):
         # both families admit odd n only, so n = qk + r with q and r even
         # has no member and closed_form_table raises NoAdmissibleN there
-        assert spec.n_constraints.parity == "odd"
+        assert spec.forbidden == ((2, 0),)
         checked = skipped = 0
         for q in range(3, 16):
             for chi in enumerate_characters(q):

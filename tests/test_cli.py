@@ -149,10 +149,11 @@ class TestBoundary:
          "--chi", "q=200003;gens=2:1"],
         ["lvalue", "--d", "5", "--delta", "3,1,2",
          "--chi", "q=1000000007;gens=5:1"],
-        # q^2 * 1007 = 1.03e9 closed-form steps, before any member is built
+        # its 1,018,081 cells, over CELL_BOUND, before any member is built;
+        # its one block's q^2 steps are in budget
         ["linearity", "closed-form", "--family", "yokoi",
          "--chi", "q=1009;gens=11:1", "--r", "1007"],
-        # q^2 * 2 = 1.0e6 steps are in budget, its 502,681 cells are not
+        # its 502,681 cells are just over CELL_BOUND
         ["linearity", "closed-form", "--family", "yokoi",
          "--chi", "q=709;gens=", "--r", "1"],
         # radicands over CLASS_NUMBER_BOUND, refused before the unit

@@ -19,7 +19,7 @@ from heckezero.kernels import zeta12_times
 from heckezero.quadfield import (field_discriminant, norm_form,
                                  primitive_form)
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
-                                 FamilySpec, NConstraints, ResidueWord,
+                                 FamilySpec, ResidueWord,
                                  admissible, class_norm_form,
                                  closed_form_cells, closed_form_table,
                                  empty_class_reason, family_instance,
@@ -43,7 +43,7 @@ PAIRED = family_spec_from_dict({
 # only acf, so the radicand and delta are Yokoi's placeholders
 TRIPLE, QUAD = (
     FamilySpec(name, YOKOI.f_coeffs, YOKOI.u_coeffs, YOKOI.v_coeffs, YOKOI.w,
-               acf, YOKOI.n_constraints)
+               acf, YOKOI.forbidden)
     for name, acf in (("triple", ((1, 0), (2, 1), (1, 2))),
                       ("quad", ((1, 1), (1, 0), (2, 0), (1, 3)))))
 
@@ -86,7 +86,7 @@ ODD_UNIDEAL = family_spec_from_dict(dict(
     n_constraints={"parity": "odd"}))
 # rd-n2p1 at every n: its even members, such as delta(4) = 5 + sqrt 17, are
 # no ideal bases, which a class of odd and even n meets (IncompatiblePair)
-RDN_ANY_N = RDN._replace(name="rd-n2p1-any-n", n_constraints=NConstraints())
+RDN_ANY_N = RDN._replace(name="rd-n2p1-any-n", forbidden=())
 # rd-n2p1 with its digit 2n frozen at n = 1: delta(1) - 1 = 1 + sqrt 2 is
 # [[2]], every later member is SpecInconsistent
 RDN_DIGIT_2 = RDN._replace(name="rd-n2p1-digit-2", acf=((0, 2),))
@@ -106,13 +106,13 @@ class TestFamilySpecs:
     def test_yokoi_shape(self):
         assert YOKOI.s == 1
         assert YOKOI.f(3) == 13 and YOKOI.f(1) == 5
-        assert YOKOI.a(0, 3) == 3 and YOKOI.a(5, 3) == 3    # indices wrap
+        assert YOKOI.digits(3) == (3,)
         assert YOKOI.alpha(0) == 1
 
     def test_rd_shape(self):
         assert RDN.s == 1
         assert RDN.f(1) == 2 and RDN.f(3) == 10
-        assert RDN.a(0, 3) == 6
+        assert RDN.digits(3) == (6,)
         assert RDN.alpha(0) == 2
 
     def test_instances(self):
@@ -147,9 +147,11 @@ class TestFamilyJSON:
             "f_coeffs": [4, 0, 1],
             "delta": {"u_coeffs": [2, 1], "v_coeffs": [1], "w": 2},
             "acf": [{"alpha": 1, "beta": 0}],
-            "n_constraints": {"parity": "odd", "forbidden_residues": []},
+            "n_constraints": {"parity": "odd", "forbidden_residues": [[5, 0]]},
         }
         spec = family_spec_from_dict(obj)
+        # the parity is the forbidden residue 0 mod 2, ahead of the file's
+        assert spec.forbidden == ((2, 0), (5, 0))
         assert spec.s == 1 and spec.f(1) == 5
         assert family_instance(spec, 1).d == 5
 
@@ -198,7 +200,8 @@ class TestResidueWord:
                     rw = residue_word(spec, q, r)
                     for i in range(spec.s):
                         assert 1 <= rw.gamma[i] <= q
-                        assert spec.a(i, r) == rw.gamma[i] + rw.tau[i] * q
+                        assert spec.digits(r)[i] == \
+                            rw.gamma[i] + rw.tau[i] * q
                     # the residue word is the certified conversion of gamma
                     word = minus_word(rw.gamma)
                     assert plus_to_minus(PlusCF((), rw.gamma)) == word
@@ -336,23 +339,33 @@ class TestClosedFormOracle:
         if spec is RDN_DIGIT_2:
             assert (2, 1, "SpecInconsistent") in refused
 
-    def test_cell_bound(self, monkeypatch):
-        # q^2 = 9 cells at CELL_BOUND are tabled; one below it both tables
-        # refuse, before any member is built
-        table = closed_form_table(YOKOI, 3, 1)
+    def check_bound(self, monkeypatch, bound, r, want):
+        # q^2 = 9 cells, or 9 steps, at the bound are tabled; one below it
+        # both tables refuse, before any member is built
+        table = closed_form_table(YOKOI, 3, r)
         for module in (linearity, oracles):
-            monkeypatch.setattr(module, "CELL_BOUND", 9)
-        assert closed_form_table(YOKOI, 3, 1) == table
-        assert closed_form_table_reference(YOKOI, 3, 1) == table
+            monkeypatch.setattr(module, bound, 9)
+        assert closed_form_table(YOKOI, 3, r) == table
+        assert closed_form_table_reference(YOKOI, 3, r) == table
         built = []
         monkeypatch.setattr(linearity, "family_instance",
                             lambda *args: built.append(args))
         for module in (linearity, oracles):
-            monkeypatch.setattr(module, "CELL_BOUND", 8)
-        want = ("BoundExceeded", "q^2 = 9 closed-form cells exceed 8")
-        assert self.outcome(closed_form_table, YOKOI, 3, 1) == want
-        assert self.outcome(closed_form_table_reference, YOKOI, 3, 1) == want
+            monkeypatch.setattr(module, bound, 8)
+        want = ("BoundExceeded", want)
+        assert self.outcome(closed_form_table, YOKOI, 3, r) == want
+        assert self.outcome(closed_form_table_reference, YOKOI, 3, r) == want
         assert built == []
+
+    def test_cell_bound(self, monkeypatch):
+        self.check_bound(monkeypatch, "CELL_BOUND", 1,
+                         "q^2 = 9 closed-form cells exceed 8")
+
+    def test_step_bound(self, monkeypatch):
+        # one block, whose residue word 4, 2 has m = 2 digits: the bound
+        # counts the 9 steps of the cells, not q^2 * m = 18
+        self.check_bound(monkeypatch, "KERNEL_STEP_BOUND", 2,
+                         "q^2 * 1 = 9 closed-form steps exceed 8")
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.name)
     def test_cells_equal_per_cell_reference(self, spec):
@@ -670,13 +683,12 @@ class TestAdmissibility:
         assert empty_class_reason(spec, 7, 0, 49) == \
             "7^2 divides f(n) for every such n"
         assert empty_class_reason(spec, 7, 0, 48) is None
-        # n = 3k is forbidden; the n constraints have period 6, two values
+        # n = 3k is forbidden; the n constraints have period 3, one value
         # of k
-        spec = RDN._replace(n_constraints=NConstraints(
-            forbidden_residues=((3, 0),)))
-        assert empty_class_reason(spec, 3, 0, 2) == \
+        spec = RDN._replace(forbidden=((3, 0),))
+        assert empty_class_reason(spec, 3, 0, 1) == \
             "the family's n constraints reject every such n"
-        assert empty_class_reason(spec, 3, 0, 1) is None
+        assert empty_class_reason(spec, 3, 0, 0) is None
         assert empty_class_reason(spec, 3, 1, N_SEARCH_LIMIT) is None
 
     @pytest.mark.parametrize("spec", [YOKOI, RDN, CHOWLA, N2P2, N2M1, N2M2],
@@ -695,23 +707,22 @@ class TestAdmissibility:
 
     @settings(max_examples=300, deadline=None)
     @given(f_coeffs=st.lists(st.integers(-12, 12), min_size=1, max_size=3),
-           parity=st.sampled_from([None, "odd", "even"]),
            forbidden=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 5)),
-                              max_size=2),
+                              max_size=3),
            q=st.integers(1, 8), r=st.integers(-3, 10))
     # 4 divides n^2 - n at n = 0 and 1 but not at n = 2: at odd q the
     # residues mod 4 take four values of k, not two
-    @example(f_coeffs=[0, -1, 1], parity=None, forbidden=[], q=1, r=0)
-    @example(f_coeffs=[0, -1, 1], parity=None, forbidden=[], q=5, r=0)
-    def test_refusal_sound(self, f_coeffs, parity, forbidden, q, r):
+    @example(f_coeffs=[0, -1, 1], forbidden=[], q=1, r=0)
+    @example(f_coeffs=[0, -1, 1], forbidden=[], q=5, r=0)
+    def test_refusal_sound(self, f_coeffs, forbidden, q, r):
         # whatever the checks refuse, a walk over n <= 200 finds no n of the
         # class that passes the radicand and n-constraint checks, the two
         # family_instance makes before it builds delta(n)
-        spec = RDN._replace(f_coeffs=tuple(f_coeffs), n_constraints=
-                            NConstraints(parity, tuple(forbidden)))
+        spec = RDN._replace(f_coeffs=tuple(f_coeffs),
+                            forbidden=tuple(forbidden))
         if empty_class_reason(spec, q, r, N_SEARCH_LIMIT) is not None:
             assert [n for n in range(r, 201, q)
-                    if n >= 1 and spec.n_constraints.admits(n)
+                    if spec.admits(n)
                     and spec.f(n) > 1 and is_squarefree(spec.f(n))] == []
 
     def test_hypothesis_check(self):
@@ -766,7 +777,8 @@ class TestAdmissibility:
         assert hits == 40 or hits < D
 
     def test_period_reads_parity_not_forbidden_moduli(self, monkeypatch):
-        # a forbidden modulus, however large, does not lengthen the period:
+        # a forbidden modulus, however large, does not lengthen the period
+        # unless it divides M:
         # at q = 3 the n of M = 3 lcm(1, 4) = 12 are 1, 4, 7 and 10, and
         # ideal_form reads the odd ones, 1 and 7, the forbidden 7 included
         # since its modulus does not divide M
@@ -778,8 +790,7 @@ class TestAdmissibility:
             return orig(a, b, c, d)
 
         monkeypatch.setattr(linearity, "ideal_form", counted)
-        spec = RDN._replace(
-            n_constraints=NConstraints("odd", ((10 ** 9 + 7, 7),)))
+        spec = RDN._replace(forbidden=((2, 0), (10 ** 9 + 7, 7)))
         assert linearity.closed_form_table(spec, 3, 1) == \
             linearity.closed_form_table(RDN, 3, 1)
         assert seen == [RDN.f(1), RDN.f(7)] * 2
@@ -795,16 +806,17 @@ class TestAdmissibility:
 
     @pytest.mark.parametrize("q, r", [(3, 1), (3, 2), (4, 1), (5, 4)])
     def test_period_skips_forbidden_classes(self, q, r):
-        # n = 0 mod 2 forbidden says what parity "odd" says, and 2 divides
-        # M, so the even n of the period, no ideal bases here, are skipped
-        spec = RDN._replace(n_constraints=NConstraints(None, ((2, 0),)))
+        # n = 0 and 2 mod 4 forbidden say what n = 0 mod 2 says, and 4
+        # divides M, so the even n of the period, no ideal bases here, are
+        # skipped
+        spec = RDN._replace(forbidden=((4, 0), (4, 2)))
         assert linearity.closed_form_table(spec, q, r) == \
             linearity.closed_form_table(RDN, q, r)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_period_skips_classes_without_members(self, q, monkeypatch):
         # 4 | f(n) at every even n of n^2 - 4, so ideal_form reads odd n
-        # only and the tables are those of the family with parity "odd".
+        # only and the tables are those of the family forbidding even n.
         # At q = 1 the 2q + 2 n from the smallest member, 5 to 8, hold one
         # member (45 = f(7) is not squarefree): too few for the sampled
         # check of closed_form_table_reference, none too few for the period
@@ -816,7 +828,7 @@ class TestAdmissibility:
             return orig(a, b, c, d)
 
         monkeypatch.setattr(linearity, "ideal_form", counted)
-        odd = N2M4_ANY_N._replace(n_constraints=NConstraints("odd"))
+        odd = N2M4_ANY_N._replace(forbidden=((2, 0),))
         for r in range(1, 2 * q, 2 if q % 2 == 0 else 1):
             assert linearity.closed_form_table(N2M4_ANY_N, q, r) == \
                 linearity.closed_form_table(odd, q, r)
