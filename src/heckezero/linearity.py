@@ -1,9 +1,11 @@
 """Parametrized families of fields, builtin or read from a JSON file, and
-the linearity machinery: instance construction and the walk over
-admissible members, the residue word (gamma and tau), the nu-sequence
-and its coefficient pairs per (q, r), the grid of closed-form
-coefficients of every cell and its sums per norm residue, and the
-verifier that pits the closed forms against the direct engine.
+the family engine: instance construction and the walk over admissible
+members, the residue word (gamma and tau), the grid of closed-form
+coefficients of every cell from the coefficient pairs of its
+nu-recursion per (q, r) and its sums per norm residue, and the verifier
+that pits the closed forms against the direct engine.  The nu-sequence
+of one cell and the minus word of a member, which selftest checks these
+against, live in acceptance.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import reprlib
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfrac import (MinusCF, PlusCF, fixes_plus_word, minus_length,
-                    minus_word, period_blocks, plus_expand, plus_to_minus)
+from .cfrac import fixes_plus_word, minus_length, period_blocks, plus_expand
 from .characters import (CycloElement, DirichletCharacter, chi_coords,
                          chi_sum, cyclo_value)
 from .errors import (BoundExceeded, DeltaOutOfRange, HypothesisFailed,
@@ -100,11 +101,16 @@ def family_spec_from_dict(obj) -> FamilySpec:
     forbidden_residues}}, n_constraints and its fields optional.  Parity
     "odd" is the forbidden residue 0 mod 2 and "even" is 1 mod 2, listed
     ahead of forbidden_residues.  Every field is checked for shape, type
-    and range here; a bad one is a ParseError.
+    and range here, and every object for keys the form does not name, so
+    that a misspelled optional key cannot drop a constraint; a bad one is
+    a ParseError.
     """
-    top = _object(obj, "a family description")
-    delta = _object(_field(top, "delta"), "delta")
-    nc = _object(top.get("n_constraints", {}), "n_constraints")
+    top = _object(obj, "a family description",
+                  ("name", "f_coeffs", "delta", "acf", "n_constraints"))
+    delta = _object(_field(top, "delta"), "delta",
+                    ("u_coeffs", "v_coeffs", "w"))
+    nc = _object(top.get("n_constraints", {}), "n_constraints",
+                 ("parity", "forbidden_residues"))
     name = _field(top, "name")
     if not isinstance(name, str):
         raise ParseError(f"name must be a string, got {type(name).__name__}")
@@ -113,7 +119,7 @@ def family_spec_from_dict(obj) -> FamilySpec:
         raise ParseError(f"w must be a positive integer, got {w}")
     acf = tuple((_integer(_field(p, "alpha"), "alpha"),
                  _integer(_field(p, "beta"), "beta"))
-                for p in (_object(e, "an acf entry")
+                for p in (_object(e, "an acf entry", ("alpha", "beta"))
                           for e in _list(_field(top, "acf"), "acf")))
     if not acf:
         raise ParseError("acf: need at least one digit function")
@@ -164,9 +170,13 @@ def load_family_config(name_or_path: str) -> FamilySpec:
     return spec
 
 
-def _object(x, what: str) -> dict:
+def _object(x, what: str, keys: tuple[str, ...]) -> dict:
     if not isinstance(x, dict):
         raise ParseError(f"{what} must be an object, got {type(x).__name__}")
+    for key in x:
+        if key not in keys:
+            raise ParseError(f"unknown key {reprlib.repr(key)} in {what}, "
+                             f"which takes {', '.join(keys)}")
     return x
 
 
@@ -241,12 +251,6 @@ def admissible(spec: FamilySpec, q: int, r: int, ks):
             continue
 
 
-def family_minus_cf(spec: FamilySpec, n: int) -> MinusCF:
-    """The minus word of the family's plus digits at n: the minus expansion
-    of delta(n) wherever family_instance accepts n."""
-    return plus_to_minus(PlusCF((), spec.digits(n)))
-
-
 class ResidueWord(NamedTuple):
     """The residue-level shadow of the family's words at n = qk + r:
     a_i(r) = q tau_i + gamma_i with gamma_i in [1, q].  The residue word is
@@ -265,18 +269,6 @@ def residue_word(spec: FamilySpec, q: int, r: int) -> ResidueWord:
     return ResidueWord(q, gamma, tuple((x - g) // q for x, g in zip(a, gamma)))
 
 
-def nu_sequence(rw: ResidueWord, C: int, D: int) -> list[int]:
-    """Run nu_{i+1} = <c_i nu_i - nu_{i-1}> over the residue word (c_i its
-    digits) on the integers X_i = q*nu_i; entry i + 1 holds X_i, from
-    i = -1 to Gamma_L.  The seeds are nu_{-1} = <1 - C/q> and nu_0 = <D/q>.
-    """
-    q = rw.q
-    X = [(q - C - 1) % q + 1, (D - 1) % q + 1]
-    for c in minus_word(rw.gamma).period:
-        X.append((c * X[-1] - X[-2] - 1) % q + 1)
-    return X
-
-
 def closed_form_cells(spec: FamilySpec, rw: ResidueWord
                       ) -> list[list[tuple[int, int]]]:
     """The integers (q^2 A_CD(r), q^2 B_CD(r)) of every cell, rw =
@@ -290,7 +282,8 @@ def closed_form_cells(spec: FamilySpec, rw: ResidueWord
     The nu recursion is linear in the seeds, so q nu_i = al*(-C) + be*D
     mod q in every cell, with one pair (al, be) mod q per position i.  One
     walk over the blocks of the residue word, each the special digit
-    gamma_i + 2 and gamma_j - 1 twos, runs nu_sequence's recursion on the
+    gamma_i + 2 and gamma_j - 1 twos, runs the recursion
+    nu_{i+1} = <c_i nu_i - nu_{i-1}> (acceptance.nu_sequence) on the
     pairs of the seeds, nu_{-1} = (1, 0) and nu_0 = (0, 1), and keeps per
     block l the pairs of q nu_{Gamma_l}, of dl, of q nu_{Gamma_{l+1} - 1}
     and of q nu_{Gamma_{l+1}}, then the run's gamma_j - 1, its factors

@@ -1,107 +1,20 @@
 """The L-value engine: the chi-free residue table of the partial Hecke
 L-value at s=0 on the integer cone kernel, its fold into Q(zeta_o), and the
-same tables from the walk over the reduced forms mod q.  Beside it, on
-Fractions, the oracles that selftest checks: the lattice-translation
-recursion with per-(C,D) partial zeta values, and the cone-ratio identity
-residual with the cone ratio sequence it reads.
+same tables from the walk over the reduced forms mod q.  The rational
+references that selftest checks it against live in acceptance.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
-from .cfrac import (MinusCF, evaluate_periodic, minus_length, minus_word,
-                    period_blocks, plus_expand)
+from .cfrac import minus_length, minus_word, period_blocks, plus_expand
 from .characters import DirichletCharacter, chi_sum
-from .errors import (BoundExceeded, DeltaOutOfRange, InternalInvariantError,
-                     UnitMismatch)
+from .errors import BoundExceeded, DeltaOutOfRange, InternalInvariantError
 from .exact import QuadSurd
 from .kernels import KERNEL_STEP_BOUND, zeta12_times
-from .quadfield import FieldData, norm_form
-
-
-def frac_pos(x: Fraction | int) -> Fraction:
-    """Representative of x mod 1 in the half-open interval (0, 1].
-
-    Integers map to 1, not 0.  This is deliberate and load-bearing for the
-    cone recursions; a conventional fractional part is intentionally not
-    exported.
-    """
-    x = Fraction(x)
-    f = x - (x.numerator // x.denominator)
-    return Fraction(1) if f == 0 else f
-
-
-def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
-    """B_1(x) = x - 1/2 or B_2(x) = x^2 - x + 1/6."""
-    x = Fraction(x)
-    if k == 1:
-        return x - Fraction(1, 2)
-    if k == 2:
-        return x * x - x + Fraction(1, 6)
-    raise ValueError("only k in {1, 2} supported")
-
-
-class YamamotoSeq:
-    """Translation coordinates x_{-1}, x_0, ..., x_N of the shifted lattice.
-
-    x[i] is x_{i-1} (one slot of offset); every x_i lies in (0, 1] with
-    q*x_i an integer, and y_i = 1 - x_{i-1}.
-    """
-
-    __slots__ = ("q", "C", "D", "x")
-
-    def __init__(self, q: int, C: int, D: int, x: tuple[Fraction, ...]):
-        for v in x:
-            if not (0 < v <= 1) or (v * q).denominator != 1:
-                raise InternalInvariantError(f"x value {v} out of contract")
-        self.q, self.C, self.D, self.x = q, C, D, x
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not YamamotoSeq:
-            return NotImplemented
-        return (self.q, self.C, self.D, self.x) == \
-            (other.q, other.C, other.D, other.x)
-
-    def x_at(self, i: int) -> Fraction:
-        """x_i for i >= -1."""
-        return self.x[i + 1]
-
-    def y_at(self, i: int) -> Fraction:
-        """y_i = 1 - x_{i-1}, in [0, 1).  The boundary x_{i-1} = 1 gives 0."""
-        v = 1 - self.x_at(i - 1)
-        return v if v != 1 else Fraction(0)
-
-
-def yamamoto_sequence(q: int, C: int, D: int, mcf: MinusCF,
-                      steps: int | None = None) -> YamamotoSeq:
-    """Run x_{i+1} = <b_i x_i + y_i> from the (C, D) seeds.
-
-    By default one minus period of steps; identity checkers extend to
-    lam * m steps with the digits taken cyclically.
-    """
-    m = mcf.m
-    if steps is None:
-        steps = m
-    b = mcf.period
-    xs = [frac_pos(1 - Fraction(C, q)), frac_pos(Fraction(D, q))]
-    for i in range(steps):
-        y = 1 - xs[-2]
-        if y == 1:
-            y = Fraction(0)
-        xs.append(frac_pos(b[i % m] * xs[-1] + y))
-    return YamamotoSeq(q, C, D, tuple(xs))
-
-
-def partial_zeta_zero(q: int, C: int, D: int, mcf: MinusCF) -> Fraction:
-    """Z(C,D) = sum_{i=1}^{m} B_1(x_i)B_1(y_i) + (b_i/2) B_2(x_i).
-
-    The digit paired with summand i is b_i with b_m = b_0.  Runs on the
-    integer kernel; 12*q^2*Z is always an integer.
-    """
-    return Fraction(zeta12_times(q, C, D, list(mcf.period)), 12 * q * q)
+from .quadfield import norm_form
 
 
 def check_delta_hypotheses(delta: QuadSurd) -> None:
@@ -292,88 +205,3 @@ def partial_hecke_L_zero(delta: QuadSurd, chi: DirichletCharacter):
     """
     q = chi.modulus
     return chi_sum(chi, residue_table(delta, q), Fraction(1, 12 * q * q))
-
-
-def lattice_unit_order(F: FieldData, delta: QuadSurd, q: int) -> int:
-    """Order of multiplication by the totally positive unit on [1, delta]
-    modulo q.
-
-    This is the window length for orbit closure.  It equals the order of the
-    unit in O/qO only when the index of [1, delta] in O is coprime to q, so
-    the matrix order is computed directly.
-    """
-    if q == 1:
-        return 1
-    eps = F.tp_fund_unit
-    cols = []
-    for gen in (QuadSurd.from_rational(1, F.d), delta):
-        u, v = (eps * gen).coords(delta)
-        if u.denominator != 1 or v.denominator != 1:
-            raise InternalInvariantError(
-                "unit does not stabilize the lattice [1, delta]")
-        cols.append((int(u) % q, int(v) % q))
-    m00, m10 = cols[0]
-    m01, m11 = cols[1]
-    a, b, c, d = m00, m01, m10, m11
-    for k in range(1, q ** 4 + 1):
-        if (a % q, b % q, c % q, d % q) == (1, 0, 0, 1):
-            return k
-        a, b, c, d = (a * m00 + b * m10, a * m01 + b * m11,
-                      c * m00 + d * m10, c * m01 + d * m11)
-        a, b, c, d = a % q, b % q, c % q, d % q
-    raise InternalInvariantError("unit matrix order not found mod q")
-
-
-class DeltaSequence(NamedTuple):
-    """Cone ratios delta_1..delta_m and the cumulative A_i = A_{i-1}/delta_i."""
-
-    deltas: tuple[QuadSurd, ...]
-    A: tuple[QuadSurd, ...]
-
-
-def delta_sequence(F: FieldData, mcf: MinusCF) -> DeltaSequence:
-    """delta_i from rotated-word evaluation, with the exact unit product check.
-
-    Evaluating each rotation independently (rather than iterating the cyclic
-    relation from delta_0) lets the relation delta_i = b_i - 1/delta_{i+1}
-    serve as a genuine cross-check in the test suite.  mcf is the purely
-    periodic expansion of the totally positive unit.
-    """
-    m = mcf.m
-    deltas = []
-    for i in range(1, m + 1):
-        di = evaluate_periodic(mcf.rotated(i))
-        if di.d != F.d:
-            raise UnitMismatch(
-                f"word evaluates in Q(sqrt({di.d})), not Q(sqrt({F.d}))")
-        deltas.append(di)
-    A = [QuadSurd.from_rational(1, F.d)]
-    for di in deltas:
-        A.append(A[-1] / di)
-    prod = A[0] / A[-1]
-    if prod != F.tp_fund_unit:
-        raise UnitMismatch(
-            f"product of cone ratios is {prod}, not the unit {F.tp_fund_unit}")
-    return DeltaSequence(tuple(deltas), tuple(A))
-
-
-def yamamoto_identity_residual(F: FieldData, mcf: MinusCF, q: int,
-                               C: int, D: int) -> Fraction:
-    """Aggregate difference between the cone-ratio form and the digit form
-    of the s=0 summand, over a full lam*m window.  Contract: exactly 0.
-    """
-    lam = lattice_unit_order(F, evaluate_periodic(mcf), q)
-    m = mcf.m
-    n = lam * m
-    seq = yamamoto_sequence(q, C, D, mcf, steps=n)
-    ds = delta_sequence(F, mcf)
-    acc = Fraction(0)
-    for i in range(1, n + 1):
-        d_i = ds.deltas[(i - 1) % m]  # deltas[0] is delta_1
-        t = d_i.trace()
-        u = d_i.trace() / d_i.norm()  # trace of 1/delta_i
-        b = mcf.period[i % m]
-        acc += (t / 4) * bernoulli_poly(2, seq.x_at(i))
-        acc += (u / 4) * bernoulli_poly(2, seq.y_at(i))
-        acc -= Fraction(b, 2) * bernoulli_poly(2, seq.x_at(i))
-    return acc

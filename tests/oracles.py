@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from heckezero.acceptance import (bernoulli_poly, lattice_unit_order,
+                                  nu_sequence, yamamoto_sequence)
 from heckezero.cfrac import (MinusCF, evaluate_periodic, minus_word,
                              period_blocks)
 from heckezero.biro import ConditionStarPair, _check_sieve_work, _odd_primes
@@ -52,11 +54,9 @@ from heckezero.errors import (BoundExceeded, HypothesisFailed,
 from heckezero.exact import QuadSurd, factorize, residue_1q, square_prime
 from heckezero.kernels import KERNEL_STEP_BOUND
 from heckezero.linearity import (CELL_BOUND, ClosedFormTable, FamilySpec,
-                                 ResidueWord, admissible, nu_sequence,
-                                 residue_word, smallest_admissible_n)
+                                 ResidueWord, admissible, residue_word,
+                                 smallest_admissible_n)
 from heckezero.quadfield import FieldData, field_discriminant, norm_form
-from heckezero.shintani import (bernoulli_poly, lattice_unit_order,
-                                yamamoto_sequence)
 
 
 class NotAnIdeal(ValidationError):

@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heckezero import cfrac
+from heckezero.acceptance import delta_sequence
 from heckezero.cfrac import (MinusCF, PlusCF, evaluate_periodic,
                              fixes_plus_word, minus_expand, minus_length,
                              minus_word, plus_expand, plus_to_minus,
@@ -13,7 +14,6 @@ from heckezero.errors import (DegenerateWord, InternalInvariantError,
                               RationalInput)
 from heckezero.exact import QuadSurd
 from heckezero.quadfield import make_field
-from heckezero.shintani import delta_sequence
 from oracles import is_squarefree, surd_ceil, surd_floor, surd_walk_by_table
 
 

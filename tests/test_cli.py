@@ -251,10 +251,20 @@ class TestBoundary:
         (b'{"name": ' + b"1" * 5000 + b"}", "unreadable JSON"),
         (replaced(("f_coeffs",), [[1] * 1000]),
          "f_coeffs must be an integer, got [1, 1, 1, 1, 1, 1, ...]"),
+        # a misspelled optional key would drop the constraint it names
+        (replaced(("n_constraint",), {"parity": "odd"}),
+         "unknown key 'n_constraint' in a family description"),
+        (replaced(("delta", "w_coeffs"), [2]),
+         "unknown key 'w_coeffs' in delta"),
+        (replaced(("acf", 0, "gamma"), 1),
+         "unknown key 'gamma' in an acf entry"),
+        (replaced(("n_constraints", "forbiden_residues"), [[5, 0]]),
+         "unknown key 'forbiden_residues' in n_constraints"),
     ], ids=["top-list", "top-null", "nc-list", "coeff-str", "coeff-float",
             "w-float", "forbidden-m0", "directory", "not-utf8", "acf-pair",
             "parity-typo", "coeff-bool", "deep-nesting", "long-integer",
-            "long-value"])
+            "long-value", "top-unknown-key", "delta-unknown-key",
+            "acf-unknown-key", "nc-unknown-key"])
     def test_malformed_family_file(self, contents, text, tmp_path, capsys):
         path = tmp_path / "family.json"
         if contents is None:

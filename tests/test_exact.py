@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckezero.acceptance import bernoulli_poly, frac_pos
 from heckezero.characters import (CycloElement, DirichletCharacter,
                                   chi_coords, chi_sum, cyclo_to_dict,
                                   enumerate_characters, euler_phi)
@@ -20,7 +21,6 @@ from heckezero.exact import (QuadSurd, factorize, quadsurd_to_dict,
                              squarefree_part, surd_sign)
 from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  smallest_admissible_n)
-from heckezero.shintani import bernoulli_poly, frac_pos
 from oracles import is_squarefree, surd_ceil, surd_floor, surd_pow
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 13, 15, 29, 53, 229]

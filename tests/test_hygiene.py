@@ -136,6 +136,17 @@ def test_every_definition_reached():
     assert unreached_defs(sources) == ["cli._Parser.error"]
 
 
+def test_engine_reached_without_selftest():
+    # the rational references that only selftest checks live in acceptance:
+    # with acceptance left out, a command still reaches every def of the
+    # engine modules
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")
+               if path.stem != "acceptance"}
+    assert [name for name in unreached_defs(sources)
+            if name.split(".")[0] in ("kernels", "shintani", "linearity")] \
+        == []
+
+
 def test_unit_group_read_in_characters_only():
     # every character sum builds a chi-free residue table and folds it with
     # characters.chi_weights, so no other module reads the discrete logs

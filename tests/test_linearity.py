@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckezero import cfrac, linearity
+from heckezero.acceptance import (family_minus_cf, nu_sequence,
+                                  partial_zeta_zero, yamamoto_sequence)
 from heckezero.cfrac import PlusCF, minus_word, plus_to_minus
 from heckezero.characters import (DirichletCharacter, chi_sum,
                                   enumerate_characters)
@@ -23,10 +25,9 @@ from heckezero.linearity import (BUILTIN_FAMILIES, N_SEARCH_LIMIT,
                                  admissible, class_norm_form,
                                  closed_form_cells, closed_form_table,
                                  empty_class_reason, family_instance,
-                                 family_minus_cf, family_spec_from_dict,
-                                 nu_sequence, residue_word,
+                                 family_spec_from_dict, residue_word,
                                  smallest_admissible_n, verify_linearity)
-from heckezero.shintani import partial_zeta_zero, residue_table, table_input
+from heckezero.shintani import residue_table, table_input
 import oracles
 from oracles import (closed_form_cell_reference,
                      closed_form_table_reference, is_squarefree)
@@ -219,7 +220,6 @@ class TestNuSequence:
 
     def test_matches_digit_orbit(self):
         # at an admissible n the nu orbit is the x orbit of the actual word
-        from heckezero.shintani import yamamoto_sequence
         q, r = 3, 1
         rw = residue_word(YOKOI, q, r)
         mcf = family_minus_cf(YOKOI, first_with_digits_at_least_q(YOKOI, q, r))

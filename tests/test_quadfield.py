@@ -5,12 +5,12 @@ import random
 
 import pytest
 
+from heckezero.acceptance import lattice_unit_order
 from heckezero.errors import (BoundExceeded, IncompatiblePair, NotSquarefree,
                               ValidationError)
 from heckezero.exact import QuadSurd
 from heckezero.quadfield import (CLASS_NUMBER_BOUND, _norm_is,
                                  class_numbers, make_field, norm_form)
-from heckezero.shintani import lattice_unit_order
 from oracles import (IdealLattice, class_number_analytic,
                      class_numbers_full_scan, ideal_inverse, ideal_norm,
                      is_fractional_ideal, lattice_product, maximal_order,

@@ -10,6 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckezero import exact, shintani
+from heckezero.acceptance import (YamamotoSeq, lattice_unit_order,
+                                  partial_zeta_zero,
+                                  yamamoto_identity_residual,
+                                  yamamoto_sequence)
 from heckezero.cfrac import MinusCF, minus_expand, minus_word
 from heckezero.characters import (DirichletCharacter, chi_sum,
                                   enumerate_characters, gen_bernoulli_b1)
@@ -21,11 +25,9 @@ from heckezero.kernels import zeta12_times
 from heckezero.linearity import BUILTIN_FAMILIES, admissible, family_instance
 from heckezero.quadfield import (check_radicand, class_numbers,
                                  field_discriminant, make_field, norm_form)
-from heckezero.shintani import (YamamotoSeq, check_delta_hypotheses,
-                                form_counts, form_sums, form_tables,
-                                lattice_unit_order, partial_hecke_L_zero,
-                                partial_zeta_zero, residue_table, table_input,
-                                yamamoto_identity_residual, yamamoto_sequence)
+from heckezero.shintani import (check_delta_hypotheses, form_counts,
+                                form_sums, form_tables, partial_hecke_L_zero,
+                                residue_table, table_input)
 from oracles import (IdealLattice, bernoulli_product_reference, char_sum,
                      delta_reduced_by_surds, form_counts_stepwise,
                      form_sums_full, ideal_inverse, is_squarefree, kronecker,
@@ -86,9 +88,20 @@ class TestPartialZeta:
             assert partial_zeta_zero(1, 1, 1, MinusCF((), word)) == 0
 
     def test_dual_route_agreement(self):
-        # integer kernel vs the direct Bernoulli-polynomial sum
-        for word in ((3,), (4, 2), (5, 2, 2), (7, 2, 3)):
-            mcf = MinusCF((), word)
+        # integer kernel vs the direct Bernoulli-polynomial sum, on four
+        # hand-picked words ((7, 2, 3) comes from a non-maximal order) and
+        # the minus word of every reduced delta > 2 of squarefree d < 40
+        words = [MinusCF((), word)
+                 for word in ((3,), (4, 2), (5, 2, 2), (7, 2, 3))]
+        for d in filter(is_squarefree, range(2, 40)):
+            disc = field_discriminant(d)
+            f = 1 if disc == d else 2
+            for cycle in minus_cycles(d):
+                for P, Q in cycle:
+                    if (P + math.isqrt(disc)) // Q >= 2:
+                        words.append(minus_expand(QuadSurd(P, f, Q, d)))
+        assert len(words) == 100
+        for mcf in words:
             for q in (2, 3, 4, 5):
                 for C in range(1, q + 1):
                     for D in range(1, q + 1):
@@ -440,8 +453,8 @@ class TestStepTables:
 
 
 class TestIdentity:
-    @pytest.mark.parametrize("d", [2, 3, 5, 13, 15, 29])
-    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("d", list(filter(is_squarefree, range(2, 60))))
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_residual_zero(self, d, q):
         F = make_field(d)
         mcf = minus_expand(F.tp_fund_unit)
