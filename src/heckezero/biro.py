@@ -11,9 +11,10 @@ from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
+from .cfrac import period_blocks
 from .characters import (CycloElement, DirichletCharacter, ModPRealization,
                          b1_table, chi_coords, chi_sum, chi_weights,
-                         cyclo_value, modp_realizations,
+                         cyclo_value, euler_phi, modp_realizations,
                          odd_primitive_characters, unit_product)
 from .errors import (BoundExceeded, HypothesisFailed, NarrowClassNotOne,
                      NoAdmissibleN, ParseError)
@@ -22,7 +23,7 @@ from .linearity import (BUILTIN_FAMILIES, ClosedFormTable, FamilySpec,
 from .quadfield import class_numbers, field_discriminant, make_field
 from .shintani import partial_hecke_L_zero
 
-# A search or residue run whose sieve_work exceeds this is refused
+# A search or residue run whose priced steps exceed this is refused
 SIEVE_WORK_BOUND = 10 ** 7
 
 
@@ -36,31 +37,21 @@ class ConditionStarPair(NamedTuple):
     witness: int
 
 
-def sieve_work(q_max: int, p_max: int, residues: bool = False) -> int:
-    """An upper estimate of the steps of condition_star_search(q_max, p_max),
-    and with residues=True of residue_reports as well.
+def sieve_work(q_max: int, p_max: int) -> int:
+    """An upper bound on the steps of condition_star_search(q_max, p_max).
 
     The search sieves the numbers up to p_max, then tabulates each of the
     fewer than q_max^2/4 characters of odd modulus q <= q_max (q_max
-    steps at most) and tests it against the primes up to p_max.  This
-    over-estimates the search, which images a character only at the
-    primes p = 1 mod its order, and there once; the formula stays, so
-    the same runs are refused with the same messages.  The residue run
-    adds, for every odd q <= q_max, q closed-form tables, each one walk of
-    its residue word, then one step per block of it in each of q^2 cells;
-    q_max^5/10, set when a cell took about q steps, over-estimates this
-    and stays for the same reason.
+    steps at most) and tests it against the primes up to p_max.  It
+    images a character only at the primes p = 1 mod its order, and there
+    once per orbit, so this over-counts the tests.
     """
-    work = p_max + q_max * q_max * (q_max + p_max) // 4
-    if residues:
-        work += q_max ** 5 // 10
-    return work
+    return p_max + q_max * q_max * (q_max + p_max) // 4
 
 
-def _check_sieve_work(q_max: int, p_max: int, residues: bool) -> None:
+def _check_sieve_work(q_max: int, p_max: int, work: int) -> None:
     if q_max < 3 or p_max < 3:
         raise ParseError("bounds must be at least 3")
-    work = sieve_work(q_max, p_max, residues)
     if work > SIEVE_WORK_BOUND:
         raise BoundExceeded(
             f"q_max = {q_max}, p_max = {p_max} estimate {work} sieve steps, "
@@ -77,25 +68,6 @@ def _odd_primes(n: int) -> list[int]:
     return [p for p in range(3, n + 1, 2) if sieve[p]]
 
 
-def _units(o: int) -> list[int]:
-    """The j in [1, o) prime to o, ascending."""
-    return [j for j in range(1, o) if math.gcd(j, o) == 1]
-
-
-def _realizations(chi: DirichletCharacter, p: int
-                  ) -> dict[int, ModPRealization]:
-    """The realization zeta_o -> h^e keyed by e, for each e of _units(o),
-    o = chi.order, p = 1 mod o, with h the least element of order o mod p.
-
-    chi^a at h^b has the image of chi at h^(ab): the weights of chi^a are
-    those of chi moved from slot i to slot a*i.  So if Z holds the e with
-    chi vanishing at h^e, the pairs of chi^a are those at h^(e/a), e in Z.
-    """
-    o = chi.order
-    h = modp_realizations(chi, p)[0].zeta_image
-    return {e: ModPRealization(p, o, pow(h, e, p)) for e in _units(o)}
-
-
 def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
     """All (q, p, chi, realization) with odd q <= q_max, odd prime p <= p_max,
     odd primitive chi of conductor q, and realization(sum a*chi(a)) = 0,
@@ -103,11 +75,13 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
 
     sum a*chi(a) = q*B_{1,chi} is the Horner image of its integer weights.
     Each Galois orbit {chi^a} of a modulus is folded once, at its first
-    character chi, and imaged at every h^e of _realizations per prime: one
-    image per character and prime.  The zero set Z of those e gives the
-    pairs (chi^a, h^(e/a)) of the whole orbit.
+    character chi, and imaged at every h^e of modp_realizations per prime:
+    one image per character and prime.  chi^a at h^b has the image of chi
+    at h^(ab), since the weights of chi^a are those of chi moved from slot
+    i to slot a*i.  So the zero set Z of those e gives the pairs
+    (chi^a, h^(e/a)), e in Z, of the whole orbit.
     """
-    _check_sieve_work(q_max, p_max, residues=False)
+    _check_sieve_work(q_max, p_max, sieve_work(q_max, p_max))
     primes = _odd_primes(p_max)
     reals: dict[tuple[int, int], dict[int, ModPRealization]] = {}
     out: list[ConditionStarPair] = []
@@ -123,14 +97,15 @@ def condition_star_search(q_max: int, p_max: int) -> list[ConditionStarPair]:
             # chi is the first of its orbit; chi^a has rank k for each
             # (k, 1/a mod o) of powers
             o = chi.order
-            powers = [(rank[chi ** a], pow(a, -1, o)) for a in _units(o)]
+            powers = [(rank[chi ** a], pow(a, -1, o))
+                      for a in range(1, o) if math.gcd(a, o) == 1]
             seen.update(k for k, _ in powers)
             weights = chi_weights(chi, range(q))
             for p in primes:
                 if (p - 1) % o:
                     continue
                 if (o, p) not in reals:
-                    reals[o, p] = _realizations(chi, p)
+                    reals[o, p] = modp_realizations(chi, p)
                 at = reals[o, p]
                 for e, real in at.items():
                     if real.image(weights) == 0:
@@ -181,11 +156,22 @@ def residue_reports(spec: FamilySpec, q_max: int, p_max: int
     and every r mod its q, in that order.  The pairs come sorted by q, so
     the q tables of one q are built once and dropped at the next q.  A
     class refused for no member (NoAdmissibleN) or no closed form
-    (HypothesisFailed) gets no report; any other refusal ends the run."""
-    _check_sieve_work(q_max, p_max, residues=True)
+    (HypothesisFailed) gets no report; any other refusal ends the run.
+
+    The pairs found price the rest before any table is built: on top of
+    the search's sieve_work, each distinct q costs q tables of q^2 * b
+    steps (b the blocks of the plus period, the price closed_form_table
+    checks), and each pair q reports of 2 * (phi(q) + o) steps, o its
+    order: two folds over the units and two Horner images."""
+    pairs = condition_star_search(q_max, p_max)
+    b = len(period_blocks(spec.s))
+    work = sieve_work(q_max, p_max)
+    work += sum(q ** 3 * b for q in {pair.q for pair in pairs})
+    work += sum(2 * pair.q * (euler_phi(pair.q) + pair.chi.order)
+                for pair in pairs)
+    _check_sieve_work(q_max, p_max, work)
     out: list[ResidueReport] = []
-    for q, group in groupby(condition_star_search(q_max, p_max),
-                            key=attrgetter("q")):
+    for q, group in groupby(pairs, key=attrgetter("q")):
         tables = {}
         for r in range(q):
             try:

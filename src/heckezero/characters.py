@@ -296,24 +296,25 @@ class ModPRealization(NamedTuple):
         return acc
 
 
-def modp_realizations(chi: DirichletCharacter, p: int) -> list[ModPRealization]:
-    """One realization per element of exact order o = chi.order in (Z/p)*,
-    p prime, ascending; empty if o does not divide p - 1.
+def modp_realizations(chi: DirichletCharacter, p: int
+                      ) -> dict[int, ModPRealization]:
+    """The realizations zeta_o -> h^e of o = chi.order at the prime p, keyed
+    by e in [1, o] prime to o: one per element of exact order o in (Z/p)*,
+    and none if o does not divide p - 1.
 
-    Those elements are h^k for 0 < k <= o with gcd(k, o) = 1, h any one of
-    them: h = t^((p-1)/o) for the least t that gives exact order o (for a
+    h = t^((p-1)/o) for the least t that gives exact order o (for a
     primitive root t it always does), so only o is factored, not p - 1.
     """
     o = chi.order
     if (p - 1) % o:
-        return []
+        return {}
     primes_o = list(factorize(o))
     for t in range(1, p):
         h = pow(t, (p - 1) // o, p)
         if all(pow(h, o // ell, p) != 1 for ell in primes_o):
             break
-    return [ModPRealization(p, o, t) for t in sorted(
-        pow(h, k, p) for k in range(1, o + 1) if math.gcd(k, o) == 1)]
+    return {e: ModPRealization(p, o, pow(h, e, p))
+            for e in range(1, o + 1) if math.gcd(e, o) == 1}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from heckezero.acceptance import (bernoulli_poly, lattice_unit_order,
                                   nu_sequence, yamamoto_sequence)
 from heckezero.cfrac import (MinusCF, evaluate_periodic, minus_word,
                              period_blocks)
-from heckezero.biro import ConditionStarPair, _check_sieve_work, _odd_primes
+from heckezero.biro import (ConditionStarPair, _check_sieve_work, _odd_primes,
+                            sieve_work)
 from heckezero.characters import (CycloElement, DirichletCharacter,
                                   ModPRealization, _cyclo_reduce, _unit_group,
                                   b1_table, chi_weights, enumerate_characters,
@@ -517,20 +518,20 @@ def condition_star_search_reference(q_max: int, p_max: int
     """biro.condition_star_search with one image per realization: each odd
     primitive chi (by the conductor search) tested at every realization of
     its order at each p, and the pairs sorted on identifier strings."""
-    _check_sieve_work(q_max, p_max, residues=False)
+    _check_sieve_work(q_max, p_max, sieve_work(q_max, p_max))
     chars = [(chi, chi.order, chi_weights(chi, b1_table(q)))
              for q in range(3, q_max + 1, 2)
              for chi in enumerate_characters(q)
              if char_invariants(chi) == ("odd", q)]
     out: list[ConditionStarPair] = []
     for p in _odd_primes(p_max):
-        realizations: dict[int, list[ModPRealization]] = {}
+        realizations: dict[int, dict[int, ModPRealization]] = {}
         for chi, o, weights in chars:
             if (p - 1) % o:
                 continue
             if o not in realizations:
                 realizations[o] = modp_realizations(chi, p)
-            for real in realizations[o]:
+            for real in realizations[o].values():
                 if real.image(weights) == 0:
                     out.append(ConditionStarPair(chi.modulus, p, chi, real, 0))
     out.sort(key=lambda pair: (pair.q, pair.p, pair.chi.identifier(),

@@ -14,10 +14,12 @@ from heckezero.biro import (SIEVE_WORK_BOUND, ConditionStarPair,
                             ResidueReport, condition_star_search,
                             factorization_oracle_check, residue_mod_p,
                             residue_reports, sieve_work, yokoi_intro_ab)
+from heckezero.cfrac import period_blocks
 from heckezero.characters import (CycloElement, DirichletCharacter,
                                   ModPRealization, b1_table, chi_sum,
                                   chi_weights, enumerate_characters,
-                                  modp_realizations, odd_primitive_characters)
+                                  euler_phi, modp_realizations,
+                                  odd_primitive_characters)
 from heckezero.cli import main
 from heckezero.errors import BoundExceeded, NarrowClassNotOne, ParseError
 from heckezero.linearity import BUILTIN_FAMILIES, closed_form_table
@@ -42,7 +44,7 @@ def _every_realization() -> list[ConditionStarPair]:
             for q in (5, 7) for chi in enumerate_characters(q)
             if char_invariants(chi) == ("odd", q)
             for p in (11, 13, 29, 31, 37)
-            for real in modp_realizations(chi, p)]
+            for real in modp_realizations(chi, p).values()]
 
 
 class TestCharSum:
@@ -110,7 +112,6 @@ class TestSearch:
         # desk-scale runs stay well inside the budget (test_cli checks the
         # refusals)
         assert sieve_work(45, 401) < SIEVE_WORK_BOUND // 10
-        assert sieve_work(29, 61, residues=True) < SIEVE_WORK_BOUND // 4
 
 
 ODD_PRIMITIVE = [chi for q in range(3, 46, 2)
@@ -129,7 +130,7 @@ def test_orbit_identity(chi, data):
     o, q = chi.order, chi.modulus
     primes = [p for p in PRIMES if p % o == 1]
     p = data.draw(st.sampled_from(primes)) if data else primes[0]
-    hs = [real.zeta_image for real in modp_realizations(chi, p)]
+    hs = [real.zeta_image for real in modp_realizations(chi, p).values()]
     units = [a for a in range(1, o) if math.gcd(a, o) == 1]
     weights = chi_weights(chi, range(q))
     for h in [data.draw(st.sampled_from(hs))] if data else hs:
@@ -230,6 +231,29 @@ class TestResidue:
                 if (rep.chi.modulus, rep.r) != (5, 0)]
         assert len(want) == 29
         assert residue_reports(spec, 7, 13) == want
+
+    def test_residue_budget(self, monkeypatch):
+        # the search's sieve_work, q tables of q^2 * b steps per distinct q
+        # of its pairs and q reports of 2 * (phi(q) + o) steps per pair:
+        # that total runs, one step less is refused before any table is
+        # built
+        pairs = condition_star_search(29, 61)
+        b = len(period_blocks(YOKOI.s))
+        price = sieve_work(29, 61) + sum(
+            q ** 3 * b for q in {pair.q for pair in pairs}) + sum(
+            2 * pair.q * (euler_phi(pair.q) + pair.chi.order)
+            for pair in pairs)
+        assert price == 829775
+        reports = residue_reports(YOKOI, 29, 61)
+        monkeypatch.setattr(biro, "SIEVE_WORK_BOUND", price)
+        assert residue_reports(YOKOI, 29, 61) == reports
+        tables = []
+        monkeypatch.setattr(biro, "closed_form_table",
+                            lambda *args: tables.append(args))
+        monkeypatch.setattr(biro, "SIEVE_WORK_BOUND", price - 1)
+        with pytest.raises(BoundExceeded, match="829775 sieve steps"):
+            residue_reports(YOKOI, 29, 61)
+        assert tables == []
 
     def test_closed_form_table_builds(self, monkeypatch, capsys):
         # one table per (q, r) for all pairs of that q: q = 5 and q = 7

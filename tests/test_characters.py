@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from heckezero import characters
 from heckezero.characters import (CycloElement, DirichletCharacter,
-                                  _kronecker_raw, _unit_group, b1_table,
-                                  chi_coords, chi_sum, chi_weights,
-                                  enumerate_characters, gen_bernoulli_b1,
-                                  modp_realizations, odd_primitive_characters,
-                                  unit_product)
+                                  ModPRealization, _kronecker_raw,
+                                  _unit_group, b1_table, chi_coords, chi_sum,
+                                  chi_weights, enumerate_characters,
+                                  gen_bernoulli_b1, modp_realizations,
+                                  odd_primitive_characters, unit_product)
 from heckezero.errors import BoundExceeded, ParseError
 from heckezero.exact import factorize
 from heckezero.kernels import KERNEL_STEP_BOUND
@@ -310,17 +310,16 @@ class TestRealizations:
     def test_quadratic_mod3_to_p5(self):
         # order 2 mod 5: only t = 4
         reals = modp_realizations(CHI3, 5)
-        assert [r.zeta_image for r in reals] == [4]
-        assert all(r.p == 5 and r.order == 2 for r in reals)
+        assert reals == {1: ModPRealization(5, 2, 4)}
 
     def test_quartic_mod5_to_p5(self):
         chi5 = DirichletCharacter.from_identifier("q=5;gens=2:1")
         reals = modp_realizations(chi5, 5)
-        assert sorted(r.zeta_image for r in reals) == [2, 3]
+        assert sorted(r.zeta_image for r in reals.values()) == [2, 3]
 
     def test_apply_is_ring_map(self):
         chi5 = DirichletCharacter.from_identifier("q=5;gens=2:1")
-        for real in modp_realizations(chi5, 13):
+        for real in modp_realizations(chi5, 13).values():
             p = real.p
             x = char_sum(chi5, ((2, 1), (3, 7)))
             y = char_sum(chi5, ((4, 1), (1, -2)))
@@ -332,7 +331,9 @@ class TestRealizations:
 
     @pytest.mark.parametrize("p", [2] + _odd_primes(211))
     def test_exact_order_oracle(self, p):
-        # the character of exponent (p-1)/o mod p has order o
+        # the character of exponent (p-1)/o mod p has order o; its
+        # realizations are zeta_o -> h^e keyed by the e in [1, o] prime to
+        # o, which the search's orbit rule reads
         by_order: dict[int, list[int]] = {}
         for t in range(1, p):
             by_order.setdefault(_mult_order(t, p), []).append(t)
@@ -342,12 +343,18 @@ class TestRealizations:
             chi = DirichletCharacter(p, ((p - 1) // o,) if p > 2 else ())
             assert chi.order == o
             reals = modp_realizations(chi, p)
-            assert [r.zeta_image for r in reals] == by_order[o]
-            assert all(r.p == p and r.order == o for r in reals)
+            assert list(reals) == [e for e in range(1, o + 1)
+                                   if math.gcd(e, o) == 1]
+            h = reals[1].zeta_image
+            assert all(real.zeta_image == pow(h, e, p)
+                       for e, real in reals.items())
+            assert sorted(r.zeta_image for r in reals.values()) == \
+                by_order[o]
+            assert all(r.p == p and r.order == o for r in reals.values())
 
     def test_no_realization_off_divisors(self):
         chi5 = DirichletCharacter.from_identifier("q=5;gens=2:1")
-        assert modp_realizations(chi5, 7) == []
+        assert modp_realizations(chi5, 7) == {}
 
     def test_image_matches_apply(self):
         # the search's Horner image of the integer weights against the
@@ -362,7 +369,7 @@ class TestRealizations:
                 assert total.coeffs == tuple(
                     q * c for c in gen_bernoulli_b1(chi).coeffs)
                 for p in _odd_primes(61):
-                    for real in modp_realizations(chi, p):
+                    for real in modp_realizations(chi, p).values():
                         assert real.image(weights) == \
                             apply_realization(real, total)
                         checked += 1

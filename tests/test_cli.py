@@ -134,8 +134,9 @@ class TestBoundary:
          "--p-max", "1000000000"],
         ["residues", "--family", "yokoi", "--q-max", "100001",
          "--p-max", "3"],
-        # a search this size is cheap, its closed-form tables are not
-        ["residues", "--family", "yokoi", "--q-max", "45", "--p-max", "3"],
+        # a search this size is cheap, the closed-form tables of the
+        # moduli it finds are not: 31,857,066 steps, priced from its pairs
+        ["residues", "--family", "yokoi", "--q-max", "61", "--p-max", "61"],
     ], ids=["search-p", "search-q", "residues-p", "residues-q",
             "residues-tables"])
     def test_sieve_work_budget(self, args, capsys):
@@ -614,6 +615,27 @@ class TestBiro:
         assert code == 0
         names = [rep["chi"] for rep in doc["results"]["reports"]]
         assert len(calls) == len(set(names)) < len(names)
+
+    @pytest.mark.parametrize("family", ["yokoi", "rd-n2p1"])
+    def test_residues_determined(self, family, capsys):
+        # the first run whose sieve decides: every class of one pair at
+        # (q, p) = (47, 5) gets a determined residue, and the Yokoi members
+        # with h = h+ = 1 obey every report of their class
+        code, doc = run_json(["biro", "residues", "--family", family,
+                              "--q-max", "47", "--p-max", "5"], capsys)
+        assert code == 0
+        reports = doc["results"]["reports"]
+        determined = [rep for rep in reports if rep["status"] == "determined"]
+        assert (len(reports), len(determined)) == (215, 47)
+        assert {(rep["q"], rep["p"]) for rep in determined} == {(47, 5)}
+        if family != "yokoi":
+            return
+        for rep in reports:
+            for n in (1, 3, 5, 7, 13, 17):
+                if n % rep["q"] == rep["r"]:
+                    assert rep["status"] != "vacuous", (rep, n)
+                    assert rep["status"] != "determined" or \
+                        rep["residue"] == n % rep["p"], (rep, n)
 
     def test_oracle(self, capsys):
         code, doc = run_json(["biro", "oracle", "--family", "yokoi",
