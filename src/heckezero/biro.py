@@ -162,7 +162,8 @@ def residue_reports(spec: FamilySpec, q_max: int, p_max: int
     the search's sieve_work, each distinct q costs q tables of q^2 * b
     steps (b the blocks of the plus period, the price closed_form_table
     checks), and each pair q reports of 2 * (phi(q) + o) steps, o its
-    order: two folds over the units and two Horner images."""
+    order: two folds over the units and two Horner images.  Each table
+    keeps only the A and B that residue_mod_p reads, not its q^2 cells."""
     pairs = condition_star_search(q_max, p_max)
     b = len(period_blocks(spec.s))
     work = sieve_work(q_max, p_max)
@@ -175,7 +176,7 @@ def residue_reports(spec: FamilySpec, q_max: int, p_max: int
         tables = {}
         for r in range(q):
             try:
-                tables[r] = closed_form_table(spec, q, r)
+                tables[r] = closed_form_table(spec, q, r)._replace(cells=())
             except (NoAdmissibleN, HypothesisFailed):
                 continue
         for pair in group:

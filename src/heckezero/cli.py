@@ -9,13 +9,11 @@ success, 2 validation error, 3 broken internal invariant.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import json
-import re
 import sys
 import time
+from types import SimpleNamespace
 
 # Every command pays for the import of this module, so it loads only what
 # field, cf and lvalue all run (errors, exact, cfrac, quadfield), all of it
@@ -31,11 +29,37 @@ from .errors import (HeckeZeroError, InternalInvariantError, ParseError,
 from .exact import QuadSurd, parse_ints, quadsurd_to_dict
 from .quadfield import check_radicand, class_numbers, make_field
 
-# the one table each payload that has one exports with --format csv, by
-# command and subcommand; any other command is refused before it runs
+# The options of every command path: each maps "--name" to its type and
+# its default.  The type is int, str, a tuple of the accepted values, or
+# bool for a flag; the default REQUIRED marks a required option.  --out and
+# --format are shared by every command and may also come before its words.
+REQUIRED = object()
+INT, STR = (int, REQUIRED), (str, REQUIRED)
+KIND = (("plus", "minus"), "minus")
+SHARED = {"--out": (str, None), "--format": (("json", "csv"), "json")}
+COMMANDS = {path: {**options, **SHARED} for path, options in {
+    ("field",): {"--d": INT},
+    ("cf", "expand"): {"--d": INT, "--surd": STR, "--kind": KIND},
+    ("cf", "convert"): {"--plus": STR},
+    ("cf", "eval"): {"--word": STR, "--kind": KIND},
+    ("lvalue",): {"--d": INT, "--delta": STR, "--chi": STR},
+    ("linearity", "verify"): {"--family": STR, "--chi": STR, "--r": INT,
+                              "--k": STR},
+    ("linearity", "closed-form"): {"--family": STR, "--chi": STR, "--r": INT},
+    ("linearity", "hypothesis"): {"--family": STR, "--chi": STR, "--r": INT},
+    ("biro", "search"): {"--q-max": INT, "--p-max": INT},
+    ("biro", "residues"): {"--family": STR, "--q-max": INT, "--p-max": INT},
+    ("biro", "oracle"): {"--family": STR, "--n": INT, "--chi": STR,
+                         "--intro-ab": (bool, False)},
+    ("selftest",): {},
+}.items()}
+# the groups of two-word paths, and the attribute that holds the second word
+SUBCOMMAND_DEST = {"cf": "cf_cmd", "linearity": "lin_cmd", "biro": "biro_cmd"}
+# the one table each payload that has one exports with --format csv; any
+# other command is refused before it runs
 CSV_TABLES = {("linearity", "closed-form"): "cells",
               ("biro", "residues"): "reports", ("biro", "search"): "pairs",
-              ("selftest", None): "criteria"}
+              ("selftest",): "criteria"}
 
 
 def _parse_surd(text: str, d: int) -> QuadSurd:
@@ -69,10 +93,7 @@ def cmd_cf(args) -> dict:
     if args.cf_cmd == "expand":
         check_radicand(args.d)
         x = _parse_surd(args.surd, args.d)
-        if args.kind == "plus":
-            w = plus_expand(x)
-        else:
-            w = minus_expand(x)
+        w = plus_expand(x) if args.kind == "plus" else minus_expand(x)
         return {"kind": args.kind, "preperiod": list(w.preperiod),
                 "period": list(w.period)}
     if args.cf_cmd == "convert":
@@ -115,95 +136,72 @@ def _csv_flatten(rows: list[dict] | None) -> str:
     return buf.getvalue()
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises ParseError on a bad argument; subparsers inherit the class."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse takes a value that starts with "-" for an option name
-        # unless it looks like a negative number, so "--k -2,9" and
-        # "--surd -1,1" would fail; comma lists of integers count as numbers
-        self._negative_number_matcher = re.compile(
-            r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
-
-    def error(self, message):
-        raise ParseError(f"{self.prog}: {message}")
+def _error(path: tuple[str, ...], message: str) -> ParseError:
+    return ParseError(" ".join(("hecke-zero",) + path) + ": " + message)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Built once.  --out/--format live in common only; their defaults come
-    from run_command's namespace, as parents share Action objects and a
-    default there would overwrite a value given before the subcommand.  The
-    parser binds no function: run_command looks up cmd_<command> per call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="append the JSON report to this file")
-    common.add_argument("--format", choices=("json", "csv"),
-                        default=argparse.SUPPRESS)
-    ap = _Parser(
-        prog="hecke-zero", parents=[common],
-        description="Exact values at s=0 of partial Hecke L-functions of "
-                    "real quadratic fields")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _usage(path: tuple[str, ...]) -> str:
+    """The usage line of one command path, read from COMMANDS."""
+    words = ["usage: hecke-zero", *path]
+    for name, (kind, default) in COMMANDS[path].items():
+        if kind is not bool:
+            name += " " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                           else name[2:].replace("-", "_").upper())
+        words.append(name if default is REQUIRED else f"[{name}]")
+    return " ".join(words)
 
-    p = sub.add_parser("field", parents=[common],
-                       help="field invariants for Q(sqrt(d))")
-    p.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("cf", help="continued fraction operations")
-    cfsub = p.add_subparsers(dest="cf_cmd", required=True)
-    pe = cfsub.add_parser("expand", parents=[common])
-    pe.add_argument("--d", type=int, required=True)
-    pe.add_argument("--surd", required=True, help="a,b[,c]")
-    pe.add_argument("--kind", choices=("plus", "minus"), default="minus")
-    pc = cfsub.add_parser("convert", parents=[common])
-    pc.add_argument("--plus", required=True, help="comma-separated digits")
-    pv = cfsub.add_parser("eval", parents=[common])
-    pv.add_argument("--word", required=True, help="comma-separated digits")
-    pv.add_argument("--kind", choices=("plus", "minus"), default="minus")
-
-    p = sub.add_parser("lvalue", parents=[common], help="partial Hecke L-value at s=0")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", required=True, help="a,b[,c]")
-    p.add_argument("--chi", required=True, help="character identifier")
-
-    p = sub.add_parser("linearity", help="family linearity machinery")
-    lsub = p.add_subparsers(dest="lin_cmd", required=True)
-    for name in ("verify", "closed-form", "hypothesis"):
-        pl = lsub.add_parser(name, parents=[common])
-        pl.add_argument("--family", required=True)
-        pl.add_argument("--chi", required=True)
-        pl.add_argument("--r", type=int, required=True)
-        if name == "verify":
-            pl.add_argument("--k", required=True,
-                            help="comma-separated k samples")
-
-    p = sub.add_parser("biro", help="sieve search and congruences")
-    bsub = p.add_subparsers(dest="biro_cmd", required=True)
-    ps = bsub.add_parser("search", parents=[common])
-    ps.add_argument("--q-max", type=int, required=True)
-    ps.add_argument("--p-max", type=int, required=True)
-    pr = bsub.add_parser("residues", parents=[common])
-    pr.add_argument("--family", required=True)
-    pr.add_argument("--q-max", type=int, required=True)
-    pr.add_argument("--p-max", type=int, required=True)
-    po = bsub.add_parser("oracle", parents=[common])
-    po.add_argument("--family", required=True)
-    po.add_argument("--n", type=int, required=True)
-    po.add_argument("--chi", required=True)
-    po.add_argument("--intro-ab", action="store_true",
-                    help="also evaluate the direct double sums")
-
-    sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
-    return ap
+def parse_argv(argv) -> tuple[tuple[str, ...], SimpleNamespace]:
+    """The command path of argv and its options, in one walk: the shared
+    options, the path's words, then the path's options.  A value is the
+    word after its option, taken verbatim, or follows "=" in it; a name
+    must be spelled out.  The namespace holds the first word as command,
+    the second under SUBCOMMAND_DEST, and every option of the path by its
+    dest (--q-max as q_max), at its default if not given.  -h or --help,
+    where an option may stand, prints the usage of every path that starts
+    with the words so far and exits 0."""
+    path, options, given = (), SHARED, {}
+    rest = iter(argv)
+    for word in rest:
+        if word in ("-h", "--help"):
+            print(*(_usage(p) for p in COMMANDS if p[:len(path)] == path),
+                  sep="\n")
+            raise SystemExit(0)
+        sub = path + (word,)
+        if sub in COMMANDS or not path and word in SUBCOMMAND_DEST:
+            path, options = sub, COMMANDS.get(sub, {})
+            continue
+        name, eq, value = word.partition("=")
+        if name not in options or eq and options[name][0] is bool:
+            raise _error(path, f"unrecognized arguments: {word}")
+        kind = options[name][0]
+        value = True if kind is bool else value if eq else next(rest, None)
+        if value is None:
+            raise _error(path, f"argument {name}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _error(path, f"argument {name}: invalid int value: "
+                             f"{value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise _error(path, f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+        given[name] = value
+    missing = [name for name, (_, default) in options.items()
+               if default is REQUIRED and name not in given]
+    if path not in COMMANDS or missing:
+        raise _error(path, "the following arguments are required: "
+                     + (", ".join(missing) or "command"))
+    words = zip(("command", SUBCOMMAND_DEST.get(path[0])), path)
+    return path, SimpleNamespace(**dict(words), **{
+        name[2:].replace("-", "_"): given.get(name, default)
+        for name, (_, default) in options.items()})
 
 
 def run_command(argv) -> int:
-    args = build_parser().parse_args(
-        argv, argparse.Namespace(out=None, format="json"))
-    table = CSV_TABLES.get((args.command, getattr(
-        args, "lin_cmd", getattr(args, "biro_cmd", None))))
+    path, args = parse_argv(argv)
+    table = CSV_TABLES.get(path)
     if args.format == "csv" and table is None:
         _csv_flatten(None)      # refused before the command runs
     handler = globals().get(f"cmd_{args.command}")

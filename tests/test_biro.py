@@ -1,6 +1,7 @@
 """Pair search, residue congruences, and the L-value factorization oracle."""
 
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby
@@ -254,6 +255,29 @@ class TestResidue:
         with pytest.raises(BoundExceeded, match="829775 sieve steps"):
             residue_reports(YOKOI, 29, 61)
         assert tables == []
+
+    def test_reports_hold_no_cell_grid(self, monkeypatch):
+        # residue_mod_p reads a table's A and B only: while a modulus
+        # reports, none of its q tables still holds its q^2 cells
+        class Grid(list):
+            pass
+        want = residue_reports(YOKOI, 11, 61)
+        grids, held = [], []
+        build, report = biro.closed_form_table, biro.residue_mod_p
+
+        def tracked(spec, q, r):
+            table = build(spec, q, r)
+            grid = Grid(table.cells)
+            grids.append(weakref.ref(grid))
+            return table._replace(cells=grid)
+
+        def counted(pair, r, table):
+            held.append(sum(ref() is not None for ref in grids))
+            return report(pair, r, table)
+        monkeypatch.setattr(biro, "closed_form_table", tracked)
+        monkeypatch.setattr(biro, "residue_mod_p", counted)
+        assert residue_reports(YOKOI, 11, 61) == want
+        assert grids and held and max(held) == 0
 
     def test_closed_form_table_builds(self, monkeypatch, capsys):
         # one table per (q, r) for all pairs of that q: q = 5 and q = 7

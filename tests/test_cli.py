@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckezero import (acceptance, biro, cli, linearity, quadfield,
-                       shintani)
+from heckezero import (acceptance, biro, cli, commands, linearity,
+                       quadfield, shintani)
 from heckezero.acceptance import CriterionResult
 from heckezero.biro import yokoi_intro_ab
 from heckezero.characters import (DirichletCharacter, chi_sum,
@@ -396,7 +396,7 @@ class TestField:
         assert code == 0 and calls == [229]
 
     def test_rebound_command_runs(self, monkeypatch, capsys):
-        # the parser is built once; the subcommand is looked up per call
+        # the handler of a command is looked up per call
         run_cli(["field", "--d", "5"], capsys)
         monkeypatch.setattr(cli, "cmd_field", lambda args: {"d": -args.d})
         code, doc = run_json(["field", "--d", "5"], capsys)
@@ -478,6 +478,125 @@ def test_negative_comma_list(words, option, value, capsys):
     assert code == 0
     assert spaced["results"] == joined["results"]
     assert spaced["inputs"] == joined["inputs"]
+
+
+# one argv per command path, each with its required options only, and the
+# inputs its envelope echoes: both words, every option by its dest, and
+# the defaults of the options left out (kind, intro_ab)
+ECHOES = [
+    (["field", "--d", "5"], {"command": "field", "d": 5}),
+    (["cf", "expand", "--d", "5", "--surd", "3,1,2"],
+     {"cf_cmd": "expand", "command": "cf", "d": 5, "kind": "minus",
+      "surd": "3,1,2"}),
+    (["cf", "convert", "--plus", "2,3"],
+     {"cf_cmd": "convert", "command": "cf", "plus": "2,3"}),
+    (["cf", "eval", "--word", "3"],
+     {"cf_cmd": "eval", "command": "cf", "kind": "minus", "word": "3"}),
+    (LVALUE_ARGS, {"chi": "q=3;gens=2:1", "command": "lvalue", "d": 5,
+                   "delta": "3,1,2"}),
+    (["linearity", "verify", "--family", "yokoi", "--chi", "q=3;gens=2:1",
+      "--r", "1", "--k", "0,1"],
+     {"chi": "q=3;gens=2:1", "command": "linearity", "family": "yokoi",
+      "k": "0,1", "lin_cmd": "verify", "r": 1}),
+    (["linearity", "closed-form", "--family", "yokoi", "--chi",
+      "q=5;gens=2:1", "--r", "1"],
+     {"chi": "q=5;gens=2:1", "command": "linearity", "family": "yokoi",
+      "lin_cmd": "closed-form", "r": 1}),
+    (["linearity", "hypothesis", "--family", "rd-n2p1", "--chi",
+      "q=3;gens=2:1", "--r", "2"],
+     {"chi": "q=3;gens=2:1", "command": "linearity", "family": "rd-n2p1",
+      "lin_cmd": "hypothesis", "r": 2}),
+    (["biro", "search", "--q-max", "7", "--p-max", "13"],
+     {"biro_cmd": "search", "command": "biro", "p_max": 13, "q_max": 7}),
+    (["biro", "residues", "--family", "yokoi", "--q-max", "7", "--p-max",
+      "13"],
+     {"biro_cmd": "residues", "command": "biro", "family": "yokoi",
+      "p_max": 13, "q_max": 7}),
+    (["biro", "oracle", "--family", "yokoi", "--n", "1", "--chi",
+      "q=3;gens=2:1"],
+     {"biro_cmd": "oracle", "chi": "q=3;gens=2:1", "command": "biro",
+      "family": "yokoi", "intro_ab": False, "n": 1}),
+    (["selftest"], {"command": "selftest"}),
+]
+
+
+def _joined(argv):
+    """argv with every option and its value written as --name=value."""
+    out, it = [], iter(argv)
+    for word in it:
+        out.append(f"{word}={next(it)}" if word.startswith("--") else word)
+    return out
+
+
+class TestParse:
+    @pytest.fixture
+    def echo(self, monkeypatch, capsys):
+        """main on argv with every handler replaced by one that computes
+        nothing: the envelope's inputs, in their printed order."""
+        for module, name in [(cli, "cmd_field"), (cli, "cmd_cf"),
+                             (cli, "cmd_lvalue"), (commands, "cmd_linearity"),
+                             (commands, "cmd_biro"),
+                             (commands, "cmd_selftest")]:
+            monkeypatch.setattr(module, name,
+                                lambda args: {"all_passed": True})
+
+        def run(argv):
+            code, doc = run_json(argv, capsys)
+            assert code == 0
+            return list(doc["inputs"].items())
+        return run
+
+    def test_one_argv_per_path(self):
+        assert [tuple(echo[k] for k in ("command", "cf_cmd", "lin_cmd",
+                                        "biro_cmd") if k in echo)
+                for _, echo in ECHOES] == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv,inputs", ECHOES,
+                             ids=["-".join(w for w in a[:2] if w[0] != "-")
+                                  for a, _ in ECHOES])
+    def test_inputs_echo(self, argv, inputs, echo, tmp_path):
+        # the same echo with --name=value and with --out and --format
+        # before the words, where the --out line is appended as well
+        target = tmp_path / "o.jsonl"
+        assert echo(argv) == sorted(inputs.items())
+        assert echo(_joined(argv)) == sorted(inputs.items())
+        assert echo(["--out", str(target), "--format=json"] + argv) \
+            == sorted(inputs.items())
+        assert json.loads(target.read_text())["inputs"] == inputs
+
+    def test_negative_r(self, echo):
+        argv = ["linearity", "closed-form", "--family", "yokoi", "--chi",
+                "q=3;gens=2:1", "--r"]
+        assert ("r", -1000000000) in echo(argv + ["-1000000000"])
+        assert ("r", -1) in echo(argv[:-1] + ["--r=-1"])
+
+    @pytest.mark.parametrize("path", list(cli.COMMANDS), ids="-".join)
+    def test_help_on_every_path(self, path, capsys):
+        # the path's one usage line, which names each of its options
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "-h"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        [line] = out.splitlines()
+        assert line.startswith(" ".join(("usage: hecke-zero",) + path) + " ")
+        assert err == "" and all(name in line for name in cli.COMMANDS[path])
+
+    @pytest.mark.parametrize("argv,message", [
+        (["biro", "search", "--q-m", "5", "--p-max", "5"],
+         "hecke-zero biro search: unrecognized arguments: --q-m"),
+        (["field", "--d", "5", "--form", "csv"],
+         "hecke-zero field: unrecognized arguments: --form"),
+        (["--fo", "csv", "field", "--d", "5"],
+         "hecke-zero: unrecognized arguments: --fo"),
+        (["lvalue", "--del=3,1,2", "--d", "5", "--chi", "q=3;gens=2:1"],
+         "hecke-zero lvalue: unrecognized arguments: --del=3,1,2"),
+    ], ids=["q-m", "form", "fo-first", "del"])
+    def test_prefix_refused(self, argv, message, capsys):
+        # an abbreviation names no option, however unique
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": "ParseError",
+                                                 "message": message}
 
 
 class TestLinearity:
@@ -891,10 +1010,12 @@ def test_console_script_selftest():
 
 def test_cli_import_stays_pure_python():
     # a fresh `import heckezero.cli` is the benchmark's setup cost: it must
-    # load no NumPy and no compiled heckezero module
+    # load no NumPy, no argument parser (argparse, with its gettext) and no
+    # compiled heckezero module
     probe = (
         "import sys, heckezero.cli\n"
         "assert 'numpy' not in sys.modules\n"
+        "assert not {'argparse', 'gettext'} & set(sys.modules)\n"
         "for name, mod in sys.modules.items():\n"
         "    if name.startswith('heckezero.'):\n"
         "        assert mod.__file__.endswith('.py'), mod.__file__\n"
